@@ -22,9 +22,22 @@ def deg(f: np.ndarray) -> int:
 
 
 def mul(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
+    """Product of reduced polynomials, exact in int64 for every q < 2^31.
+
+    A coefficient of f*g sums min(len f, len g) products below q^2.  When
+    that can pass 2^63, f is split into 16-bit halves, whose partial sums
+    stay below 2^63 for inputs shorter than 2^16 terms.
+    """
     if len(f) == 0 or len(g) == 0:
         return np.zeros(0, dtype=np.int64)
-    return trim(np.convolve(f, g) % q)
+    terms = min(len(f), len(g))
+    if terms * (q - 1) ** 2 < 2**63:
+        return trim(np.convolve(f, g) % q)
+    if terms >= 2**16:
+        raise ValueError(f"{terms}-term products overflow int64 at q = {q}")
+    hi = np.convolve(f >> 16, g) % q
+    lo = np.convolve(f & 0xFFFF, g) % q
+    return trim((hi * 2**16 + lo) % q)
 
 
 def divmod_poly(f: np.ndarray, g: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,13 +3,22 @@
 The singular set of the r-family attached to a 2l-tuple b is the hypersurface
 cut out (over F_q containing the k-th roots of unity) by
 
-    P_b(r) = prod over zeta in mu_k^{2l} of
-             ( sum_{i<=l} zeta_i x_i  -  sum_{i>l} zeta_i x_i ),
+    P_b(r) = prod over zeta in mu_k^{2l} of L_zeta,
+    L_zeta = sum_{i<=l} zeta_i x_i  -  sum_{i>l} zeta_i x_i,
 
-computed in F_q[r][x_1..x_{2l}] modulo the relations x_i^k = r + b_i.  The
-product is invariant under every substitution x_i -> zeta x_i, so after full
-reduction only monomials with all x-exponents divisible by k survive; the
-operation asserts this collapse and returns the resulting polynomial in r.
+in F_q[r][x_1..x_{2l}] modulo the relations x_i^k = r + b_i.  The forms fall
+in orbits {c L_zeta : c in mu_k} of size k.  The product of mu_k is
+(-1)^(k+1), raised here to the power k^{2l-1}, which is even when k is, so
+P_b = M^k exactly, with
+
+    M(r) = prod over zeta in mu_k^{2l} with zeta_1 = 1 of L_zeta.
+
+M is invariant under every substitution x_i -> c x_i (for i >= 2 it
+permutes the representatives; for i = 1 it also scales M by
+c^{k^{2l-1}} = 1), so after full reduction only the monomial with all
+x-exponents 0 mod k survives.  The operation computes M over the k^{2l-1}
+representatives, asserts this collapse, and returns M^k as a polynomial
+in r.
 
 The full singular set adds the hyperplanes r = -b_i:
 
@@ -23,12 +32,9 @@ z, and b with subgeneric z serve as the empirical proxy for the
 low-dimensional exceptional locus (a superset of it, restricted to rational
 points, since the strata are closed).
 
-The product above is always a perfect k-th power: the factors fall in
-orbits {c L : c in mu_k}, so P_b = +-M^k with M the product over the
-k^{2l-1} forms with zeta_1 = 1, and deg M <= k^{2l-2} (each x_i has
-r-degree 1/k).  As r -> infinity, each of those forms whose leading
-coefficient sum_{i<=l} zeta_i - sum_{i>l} zeta_i vanishes loses a full power
-of r.  Writing V(k,l) for their number,
+Since each x_i has r-degree 1/k, deg M <= k^{2l-2}.  As r -> infinity, each
+representative whose leading coefficient sum_{i<=l} zeta_i - sum_{i>l} zeta_i
+vanishes loses a full power of r.  Writing V(k,l) for their number,
 
     z(b) <= 2l + k^{2l-2} - V(k,l),
 
@@ -87,49 +93,61 @@ def _check_preconditions(field: PrimeField, k: int, b) -> tuple[np.ndarray, int]
     return b, l
 
 
-def _mul_linear_form(state: np.ndarray, coeffs, b: np.ndarray, q: int) -> np.ndarray:
-    """Multiply a reduced element by sum_i coeffs[i] * x_i.
+def _row_maps(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row maps of the reduced state, whose rows are the exponent tuples
+    e in [0, k)^n in C order.
 
-    state has shape (k,)*2l + (D,); exponents reduce via x_i^k -> (r + b_i),
-    so the result has r-degree headroom D+1.
+    Multiplying by x_i sends row e to e + u_i (mod k); src[i, f] is the row
+    that lands on f, and wrap[i, f] marks f_i = 0, where the exponent wrapped
+    and x_i^k -> (r + b_i) picks up a factor.
     """
-    n = state.ndim - 1
-    out = np.zeros(state.shape[:-1] + (state.shape[-1] + 1,), dtype=np.int64)
-    for i in range(n):
-        c = int(coeffs[i]) % q
-        if c == 0:
-            continue
-        shifted = np.roll(state, 1, axis=i)
-        contrib = c * shifted % q
-        wsl = tuple(slice(0, 1) if j == i else slice(None) for j in range(n))
-        wrapped = contrib[wsl].copy()
-        contrib[wsl] = 0
-        out[..., :-1] += contrib
-        out[wsl + (slice(None, -1),)] += wrapped * int(b[i]) % q
-        out[wsl + (slice(1, None),)] += wrapped
-        out %= q
-    return out
+    digits = np.indices((k,) * n).reshape(n, -1)
+    stride = (k ** np.arange(n - 1, -1, -1, dtype=np.int64))[:, None]
+    wrap = digits == 0
+    src = np.arange(k**n, dtype=np.int64) - stride + k * stride * wrap
+    return src, wrap
 
 
 def singular_polynomial(field: PrimeField, k: int, b) -> np.ndarray:
-    """P_b as coefficients over F_q (ascending degree; empty array if P_b = 0)."""
+    """P_b as coefficients over F_q (ascending degree; empty array if P_b = 0).
+
+    Computes M over the k^(2l-1) forms with zeta_1 = 1 and returns M^k.
+    Each form costs one gather of the (k^(2l), D) state: the term for x_i
+    is c_i * state[src_i], times 1 or, on a wrapped row, (b_i + r).  Every
+    product of two residues is reduced mod q before it is summed, so int64
+    stays exact for every q < 2^31.  After each form the r-degree axis is
+    trimmed to the current degree.
+    """
     b, l = _check_preconditions(field, k, b)
     q = field.q
     zeta = pow(field.g, (q - 1) // k, q)
     zpow = [pow(zeta, t, q) for t in range(k)]
     n = 2 * l
-    state = np.zeros((k,) * n + (1,), dtype=np.int64)
-    state[(0,) * n + (0,)] = 1
-    for ts in itertools.product(range(k), repeat=n):
-        coeffs = [zpow[t] if i < l else q - zpow[t] for i, t in enumerate(ts)]
-        state = _mul_linear_form(state, coeffs, b, q)
-    flat = state.reshape(-1, state.shape[-1])
-    p = flat[0].copy()
-    if np.any(flat[1:]):
+    src, wrap = _row_maps(k, n)
+    wrap_b = np.where(wrap, b[:, None], 1)
+    sign = np.where(np.arange(n) < l, 1, -1)
+    forms = np.array([(0, *ts) for ts in itertools.product(range(k), repeat=n - 1)])
+    coeffs = sign * np.array(zpow, dtype=np.int64)[forms] % q
+    state = np.zeros((k**n, 1), dtype=np.int64)
+    state[0, 0] = 1
+    for c in coeffs[:, :, None]:
+        g = state[src]
+        out = np.zeros((k**n, state.shape[1] + 1), dtype=np.int64)
+        out[:, :-1] = ((c * wrap_b % q)[..., None] * g % q).sum(axis=0)
+        out[:, 1:] += ((c * wrap)[..., None] * g % q).sum(axis=0)
+        out %= q
+        while out.shape[1] > 1 and not out[:, -1].any():
+            out = out[:, :-1]
+        state = out
+    m = polyfq.trim(state[0])
+    if state[1:].any():
         raise InternalConsistencyError(
             "residual x-dependence after reduction: Galois cancellation failed"
         )
-    return polyfq.trim(p)
+    p = m
+    for _ in range(k - 1):
+        p = polyfq.mul(p, m, q)
+    return p
 
 
 @dataclass

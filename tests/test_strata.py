@@ -5,8 +5,9 @@ product for k = 2, written with plain integer dict-polynomials over Z
 (no numpy, no quotient-ring shortcut): expand the product of all sign
 patterns as a multivariate polynomial in x_1..x_{2l}, check every exponent
 is even, substitute x_i^2 = r + b_i, and reduce mod q.  For k >= 2 the
-fiber count z(b) is checked against iterated resultants over GF(q) (sympy),
-which never form the quotient ring or pick a root of unity.
+fiber count z(b) and the coefficients of P_b (up to one sign per shape) are
+checked against iterated resultants over GF(q) (sympy), which never form
+the quotient ring or pick a root of unity.
 """
 
 import itertools
@@ -31,7 +32,7 @@ from klsums.strata import (
     z_fiber_count,
 )
 
-from conftest import generic_zcount
+from conftest import generic_zcount, primes_up_to
 
 
 # --- independent k = 2 oracle ------------------------------------------------
@@ -191,10 +192,10 @@ def test_generic_zcount_true_values(k, l):
     assert res.generic_fraction() >= 0.85
 
 
-def resultant_zcount(b, k, q):
-    """(z(b), deg P_b) with P_b = Res_{y_1..y_2l}(sum_{i<=l} y_i - sum_{i>l} y_i,
-    y_i^k - (r + b_i)) over GF(q), and z(b) the squarefree degree of
-    P_b * prod (r + b_i)."""
+def resultant_poly(b, k, q):
+    """(z(b), P_b) with P_b = Res_{y_1..y_2l}(sum_{i<=l} y_i - sum_{i>l} y_i,
+    y_i^k - (r + b_i)) over GF(q) as ascending coefficients in [0, q), and
+    z(b) the squarefree degree of P_b * prod (r + b_i)."""
     import sympy
 
     n = len(b)
@@ -208,14 +209,17 @@ def resultant_zcount(b, k, q):
     full = p
     for bi in b:
         full = full * sympy.Poly(r + bi, r, modulus=q)
-    return full.sqf_part().degree(), p.degree()
+    coeffs = np.array([int(c) % q for c in reversed(p.all_coeffs())], dtype=np.int64)
+    return full.sqf_part().degree(), polyfq.trim(coeffs)
 
 
 def test_resultant_oracle_zcount():
-    """z_fiber_count against iterated resultants at q = 499 on three seeded b
-    per (k,l) plus the subgeneric merge b_2 = b_1; the closed form
-    2l + k^(2l-2) - V(k,l) against TRUE_GENERIC, with generic
-    deg P_b = k * (k^(2l-2) - V(k,l)) from P_b = +-M^k."""
+    """z_fiber_count and singular_polynomial against iterated resultants at
+    q = 499 on three seeded b per (k,l) plus the subgeneric merge b_2 = b_1:
+    z(b), and P_b coefficient by coefficient up to one sign per shape (the
+    resultant's sign convention, not the orbit sign, which is +1).  Also the
+    closed form 2l + k^(2l-2) - V(k,l) against TRUE_GENERIC, with generic
+    deg P_b = k * (k^(2l-2) - V(k,l)) from P_b = M^k."""
     pytest.importorskip("sympy")
     q = 499
     f = build_field(q)
@@ -225,15 +229,62 @@ def test_resultant_oracle_zcount():
         rng = np.random.Generator(np.random.PCG64([k, l]))
         bs = [tuple(int(v) for v in rng.integers(0, q, size=2 * l)) for _ in range(3)]
         merged = (bs[0][0], bs[0][0], *bs[0][2:])
+        signs = set()
         for b in [*bs, merged]:
-            z, deg_p = resultant_zcount(b, k, q)
+            z, res = resultant_poly(b, k, q)
+            got = singular_polynomial(f, k, b)
+            matched = {s for s in (1, -1) if np.array_equal(got, s * res % q)}
+            signs |= matched
+            assert matched and len(signs) == 1, (k, l, b, matched, signs)
             rep = z_fiber_count(f, k, b)
-            assert (rep.z_count, rep.deg_P) == (z, deg_p), (k, l, b)
+            assert (rep.z_count, rep.deg_P) == (z, polyfq.deg(res)), (k, l, b)
             if b in bs:
                 assert z == true_z, (k, l, b)
-                assert deg_p == k * (true_z - 2 * l), (k, l, b)
+                assert rep.deg_P == k * (true_z - 2 * l), (k, l, b)
             else:
                 assert z < true_z, (k, l, b)
+
+
+LARGER_GENERIC = [(4, 2, 509, 11), (5, 2, 521, 20), (2, 4, 499, 37)]
+
+
+@pytest.mark.parametrize("k,l,q,true_z", LARGER_GENERIC)
+def test_generic_zcount_larger_shapes(k, l, q, true_z):
+    """Seeded scans at the shapes beyond TRUE_GENERIC attain the closed form
+    2l + k^(2l-2) - V(k,l), and no b exceeds it."""
+    res = stratum_scan(build_field(q), k, l, samples=30, seed=77)
+    assert res.generic == true_z == generic_zcount(k, l)
+    assert max(rep.z_count for rep in res.reports) <= true_z
+
+
+def test_expansion_oracle_k2_property():
+    """singular_polynomial against oracle_poly_k2 for l in {1, 2}, with q from
+    just above the headroom bound 2l + 2^(2l-1) (5 and 13) to 10^4 and with
+    random and diagonal b."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    primes = primes_up_to(10_000)
+
+    def shape(l):
+        admitted = [p for p in primes if p > 2 * l + 2 ** (2 * l - 1)]
+        raw_b = st.lists(st.integers(0, 10_000), min_size=2 * l, max_size=2 * l)
+        return st.tuples(st.just(l), st.sampled_from(admitted), raw_b, st.booleans())
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from((1, 2)).flatmap(shape))
+    @hyp.example((1, 5, [3, 4], False))
+    @hyp.example((2, 13, [1, 2, 3, 4], False))
+    @hyp.example((2, 13, [5, 9, 0, 0], True))
+    @hyp.example((2, 9973, [1234, 9000, 17, 4242], False))
+    def check(case):
+        l, q, raw_b, diagonal = case
+        b = [v % q for v in raw_b]
+        if diagonal:  # every value repeats: (b_1..b_l, a permutation of it)
+            b = b[:l] + b[:l][::-1]
+        f = build_field(q)
+        assert np.array_equal(singular_polynomial(f, 2, b), oracle_poly_k2(b, q)), (q, b)
+
+    check()
 
 
 def test_scan_determinism(f97):
