@@ -82,8 +82,8 @@ class BoundReport:
     M: int
     N: int
     l: int
-    trivial: float
-    theorem: float
+    trivial_bound: float
+    theorem_bound: float
     cond_interval: bool  # first displayed range condition
     cond_mplus: bool | None  # M^+ variant; None when M^+ was not supplied
     computed: float | None = None
@@ -94,28 +94,11 @@ class BoundReport:
 
     @property
     def ratio_trivial(self) -> float | None:
-        return None if self.computed is None else self.computed / self.trivial
+        return None if self.computed is None else self.computed / self.trivial_bound
 
     @property
     def ratio_theorem(self) -> float | None:
-        return None if self.computed is None else self.computed / self.theorem
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "q": self.q,
-            "M": self.M,
-            "N": self.N,
-            "l": self.l,
-            "trivial_bound": self.trivial,
-            "theorem_bound": self.theorem,
-            "cond_interval": self.cond_interval,
-            "cond_mplus": self.cond_mplus,
-            "in_range": self.in_range,
-            "computed": self.computed,
-            "ratio_trivial": self.ratio_trivial,
-            "ratio_theorem": self.ratio_theorem,
-        }
+        return None if self.computed is None else self.computed / self.theorem_bound
 
 
 def theorem_bounds(
@@ -177,8 +160,8 @@ def theorem_bounds(
         M=M,
         N=N,
         l=l,
-        trivial=trivial,
-        theorem=theorem,
+        trivial_bound=trivial,
+        theorem_bound=theorem,
         cond_interval=bool(cond_interval),
         cond_mplus=cond_mplus,
     )
@@ -384,9 +367,6 @@ class ComparisonReport:
     lhs_imag: float
     rhs_imag: float
 
-    def to_json(self) -> dict:
-        return self.__dict__.copy()
-
 
 def averaged_comparison_power_sum(
     table: KlTable, n: int, m: int
@@ -476,17 +456,3 @@ def averaged_comparison_full_sample(
         rhs_imag=0.0,
     )
 
-
-def averaged_comparison_empty() -> ComparisonReport:
-    return ComparisonReport(
-        family="empty",
-        q=0,
-        count=0,
-        lhs=0.0,
-        rhs=0.0,
-        gap=0.0,
-        normalized_gap=0.0,
-        normalizer_exponent=0.0,
-        lhs_imag=0.0,
-        rhs_imag=0.0,
-    )

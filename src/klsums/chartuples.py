@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .field import MultChar, PrimeField
@@ -64,30 +65,20 @@ class KummerWitness:
     xi_indices: tuple[int, ...]  # k/d fiber base points, with multiplicity
 
 
+class Dualizing(NamedTuple):
+    xi_index: int
+    tag: str  # "symmetric" | "alternating"
+
+
 @dataclass
 class ClassificationReport:
     lambda_index: int
     kummer_induced: bool
     kummer_witness: KummerWitness | None
-    dualizing: list[tuple[int, str]]  # (xi index, "symmetric" | "alternating")
+    dualizing: list[Dualizing]
     nio: bool
     cgm: bool
     mixed_duality: bool
-
-    def to_json(self) -> dict:
-        return {
-            "lambda_index": self.lambda_index,
-            "kummer_induced": self.kummer_induced,
-            "kummer_witness": (
-                None
-                if self.kummer_witness is None
-                else {"d": self.kummer_witness.d, "xi_indices": list(self.kummer_witness.xi_indices)}
-            ),
-            "dualizing": [{"xi_index": e, "tag": tag} for e, tag in self.dualizing],
-            "nio": self.nio,
-            "cgm": self.cgm,
-            "mixed_duality": self.mixed_duality,
-        }
 
 
 def _divisors(k: int) -> list[int]:
@@ -148,7 +139,7 @@ def check_kummer_witness(t: CharTuple, w: KummerWitness) -> bool:
     return acc == Counter(t.indices)
 
 
-def dualizing_characters(t: CharTuple) -> list[tuple[int, str]]:
+def dualizing_characters(t: CharTuple) -> list[Dualizing]:
     """All xi with the multiset stable under a -> xi - a, tagged symmetric/alternating."""
     n = t.field.q - 1
     ms = Counter(t.indices)
@@ -157,7 +148,7 @@ def dualizing_characters(t: CharTuple) -> list[tuple[int, str]]:
     for e in range(n):
         if Counter((e - a) % n for a in t.indices) == ms:
             alternating = t.k % 2 == 0 and (e * (t.k // 2)) % n == lam
-            out.append((e, "alternating" if alternating else "symmetric"))
+            out.append(Dualizing(e, "alternating" if alternating else "symmetric"))
     return out
 
 

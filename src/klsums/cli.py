@@ -3,21 +3,27 @@
 Every run emits a report envelope: the echoed config, the package version,
 wall-clock seconds, a status in {ok, precondition-failed, resource-limit},
 and the subcommand payload.  Exit code is 0 exactly when status is ok
-(precondition failures exit 2, resource limits exit 3).
+(precondition failures exit 2, resource limits exit 3); a malformed
+command line is an argparse usage error, also exit 2.
 
-Seeded subcommands use numpy's PCG64 generator; with --threads 1 (the
-default) every output is deterministic for a fixed seed, and CSV outputs
-are byte-identical across reruns (JSON envelopes differ only in the
-wall_time_s field).  Complex numbers serialize as {"re": ..., "im": ...}.
-The KLSUMS_OUT_DIR environment variable, when set, is prepended to
-relative --out paths; there is no other environment dependence.
+Each option exists only on the subcommands that read it.  --out is on all
+of them.  --format {csv,json} is on kl-table and strata-scan, the two
+subcommands with a CSV schema (CSV is their default); the others emit JSON.
+--seed (numpy PCG64, default 0) is on the seeded subcommands: kl-verify,
+strata-scan, bound-check, bilinear-bench and avg-compare.  --threads is on
+strata-scan only.  With --threads 1 (the default) every output is
+deterministic for a fixed seed, and CSV outputs are byte-identical across
+reruns (JSON envelopes differ only in the wall_time_s field).  Payloads go
+through klsums.serialize.jsonify; complex numbers serialize as
+{"re": ..., "im": ...}.  The KLSUMS_OUT_DIR environment variable, when
+set, is prepended to relative --out paths; there is no other environment
+dependence.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -29,7 +35,6 @@ import numpy as np
 from . import __version__
 from .bilinear import (
     CoeffSeq,
-    averaged_comparison_empty,
     averaged_comparison_full_sample,
     averaged_comparison_power_sum,
     bilinear_form,
@@ -46,28 +51,13 @@ from .errors import (
 from .experiments import bound_ladder
 from .field import MultChar, build_field, gauss_sum
 from .kloosterman import kl_table_fast, kl_table_naive, fourier_identity_check, table_agreement
+from .serialize import jsonify
 from .strata import box_count_variety, stratum_scan, z_fiber_count
 from .sums import sigma_II
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_RESOURCE = 3
-
-
-def _jsonify(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(x) for x in obj.tolist()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonify(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    return obj
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -91,6 +81,7 @@ def _resolve_out(path: str | None):
 
 
 # -- subcommand payload builders -------------------------------------------
+# Each returns a payload for jsonify: a dict or a report dataclass.
 
 
 def _cmd_field_info(args) -> dict:
@@ -98,10 +89,10 @@ def _cmd_field_info(args) -> dict:
     return {"q": f.q, "g": f.g, "units": f.q - 1}
 
 
-def _cmd_char_classify(args) -> dict:
+def _cmd_char_classify(args):
     f = build_field(args.q)
     t = _chars_arg(f, args.chars, args.k)
-    return classify_tuple(t).to_json()
+    return classify_tuple(t)
 
 
 def _cmd_kl_table(args) -> dict:
@@ -123,8 +114,8 @@ def _cmd_kl_table(args) -> dict:
 def _cmd_kl_verify(args) -> dict:
     f = build_field(args.q)
     t = _chars_arg(f, args.chars, args.k)
+    naive = kl_table_naive(f, t, args.scale)  # first: its byte budget is the binding one
     fast = kl_table_fast(f, t, args.scale)
-    naive = kl_table_naive(f, t, args.scale)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     fourier_max = 0.0
     if args.scale % f.q == 1:
@@ -211,10 +202,10 @@ def _cmd_box_count(args) -> dict:
     }
 
 
-def _cmd_bound_check(args) -> dict:
+def _cmd_bound_check(args):
     primes = _parse_ints(args.primes)
     chars = tuple(_parse_ints(args.chars)) if args.chars else None
-    rep = bound_ladder(
+    return bound_ladder(
         primes,
         k=args.k,
         l=args.l,
@@ -223,7 +214,6 @@ def _cmd_bound_check(args) -> dict:
         subgeneric_samples=args.subgeneric_samples,
         seed=args.seed,
     )
-    return rep.to_json()
 
 
 def _cmd_bilinear_bench(args) -> dict:
@@ -250,9 +240,8 @@ def _cmd_bilinear_bench(args) -> dict:
         kind=args.kind,
     )
     rep.computed = abs(val)
-    out = rep.to_json()
-    out.update({"chars": list(t.indices), "scale": args.scale, "B_value": val, "seed": args.seed})
-    return out
+    extra = {"chars": list(t.indices), "scale": args.scale, "B_value": val, "seed": args.seed}
+    return jsonify(rep) | extra
 
 
 def _cmd_moment_check(args) -> dict:
@@ -270,40 +259,33 @@ def _cmd_moment_check(args) -> dict:
     }
 
 
-def _cmd_avg_compare(args) -> dict:
-    if args.family == "empty":
-        return averaged_comparison_empty().to_json()
+def _cmd_avg_compare(args):
     f = build_field(args.q)
     t = _chars_arg(f, args.chars, args.k)
     table = kl_table_fast(f, t)
     if args.family == "power-sum":
-        rep = averaged_comparison_power_sum(table, args.n, args.m)
-    else:
-        rep = averaged_comparison_full_sample(table, args.l, args.count, seed=args.seed)
-    return rep.to_json()
+        return averaged_comparison_power_sum(table, args.n, args.m)
+    return averaged_comparison_full_sample(table, args.l, args.count, seed=args.seed)
 
 
 # -- emission ----------------------------------------------------------------
 
 
 def _emit_csv(payload: dict, config: dict, stream) -> None:
-    writer = csv.writer(stream, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    """The CSV schema of kl-table or strata-scan, the config echoed in # lines."""
     for key in sorted(config):
         stream.write(f"# {key}={config[key]}\n")
-    if "rows" in payload and config.get("subcommand") == "kl-table":
+    writer = csv.writer(stream, lineterminator="\n")
+    if config["subcommand"] == "kl-table":
         writer.writerow(["x", "re", "im"])
-        for x, re_, im_ in payload["rows"]:
-            writer.writerow([x, repr(re_), repr(im_)])
-    elif "rows" in payload and config.get("subcommand") == "strata-scan":
-        twol = 2 * config["l"]
-        writer.writerow([f"b_{i + 1}" for i in range(twol)] + ["deg_P", "z_count", "generic"])
-        for row in payload["rows"]:
-            writer.writerow(row)
+        writer.writerows([x, repr(re_), repr(im_)] for x, re_, im_ in payload["rows"])
     else:
-        raise PreconditionError(f"no CSV schema for subcommand {config.get('subcommand')!r}")
+        b_cols = [f"b_{i + 1}" for i in range(2 * config["l"])]
+        writer.writerow(b_cols + ["deg_P", "z_count", "generic"])
+        writer.writerows(payload["rows"])
 
 
-def emit(payload: dict, config: dict, status: str, wall: float, fmt: str, stream) -> None:
+def emit(payload, config: dict, status: str, wall: float, fmt: str, stream) -> None:
     """Write the report envelope (JSON) or the subcommand's CSV schema."""
     if fmt == "csv":
         _emit_csv(payload, config, stream)
@@ -315,7 +297,7 @@ def emit(payload: dict, config: dict, status: str, wall: float, fmt: str, stream
         "status": status,
         "payload": payload,
     }
-    json.dump(_jsonify(envelope), stream, indent=1, sort_keys=True)
+    json.dump(jsonify(envelope), stream, indent=1, sort_keys=True)
     stream.write("\n")
 
 
@@ -343,12 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, **kwargs):
+    def add(name, *, csv_schema=False, seeded=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed (numpy PCG64)")
-        p.add_argument("--threads", type=int, default=1)
+        if csv_schema:
+            p.add_argument("--format", choices=("json", "csv"), default="csv")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="PRNG seed (numpy PCG64)")
         return p
 
     p = add("field-info", help="build F_q and report the primitive root")
@@ -359,14 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--chars", required=True, help="comma-separated indices mod q-1")
 
-    p = add("kl-table", help="emit the full Kl_k table (CSV: x,re,im)")
+    p = add("kl-table", csv_schema=True, help="emit the full Kl_k table (CSV: x,re,im)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--chars", required=True)
     p.add_argument("--scale", type=int, default=1)
     p.add_argument("--method", choices=("fast", "naive"), default="fast")
 
-    p = add("kl-verify", help="fast vs naive agreement + Fourier identity + Deligne bound")
+    p = add(
+        "kl-verify", seeded=True, help="fast vs naive agreement + Fourier identity + Deligne bound"
+    )
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--chars", required=True)
@@ -383,12 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direct", action="store_true", help="also run the O(q^3) direct oracle")
     p.add_argument("--stratum", action="store_true", help="attach z_count (needs q = 1 mod k)")
 
-    p = add("strata-scan", help="histogram of z_count over sampled b")
+    p = add(
+        "strata-scan", csv_schema=True, seeded=True, help="histogram of z_count over sampled b"
+    )
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--threads", type=int, default=1)
 
     p = add("box-count", help="points of a variety in the box [B,2B)^{2l}")
     p.add_argument("--q", type=int, required=True)
@@ -396,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=int, required=True, metavar="B")
     p.add_argument("--predicate", choices=("diagonal", "empty"), default="diagonal")
 
-    p = add("bound-check", help="prime-ladder Sigma_I/Sigma_II ratio experiment")
+    p = add("bound-check", seeded=True, help="prime-ladder Sigma_I/Sigma_II ratio experiment")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--chars", default=None)
@@ -404,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--subgeneric-samples", type=int, default=20)
 
-    p = add("bilinear-bench", help="B(K, alpha, beta) against the bound formulas")
+    p = add("bilinear-bench", seeded=True, help="B(K, alpha, beta) against the bound formulas")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--chars", required=True)
@@ -420,11 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=int, default=0, help="index of the even character xi")
     p.add_argument("--n", type=int, default=1)
 
-    p = add("avg-compare", help="averaged comparison over a b-family")
+    p = add("avg-compare", seeded=True, help="averaged comparison over a b-family")
     p.add_argument("--q", type=int, default=29)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--chars", default="0,0")
-    p.add_argument("--family", choices=("power-sum", "full-sample", "empty"), required=True)
+    p.add_argument("--family", choices=("power-sum", "full-sample"), required=True)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--l", type=int, default=2)
@@ -438,7 +426,7 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = {k: v for k, v in vars(args).items() if k not in ("out", "format")}
-    fmt = args.format or ("csv" if args.subcommand in ("kl-table", "strata-scan") else "json")
+    fmt = getattr(args, "format", "json")
     t0 = time.perf_counter()
     try:
         payload = _COMMANDS[args.subcommand](args)

@@ -26,6 +26,7 @@ from .chartuples import CharTuple
 from .errors import DegenerateFiberError, PreconditionError
 from .field import PrimeField, build_field
 from .kloosterman import kl_table_fast
+from .serialize import jsonify
 from .sums import sigma_II
 from .strata import is_diagonal, stratum_scan, z_fiber_count
 
@@ -42,28 +43,37 @@ def generic_z_value(field: PrimeField, k: int, l: int, seed: int, samples: int =
     return stratum_scan(field, k, l, samples=samples, seed=seed).generic
 
 
-def sample_generic_b(
-    field: PrimeField, k: int, l: int, count: int, rng: np.random.Generator, generic: int
-) -> list[np.ndarray]:
-    """b with pairwise-distinct coordinates and z_count equal to the generic value."""
+def _sample_b(field, k, l, count, rng, admit, accept, failure: str) -> list[np.ndarray]:
+    """Rejection loop shared by the samplers: one draw of 2l residues per
+    attempt, kept when admit(b) (which may edit b in place) and then
+    accept(z_count) hold; degenerate b are rejected."""
     out: list[np.ndarray] = []
-    q = field.q
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 100 * count + 1000:
-            raise PreconditionError(
-                f"could not sample {count} generic b at q={q}: generic stratum too thin"
-            )
-        b = rng.integers(0, q, size=2 * l, dtype=np.int64)
-        if len(set(b.tolist())) != 2 * l:
+            raise PreconditionError(failure)
+        b = rng.integers(0, field.q, size=2 * l, dtype=np.int64)
+        if not admit(b):
             continue
         try:
-            if z_fiber_count(field, k, b).z_count == generic:
+            if accept(z_fiber_count(field, k, b).z_count):
                 out.append(b)
         except DegenerateFiberError:
             continue
     return out
+
+
+def sample_generic_b(
+    field: PrimeField, k: int, l: int, count: int, rng: np.random.Generator, generic: int
+) -> list[np.ndarray]:
+    """b with pairwise-distinct coordinates and z_count equal to the generic value."""
+    return _sample_b(
+        field, k, l, count, rng,
+        admit=lambda b: len(set(b.tolist())) == 2 * l,
+        accept=lambda z: z == generic,
+        failure=f"could not sample {count} generic b at q={field.q}: generic stratum too thin",
+    )
 
 
 def sample_subgeneric_b(
@@ -71,25 +81,17 @@ def sample_subgeneric_b(
 ) -> list[np.ndarray]:
     """Non-diagonal b with z_count strictly below generic (one repeated pair
     forces a root collision; membership is verified, not assumed)."""
-    out: list[np.ndarray] = []
-    q = field.q
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 100 * count + 1000:
-            raise PreconditionError(
-                f"could not sample {count} subgeneric b at q={q}"
-            )
-        b = rng.integers(0, q, size=2 * l, dtype=np.int64)
+
+    def admit(b: np.ndarray) -> bool:
         b[1] = b[0]  # collide one pair; remaining coordinates keep it off-diagonal
-        if len(set(b[1:].tolist())) != 2 * l - 1 or is_diagonal(b):
-            continue
-        try:
-            if z_fiber_count(field, k, b).z_count < generic:
-                out.append(b.copy())
-        except DegenerateFiberError:
-            continue
-    return out
+        return len(set(b[1:].tolist())) == 2 * l - 1 and not is_diagonal(b)
+
+    return _sample_b(
+        field, k, l, count, rng,
+        admit=admit,
+        accept=lambda z: z < generic,
+        failure=f"could not sample {count} subgeneric b at q={field.q}",
+    )
 
 
 @dataclass
@@ -102,9 +104,6 @@ class PrimePoint:
     n_subgeneric: int
     sub_max_I: float  # max |Sigma_I| / q^{3/2} over subgeneric samples
     sub_max_II: float  # max |Sigma_II| / q^2 over subgeneric samples
-
-    def to_json(self) -> dict:
-        return self.__dict__.copy()
 
 
 @dataclass
@@ -146,19 +145,7 @@ class LadderReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "chars": list(self.chars),
-            "seed": self.seed,
-            "points": [p.to_json() for p in self.points],
-            "trend_allowance": self.trend_allowance,
-            "trend_ratio_I": self.trend_ratio_I,
-            "trend_ratio_II": self.trend_ratio_II,
-            "trend_pass_I": self.trend_pass_I,
-            "trend_pass_II": self.trend_pass_II,
-            "subgeneric_pass": self.subgeneric_pass,
-        }
+        return jsonify(self)
 
 
 def bound_ladder(

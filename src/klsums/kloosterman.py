@@ -29,10 +29,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .chartuples import CharTuple
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import InternalConsistencyError, PreconditionError, ResourceLimitError
 from .field import PrimeField, additive_char_vector, eval_additive, eval_char, gauss_sum, MultChar
 
 DELIGNE_SLACK = 1e-9
+# kl_table_naive holds a (q-1)^2 int64 index matrix and two complex128
+# temporaries of that shape: 40 bytes per entry, 41 MB at q = 1009.
+NAIVE_BYTES_PER_ENTRY = 40
+NAIVE_MAX_BYTES = 2**29  # 512 MiB: admits q <= 3664
 
 
 @dataclass(frozen=True)
@@ -108,8 +112,14 @@ def kl_table_naive(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
     """Oracle table: direct O(k q^2) cyclic convolution, no transforms."""
     if a % field.q == 0:
         raise PreconditionError("scale a must be nonzero mod q")
-    hs = _factor_logs(field, t)
     n = field.q - 1
+    need = NAIVE_BYTES_PER_ENTRY * n * n
+    if need > NAIVE_MAX_BYTES:
+        raise ResourceLimitError(
+            f"naive Kl table at q={field.q} needs {need} bytes, "
+            f"over the {NAIVE_MAX_BYTES}-byte bound"
+        )
+    hs = _factor_logs(field, t)
     conv = hs[0]
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     for h in hs[1:]:

@@ -44,6 +44,17 @@ def _check_b(table: KlTable, b) -> tuple[np.ndarray, int]:
     return b, len(b) // 2
 
 
+def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
+    """bfK(s*r, s*b) = prod_i K(s*(r + b_i)), conjugated for i > l, with s
+    and r broadcast against each other (scalars, vectors, or a column and a row)."""
+    q = table.field.q
+    out = np.ones(np.broadcast_shapes(np.shape(s), np.shape(r)), dtype=np.complex128)
+    for i in range(2 * l):
+        factor = table.values[(s * ((r + b[i]) % q)) % q]
+        out *= factor if i < l else np.conj(factor)
+    return out
+
+
 def kr_matrix(table: KlTable, b) -> np.ndarray:
     """Matrix M[s-1, r] = bfK(s*r, s*b) for s = 1..q-1 and r = 0..q-1.
 
@@ -53,28 +64,17 @@ def kr_matrix(table: KlTable, b) -> np.ndarray:
     q = table.field.q
     s = np.arange(1, q, dtype=np.int64)[:, None]
     r = np.arange(q, dtype=np.int64)[None, :]
-    m = np.ones((q - 1, q), dtype=np.complex128)
-    for i in range(2 * l):
-        factor = table.values[(s * ((r + b[i]) % q)) % q]
-        m *= factor if i < l else np.conj(factor)
-    return m
+    return _bfk_product(table, s, r, b, l)
 
 
 def eval_KR(table: KlTable, r: int, b) -> tuple[complex, complex]:
-    """(bfK(r, b), bfR(r, b)) at a single point r."""
+    """(bfK(r, b), bfR(r, b)) at a single point r, in O(q)."""
     b, l = _check_b(table, b)
     q = table.field.q
     r %= q
-    bfk = 1 + 0j
-    for i in range(2 * l):
-        v = table.value(r + int(b[i]))
-        bfk *= v if i < l else v.conjugate()
     s = np.arange(1, q, dtype=np.int64)
-    prod = np.ones(q - 1, dtype=np.complex128)
-    for i in range(2 * l):
-        factor = table.values[(s * ((r + b[i]) % q)) % q]
-        prod *= factor if i < l else np.conj(factor)
-    return bfk, complex(np.sum(prod))
+    bfk = complex(_bfk_product(table, 1, r, b, l))
+    return bfk, complex(np.sum(_bfk_product(table, s, r, b, l)))
 
 
 def sigma_I(table: KlTable, b) -> complex:

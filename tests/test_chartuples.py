@@ -18,6 +18,7 @@ from klsums.chartuples import (
 )
 from klsums.errors import PreconditionError
 from klsums.field import build_field
+from klsums.serialize import jsonify
 
 
 # --- literal oracle, written independently from the definition --------------
@@ -179,7 +180,7 @@ def test_cgm_twist_requires_nio(f5):
 
 
 def test_report_json_fields(f5):
-    data = classify_tuple(CharTuple(f5, (0, 0))).to_json()
+    data = jsonify(classify_tuple(CharTuple(f5, (0, 0))))
     assert set(data) == {
         "lambda_index",
         "kummer_induced",

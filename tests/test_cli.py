@@ -1,9 +1,32 @@
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
 from klsums.cli import build_parser, run
+
+# minimal valid arguments per subcommand, so that an extra option is the only error
+MINIMAL_ARGS = {
+    "field-info": ["--q", "7"],
+    "char-classify": ["--q", "7", "--chars", "0,0"],
+    "kl-table": ["--q", "7", "--chars", "0,0"],
+    "kl-verify": ["--q", "7", "--chars", "0,0"],
+    "complete-sum": ["--q", "7", "--chars", "0,0", "--b", "1,2"],
+    "strata-scan": ["--q", "7", "--k", "2", "--l", "1", "--samples", "3"],
+    "box-count": ["--q", "7", "--l", "1", "--box", "2"],
+    "bound-check": ["--primes", "13,17", "--samples", "1", "--subgeneric-samples", "1"],
+    "bilinear-bench": ["--q", "7", "--chars", "0,0", "--M", "2", "--N", "2"],
+    "moment-check": ["--q", "7"],
+    "avg-compare": ["--q", "7", "--family", "power-sum", "--n", "1", "--m", "0"],
+}
+CSV_SUBCOMMANDS = {"kl-table", "strata-scan"}
+SEEDED_SUBCOMMANDS = {"kl-verify", "strata-scan", "bound-check", "bilinear-bench", "avg-compare"}
+THREADED_SUBCOMMANDS = {"strata-scan"}
 
 
 def run_cli(argv):
@@ -132,12 +155,6 @@ def test_bilinear_bench_cli():
     assert set(p["B_value"]) == {"re", "im"}
 
 
-def test_avg_compare_cli_empty():
-    code, env = run_json(["avg-compare", "--family", "empty"])
-    assert code == 0
-    assert env["payload"]["lhs"] == 0.0
-
-
 def test_avg_compare_cli_full_sample():
     code, env = run_json(
         ["avg-compare", "--q", "13", "--chars", "0,0", "--family", "full-sample", "--count", "5", "--l", "2"]
@@ -177,3 +194,123 @@ def test_out_file_and_env_dir(tmp_path, monkeypatch):
 def test_field_info_payload():
     code, env = run_json(["field-info", "--q", "7"])
     assert env["payload"] == {"q": 7, "g": 3, "units": 6}
+
+
+def _subparsers():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _options(p):
+    return {a.option_strings[-1] for a in p._actions if not isinstance(a, argparse._HelpAction)}
+
+
+def test_option_surface():
+    subs = _subparsers()
+    assert set(subs) == set(MINIMAL_ARGS)
+    for name, p in subs.items():
+        opts = _options(p)
+        assert "--out" in opts
+        assert ("--format" in opts) == (name in CSV_SUBCOMMANDS), name
+        assert ("--seed" in opts) == (name in SEEDED_SUBCOMMANDS), name
+        assert ("--threads" in opts) == (name in THREADED_SUBCOMMANDS), name
+    assert sum(len(_options(p)) for p in subs.values()) == 76
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL_ARGS))
+def test_minimal_args_run(name):
+    code, _ = run_cli([name] + MINIMAL_ARGS[name])
+    assert code == 0
+
+
+UNREAD_OPTIONS = (
+    [(name, ["--format", "csv"]) for name in sorted(set(MINIMAL_ARGS) - CSV_SUBCOMMANDS)]
+    + [(name, ["--threads", "2"]) for name in sorted(set(MINIMAL_ARGS) - THREADED_SUBCOMMANDS)]
+    + [(name, ["--seed", "1"]) for name in sorted(set(MINIMAL_ARGS) - SEEDED_SUBCOMMANDS)]
+)
+
+
+@pytest.mark.parametrize(
+    "name,extra", UNREAD_OPTIONS, ids=[f"{n}{e[0]}" for n, e in UNREAD_OPTIONS]
+)
+def test_unread_option_is_usage_error(name, extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([name] + MINIMAL_ARGS[name] + extra, stdout=io.StringIO())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: klsums")
+    assert f"klsums: error: unrecognized arguments: {' '.join(extra)}" in err
+    assert "Traceback" not in err
+
+
+def test_csv_on_json_subcommand_exits_2_without_traceback():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "klsums.cli", "field-info", "--q", "7", "--format", "csv"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: klsums")
+    assert "unrecognized arguments: --format csv" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_kl_verify_naive_budget_exit_3():
+    tracemalloc.start()
+    try:
+        code, env = run_json(["kl-verify", "--q", "100003", "--chars", "0,0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and env["status"] == "resource-limit"
+    assert "q=100003" in env["payload"]["error"]
+    assert "400016000160 bytes" in env["payload"]["error"]
+    assert peak < 64 * 2**20  # the (q-1)^2 oracle arrays (~400 GB) were never allocated
+
+
+def test_bound_check_payload_keys():
+    code, env = run_json(
+        ["bound-check", "--primes", "13,17", "--samples", "4", "--subgeneric-samples", "2",
+         "--seed", "1"]
+    )
+    assert code == 0
+    p = env["payload"]
+    assert set(p) == {
+        "k", "l", "chars", "seed", "points", "trend_allowance", "trend_ratio_I",
+        "trend_ratio_II", "trend_pass_I", "trend_pass_II", "subgeneric_pass",
+    }
+    assert set(p["points"][0]) == {
+        "q", "generic_z", "n_generic", "r_I", "r_II", "n_subgeneric", "sub_max_I", "sub_max_II",
+    }
+    pts = p["points"]
+    assert p["trend_allowance"] == pytest.approx((17 / 13) ** 0.15)
+    assert p["trend_ratio_I"] == pytest.approx(pts[-1]["r_I"] / pts[0]["r_I"])
+    assert p["trend_ratio_II"] == pytest.approx(pts[-1]["r_II"] / pts[0]["r_II"])
+    assert p["trend_pass_I"] == (p["trend_ratio_I"] <= p["trend_allowance"])
+    assert p["trend_pass_II"] == (p["trend_ratio_II"] <= p["trend_allowance"])
+    assert p["subgeneric_pass"] is all(
+        pt["sub_max_I"] <= 10 and pt["sub_max_II"] <= 10 for pt in pts
+    )
+
+
+def test_bilinear_bench_payload_keys():
+    code, env = run_json(
+        ["bilinear-bench", "--q", "101", "--chars", "0,0", "--M", "10", "--N", "10", "--l", "2"]
+    )
+    assert code == 0
+    p = env["payload"]
+    assert set(p) == {
+        "kind", "q", "M", "N", "l", "trivial_bound", "theorem_bound", "cond_interval",
+        "cond_mplus", "in_range", "computed", "ratio_trivial", "ratio_theorem",
+        "chars", "scale", "B_value", "seed",
+    }
+    # k ||alpha||_2 ||beta||_2 (MN)^(1/2) with unit coefficients
+    assert p["trivial_bound"] == pytest.approx(2 * 10**0.5 * 10**0.5 * 10)
+    assert p["ratio_trivial"] == pytest.approx(p["computed"] / p["trivial_bound"])
+    assert p["ratio_theorem"] == pytest.approx(p["computed"] / p["theorem_bound"])
+    assert p["in_range"] is (p["cond_interval"] or bool(p["cond_mplus"]))

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from klsums.chartuples import CharTuple
-from klsums.errors import PreconditionError
+from klsums.errors import PreconditionError, ResourceLimitError
 from klsums.field import MultChar, build_field, eval_additive, eval_char, gauss_sum
 from klsums.kloosterman import (
+    NAIVE_BYTES_PER_ENTRY,
+    NAIVE_MAX_BYTES,
     fourier_identity_check,
     kl_pointwise,
     kl_table_fast,
@@ -97,6 +99,16 @@ def test_scale_zero_rejected(f13):
         kl_table_fast(f13, CharTuple(f13, (0, 0)), 0)
     with pytest.raises(PreconditionError):
         kl_table_naive(f13, CharTuple(f13, (0, 0)), 13)
+
+
+def test_naive_byte_budget():
+    # 3671 is the first prime past the bound; q = 1009, the largest naive
+    # table the tests and the benchmark build, stays far inside it
+    assert NAIVE_BYTES_PER_ENTRY * 1008**2 <= NAIVE_MAX_BYTES < NAIVE_BYTES_PER_ENTRY * 3670**2
+    f = build_field(3671)
+    need = NAIVE_BYTES_PER_ENTRY * 3670**2
+    with pytest.raises(ResourceLimitError, match=f"q=3671 needs {need} bytes"):
+        kl_table_naive(f, CharTuple(f, (0, 0)))
 
 
 def test_value_at_zero_is_zero(f13):
