@@ -60,12 +60,20 @@ EXIT_PRECONDITION = 2
 EXIT_RESOURCE = 3
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _parse_ints(text: str, option: str) -> list[int]:
+    out = []
+    for tok in text.split(","):
+        if tok.strip() == "":
+            continue
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise PreconditionError(f"{option}: {tok.strip()!r} is not an integer") from None
+    return out
 
 
 def _chars_arg(field, text: str, k: int | None) -> CharTuple:
-    idx = _parse_ints(text)
+    idx = _parse_ints(text, "--chars")
     if k is not None and len(idx) != k:
         raise PreconditionError(f"expected {k} character indices, got {len(idx)}")
     return CharTuple(field, tuple(idx))
@@ -139,7 +147,7 @@ def _cmd_kl_verify(args) -> dict:
 def _cmd_complete_sum(args) -> dict:
     f = build_field(args.q)
     t = _chars_arg(f, args.chars, args.k)
-    b = _parse_ints(args.b)
+    b = _parse_ints(args.b, "--b")
     if args.l is not None and len(b) != 2 * args.l:
         raise PreconditionError(f"b must have 2*l = {2 * args.l} entries, got {len(b)}")
     table = kl_table_fast(f, t, args.scale)
@@ -203,8 +211,8 @@ def _cmd_box_count(args) -> dict:
 
 
 def _cmd_bound_check(args):
-    primes = _parse_ints(args.primes)
-    chars = tuple(_parse_ints(args.chars)) if args.chars else None
+    primes = _parse_ints(args.primes, "--primes")
+    chars = tuple(_parse_ints(args.chars, "--chars")) if args.chars else None
     return bound_ladder(
         primes,
         k=args.k,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,9 @@ DELIGNE_SLACK = 1e-9
 # temporaries of that shape: 40 bytes per entry, 41 MB at q = 1009.
 NAIVE_BYTES_PER_ENTRY = 40
 NAIVE_MAX_BYTES = 2**29  # 512 MiB: admits q <= 3664
+# Rows of s per block when kmat is built: a (rows, q) int64 index block stays
+# small next to kmat itself.
+KMAT_BUILD_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,23 @@ class KlTable:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+    @cached_property
+    def kmat(self) -> np.ndarray:
+        """Read-only q x q matrix kmat[s, x] = values[(s*x) % q], built on first use.
+
+        Row s holds x -> K(s*x), so K(s*(r + b)) for all r is row s rotated
+        left by b: the shift kernel of ``sums.kr_matrix``.  16 q^2 bytes; the
+        caller checks the budget (``sums.KR_MAX_BYTES``) before touching it.
+        """
+        q = self.field.q
+        out = np.empty((q, q), dtype=np.complex128)
+        x = np.arange(q, dtype=np.int64)
+        for lo in range(0, q, KMAT_BUILD_ROWS):
+            s = np.arange(lo, min(lo + KMAT_BUILD_ROWS, q), dtype=np.int64)[:, None]
+            np.take(self.values, (s * x) % q, out=out[lo:lo + len(s)])
+        out.flags.writeable = False
+        return out
 
 
 def _factor_logs(field: PrimeField, t: CharTuple) -> list[np.ndarray]:

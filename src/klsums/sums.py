@@ -17,6 +17,14 @@ the last one by default in the rearranged difference form
 which costs O(q^2 l) instead of O(q^3 l).  The direct (s1 != s2) evaluation
 is kept as an oracle behind a flag; the two must agree to 1e-6 * q^{3/2}.
 
+Every quantity is a sum over the matrix M[s-1, r] = bfK(s*r, s*b) built by
+``kr_matrix``.  Its kernel reads the table's cached kmat[s, x] = K(s*x):
+factor i of row s is row s of kmat rotated left by b_i, so a b costs 2l
+slice copies and multiplies per block of KR_ROWS rows, with no per-b
+integer arithmetic and no q x q temporaries.  ``_bfk_product`` evaluates the
+same product pointwise from the table; it serves ``eval_KR`` and is the
+oracle the kernel is tested against, bit for bit.
+
 Any factor K(0) contributes 0 (vanishing stalk), which the table's
 zero-entry at index 0 implements for free.
 
@@ -31,14 +39,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalInstabilityError, PreconditionError
+from .errors import NumericalInstabilityError, PreconditionError, ResourceLimitError
 from .kloosterman import KlTable
 
 SIGMA_II_AGREE_RTOL = 1e-6
+# kr_matrix holds the table's kmat (16 q^2 bytes) and its complex128 output
+# (16 q(q-1) bytes): 32 bytes per q^2.
+KR_BYTES_PER_ENTRY = 32
+KR_MAX_BYTES = 2**30  # 1 GiB: admits q <= 5791
+# Rows of s per kr_matrix block: the (rows, q) factor buffer and output block
+# stay in L2 (1 MB at q = 1999).
+KR_ROWS = 32
 
 
 def _check_b(table: KlTable, b) -> tuple[np.ndarray, int]:
-    b = np.asarray(b, dtype=np.int64) % table.field.q
+    raw = np.asarray(b)
+    integral = raw.dtype.kind in "iu" or (
+        raw.dtype.kind == "f" and np.all(np.isfinite(raw) & (raw == np.floor(raw)))
+    )
+    if not integral:
+        raise PreconditionError(f"b entries must be integers within int64, got {b!r}")
+    b = raw.astype(np.int64) % table.field.q
     if b.ndim != 1 or len(b) < 2 or len(b) % 2 != 0:
         raise PreconditionError("b must be a flat tuple of even length 2l >= 2")
     return b, len(b) // 2
@@ -46,7 +67,9 @@ def _check_b(table: KlTable, b) -> tuple[np.ndarray, int]:
 
 def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
     """bfK(s*r, s*b) = prod_i K(s*(r + b_i)), conjugated for i > l, with s
-    and r broadcast against each other (scalars, vectors, or a column and a row)."""
+    and r broadcast against each other.  The pointwise oracle for
+    ``kr_matrix``: it indexes the table directly and shares no code with
+    the kernel."""
     q = table.field.q
     out = np.ones(np.broadcast_shapes(np.shape(s), np.shape(r)), dtype=np.complex128)
     for i in range(2 * l):
@@ -58,13 +81,31 @@ def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
 def kr_matrix(table: KlTable, b) -> np.ndarray:
     """Matrix M[s-1, r] = bfK(s*r, s*b) for s = 1..q-1 and r = 0..q-1.
 
-    Everything else in this module reduces to sums over this matrix.
+    Everything else in this module reduces to sums over this matrix.  Row s
+    of factor i is row s of ``table.kmat`` rotated left by b_i; the rows are
+    processed in blocks of KR_ROWS through one reused factor buffer.
     """
     b, l = _check_b(table, b)
     q = table.field.q
-    s = np.arange(1, q, dtype=np.int64)[:, None]
-    r = np.arange(q, dtype=np.int64)[None, :]
-    return _bfk_product(table, s, r, b, l)
+    need = KR_BYTES_PER_ENTRY * q * q
+    if need > KR_MAX_BYTES:
+        raise ResourceLimitError(
+            f"kr_matrix at q={q} needs {need} bytes, over the {KR_MAX_BYTES}-byte bound"
+        )
+    kmat = table.kmat
+    out = np.ones((q - 1, q), dtype=np.complex128)
+    buf = np.empty((KR_ROWS, q), dtype=np.complex128)
+    for lo in range(1, q, KR_ROWS):
+        hi = min(lo + KR_ROWS, q)
+        block = out[lo - 1:hi - 1]
+        factor = buf[:hi - lo]
+        for i, bi in enumerate(b):
+            factor[:, :q - bi] = kmat[lo:hi, bi:]
+            factor[:, q - bi:] = kmat[lo:hi, :bi]
+            if i >= l:
+                np.conjugate(factor, out=factor)
+            block *= factor
+    return out
 
 
 def eval_KR(table: KlTable, r: int, b) -> tuple[complex, complex]:
@@ -126,6 +167,7 @@ def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport:
         ratio_II=abs(s2) / q**1.5,
     )
     if direct:
+        del m  # sigma_II_direct builds its own M: keep one q x q matrix live at a time
         d = sigma_II_direct(table, bt)
         rep.sigma_II_direct = d.real
         rep.sigma_II_imag = abs(d.imag)

@@ -273,6 +273,33 @@ def test_kl_verify_naive_budget_exit_3():
     assert peak < 64 * 2**20  # the (q-1)^2 oracle arrays (~400 GB) were never allocated
 
 
+def test_complete_sum_kr_budget_exit_3():
+    tracemalloc.start()
+    try:
+        code, env = run_json(["complete-sum", "--q", "100003", "--chars", "0,0", "--b", "1,2,3,4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and env["status"] == "resource-limit"
+    assert "q=100003" in env["payload"]["error"]
+    assert "320019200288 bytes" in env["payload"]["error"]
+    assert peak < 64 * 2**20  # kmat and M (~320 GB) were never allocated
+
+
+@pytest.mark.parametrize(
+    "argv,option,token",
+    [
+        (["complete-sum", "--q", "13", "--chars", "0,0", "--b", "1.5,2,3,4"], "--b", "1.5"),
+        (["complete-sum", "--q", "13", "--chars", "0,x", "--b", "1,2,3,4"], "--chars", "x"),
+        (["bound-check", "--primes", "101,abc"], "--primes", "abc"),
+    ],
+)
+def test_bad_integer_option_exit_2(argv, option, token):
+    code, env = run_json(argv)
+    assert code == 2 and env["status"] == "precondition-failed"
+    assert env["payload"]["error"] == f"{option}: {token!r} is not an integer"
+
+
 def test_bound_check_payload_keys():
     code, env = run_json(
         ["bound-check", "--primes", "13,17", "--samples", "4", "--subgeneric-samples", "2",

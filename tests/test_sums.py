@@ -1,14 +1,18 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from klsums.chartuples import CharTuple
-from klsums.errors import PreconditionError
+from klsums.errors import PreconditionError, ResourceLimitError
 from klsums.field import build_field
 from klsums.kloosterman import kl_table_fast
 from klsums.sums import (
+    KR_BYTES_PER_ENTRY,
+    KR_MAX_BYTES,
+    _bfk_product,
     eval_KR,
     kr_matrix,
     sigma_I,
@@ -190,3 +194,88 @@ def test_kr_matrix_shape_and_zero_column(tab13):
     assert m.shape == (12, 13)
     # column r with some s(r+b_i) = 0 contains zeros where the stalk vanishes
     assert m[:, (13 - 1) % 13].shape == (12,)
+
+
+def test_b_must_be_integral(tab13):
+    for bad in ((1.7, 2.2, 3.9, 4.0), ("1", "2"), (2**70, 1), (np.inf, 1.0)):
+        with pytest.raises(PreconditionError, match="must be integers"):
+            sigma_II(tab13, bad)
+    assert sigma_II(tab13, (1.0, 2.0, 3, 4)).b == (1, 2, 3, 4)
+    assert sigma_II(tab13, np.array([14, -1], dtype=np.int32)).b == (1, 12)
+
+
+def broadcast_oracle(table, b):
+    """kr_matrix through the pointwise product with s a column and r a row."""
+    q = table.field.q
+    s = np.arange(1, q, dtype=np.int64)[:, None]
+    r = np.arange(q, dtype=np.int64)[None, :]
+    b = np.asarray(b, dtype=np.int64) % q
+    return _bfk_product(table, s, r, b, len(b) // 2)
+
+
+def test_kr_matrix_matches_oracle_property():
+    """The shifted-slice kernel equals the broadcast oracle bit for bit, over
+    q in {3, 5, 13, 101}, k in {2, 3}, l in {1, 2, 3}, any characters and
+    scale, with b drawn to hit 0, q - 1 and repeated entries."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def case(q):
+        entry = st.one_of(st.sampled_from((0, q - 1)), st.integers(0, q - 1))
+        return st.tuples(
+            st.just(q),
+            st.lists(st.integers(0, q - 2), min_size=2, max_size=3),
+            st.integers(1, q - 1),
+            st.sampled_from((1, 2, 3)).flatmap(lambda l: st.lists(entry, min_size=2 * l, max_size=2 * l)),
+        )
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from((3, 5, 13, 101)).flatmap(case))
+    @hyp.example((3, [1, 0], 2, [0, 2]))
+    @hyp.example((5, [1, 2, 3], 3, [4, 4, 0, 0]))
+    @hyp.example((13, [5, 7], 6, [0, 12, 12, 3, 0, 12]))
+    @hyp.example((101, [3, 50, 99], 2, [100, 0, 7, 7]))
+    def check(c):
+        q, chars, a, b = c
+        f = build_field(q)
+        table = kl_table_fast(f, CharTuple(f, tuple(chars)), a)
+        assert np.array_equal(kr_matrix(table, b), broadcast_oracle(table, b)), c
+
+    check()
+
+
+def test_kmat_cached_and_read_only(tab13):
+    kmat = tab13.kmat
+    assert kmat is tab13.kmat
+    assert not kmat.flags.writeable
+    with pytest.raises(ValueError):
+        kmat[1, 1] = 0
+    s, x = np.meshgrid(np.arange(13), np.arange(13), indexing="ij")
+    assert np.array_equal(kmat, tab13.values[(s * x) % 13])
+
+
+def test_kr_matrix_no_q2_temporaries():
+    """One kr_matrix call on a fresh table, kmat build included, holds kmat
+    and its output (32 q^2 bytes) plus row-block buffers, nothing q x q more."""
+    q = 499
+    f = build_field(q)
+    table = kl_table_fast(f, CharTuple(f, (0, 0)))
+    tracemalloc.start()
+    try:
+        kr_matrix(table, (1, 2, 3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * 16 * q**2
+
+
+def test_kr_matrix_byte_budget():
+    # 5801 is the first prime past the bound; the largest q the tests and the
+    # benchmark use (1999) stays far inside it
+    assert KR_BYTES_PER_ENTRY * 1999**2 <= KR_MAX_BYTES < KR_BYTES_PER_ENTRY * 5801**2
+    f = build_field(5801)
+    table = kl_table_fast(f, CharTuple(f, (0, 0)))
+    need = KR_BYTES_PER_ENTRY * 5801**2
+    with pytest.raises(ResourceLimitError, match=f"q=5801 needs {need} bytes"):
+        kr_matrix(table, (1, 2, 3, 4))
+    assert "kmat" not in vars(table)
