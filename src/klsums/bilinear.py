@@ -23,11 +23,15 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DegenerateFiberError, PreconditionError
+from .errors import DegenerateFiberError, InternalConsistencyError, PreconditionError
 from .field import MultChar, PrimeField, additive_char_vector, gauss_sum
 from .kloosterman import KlTable
 from .sums import kr_matrix, sigma_II
 from .strata import is_diagonal, stratum_scan, z_fiber_count
+
+# Rows of y1 per kl3_direct block: its int64 and complex temporaries stay
+# near 64 * q entries each (0.5 MB at q = 1009) instead of q^2.
+KL3_ROWS = 64
 
 
 @dataclass
@@ -312,25 +316,39 @@ def _attach_box_sum(trace: ShiftTrace, table: KlTable, l: int, seed: int) -> Non
 
 
 def kl3_direct(field: PrimeField, xi: MultChar, x: int) -> complex:
-    """Kl_3(x; (1,1,xi), q) by direct double enumeration (no tables)."""
+    """Kl_3(x; (1,1,xi), q) by direct double enumeration (no tables).
+
+    y1 runs in blocks of KL3_ROWS rows against all y2, so the temporaries
+    stay O(KL3_ROWS * q); the block partials are combined with math.fsum.
+    """
     q = field.q
     x %= q
     if x == 0:
         raise PreconditionError("x must be nonzero")
-    y1 = np.arange(1, q, dtype=np.int64)[:, None]
     y2 = np.arange(1, q, dtype=np.int64)[None, :]
-    y3 = x * field.inv_table[(y1 * y2) % q] % q
     psi = additive_char_vector(field)
     xiv = xi.values_by_residue()
-    return complex(np.sum(psi[(y1 + y2 + y3) % q] * xiv[y3])) / q
+    partials = []
+    for lo in range(1, q, KL3_ROWS):
+        y1 = np.arange(lo, min(lo + KL3_ROWS, q), dtype=np.int64)[:, None]
+        y3 = x * field.inv_table[(y1 * y2) % q] % q
+        partials.append(complex(np.sum(psi[(y1 + y2 + y3) % q] * xiv[y3])))
+    return complex(math.fsum(z.real for z in partials),
+                   math.fsum(z.imag for z in partials)) / q
 
 
 def moment_identity_check(field: PrimeField, xi: MultChar, n: int) -> tuple[complex, complex, float]:
     """Both sides of the even-character Gauss-sum / Kl_3 moment identity.
 
     lhs averages eps_chi^2 eps_{chi xi} conj(chi)(n) over all even chi
-    (trivial included); rhs is (Kl_3(n) + Kl_3(-n))/sqrt(q) for the tuple
-    (1, 1, xi).  Returns (lhs, rhs, |lhs - rhs|).
+    (trivial included), reading every tau(chi_a) = G[-a] from the field's
+    Gauss spectrum G in one vectorised pass; rhs is (Kl_3(n) + Kl_3(-n))/sqrt(q)
+    for the tuple (1, 1, xi), by direct enumeration.  Returns
+    (lhs, rhs, |lhs - rhs|).
+
+    Raises InternalConsistencyError if G disagrees with the direct
+    ``gauss_sum`` at index 1 or at xi beyond 1e-9 * sqrt(q): that pins the
+    index convention G[j] = tau(chi_{-j}) the lhs relies on.
     """
     q = field.q
     if not xi.is_even:
@@ -339,13 +357,21 @@ def moment_identity_check(field: PrimeField, xi: MultChar, n: int) -> tuple[comp
     if n == 0:
         raise PreconditionError("n must be nonzero")
     sq = math.sqrt(q)
-    terms = []
-    for a in range(0, q - 1, 2):  # even characters are exactly the even indices
-        chi = MultChar(field, a)
-        eps_chi = gauss_sum(chi) / sq
-        eps_chixi = gauss_sum(MultChar(field, a + xi.a)) / sq
-        terms.append(eps_chi**2 * eps_chixi * np.conj(chi(n)))
-    lhs = (math.fsum(t.real for t in terms) + 1j * math.fsum(t.imag for t in terms)) * 2 / (q - 1)
+    N = q - 1
+    spec = field.gauss_spectrum
+    for j in {1, xi.a}:
+        tau = gauss_sum(MultChar(field, -j))
+        if not abs(spec[j] - tau) <= 1e-9 * sq:
+            raise InternalConsistencyError(
+                f"Gauss spectrum at q={q}, index {j}: {complex(spec[j])!r} != "
+                f"tau(chi_{-j % N}) = {tau!r}"
+            )
+    a = np.arange(0, N, 2, dtype=np.int64)  # even characters are exactly the even indices
+    eps_chi = spec[-a % N] / sq
+    eps_chixi = spec[-(a + xi.a) % N] / sq
+    conj_chi_n = np.exp(-2j * np.pi * (a * int(field.dlog[n]) % N) / N)
+    terms = eps_chi**2 * eps_chixi * conj_chi_n
+    lhs = complex(math.fsum(terms.real), math.fsum(terms.imag)) * 2 / N
     rhs = (kl3_direct(field, xi, n) + kl3_direct(field, xi, q - n)) / sq
     return lhs, rhs, abs(lhs - rhs)
 

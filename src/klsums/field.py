@@ -8,6 +8,12 @@ Multiplicative characters are indices a in Z/(q-1) with
 chi_a(g^m) = exp(2*pi*i*a*m / (q-1)) and chi(0) = 0 (all sums here range
 over F_q^x, so the middle-extension value at 0 is never used).
 
+Gauss sums come two ways.  ``gauss_sum`` sums one character directly in
+O(q); it is the oracle.  ``PrimeField.gauss_spectrum`` is one FFT of
+psi(g^m) over m, which holds every Gauss sum of the field at once:
+gauss_spectrum[j] = tau(chi_{-j}).  The Kl tables and the moment identity
+read the spectrum; the checks that validate them call ``gauss_sum``.
+
 Summation policy: bulk reductions use numpy pairwise summation, and the few
 scalar accumulations use math.fsum; both keep the absolute error of an
 n-term unit-scale sum well below 1e3 * n * eps, the budget assumed by the
@@ -87,7 +93,8 @@ class PrimeField:
 
     dlog has length q with dlog[0] = -1 (0 has no logarithm) and
     dlog[g^m mod q] = m for 0 <= m < q-1.  exp has length q-1 with
-    exp[m] = g^m mod q.
+    exp[m] = g^m mod q.  The read-only cached properties ``inv_table`` and
+    ``gauss_spectrum`` are built on first use.
     """
 
     q: int
@@ -109,6 +116,33 @@ class PrimeField:
         t.flags.writeable = False
         return t
 
+    @cached_property
+    def gauss_spectrum(self) -> np.ndarray:
+        """Every Gauss sum from one FFT: gauss_spectrum[j] = tau(chi_{-j}).
+
+        The DFT of m -> psi(g^m) at frequency j is the sum over y of
+        psi(y) exp(-2 pi i j dlog(y) / (q-1)) = tau(chi_{-j}).  Length q-1,
+        complex128, 16 q bytes.
+        """
+        spec = np.fft.fft(additive_char_vector(self)[self.exp])
+        spec.flags.writeable = False
+        return spec
+
+
+def _powers_mod(g: int, q: int, n: int) -> np.ndarray:
+    """[g^0, g^1, ..., g^(n-1)] mod q by blocked doubling: once the first s
+    powers are known, the next s are those times g^s mod q.  Exact in int64
+    for q < 2^31, where every product stays below 2^62."""
+    out = np.empty(n, dtype=np.int64)
+    out[0] = 1
+    s = 1
+    while s < n:
+        m = min(s, n - s)
+        np.multiply(out[:m], pow(g, s, q), out=out[s:s + m])
+        np.remainder(out[s:s + m], q, out=out[s:s + m])
+        s += m
+    return out
+
 
 def build_field(q: int) -> PrimeField:
     """Construct F_q with verified primitive root and complete dlog table."""
@@ -121,14 +155,10 @@ def build_field(q: int) -> PrimeField:
     if not is_prime(q):
         raise PreconditionError(f"q = {q} is not prime (composite or unit)")
     g = smallest_primitive_root(q)
-    exp = np.empty(q - 1, dtype=np.int64)
-    x = 1
-    for m in range(q - 1):
-        exp[m] = x
-        x = x * g % q
+    exp = _powers_mod(g, q, q - 1)
     dlog = np.full(q, -1, dtype=np.int64)
     dlog[exp] = np.arange(q - 1)
-    if dlog[1] != 0 or x != 1:
+    if dlog[1] != 0 or int(exp[-1]) * g % q != 1:
         raise ArithmeticError("primitive-root table construction failed")  # pragma: no cover
     exp.flags.writeable = False
     dlog.flags.writeable = False

@@ -5,16 +5,21 @@ Kl_k(x) = q^{-(k-1)/2} * sum over y_1*...*y_k = x of
 
 This is the (k-1)-fold multiplicative convolution of the k functions
 f_i(y) = chi_i(y) e(y/q), which after discrete-log reindexing becomes a
-cyclic convolution of length q-1.  Three evaluation routes are provided:
+cyclic convolution of length q-1.  The DFT of f_i on log coordinates is the
+field's Gauss spectrum G rotated by a_i: with G[j] = tau(chi_{-j}), the
+transform of m -> chi_{a_i}(g^m) e(g^m/q) at j is G[j - a_i].  Three
+evaluation routes are provided:
 
 * ``kl_pointwise``   -- literal nested loops, O(q^{k-1}) per point, k <= 3;
 * ``kl_table_naive`` -- direct O(k q^2) circulant convolution;
-* ``kl_table_fast``  -- FFT cyclic convolution, O(k q log q).
+* ``kl_table_fast``  -- one inverse FFT of prod_i roll(G, a_i), O(q log q)
+  per table on top of the one forward FFT per field that G costs.
 
-The fast route is the production path; the other two are oracles.  No sign
-factor is applied: the table holds the unsigned normalization above.  The
-sheaf trace function carries an extra (-1)^{k-1}; that constant relates the
-two conventions and is never applied silently.
+The fast route is the production path; the other two are oracles and share
+no transform code with G.  No sign factor is applied: the table holds the
+unsigned normalization above.  The sheaf trace function carries an extra
+(-1)^{k-1}; that constant relates the two conventions and is never applied
+silently.
 
 The table index runs over residues 0..q-1 with the value at 0 fixed to 0
 (the stalk at 0 vanishes), which is the convention every downstream complete
@@ -85,7 +90,7 @@ class KlTable:
 
 
 def _factor_logs(field: PrimeField, t: CharTuple) -> list[np.ndarray]:
-    """Log-reindexed factors h_i[m] = chi_i(g^m) e(g^m/q)."""
+    """Log-reindexed factors h_i[m] = chi_i(g^m) e(g^m/q), the oracle's input."""
     psi = additive_char_vector(field, 1)[field.exp]
     n = field.q - 1
     ms = np.arange(n)
@@ -115,17 +120,17 @@ def _assemble(field: PrimeField, t: CharTuple, a: int, conv_log: np.ndarray) -> 
 
 
 def kl_table_fast(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
-    """Full Kl_k table via FFT cyclic convolution of length q-1."""
+    """Full Kl_k table: one inverse FFT of length q-1 of prod_i roll(G, a_i)."""
     if a % field.q == 0:
         raise PreconditionError("scale a must be nonzero mod q")
-    hs = _factor_logs(field, t)
     if t.k == 1:
-        conv = hs[0]
+        conv = _factor_logs(field, t)[0]
     else:
-        spec = np.fft.fft(hs[0])
-        for h in hs[1:]:
-            spec *= np.fft.fft(h)
-        conv = np.fft.ifft(spec)
+        spec = field.gauss_spectrum
+        prod = np.roll(spec, t.indices[0])
+        for ai in t.indices[1:]:
+            prod *= np.roll(spec, ai)
+        conv = np.fft.ifft(prod)
     return _assemble(field, t, a, conv)
 
 

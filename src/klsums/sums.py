@@ -47,6 +47,9 @@ SIGMA_II_AGREE_RTOL = 1e-6
 # (16 q(q-1) bytes): 32 bytes per q^2.
 KR_BYTES_PER_ENTRY = 32
 KR_MAX_BYTES = 2**30  # 1 GiB: admits q <= 5791
+# sigma_II_direct holds kmat, M, the copy M.conj().T and the Gram matrix at
+# once: 64 bytes per q^2 against the same bound, so q <= 4093.
+DIRECT_BYTES_PER_ENTRY = 64
 # Rows of s per kr_matrix block: the (rows, q) factor buffer and output block
 # stay in L2 (1 MB at q = 1999).
 KR_ROWS = 32
@@ -78,6 +81,14 @@ def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
+def _check_budget(q: int, bytes_per_entry: int, what: str) -> None:
+    need = bytes_per_entry * q * q
+    if need > KR_MAX_BYTES:
+        raise ResourceLimitError(
+            f"{what} at q={q} needs {need} bytes, over the {KR_MAX_BYTES}-byte bound"
+        )
+
+
 def kr_matrix(table: KlTable, b) -> np.ndarray:
     """Matrix M[s-1, r] = bfK(s*r, s*b) for s = 1..q-1 and r = 0..q-1.
 
@@ -87,11 +98,7 @@ def kr_matrix(table: KlTable, b) -> np.ndarray:
     """
     b, l = _check_b(table, b)
     q = table.field.q
-    need = KR_BYTES_PER_ENTRY * q * q
-    if need > KR_MAX_BYTES:
-        raise ResourceLimitError(
-            f"kr_matrix at q={q} needs {need} bytes, over the {KR_MAX_BYTES}-byte bound"
-        )
+    _check_budget(q, KR_BYTES_PER_ENTRY, "kr_matrix")
     kmat = table.kmat
     out = np.ones((q - 1, q), dtype=np.complex128)
     buf = np.empty((KR_ROWS, q), dtype=np.complex128)
@@ -145,10 +152,13 @@ def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport:
 
     With ``direct=True`` also evaluates the s1 != s2 double sum through the
     Gram matrix of M and raises NumericalInstabilityError if the two routes
-    disagree beyond 1e-6 * q^{3/2}.
+    disagree beyond 1e-6 * q^{3/2}; the direct route's larger byte budget is
+    checked first, before any matrix is built.
     """
     bt, l = _check_b(table, b)
     q = table.field.q
+    if direct:
+        _check_budget(q, DIRECT_BYTES_PER_ENTRY, "sigma_II_direct")
     m = kr_matrix(table, bt)
     r_vec = m.sum(axis=0)
     comp_R2 = float(np.sum(np.abs(r_vec) ** 2))
@@ -186,8 +196,11 @@ def sigma_II_direct(table: KlTable, b) -> complex:
 
     G[s1, s2] = sum_r bfK(s1 r, s1 b) conj(bfK(s2 r, s2 b)); the result is
     the sum of all off-diagonal entries.  Different floating-point route
-    from the difference form, same algebraic value.
+    from the difference form, same algebraic value.  Checks its
+    DIRECT_BYTES_PER_ENTRY * q^2 bytes against KR_MAX_BYTES before building
+    anything.
     """
+    _check_budget(table.field.q, DIRECT_BYTES_PER_ENTRY, "sigma_II_direct")
     m = kr_matrix(table, b)
     gram = m @ m.conj().T
     total = complex(gram.sum())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from klsums.bilinear import (
     theorem_bounds,
 )
 from klsums.chartuples import CharTuple
-from klsums.errors import PreconditionError
-from klsums.field import MultChar, build_field
+from klsums.errors import InternalConsistencyError, PreconditionError
+from klsums.field import MultChar, build_field, gauss_sum
 from klsums.kloosterman import kl_pointwise, kl_table_fast
 from klsums.sums import kr_matrix
 
@@ -187,6 +188,54 @@ def test_moment_identity_small_grid():
             for n in (1, 2, 3):
                 lhs, rhs, diff = moment_identity_check(f, xi, n)
                 assert diff <= 1e-12
+
+
+def test_moment_identity_lhs_matches_per_character_gauss_sums():
+    """The spectrum-read lhs against the definition, one gauss_sum per even
+    character, on a small grid."""
+    for q in (5, 13, 17, 29):
+        f = build_field(q)
+        sq = math.sqrt(q)
+        for xia in range(0, q - 1, 2):
+            for n in (1, 2, q - 1):
+                terms = []
+                for a in range(0, q - 1, 2):
+                    chi = MultChar(f, a)
+                    eps = gauss_sum(chi) / sq
+                    eps_xi = gauss_sum(MultChar(f, a + xia)) / sq
+                    terms.append(eps**2 * eps_xi * np.conj(chi(n)))
+                expected = 2 * sum(terms) / (q - 1)
+                lhs, _, _ = moment_identity_check(f, MultChar(f, xia), n)
+                assert abs(lhs - expected) <= 1e-12, (q, xia, n)
+
+
+def test_moment_identity_rejects_corrupted_spectrum():
+    f = build_field(13)
+    spec = f.gauss_spectrum
+    # index sign flipped: G[j] = tau(chi_j) instead of tau(chi_{-j})
+    f.__dict__["gauss_spectrum"] = spec[-np.arange(12) % 12]
+    with pytest.raises(InternalConsistencyError, match="q=13"):
+        moment_identity_check(f, MultChar(f, 2), 1)
+    g = build_field(13)
+    g.__dict__["gauss_spectrum"] = g.gauss_spectrum * (1 + 1e-6)
+    with pytest.raises(InternalConsistencyError):
+        moment_identity_check(g, MultChar(g, 0), 1)
+
+
+def test_kl3_direct_row_blocks_small_peak():
+    """kl3_direct enumerates y1 in row blocks: its tracemalloc peak stays
+    far below one q x q complex array."""
+    q = 1009
+    f = build_field(q)
+    xi = MultChar(f, 4)
+    f.inv_table  # built once outside the measurement
+    tracemalloc.start()
+    try:
+        kl3_direct(f, xi, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * q * q / 4
 
 
 def test_moment_identity_plus_minus_symmetry(f13):

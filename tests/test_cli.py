@@ -286,6 +286,22 @@ def test_complete_sum_kr_budget_exit_3():
     assert peak < 64 * 2**20  # kmat and M (~320 GB) were never allocated
 
 
+def test_complete_sum_direct_budget_exit_3():
+    # the difference form alone fits at q = 4099; the direct oracle's
+    # 64 q^2 bytes do not, and are refused before kmat or M is built
+    tracemalloc.start()
+    try:
+        code, env = run_json(["complete-sum", "--q", "4099", "--chars", "0,0", "--b", "1,2,3,4",
+                              "--direct"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and env["status"] == "resource-limit"
+    assert "q=4099" in env["payload"]["error"]
+    assert f"{64 * 4099**2} bytes" in env["payload"]["error"]
+    assert peak < 64 * 2**20
+
+
 @pytest.mark.parametrize(
     "argv,option,token",
     [

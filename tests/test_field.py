@@ -6,6 +6,7 @@ import pytest
 from klsums.errors import PreconditionError, ResourceLimitError
 from klsums.field import (
     MultChar,
+    _powers_mod,
     build_field,
     eval_additive,
     eval_char,
@@ -180,3 +181,52 @@ def test_tables_immutable(f13):
         f13.dlog[3] = 0
     with pytest.raises(ValueError):
         f13.exp[0] = 5
+
+
+def test_powers_mod_prefix_near_2_31():
+    # 7 is a primitive root of 2^31 - 1; the field itself (32 GB of tables)
+    # is never built, only a prefix of its power table
+    q = 2**31 - 1
+    for g, n in ((7, 1000), (q - 1, 5), (2**31 - 2**16, 777)):
+        assert _powers_mod(g, q, n).tolist() == [pow(g, m, q) for m in range(n)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 13, 101, 1009, 65537])
+def test_exp_table_matches_pow(q):
+    f = build_field(q)
+    assert f.exp.tolist() == [pow(f.g, m, q) for m in range(q - 1)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 13, 101, 1009])
+def test_gauss_spectrum_is_every_gauss_sum(q):
+    """gauss_spectrum[j] = tau(chi_{-j}) for every j, against direct sums."""
+    f = build_field(q)
+    taus = np.array([gauss_sum(MultChar(f, -j)) for j in range(q - 1)])
+    assert f.gauss_spectrum.shape == (q - 1,)
+    assert np.max(np.abs(f.gauss_spectrum - taus)) <= 1e-9 * math.sqrt(q)
+
+
+def test_gauss_spectrum_property():
+    """The same identity on random (q, j), q over the primes below 2000."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(primes_up_to(2000)[1:]).flatmap(
+        lambda q: st.tuples(st.just(q), st.integers(0, q - 2))))
+    @hyp.example((3, 1))
+    @hyp.example((1999, 1997))
+    def check(c):
+        q, j = c
+        f = build_field(q)
+        assert abs(f.gauss_spectrum[j] - gauss_sum(MultChar(f, -j))) <= 1e-9 * math.sqrt(q), c
+
+    check()
+
+
+def test_gauss_spectrum_cached_and_read_only(f13):
+    spec = f13.gauss_spectrum
+    assert spec is f13.gauss_spectrum
+    assert not spec.flags.writeable
+    with pytest.raises(ValueError):
+        spec[0] = 0

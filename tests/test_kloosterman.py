@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 
 from klsums.chartuples import CharTuple
 from klsums.errors import PreconditionError, ResourceLimitError
-from klsums.field import MultChar, build_field, eval_additive, eval_char, gauss_sum
+from klsums.field import (
+    MultChar,
+    additive_char_vector,
+    build_field,
+    eval_additive,
+    eval_char,
+    gauss_sum,
+)
 from klsums.kloosterman import (
     NAIVE_BYTES_PER_ENTRY,
     NAIVE_MAX_BYTES,
@@ -72,6 +80,28 @@ def test_fast_vs_naive_q101(f101, k):
         idx = (0,) * k if trial == 0 else tuple(int(v) for v in rng.integers(0, 100, size=k))
         t = CharTuple(f101, idx)
         assert table_agreement(kl_table_fast(f101, t), kl_table_naive(f101, t)) <= 1e-9
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_fast_vs_naive_smallest_fields(q, k):
+    """Every tuple of length k at q = 3 and q = 5, nontrivial characters
+    included, at scales 1 and q - 1."""
+    f = build_field(q)
+    for idx in itertools.product(range(q - 1), repeat=k):
+        t = CharTuple(f, idx)
+        for a in (1, q - 1):
+            assert table_agreement(kl_table_fast(f, t, a), kl_table_naive(f, t, a)) <= 1e-9, idx
+
+
+@pytest.mark.parametrize("q", [3, 13, 101])
+def test_kl1_table_is_exactly_chi_psi(q):
+    f = build_field(q)
+    psi = additive_char_vector(f)
+    for a in range(0, q - 1, max(1, (q - 1) // 7)):
+        expected = np.zeros(q, dtype=np.complex128)
+        expected[f.exp] = MultChar(f, a).values_by_log() * psi[f.exp]
+        assert np.array_equal(kl_table_fast(f, CharTuple(f, (a,))).values, expected), a
 
 
 def test_fast_vs_pointwise_nontrivial_chars(f13):

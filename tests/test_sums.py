@@ -10,6 +10,7 @@ from klsums.errors import PreconditionError, ResourceLimitError
 from klsums.field import build_field
 from klsums.kloosterman import kl_table_fast
 from klsums.sums import (
+    DIRECT_BYTES_PER_ENTRY,
     KR_BYTES_PER_ENTRY,
     KR_MAX_BYTES,
     _bfk_product,
@@ -194,6 +195,21 @@ def test_kr_matrix_shape_and_zero_column(tab13):
     assert m.shape == (12, 13)
     # column r with some s(r+b_i) = 0 contains zeros where the stalk vanishes
     assert m[:, (13 - 1) % 13].shape == (12,)
+
+
+def test_sigma_II_direct_byte_budget():
+    # 4093 is the last prime the direct route admits, 4099 the first past it;
+    # the difference form alone would still admit q = 4099
+    assert DIRECT_BYTES_PER_ENTRY * 4093**2 <= KR_MAX_BYTES < DIRECT_BYTES_PER_ENTRY * 4099**2
+    assert KR_BYTES_PER_ENTRY * 4099**2 <= KR_MAX_BYTES
+    f = build_field(4099)
+    table = kl_table_fast(f, CharTuple(f, (0, 0)))
+    need = DIRECT_BYTES_PER_ENTRY * 4099**2
+    for call in (lambda: sigma_II(table, (1, 2, 3, 4), direct=True),
+                 lambda: sigma_II_direct(table, (1, 2, 3, 4))):
+        with pytest.raises(ResourceLimitError, match=f"q=4099 needs {need} bytes"):
+            call()
+    assert "kmat" not in vars(table)
 
 
 def test_b_must_be_integral(tab13):
