@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DegenerateFiberError, InternalConsistencyError, PreconditionError
+from .errors import DegenerateFiberError, InternalConsistencyError, PreconditionError, check_bytes
 from .field import MultChar, PrimeField, additive_char_vector, gauss_sum
 from .kloosterman import KlTable
 from .sums import kr_matrix, sigma_II
@@ -74,6 +74,9 @@ def bilinear_form(table: KlTable, alpha: CoeffSeq, beta: CoeffSeq) -> complex:
     for seq in (alpha, beta):
         if seq.support.min() < 1 or seq.support.max() > q - 1:
             raise PreconditionError("coefficient support must lie within [1, q-1]")
+    M, N = len(alpha.support), len(beta.support)
+    # the M x N int64 index and the complex128 gather of K at it
+    check_bytes(24 * M * N, "bilinear form", q=q, M=M, N=N)
     prod_idx = (alpha.support[:, None] * beta.support[None, :]) % q
     kvals = table.values[prod_idx]
     return complex(np.einsum("m,n,mn->", alpha.values, beta.values, kvals))
@@ -123,6 +126,12 @@ def theorem_bounds(
     The q^eps factor is set to 1; constants are reported, never asserted.
     The trivial bound is the universal envelope k * ||alpha||_2 ||beta||_2
     (MN)^{1/2}.
+
+    The type-II interval q^(1.5/l) <= N < 0.5 q^(0.5 - 0.75/l) needs
+    q^(2.25/l - 0.5) < 0.5, so it is empty for every l <= 4 and every q.
+    Its M^+ variant needs q^(1.5/l) <= N <= N M^+ < 0.5 q^(1 - 1.5/l), i.e.
+    q^(3/l - 1) < 0.5, which no q satisfies for l <= 3.  So ``in_range`` is
+    false for every type-II input at l <= 3.
     """
     if min(q, M, N, l) < 1:
         raise PreconditionError("q, M, N, l must be positive")

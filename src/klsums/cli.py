@@ -198,8 +198,7 @@ def _cmd_strata_scan(args) -> dict:
 
 def _cmd_box_count(args) -> dict:
     f = build_field(args.q)
-    predicate = "diagonal" if args.predicate == "diagonal" else []
-    count = box_count_variety(f, predicate, args.box, args.l)
+    count = box_count_variety(f, args.predicate, args.box, args.l)
     return {
         "q": f.q,
         "l": args.l,

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one memory budget.
+
+Every entry point whose memory grows with q, l or k counts the bytes it
+is about to hold and passes them to ``check_bytes`` before it allocates
+anything.  ``MAX_BYTES`` is the only bound; it is read at call time, so
+lowering it lowers every limit at once.
+"""
+
+MAX_BYTES = 2**30  # 1 GiB
 
 
 class PreconditionError(ValueError):
@@ -6,7 +14,16 @@ class PreconditionError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """The request would exceed a documented table-size or enumeration budget."""
+    """The request would exceed the byte budget ``MAX_BYTES``."""
+
+
+def check_bytes(need: int, what: str, **params) -> None:
+    """Raise ResourceLimitError, naming params, if need bytes exceed MAX_BYTES."""
+    if need > MAX_BYTES:
+        named = ", ".join(f"{key}={value}" for key, value in params.items())
+        raise ResourceLimitError(
+            f"{what} at {named} needs {need} bytes, over the {MAX_BYTES}-byte bound"
+        )
 
 
 class NumericalInstabilityError(ArithmeticError):

@@ -14,6 +14,10 @@ psi(g^m) over m, which holds every Gauss sum of the field at once:
 gauss_spectrum[j] = tau(chi_{-j}).  The Kl tables and the moment identity
 read the spectrum; the checks that validate them call ``gauss_sum``.
 
+``build_field`` counts its tables against the package's byte budget
+(``errors.MAX_BYTES``), which admits q up to about 1.9e7.  Every admitted q
+is below 2^31, so a product of two residues is exact in int64.
+
 Summation policy: bulk reductions use numpy pairwise summation, and the few
 scalar accumulations use math.fsum; both keep the absolute error of an
 n-term unit-scale sum well below 1e3 * n * eps, the budget assumed by the
@@ -29,9 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PreconditionError, ResourceLimitError
-
-MAX_Q = 2**31  # dlog table memory bound
+from .errors import PreconditionError, check_bytes
 
 _TWO_PI = 2.0 * math.pi
 
@@ -148,8 +150,10 @@ def build_field(q: int) -> PrimeField:
     """Construct F_q with verified primitive root and complete dlog table."""
     if not isinstance(q, int):
         raise PreconditionError(f"q must be an integer, got {type(q).__name__}")
-    if q >= MAX_Q:
-        raise ResourceLimitError(f"q = {q} >= 2^31: dlog table would exceed the memory bound")
+    # dlog, exp, the scatter's arange source, then inv_table and
+    # gauss_spectrum with its FFT input: 56 bytes per element, plus 16 KiB
+    # for the Python objects
+    check_bytes(56 * q + 2**14, "field", q=q)
     if q < 3:
         raise PreconditionError(f"q = {q} < 3: need an odd prime")
     if not is_prime(q):

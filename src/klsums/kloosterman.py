@@ -35,14 +35,10 @@ from functools import cached_property
 import numpy as np
 
 from .chartuples import CharTuple
-from .errors import InternalConsistencyError, PreconditionError, ResourceLimitError
+from .errors import InternalConsistencyError, PreconditionError, check_bytes
 from .field import PrimeField, additive_char_vector, eval_additive, eval_char, gauss_sum, MultChar
 
 DELIGNE_SLACK = 1e-9
-# kl_table_naive holds a (q-1)^2 int64 index matrix and two complex128
-# temporaries of that shape: 40 bytes per entry, 41 MB at q = 1009.
-NAIVE_BYTES_PER_ENTRY = 40
-NAIVE_MAX_BYTES = 2**29  # 512 MiB: admits q <= 3664
 # Rows of s per block when kmat is built: a (rows, q) int64 index block stays
 # small next to kmat itself.
 KMAT_BUILD_ROWS = 32
@@ -77,7 +73,7 @@ class KlTable:
 
         Row s holds x -> K(s*x), so K(s*(r + b)) for all r is row s rotated
         left by b: the shift kernel of ``sums.kr_matrix``.  16 q^2 bytes; the
-        caller checks the budget (``sums.KR_MAX_BYTES``) before touching it.
+        caller counts them against the byte budget before touching it.
         """
         q = self.field.q
         out = np.empty((q, q), dtype=np.complex128)
@@ -139,12 +135,8 @@ def kl_table_naive(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
     if a % field.q == 0:
         raise PreconditionError("scale a must be nonzero mod q")
     n = field.q - 1
-    need = NAIVE_BYTES_PER_ENTRY * n * n
-    if need > NAIVE_MAX_BYTES:
-        raise ResourceLimitError(
-            f"naive Kl table at q={field.q} needs {need} bytes, "
-            f"over the {NAIVE_MAX_BYTES}-byte bound"
-        )
+    # the (q-1)^2 int64 index matrix and two complex128 temporaries of its shape
+    check_bytes(40 * n * n, "naive Kl table", q=field.q)
     hs = _factor_logs(field, t)
     conv = hs[0]
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n

@@ -42,6 +42,10 @@ which is 5, 8, 12 for (k,l) = (2,2), (3,2), (2,3) (V = 3, 5, 10) and 2 for
 l = 1.  Seeded scans at q = 499 attain it for over 90% of b, so it is the
 generic value there (observed, not proved).  The squarefree reduction makes
 z(b) insensitive to the k-th power multiplicity.
+
+The resolvent product and the exhaustive scan count their bytes against
+the package's byte budget (``errors.MAX_BYTES``) before they allocate: the
+first grows as k^(4l), the second as q^(2l).
 """
 
 from __future__ import annotations
@@ -58,12 +62,9 @@ from .errors import (
     DegenerateFiberError,
     InternalConsistencyError,
     PreconditionError,
-    ResourceLimitError,
+    check_bytes,
 )
 from .field import PrimeField
-
-MAX_FORM_COUNT = 10_000  # k^(2l) bound for the resolvent product
-MAX_EXHAUSTIVE = 10_000_000  # q^(2l) bound for exhaustive scans / box enumerations
 
 
 def is_diagonal(b) -> bool:
@@ -81,10 +82,10 @@ def _check_preconditions(field: PrimeField, k: int, b) -> tuple[np.ndarray, int]
         raise PreconditionError("need k >= 2")
     if (field.q - 1) % k != 0:
         raise PreconditionError(f"q = {field.q} is not 1 mod k = {k}: mu_k not in F_q")
-    if k ** (2 * l) > MAX_FORM_COUNT:
-        raise ResourceLimitError(
-            f"k^(2l) = {k ** (2 * l)} exceeds the {MAX_FORM_COUNT} resolvent-factor bound"
-        )
+    # 3x the int64 gather state[src] (2l x k^(2l) rows by up to k^(2l-2) + 1
+    # r-degrees): the measured peak is 1.6-2.4x the gather for k^(2l) >= 81
+    n = 2 * l
+    check_bytes(3 * 8 * n * k**n * (k ** (n - 2) + 1), "resolvent", q=field.q, k=k, l=l)
     if field.q <= 2 * l + k ** (2 * l - 1):
         raise PreconditionError(
             f"q = {field.q} <= 2l + k^(2l-1) = {2 * l + k ** (2 * l - 1)}: "
@@ -230,8 +231,9 @@ def stratum_scan(
     """
     q = field.q
     if exhaustive:
-        if q ** (2 * l) > MAX_EXHAUSTIVE:
-            raise ResourceLimitError(f"q^(2l) = {q ** (2 * l)} exceeds the exhaustive-scan bound")
+        # each of the q^(2l) b holds an int64 array and a report: 314-346 bytes
+        # per b measured at l = 1, 2
+        check_bytes(400 * q ** (2 * l), "exhaustive stratum scan", q=q, l=l)
         bs = [np.array(t, dtype=np.int64) for t in itertools.product(range(q), repeat=2 * l)]
     else:
         if not samples or samples < 1:
@@ -282,30 +284,14 @@ def diagonal_box_count(B: int, l: int) -> int:
     return total
 
 
-def box_count_variety(field: PrimeField, predicate, B: int, l: int) -> int:
+def box_count_variety(field: PrimeField, predicate: str, B: int, l: int) -> int:
     """Exact count of points of [B, 2B)^{2l} (integer coordinates, reduced
-    mod q) on a variety.
-
-    predicate is "diagonal" (pruned combinatorial count), an empty list (no
-    equations: B^{2l}), or a list of callables F_q^{2l} -> F_q whose common
-    zero locus is counted by enumeration.
-    """
-    q = field.q
-    if not 0 <= B < q / 2:
+    mod q) on a variety: predicate "diagonal" (pruned combinatorial count)
+    or "empty" (no equations: B^{2l})."""
+    if not 0 <= B < field.q / 2:
         raise PreconditionError("need 0 <= B < q/2 so the box injects into F_q")
-    n = 2 * l
     if predicate == "diagonal":
         return diagonal_box_count(B, l)
-    if not predicate:
-        return B**n
-    if B**n > MAX_EXHAUSTIVE:
-        raise ResourceLimitError(
-            f"box has {B**n} points, over the enumeration bound; "
-            "use the pruned 'diagonal' mode or a smaller box"
-        )
-    count = 0
-    for tup in itertools.product(range(B, 2 * B), repeat=n):
-        bmod = tuple(x % q for x in tup)
-        if all(f(bmod) % q == 0 for f in predicate):
-            count += 1
-    return count
+    if predicate == "empty":
+        return B ** (2 * l)
+    raise PreconditionError(f"predicate must be 'diagonal' or 'empty', got {predicate!r}")

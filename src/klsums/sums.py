@@ -16,6 +16,9 @@ the last one by default in the rearranged difference form
 
 which costs O(q^2 l) instead of O(q^3 l).  The direct (s1 != s2) evaluation
 is kept as an oracle behind a flag; the two must agree to 1e-6 * q^{3/2}.
+Both routes count their q x q matrices against the byte budget
+(``errors.MAX_BYTES``) first: 32 q^2 bytes admit q <= 5791 for the
+difference form, 64 q^2 bytes q <= 4093 for the direct route.
 
 Every quantity is a sum over the matrix M[s-1, r] = bfK(s*r, s*b) built by
 ``kr_matrix``.  Its kernel reads the table's cached kmat[s, x] = K(s*x):
@@ -39,17 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalInstabilityError, PreconditionError, ResourceLimitError
+from .errors import NumericalInstabilityError, PreconditionError, check_bytes
 from .kloosterman import KlTable
 
 SIGMA_II_AGREE_RTOL = 1e-6
-# kr_matrix holds the table's kmat (16 q^2 bytes) and its complex128 output
-# (16 q(q-1) bytes): 32 bytes per q^2.
-KR_BYTES_PER_ENTRY = 32
-KR_MAX_BYTES = 2**30  # 1 GiB: admits q <= 5791
-# sigma_II_direct holds kmat, M, the copy M.conj().T and the Gram matrix at
-# once: 64 bytes per q^2 against the same bound, so q <= 4093.
-DIRECT_BYTES_PER_ENTRY = 64
 # Rows of s per kr_matrix block: the (rows, q) factor buffer and output block
 # stay in L2 (1 MB at q = 1999).
 KR_ROWS = 32
@@ -81,14 +77,6 @@ def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
-def _check_budget(q: int, bytes_per_entry: int, what: str) -> None:
-    need = bytes_per_entry * q * q
-    if need > KR_MAX_BYTES:
-        raise ResourceLimitError(
-            f"{what} at q={q} needs {need} bytes, over the {KR_MAX_BYTES}-byte bound"
-        )
-
-
 def kr_matrix(table: KlTable, b) -> np.ndarray:
     """Matrix M[s-1, r] = bfK(s*r, s*b) for s = 1..q-1 and r = 0..q-1.
 
@@ -98,7 +86,8 @@ def kr_matrix(table: KlTable, b) -> np.ndarray:
     """
     b, l = _check_b(table, b)
     q = table.field.q
-    _check_budget(q, KR_BYTES_PER_ENTRY, "kr_matrix")
+    # the table's kmat and the complex128 output, 16 q^2 bytes each
+    check_bytes(32 * q * q, "kr_matrix", q=q)
     kmat = table.kmat
     out = np.ones((q - 1, q), dtype=np.complex128)
     buf = np.empty((KR_ROWS, q), dtype=np.complex128)
@@ -152,13 +141,13 @@ def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport:
 
     With ``direct=True`` also evaluates the s1 != s2 double sum through the
     Gram matrix of M and raises NumericalInstabilityError if the two routes
-    disagree beyond 1e-6 * q^{3/2}; the direct route's larger byte budget is
-    checked first, before any matrix is built.
+    disagree beyond 1e-6 * q^{3/2}.  The direct route runs first, so its
+    larger byte count is checked before any matrix is built, and its M is
+    freed before the difference form builds its own.
     """
     bt, l = _check_b(table, b)
     q = table.field.q
-    if direct:
-        _check_budget(q, DIRECT_BYTES_PER_ENTRY, "sigma_II_direct")
+    d = sigma_II_direct(table, bt) if direct else None
     m = kr_matrix(table, bt)
     r_vec = m.sum(axis=0)
     comp_R2 = float(np.sum(np.abs(r_vec) ** 2))
@@ -176,9 +165,7 @@ def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport:
         ratio_I=abs(si) / q,
         ratio_II=abs(s2) / q**1.5,
     )
-    if direct:
-        del m  # sigma_II_direct builds its own M: keep one q x q matrix live at a time
-        d = sigma_II_direct(table, bt)
+    if d is not None:
         rep.sigma_II_direct = d.real
         rep.sigma_II_imag = abs(d.imag)
         if abs(d.real - s2) > SIGMA_II_AGREE_RTOL * q**1.5:
@@ -196,11 +183,11 @@ def sigma_II_direct(table: KlTable, b) -> complex:
 
     G[s1, s2] = sum_r bfK(s1 r, s1 b) conj(bfK(s2 r, s2 b)); the result is
     the sum of all off-diagonal entries.  Different floating-point route
-    from the difference form, same algebraic value.  Checks its
-    DIRECT_BYTES_PER_ENTRY * q^2 bytes against KR_MAX_BYTES before building
-    anything.
+    from the difference form, same algebraic value.
     """
-    _check_budget(table.field.q, DIRECT_BYTES_PER_ENTRY, "sigma_II_direct")
+    q = table.field.q
+    # kmat, M, the copy M.conj().T and the Gram matrix, 16 q^2 bytes each
+    check_bytes(64 * q * q, "sigma_II_direct", q=q)
     m = kr_matrix(table, b)
     gram = m @ m.conj().T
     total = complex(gram.sum())

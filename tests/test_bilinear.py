@@ -98,6 +98,22 @@ def test_range_flags_pinned_cases():
     assert r.cond_mplus and r.in_range
 
 
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_type_II_range_empty_for_small_l(l):
+    # the interval q^(1.5/l) <= N < 0.5 q^(0.5 - 0.75/l) needs
+    # q^(2.25/l - 0.5) < 0.5, false for l <= 4; its M^+ variant needs
+    # q^(3/l - 1) < 0.5, false for l <= 3 (M^+ = 1 is the most lenient)
+    for q in (101, 10007, 10**6 + 3, 10**9 + 7, 10**15 + 37):
+        lo, hi = q ** (1.5 / l), 0.5 * q ** (0.5 - 0.75 / l)
+        assert lo >= hi
+        edges = {n for c in (lo, hi) for n in range(max(1, int(c) - 2), int(c) + 3)}
+        for N in set(range(1, 2000)) | edges:
+            r = theorem_bounds(q, 10, N, l, k=2, alpha_l1=1, alpha_l2=1, beta_l2=1, m_plus=1)
+            assert not r.cond_interval
+            if l <= 3:
+                assert not r.cond_mplus and not r.in_range
+
+
 def test_type_II_bound_decreasing_in_MN():
     # beyond MN = q^{3/4+3/(4l)} the second term decays; spot-check 3 points
     q, l = 10007, 3

@@ -1,0 +1,102 @@
+"""The one byte budget: every sized entry point counts its bytes against
+``klsums.errors.MAX_BYTES`` before it allocates.
+
+Each site is called once with the budget one byte below its count (refused,
+with nothing allocated and a message naming its parameters) and once with
+the budget at its count (admitted).  Lowering the one constant is enough to
+move every site's limit.
+"""
+
+import tracemalloc
+
+import pytest
+
+from klsums import errors
+from klsums.bilinear import CoeffSeq, bilinear_form
+from klsums.chartuples import CharTuple
+from klsums.errors import ResourceLimitError
+from klsums.field import build_field
+from klsums.kloosterman import kl_table_fast, kl_table_naive
+from klsums.strata import singular_polynomial, stratum_scan
+from klsums.sums import kr_matrix, sigma_II, sigma_II_direct
+
+Q = 211
+B = (1, 2, 3, 4)
+F13 = build_field(13)
+F131 = build_field(131)
+
+
+def resolvent_bytes(k, l):
+    return 3 * 8 * 2 * l * k ** (2 * l) * (k ** (2 * l - 2) + 1)
+
+
+@pytest.fixture(scope="module")
+def table():
+    f = build_field(Q)
+    return kl_table_fast(f, CharTuple(f, (0, 0)))
+
+
+# name: (call on the module's q = 211 table, counted bytes, message prefix)
+SITES = {
+    "build_field": (lambda t: build_field(100003), 56 * 100003 + 2**14, "field at q=100003"),
+    "kl_table_naive": (lambda t: kl_table_naive(t.field, t.tuple), 40 * (Q - 1) ** 2,
+                       f"naive Kl table at q={Q}"),
+    "kr_matrix": (lambda t: kr_matrix(t, B), 32 * Q**2, f"kr_matrix at q={Q}"),
+    "sigma_II(direct=True)": (lambda t: sigma_II(t, B, direct=True), 64 * Q**2,
+                              f"sigma_II_direct at q={Q}"),
+    "sigma_II_direct": (lambda t: sigma_II_direct(t, B), 64 * Q**2, f"sigma_II_direct at q={Q}"),
+    "singular_polynomial": (lambda t: singular_polynomial(F131, 5, B), resolvent_bytes(5, 2),
+                            "resolvent at q=131, k=5, l=2"),
+    "stratum_scan": (lambda t: stratum_scan(F13, 2, 1, exhaustive=True), 400 * 13**2,
+                     "exhaustive stratum scan at q=13, l=1"),
+    "bilinear_form": (lambda t: bilinear_form(t, CoeffSeq.ones(100), CoeffSeq.ones(150)),
+                      24 * 100 * 150, f"bilinear form at q={Q}, M=100, N=150"),
+}
+
+
+@pytest.mark.parametrize("name", SITES)
+def test_site_refuses_one_byte_short_and_admits_at_its_count(name, table, monkeypatch):
+    call, need, what = SITES[name]
+    monkeypatch.setattr(errors, "MAX_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            call(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{what} needs {need} bytes, over the {need - 1}-byte bound"
+    assert peak < need / 4  # refused before its arrays were allocated
+    monkeypatch.setattr(errors, "MAX_BYTES", need)
+    call(table)
+
+
+@pytest.mark.parametrize("k,l,q", [(2, 4, 137), (3, 3, 271), (5, 2, 131)])
+def test_resolvent_count_covers_measured_peak(k, l, q):
+    f = build_field(q)
+    tracemalloc.start()
+    try:
+        singular_polynomial(f, k, tuple(range(1, 2 * l + 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= resolvent_bytes(k, l)
+
+
+def test_field_count_covers_measured_peak():
+    # the count includes the cached inv_table and gauss_spectrum
+    q = 100003
+    tracemalloc.start()
+    try:
+        f = build_field(q)
+        f.inv_table
+        f.gauss_spectrum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * q + 2**14
+
+
+def test_every_admitted_field_is_int64_exact():
+    # products of two residues below 2^31 stay below 2^62
+    assert errors.MAX_BYTES // 56 < 2**31

@@ -302,6 +302,21 @@ def test_complete_sum_direct_budget_exit_3():
     assert peak < 64 * 2**20
 
 
+def test_bilinear_bench_budget_exit_3():
+    # the M x N index and gather (24 bytes per M*N, ~240 GB) are refused
+    # before they are allocated
+    tracemalloc.start()
+    try:
+        code, env = run_json(["bilinear-bench", "--q", "100003", "--chars", "0,0",
+                              "--M", "99999", "--N", "99999"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and env["status"] == "resource-limit"
+    assert f"q=100003, M=99999, N=99999 needs {24 * 99999**2} bytes" in env["payload"]["error"]
+    assert peak < 64 * 2**20
+
+
 @pytest.mark.parametrize(
     "argv,option,token",
     [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from klsums.chartuples import CharTuple
-from klsums.errors import PreconditionError, ResourceLimitError
+from klsums.errors import MAX_BYTES, PreconditionError, ResourceLimitError
 from klsums.field import (
     MultChar,
     additive_char_vector,
@@ -16,8 +16,6 @@ from klsums.field import (
     gauss_sum,
 )
 from klsums.kloosterman import (
-    NAIVE_BYTES_PER_ENTRY,
-    NAIVE_MAX_BYTES,
     fourier_identity_check,
     kl_pointwise,
     kl_table_fast,
@@ -132,12 +130,13 @@ def test_scale_zero_rejected(f13):
 
 
 def test_naive_byte_budget():
-    # 3671 is the first prime past the bound; q = 1009, the largest naive
-    # table the tests and the benchmark build, stays far inside it
-    assert NAIVE_BYTES_PER_ENTRY * 1008**2 <= NAIVE_MAX_BYTES < NAIVE_BYTES_PER_ENTRY * 3670**2
-    f = build_field(3671)
-    need = NAIVE_BYTES_PER_ENTRY * 3670**2
-    with pytest.raises(ResourceLimitError, match=f"q=3671 needs {need} bytes"):
+    # 5189 is the first prime past the bound (40 bytes per (q-1)^2 entry);
+    # q = 1009, the largest naive table the tests and the benchmark build,
+    # stays far inside it
+    assert 40 * 1008**2 <= 40 * 5178**2 <= MAX_BYTES < 40 * 5188**2
+    f = build_field(5189)
+    need = 40 * 5188**2
+    with pytest.raises(ResourceLimitError, match=f"q=5189 needs {need} bytes"):
         kl_table_naive(f, CharTuple(f, (0, 0)))
 
 

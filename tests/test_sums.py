@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from klsums.chartuples import CharTuple
-from klsums.errors import PreconditionError, ResourceLimitError
+from klsums.errors import MAX_BYTES, PreconditionError, ResourceLimitError
 from klsums.field import build_field
 from klsums.kloosterman import kl_table_fast
 from klsums.sums import (
-    DIRECT_BYTES_PER_ENTRY,
-    KR_BYTES_PER_ENTRY,
-    KR_MAX_BYTES,
     _bfk_product,
     eval_KR,
     kr_matrix,
@@ -200,11 +197,11 @@ def test_kr_matrix_shape_and_zero_column(tab13):
 def test_sigma_II_direct_byte_budget():
     # 4093 is the last prime the direct route admits, 4099 the first past it;
     # the difference form alone would still admit q = 4099
-    assert DIRECT_BYTES_PER_ENTRY * 4093**2 <= KR_MAX_BYTES < DIRECT_BYTES_PER_ENTRY * 4099**2
-    assert KR_BYTES_PER_ENTRY * 4099**2 <= KR_MAX_BYTES
+    assert 64 * 4093**2 <= MAX_BYTES < 64 * 4099**2
+    assert 32 * 4099**2 <= MAX_BYTES
     f = build_field(4099)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
-    need = DIRECT_BYTES_PER_ENTRY * 4099**2
+    need = 64 * 4099**2
     for call in (lambda: sigma_II(table, (1, 2, 3, 4), direct=True),
                  lambda: sigma_II_direct(table, (1, 2, 3, 4))):
         with pytest.raises(ResourceLimitError, match=f"q=4099 needs {need} bytes"):
@@ -288,10 +285,10 @@ def test_kr_matrix_no_q2_temporaries():
 def test_kr_matrix_byte_budget():
     # 5801 is the first prime past the bound; the largest q the tests and the
     # benchmark use (1999) stays far inside it
-    assert KR_BYTES_PER_ENTRY * 1999**2 <= KR_MAX_BYTES < KR_BYTES_PER_ENTRY * 5801**2
+    assert 32 * 1999**2 <= MAX_BYTES < 32 * 5801**2
     f = build_field(5801)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
-    need = KR_BYTES_PER_ENTRY * 5801**2
+    need = 32 * 5801**2
     with pytest.raises(ResourceLimitError, match=f"q=5801 needs {need} bytes"):
         kr_matrix(table, (1, 2, 3, 4))
     assert "kmat" not in vars(table)
