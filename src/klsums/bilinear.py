@@ -23,15 +23,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .chartuples import CharTuple
 from .errors import DegenerateFiberError, InternalConsistencyError, PreconditionError, check_bytes
-from .field import MultChar, PrimeField, additive_char_vector, gauss_sum
-from .kloosterman import KlTable
+from .field import MultChar, PrimeField, gauss_sum
+from .kloosterman import KlTable, kl_pointwise
 from .sums import kr_matrix, sigma_II
-from .strata import is_diagonal, stratum_scan, z_fiber_count
-
-# Rows of y1 per kl3_direct block: its int64 and complex temporaries stay
-# near 64 * q entries each (0.5 MB at q = 1009) instead of q^2.
-KL3_ROWS = 64
+from .strata import generic_z_value, is_diagonal, z_fiber_count
 
 
 @dataclass
@@ -296,7 +293,7 @@ def _attach_box_sum(trace: ShiftTrace, table: KlTable, l: int, seed: int) -> Non
     generic = None
     strata_ok = (q - 1) % k == 0 and q > 2 * l + k ** (2 * l - 1)
     if strata_ok:
-        generic = stratum_scan(table.field, k, l, samples=200, seed=seed).generic
+        generic = generic_z_value(table.field, k, l, seed)
     for b in itertools.product(range(B, 2 * B), repeat=2 * l):
         rep = sigma_II(table, np.array(b, dtype=np.int64))
         total.append(abs(rep.sigma_II))
@@ -325,25 +322,9 @@ def _attach_box_sum(trace: ShiftTrace, table: KlTable, l: int, seed: int) -> Non
 
 
 def kl3_direct(field: PrimeField, xi: MultChar, x: int) -> complex:
-    """Kl_3(x; (1,1,xi), q) by direct double enumeration (no tables).
-
-    y1 runs in blocks of KL3_ROWS rows against all y2, so the temporaries
-    stay O(KL3_ROWS * q); the block partials are combined with math.fsum.
-    """
-    q = field.q
-    x %= q
-    if x == 0:
-        raise PreconditionError("x must be nonzero")
-    y2 = np.arange(1, q, dtype=np.int64)[None, :]
-    psi = additive_char_vector(field)
-    xiv = xi.values_by_residue()
-    partials = []
-    for lo in range(1, q, KL3_ROWS):
-        y1 = np.arange(lo, min(lo + KL3_ROWS, q), dtype=np.int64)[:, None]
-        y3 = x * field.inv_table[(y1 * y2) % q] % q
-        partials.append(complex(np.sum(psi[(y1 + y2 + y3) % q] * xiv[y3])))
-    return complex(math.fsum(z.real for z in partials),
-                   math.fsum(z.imag for z in partials)) / q
+    """Kl_3(x; (1,1,xi), q) by direct enumeration (no tables): the
+    package's one pointwise enumeration, with xi on the determined variable."""
+    return kl_pointwise(field, CharTuple(field, (0, 0, xi.a)), x)
 
 
 def moment_identity_check(field: PrimeField, xi: MultChar, n: int) -> tuple[complex, complex, float]:

@@ -6,12 +6,13 @@ and the subcommand payload.  Exit code is 0 exactly when status is ok
 (precondition failures exit 2, resource limits exit 3); a malformed
 command line is an argparse usage error, also exit 2.
 
-Each option exists only on the subcommands that read it.  --out is on all
-of them.  --format {csv,json} is on kl-table and strata-scan, the two
+Each option exists only on the subcommands that read it, and options are
+matched by their full name only.  No option repeats what the inputs fix: k
+is the length of --chars, and complete-sum's l is half the length of --b.
+--out is on all subcommands.  --format {csv,json} is on kl-table and strata-scan, the two
 subcommands with a CSV schema (CSV is their default); the others emit JSON.
 --seed (numpy PCG64, default 0) is on the seeded subcommands: kl-verify,
-strata-scan, bound-check, bilinear-bench and avg-compare.  --threads is on
-strata-scan only.  With --threads 1 (the default) every output is
+strata-scan, bound-check, bilinear-bench and avg-compare.  Every output is
 deterministic for a fixed seed, and CSV outputs are byte-identical across
 reruns (JSON envelopes differ only in the wall_time_s field).  Payloads go
 through klsums.serialize.jsonify; complex numbers serialize as
@@ -72,11 +73,8 @@ def _parse_ints(text: str, option: str) -> list[int]:
     return out
 
 
-def _chars_arg(field, text: str, k: int | None) -> CharTuple:
-    idx = _parse_ints(text, "--chars")
-    if k is not None and len(idx) != k:
-        raise PreconditionError(f"expected {k} character indices, got {len(idx)}")
-    return CharTuple(field, tuple(idx))
+def _chars_arg(field, text: str) -> CharTuple:
+    return CharTuple(field, tuple(_parse_ints(text, "--chars")))
 
 
 def _resolve_out(path: str | None):
@@ -99,13 +97,13 @@ def _cmd_field_info(args) -> dict:
 
 def _cmd_char_classify(args):
     f = build_field(args.q)
-    t = _chars_arg(f, args.chars, args.k)
+    t = _chars_arg(f, args.chars)
     return classify_tuple(t)
 
 
 def _cmd_kl_table(args) -> dict:
     f = build_field(args.q)
-    t = _chars_arg(f, args.chars, args.k)
+    t = _chars_arg(f, args.chars)
     build = kl_table_naive if args.method == "naive" else kl_table_fast
     table = build(f, t, args.scale)
     rows = [(x, float(table.values[x].real), float(table.values[x].imag)) for x in range(1, f.q)]
@@ -121,7 +119,7 @@ def _cmd_kl_table(args) -> dict:
 
 def _cmd_kl_verify(args) -> dict:
     f = build_field(args.q)
-    t = _chars_arg(f, args.chars, args.k)
+    t = _chars_arg(f, args.chars)
     naive = kl_table_naive(f, t, args.scale)  # first: its byte budget is the binding one
     fast = kl_table_fast(f, t, args.scale)
     rng = np.random.Generator(np.random.PCG64(args.seed))
@@ -146,10 +144,8 @@ def _cmd_kl_verify(args) -> dict:
 
 def _cmd_complete_sum(args) -> dict:
     f = build_field(args.q)
-    t = _chars_arg(f, args.chars, args.k)
+    t = _chars_arg(f, args.chars)
     b = _parse_ints(args.b, "--b")
-    if args.l is not None and len(b) != 2 * args.l:
-        raise PreconditionError(f"b must have 2*l = {2 * args.l} entries, got {len(b)}")
     table = kl_table_fast(f, t, args.scale)
     rep = sigma_II(table, b, direct=args.direct)
     payload = {
@@ -181,7 +177,6 @@ def _cmd_strata_scan(args) -> dict:
         samples=args.samples,
         seed=args.seed,
         exhaustive=args.exhaustive,
-        threads=args.threads,
     )
     return {
         "q": f.q,
@@ -211,10 +206,10 @@ def _cmd_box_count(args) -> dict:
 
 def _cmd_bound_check(args):
     primes = _parse_ints(args.primes, "--primes")
-    chars = tuple(_parse_ints(args.chars, "--chars")) if args.chars else None
+    chars = tuple(_parse_ints(args.chars, "--chars"))
     return bound_ladder(
         primes,
-        k=args.k,
+        k=len(chars),
         l=args.l,
         chars=chars,
         samples=args.samples,
@@ -225,7 +220,7 @@ def _cmd_bound_check(args):
 
 def _cmd_bilinear_bench(args) -> dict:
     f = build_field(args.q)
-    t = _chars_arg(f, args.chars, args.k)
+    t = _chars_arg(f, args.chars)
     table = kl_table_fast(f, t, args.scale)
     if args.random_coeffs:
         rng = np.random.Generator(np.random.PCG64(args.seed))
@@ -268,7 +263,7 @@ def _cmd_moment_check(args) -> dict:
 
 def _cmd_avg_compare(args):
     f = build_field(args.q)
-    t = _chars_arg(f, args.chars, args.k)
+    t = _chars_arg(f, args.chars)
     table = kl_table_fast(f, t)
     if args.family == "power-sum":
         return averaged_comparison_power_sum(table, args.n, args.m)
@@ -333,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, *, csv_schema=False, seeded=False, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        # no prefix matching: an unread --k must not resolve to --kind
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if csv_schema:
             p.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -346,12 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("char-classify", help="classify a character tuple (Kummer/NIO/CGM)")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--chars", required=True, help="comma-separated indices mod q-1")
 
     p = add("kl-table", csv_schema=True, help="emit the full Kl_k table (CSV: x,re,im)")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--chars", required=True)
     p.add_argument("--scale", type=int, default=1)
     p.add_argument("--method", choices=("fast", "naive"), default="fast")
@@ -360,16 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
         "kl-verify", seeded=True, help="fast vs naive agreement + Fourier identity + Deligne bound"
     )
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--chars", required=True)
     p.add_argument("--scale", type=int, default=1)
     p.add_argument("--n-lambda", type=int, default=20)
 
     p = add("complete-sum", help="Sigma_I / Sigma_II for one b")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--chars", required=True)
-    p.add_argument("--l", type=int, default=None)
     p.add_argument("--b", required=True, help="comma-separated 2l field elements")
     p.add_argument("--scale", type=int, default=1)
     p.add_argument("--direct", action="store_true", help="also run the O(q^3) direct oracle")
@@ -383,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("box-count", help="points of a variety in the box [B,2B)^{2l}")
     p.add_argument("--q", type=int, required=True)
@@ -392,16 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicate", choices=("diagonal", "empty"), default="diagonal")
 
     p = add("bound-check", seeded=True, help="prime-ladder Sigma_I/Sigma_II ratio experiment")
-    p.add_argument("--k", type=int, default=2)
     p.add_argument("--l", type=int, default=2)
-    p.add_argument("--chars", default=None)
+    p.add_argument("--chars", default="0,0", help="comma-separated indices; k is their count")
     p.add_argument("--primes", default="101,151,211,307,401,499")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--subgeneric-samples", type=int, default=20)
 
     p = add("bilinear-bench", seeded=True, help="B(K, alpha, beta) against the bound formulas")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--chars", required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
@@ -417,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("avg-compare", seeded=True, help="averaged comparison over a b-family")
     p.add_argument("--q", type=int, default=29)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--chars", default="0,0")
     p.add_argument("--family", choices=("power-sum", "full-sample"), required=True)
     p.add_argument("--n", type=int, default=4)

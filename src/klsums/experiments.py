@@ -28,7 +28,7 @@ from .field import PrimeField, build_field
 from .kloosterman import kl_table_fast
 from .serialize import jsonify
 from .sums import sigma_II
-from .strata import is_diagonal, stratum_scan, z_fiber_count
+from .strata import generic_z_value, is_diagonal, z_fiber_count
 
 TREND_EXPONENT = 0.15
 SUBGENERIC_CONSTANT = 10.0
@@ -36,11 +36,6 @@ SUBGENERIC_CONSTANT = 10.0
 
 def _rng_for(seed: int, q: int, k: int, l: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64([seed, q, k, l]))
-
-
-def generic_z_value(field: PrimeField, k: int, l: int, seed: int, samples: int = 200) -> int:
-    """The generic |Z_b| for (q, k, l), i.e. the maximum over a seeded scan."""
-    return stratum_scan(field, k, l, samples=samples, seed=seed).generic
 
 
 def _sample_b(field, k, l, count, rng, admit, accept, failure: str) -> list[np.ndarray]:
@@ -163,8 +158,8 @@ def bound_ladder(
     if sorted(primes) != list(primes):
         raise PreconditionError("primes must be increasing")
     chars = tuple(chars) if chars is not None else (0,) * k
-    if len(chars) != k:
-        raise PreconditionError("need exactly k character indices")
+    if k < 1 or len(chars) != k:
+        raise PreconditionError("need exactly k >= 1 character indices")
     report = LadderReport(k=k, l=l, chars=chars, seed=seed)
     for q in primes:
         field = build_field(q)

@@ -104,12 +104,6 @@ class PrimeField:
     dlog: np.ndarray = dc_field(repr=False)
     exp: np.ndarray = dc_field(repr=False)
 
-    def inv(self, x: int) -> int:
-        x %= self.q
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(x, self.q - 2, self.q)
-
     @cached_property
     def inv_table(self) -> np.ndarray:
         """Inverse table: inv_table[x] = x^{-1} mod q, with inv_table[0] = 0."""
@@ -169,6 +163,26 @@ def build_field(q: int) -> PrimeField:
     return PrimeField(q=q, g=g, dlog=dlog, exp=exp)
 
 
+def check_b(field: PrimeField, b) -> tuple[np.ndarray, int]:
+    """A shift tuple b as int64 residues mod q, with its l = len(b) / 2.
+
+    The one rule for b, shared by the complete sums and the strata: entries
+    are integers within int64 (integral floats such as 4.0 count; 1.7, NaN
+    and 2**70 do not), and the length is even and at least 2.
+    """
+    raw = np.asarray(b)
+    if raw.dtype.kind == "f":
+        ok = np.all(np.isfinite(raw) & (raw == np.floor(raw)) & (np.abs(raw) < 2.0**63))
+    else:
+        ok = raw.dtype.kind == "i" or (raw.dtype.kind == "u" and np.all(raw < 2**63))
+    if not ok:
+        raise PreconditionError(f"b entries must be integers within int64, got {b!r}")
+    reduced = raw.astype(np.int64) % field.q
+    if reduced.ndim != 1 or len(reduced) < 2 or len(reduced) % 2 != 0:
+        raise PreconditionError("b must be a flat tuple of even length 2l >= 2")
+    return reduced, len(reduced) // 2
+
+
 @dataclass(frozen=True)
 class MultChar:
     """Multiplicative character of F_q^x, as an index a in Z/(q-1)."""
@@ -178,10 +192,6 @@ class MultChar:
 
     def __post_init__(self):
         object.__setattr__(self, "a", self.a % (self.field.q - 1))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.a == 0
 
     @property
     def order(self) -> int:
@@ -200,9 +210,6 @@ class MultChar:
         if other.field is not self.field and other.field.q != self.field.q:
             raise PreconditionError("characters live over different fields")
         return MultChar(self.field, self.a + other.a)
-
-    def inverse(self) -> "MultChar":
-        return MultChar(self.field, -self.a)
 
     def values_by_log(self) -> np.ndarray:
         """Vector chi(g^m) for m = 0..q-2."""
@@ -235,10 +242,10 @@ def eval_additive(field: PrimeField, a: int, x: int) -> complex:
     return cmath.exp(2j * math.pi * ((a * x) % q) / q)
 
 
-def additive_char_vector(field: PrimeField, a: int = 1) -> np.ndarray:
-    """Vector psi_a(x) for x = 0..q-1."""
+def additive_char_vector(field: PrimeField) -> np.ndarray:
+    """Vector psi(x) for x = 0..q-1."""
     q = field.q
-    return np.exp(2j * np.pi * ((a * np.arange(q)) % q) / q)
+    return np.exp(2j * np.pi * np.arange(q) / q)
 
 
 def gauss_sum(chi: MultChar) -> complex:

@@ -10,16 +10,18 @@ field's Gauss spectrum G rotated by a_i: with G[j] = tau(chi_{-j}), the
 transform of m -> chi_{a_i}(g^m) e(g^m/q) at j is G[j - a_i].  Three
 evaluation routes are provided:
 
-* ``kl_pointwise``   -- literal nested loops, O(q^{k-1}) per point, k <= 3;
+* ``kl_pointwise``   -- the package's one direct enumeration of the y with
+  y_1...y_k = x, O(q^{k-1}) per point, k <= 3, as numpy gathers over row
+  blocks (``bilinear.kl3_direct`` is a call to it);
 * ``kl_table_naive`` -- direct O(k q^2) circulant convolution;
 * ``kl_table_fast``  -- one inverse FFT of prod_i roll(G, a_i), O(q log q)
   per table on top of the one forward FFT per field that G costs.
 
-The fast route is the production path; the other two are oracles and share
-no transform code with G.  No sign factor is applied: the table holds the
-unsigned normalization above.  The sheaf trace function carries an extra
-(-1)^{k-1}; that constant relates the two conventions and is never applied
-silently.
+The fast route is the production path; the other two are oracles: neither
+reads G, and they share nothing but the field's character vectors.  No sign
+factor is applied: the table holds the unsigned normalization above.  The
+sheaf trace function carries an extra (-1)^{k-1}; that constant relates the
+two conventions and is never applied silently.
 
 The table index runs over residues 0..q-1 with the value at 0 fixed to 0
 (the stalk at 0 vanishes), which is the convention every downstream complete
@@ -36,12 +38,15 @@ import numpy as np
 
 from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
-from .field import PrimeField, additive_char_vector, eval_additive, eval_char, gauss_sum, MultChar
+from .field import PrimeField, additive_char_vector, gauss_sum, MultChar
 
 DELIGNE_SLACK = 1e-9
 # Rows of s per block when kmat is built: a (rows, q) int64 index block stays
 # small next to kmat itself.
 KMAT_BUILD_ROWS = 32
+# Rows of y_1 per kl_pointwise block at k = 3: its int64 and complex
+# temporaries stay near 64 * q entries each (0.5 MB at q = 1009) instead of q^2.
+POINTWISE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ class KlTable:
 
 def _factor_logs(field: PrimeField, t: CharTuple) -> list[np.ndarray]:
     """Log-reindexed factors h_i[m] = chi_i(g^m) e(g^m/q), the oracle's input."""
-    psi = additive_char_vector(field, 1)[field.exp]
+    psi = additive_char_vector(field)[field.exp]
     n = field.q - 1
     ms = np.arange(n)
     return [np.exp(2j * np.pi * ((ai * ms) % n) / n) * psi for ai in t.indices]
@@ -146,7 +151,16 @@ def kl_table_naive(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
 
 
 def kl_pointwise(field: PrimeField, t: CharTuple, x: int) -> complex:
-    """Definitional sum at a single point by literal enumeration; k <= 3 only."""
+    """Definitional sum at a single point by direct enumeration; k <= 3 only.
+
+    The free variables y_1..y_{k-1} run over F_q^x and the last one is
+    determined, y_k = x / (y_1...y_{k-1}), read from ``field.inv_table``.
+    For k = 3, y_1 runs in blocks of POINTWISE_ROWS rows against all y_2, so
+    the temporaries stay O(POINTWISE_ROWS * q).  Each nontrivial character's
+    values are gathered by residue (a trivial one costs nothing), and the
+    block partials are combined with math.fsum.  Reads neither the Gauss
+    spectrum nor the naive table's convolution.
+    """
     q = field.q
     x %= q
     if x == 0:
@@ -154,24 +168,26 @@ def kl_pointwise(field: PrimeField, t: CharTuple, x: int) -> complex:
     k = t.k
     if k > 3:
         raise PreconditionError("pointwise enumeration supported for k <= 3")
-    chars = t.chars()
-    acc = []
-    if k == 1:
-        return eval_char(chars[0], x) * eval_additive(field, 1, x)
-    if k == 2:
-        for y1 in range(1, q):
-            y2 = x * field.inv(y1) % q
-            acc.append(eval_char(chars[0], y1) * eval_char(chars[1], y2)
-                       * eval_additive(field, 1, y1 + y2))
+    psi = additive_char_vector(field)
+    chis = [(i, MultChar(field, a).values_by_residue()) for i, a in enumerate(t.indices) if a]
+    y = np.arange(1, q, dtype=np.int64)
+    if k == 3:
+        blocks = [[y[lo:lo + POINTWISE_ROWS, None], y[None, :]]
+                  for lo in range(0, q - 1, POINTWISE_ROWS)]
     else:
-        for y1 in range(1, q):
-            for y2 in range(1, q):
-                y3 = x * field.inv(y1 * y2 % q) % q
-                acc.append(eval_char(chars[0], y1) * eval_char(chars[1], y2)
-                           * eval_char(chars[2], y3)
-                           * eval_additive(field, 1, y1 + y2 + y3))
-    return (math.fsum(z.real for z in acc) + 1j * math.fsum(z.imag for z in acc)) \
-        / q ** ((k - 1) / 2)
+        blocks = [[y] * (k - 1)]
+    partials = []
+    for free in blocks:
+        prod = 1
+        for yi in free:
+            prod = prod * yi % q
+        ys = [*free, x * field.inv_table[prod] % q]
+        terms = psi[sum(ys) % q]
+        for i, chi in chis:
+            terms *= chi[ys[i]]
+        partials.append(complex(np.sum(terms)))
+    return complex(math.fsum(z.real for z in partials),
+                   math.fsum(z.imag for z in partials)) / q ** ((k - 1) / 2)
 
 
 def table_agreement(t1: KlTable, t2: KlTable) -> float:

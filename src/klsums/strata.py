@@ -64,7 +64,7 @@ from .errors import (
     PreconditionError,
     check_bytes,
 )
-from .field import PrimeField
+from .field import PrimeField, check_b
 
 
 def is_diagonal(b) -> bool:
@@ -74,10 +74,7 @@ def is_diagonal(b) -> bool:
 
 
 def _check_preconditions(field: PrimeField, k: int, b) -> tuple[np.ndarray, int]:
-    b = np.asarray(b, dtype=np.int64) % field.q
-    if b.ndim != 1 or len(b) % 2 != 0 or len(b) < 2:
-        raise PreconditionError("b must have even length 2l >= 2")
-    l = len(b) // 2
+    b, l = check_b(field, b)
     if k < 2:
         raise PreconditionError("need k >= 2")
     if (field.q - 1) % k != 0:
@@ -253,6 +250,11 @@ def stratum_scan(
         if rep.z_count >= 0:
             rep.generic = rep.z_count == generic
     return ScanResult(histogram=hist, generic=generic, reports=reports)
+
+
+def generic_z_value(field: PrimeField, k: int, l: int, seed: int, samples: int = 200) -> int:
+    """The generic |Z_b| for (q, k, l): the maximum z over a seeded scan."""
+    return stratum_scan(field, k, l, samples=samples, seed=seed).generic
 
 
 def _partitions_min_block2(items: tuple[int, ...]):

@@ -42,26 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalInstabilityError, PreconditionError, check_bytes
+from .errors import NumericalInstabilityError, check_bytes
+from .field import check_b
 from .kloosterman import KlTable
 
 SIGMA_II_AGREE_RTOL = 1e-6
 # Rows of s per kr_matrix block: the (rows, q) factor buffer and output block
 # stay in L2 (1 MB at q = 1999).
 KR_ROWS = 32
-
-
-def _check_b(table: KlTable, b) -> tuple[np.ndarray, int]:
-    raw = np.asarray(b)
-    integral = raw.dtype.kind in "iu" or (
-        raw.dtype.kind == "f" and np.all(np.isfinite(raw) & (raw == np.floor(raw)))
-    )
-    if not integral:
-        raise PreconditionError(f"b entries must be integers within int64, got {b!r}")
-    b = raw.astype(np.int64) % table.field.q
-    if b.ndim != 1 or len(b) < 2 or len(b) % 2 != 0:
-        raise PreconditionError("b must be a flat tuple of even length 2l >= 2")
-    return b, len(b) // 2
 
 
 def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
@@ -84,7 +72,7 @@ def kr_matrix(table: KlTable, b) -> np.ndarray:
     of factor i is row s of ``table.kmat`` rotated left by b_i; the rows are
     processed in blocks of KR_ROWS through one reused factor buffer.
     """
-    b, l = _check_b(table, b)
+    b, l = check_b(table.field, b)
     q = table.field.q
     # the table's kmat and the complex128 output, 16 q^2 bytes each
     check_bytes(32 * q * q, "kr_matrix", q=q)
@@ -106,7 +94,7 @@ def kr_matrix(table: KlTable, b) -> np.ndarray:
 
 def eval_KR(table: KlTable, r: int, b) -> tuple[complex, complex]:
     """(bfK(r, b), bfR(r, b)) at a single point r, in O(q)."""
-    b, l = _check_b(table, b)
+    b, l = check_b(table.field, b)
     q = table.field.q
     r %= q
     s = np.arange(1, q, dtype=np.int64)
@@ -133,7 +121,6 @@ class SumReport:
     ratio_I: float  # |sigma_I| / q
     ratio_II: float  # |sigma_II| / q^{3/2}
     sigma_II_direct: float | None = None
-    z_count: int | None = None  # stratum metadata, filled by callers that computed it
 
 
 def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport:
@@ -145,7 +132,7 @@ def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport:
     larger byte count is checked before any matrix is built, and its M is
     freed before the difference form builds its own.
     """
-    bt, l = _check_b(table, b)
+    bt, l = check_b(table.field, b)
     q = table.field.q
     d = sigma_II_direct(table, bt) if direct else None
     m = kr_matrix(table, bt)

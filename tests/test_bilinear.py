@@ -17,7 +17,7 @@ from klsums.bilinear import (
 from klsums.chartuples import CharTuple
 from klsums.errors import InternalConsistencyError, PreconditionError
 from klsums.field import MultChar, build_field, gauss_sum
-from klsums.kloosterman import kl_pointwise, kl_table_fast
+from klsums.kloosterman import kl_table_fast
 from klsums.sums import kr_matrix
 
 
@@ -268,13 +268,6 @@ def test_moment_identity_rejects_odd_xi(f13):
         moment_identity_check(f13, MultChar(f13, 1), 1)
     with pytest.raises(PreconditionError):
         moment_identity_check(f13, MultChar(f13, 0), 0)
-
-
-def test_kl3_direct_matches_pointwise(f13):
-    xi = MultChar(f13, 6)
-    t = CharTuple(f13, (0, 0, 6))
-    for x in (1, 2, 11):
-        assert kl3_direct(f13, xi, x) == pytest.approx(kl_pointwise(f13, t, x), abs=1e-10)
 
 
 # --- averaged comparisons -------------------------------------------------------

@@ -26,7 +26,9 @@ MINIMAL_ARGS = {
 }
 CSV_SUBCOMMANDS = {"kl-table", "strata-scan"}
 SEEDED_SUBCOMMANDS = {"kl-verify", "strata-scan", "bound-check", "bilinear-bench", "avg-compare"}
-THREADED_SUBCOMMANDS = {"strata-scan"}
+# k is len(--chars) wherever --chars is read
+CHARS_SUBCOMMANDS = {"char-classify", "kl-table", "kl-verify", "complete-sum", "bilinear-bench",
+                     "avg-compare", "bound-check"}
 
 
 def run_cli(argv):
@@ -41,7 +43,7 @@ def run_json(argv):
 
 
 def test_char_classify_salie():
-    code, env = run_json(["char-classify", "--q", "5", "--k", "2", "--chars", "0,2"])
+    code, env = run_json(["char-classify", "--q", "5", "--chars", "0,2"])
     assert code == 0
     assert env["status"] == "ok"
     assert env["payload"]["kummer_induced"] is True
@@ -50,7 +52,7 @@ def test_char_classify_salie():
 
 
 def test_kl_verify_ok():
-    code, env = run_json(["kl-verify", "--q", "101", "--k", "2", "--chars", "0,0"])
+    code, env = run_json(["kl-verify", "--q", "101", "--chars", "0,0"])
     assert code == 0 and env["status"] == "ok"
     assert env["payload"]["max_rel_diff"] <= 1e-9
     assert env["payload"]["fourier_max_diff"] <= 1e-9
@@ -213,8 +215,9 @@ def test_option_surface():
         assert "--out" in opts
         assert ("--format" in opts) == (name in CSV_SUBCOMMANDS), name
         assert ("--seed" in opts) == (name in SEEDED_SUBCOMMANDS), name
-        assert ("--threads" in opts) == (name in THREADED_SUBCOMMANDS), name
-    assert sum(len(_options(p)) for p in subs.values()) == 76
+        assert "--threads" not in opts, name
+        assert ("--k" in opts) == (name == "strata-scan"), name
+    assert sum(len(_options(p)) for p in subs.values()) == 67
 
 
 @pytest.mark.parametrize("name", sorted(MINIMAL_ARGS))
@@ -225,8 +228,10 @@ def test_minimal_args_run(name):
 
 UNREAD_OPTIONS = (
     [(name, ["--format", "csv"]) for name in sorted(set(MINIMAL_ARGS) - CSV_SUBCOMMANDS)]
-    + [(name, ["--threads", "2"]) for name in sorted(set(MINIMAL_ARGS) - THREADED_SUBCOMMANDS)]
+    + [(name, ["--threads", "2"]) for name in sorted(MINIMAL_ARGS)]
     + [(name, ["--seed", "1"]) for name in sorted(set(MINIMAL_ARGS) - SEEDED_SUBCOMMANDS)]
+    + [(name, ["--k", "2"]) for name in sorted(CHARS_SUBCOMMANDS)]
+    + [("complete-sum", ["--l", "1"])]
 )
 
 
@@ -329,6 +334,13 @@ def test_bad_integer_option_exit_2(argv, option, token):
     code, env = run_json(argv)
     assert code == 2 and env["status"] == "precondition-failed"
     assert env["payload"]["error"] == f"{option}: {token!r} is not an integer"
+
+
+def test_bound_check_no_chars_exit_2():
+    # k is len(--chars); k = 0 used to reach a modulo by zero
+    code, env = run_json(["bound-check", "--primes", "13,17", "--chars", ""])
+    assert code == 2 and env["status"] == "precondition-failed"
+    assert "k >= 1" in env["payload"]["error"]
 
 
 def test_bound_check_payload_keys():

@@ -109,6 +109,58 @@ def test_fast_vs_pointwise_nontrivial_chars(f13):
         assert tab.value(x) == pytest.approx(kl_pointwise(f13, t, x), abs=1e-10)
 
 
+def test_pointwise_literal_oracle_nontrivial_chars():
+    """kl_pointwise against a literal nested loop over y1*y2*y3 = x whose
+    characters come from discrete logs found by pow, no package calls."""
+    q, g, idx = 13, 2, (1, 6, 4)
+    log = {pow(g, m, q): m for m in range(q - 1)}
+
+    def chi(a, y):
+        return cmath.exp(2j * cmath.pi * a * log[y] / (q - 1))
+
+    def oracle(x):
+        acc = 0j
+        for y1 in range(1, q):
+            for y2 in range(1, q):
+                for y3 in range(1, q):
+                    if y1 * y2 * y3 % q == x:
+                        acc += (chi(idx[0], y1) * chi(idx[1], y2) * chi(idx[2], y3)
+                                * cmath.exp(2j * cmath.pi * (y1 + y2 + y3) / q))
+        return acc / q
+
+    f = build_field(q)
+    assert f.g == g
+    t = CharTuple(f, idx)
+    for x in range(1, q):
+        assert kl_pointwise(f, t, x) == pytest.approx(oracle(x), abs=1e-12), x
+
+
+def test_pointwise_matches_naive_property():
+    """kl_pointwise equals the naive table at random points, over primes
+    3 <= q <= 31, k in {1, 2, 3} and any characters."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def case(q):
+        return st.tuples(
+            st.just(q),
+            st.integers(1, 3).flatmap(lambda k: st.lists(st.integers(0, q - 2), min_size=k, max_size=k)),
+            st.integers(1, q - 1),
+        )
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31)).flatmap(case))
+    @hyp.example((3, [1, 1, 1], 2))
+    @hyp.example((31, [7, 0, 29], 30))
+    def check(c):
+        q, chars, x = c
+        f = build_field(q)
+        t = CharTuple(f, tuple(chars))
+        assert kl_pointwise(f, t, x) == pytest.approx(kl_table_naive(f, t).value(x), abs=1e-12), c
+
+    check()
+
+
 def test_scale_is_index_permutation(f101):
     t = CharTuple(f101, (0, 5))
     t1 = kl_table_fast(f101, t, 1)

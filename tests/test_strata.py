@@ -107,6 +107,20 @@ def test_preconditions():
         singular_polynomial(build_field(13), 2, (1, 2, 3))  # odd length
 
 
+def test_b_must_be_integral():
+    """The strata share the complete sums' rule for b: non-integral, NaN and
+    out-of-int64 entries are refused, not truncated; integral floats pass."""
+    f = build_field(101)
+    too_big = (np.array([2**63, 1, 2, 3], dtype=np.uint64), (2.0**63, 1.0, 2.0, 3.0))
+    for bad in ((1.7, 2.2, 3.9, 4.0), (float("nan"), 1.0, 2.0, 3.0), (2**70, 1, 2, 3), *too_big):
+        for call in (z_fiber_count, singular_polynomial):
+            with pytest.raises(PreconditionError, match="must be integers"):
+                call(f, 2, bad)
+    b = (1.0, 2.0, 3.0, 4.0)
+    assert z_fiber_count(f, 2, b) == z_fiber_count(f, 2, (1, 2, 3, 4))
+    assert np.array_equal(singular_polynomial(f, 2, b), singular_polynomial(f, 2, (1, 2, 3, 4)))
+
+
 def test_zcount_l1_is_two(f97):
     for b in [(3, 7), (0, 1), (50, 96)]:
         rep = z_fiber_count(f97, 2, b)
