@@ -30,6 +30,10 @@ from .kloosterman import KlTable, kl_pointwise
 from .sums import kr_matrix, sigma_II
 from .strata import generic_z_value, is_diagonal, z_fiber_count
 
+# Entries (keys times shifts b) per majorant block of shift_reduction_trace:
+# its int64 and complex temporaries stay near 1 MB whatever the key count.
+MAJORANT_ENTRIES = 2**14
+
 
 @dataclass
 class CoeffSeq:
@@ -218,50 +222,53 @@ def shift_reduction_trace(
 ) -> ShiftTrace:
     """Trace the +ab-shift reduction: S^{!=}, the nu-weight moments with their
     bound checks, and (optionally) the Hoelder-chain box sum of |Sigma_II|
-    compared against the three-strata bound shape with empirical counts."""
+    compared against the three-strata bound shape with empirical counts.
+
+    All on arrays: S^{!=} in difference form, sum_n |sum_m alpha_m K(mn)|^2 -
+    sum_m |alpha_m|^2 sum_n |K(mn)|^2 (imaginary part exactly 0); the keys
+    (n/a, a m1, a m2) mod q over a, n and pairs m1 != m2, grouped by one stable
+    lexsort so each nu is a bincount in loop order; the majorant over blocks
+    of MAJORANT_ENTRIES (key, b) entries.  Counts 24 bytes per M N gather
+    entry, 104 per key and 64 per block entry before it allocates.
+    """
     q = table.field.q
     if A < 1 or B < 1 or A * B > N:
         raise PreconditionError("need A, B >= 1 and A*B <= N")
-    m_plus = alpha.m_plus
-    if not (2 * A * N < q or 2 * A * m_plus < q):
+    if not (2 * A * N < q or 2 * A * alpha.m_plus < q):
         raise PreconditionError("need 2AN < q or 2AM^+ < q for the injectivity step")
     if N > q - 1:
         raise PreconditionError("need N <= q - 1")
+    M = len(alpha.support)
+    check_bytes(24 * M * N + 104 * A * N * M * (M - 1) + 64 * max(B, MAJORANT_ENTRIES),
+                "shift-reduction trace", q=q, M=M, N=N, A=A, B=B)
 
-    # S^{!=} = sum_{m1 != m2} alpha conj(alpha) sum_{n <= N} K(m1 n) conj(K(m2 n))
     ns = np.arange(1, N + 1, dtype=np.int64)
     w = table.values[(alpha.support[:, None] * ns[None, :]) % q]
-    gram = w @ w.conj().T
-    weighted = np.outer(alpha.values, np.conj(alpha.values)) * gram
-    s_neq = complex(weighted.sum() - np.trace(weighted))
-
-    # nu-weights on their sparse support
-    nu: dict[tuple[int, int, int], float] = {}
     absa = np.abs(alpha.values)
-    sup = alpha.support.tolist()
-    for a in range(A, 2 * A):
-        a_inv = pow(a % q, q - 2, q)
-        for n in range(1, N + 1):
-            r = n * a_inv % q
-            for i1, m1 in enumerate(sup):
-                s1 = a * m1 % q
-                for i2, m2 in enumerate(sup):
-                    if m1 == m2:
-                        continue
-                    key = (r, s1, a * m2 % q)
-                    nu[key] = nu.get(key, 0.0) + absa[i1] * absa[i2]
-    nu_sum = math.fsum(nu.values())
-    nu_sum_sq = math.fsum(v * v for v in nu.values())
-    identity = A * N * (alpha.l1**2 - float(np.sum(absa**2)))
-    second_ratio = nu_sum_sq / (A * N * alpha.l2**4)
+    wv = w.view(np.float64)  # |K(mn)|^2 summed over n without a temporary
+    s_neq = complex(np.sum(np.abs(alpha.values @ w) ** 2) - absa**2 @ np.einsum("mn,mn->m", wv, wv))
 
-    bs = np.arange(B, 2 * B, dtype=np.int64)
-    major_terms = []
-    for (r, s1, s2), weight in nu.items():
-        t1 = table.values[(s1 * ((r + bs) % q)) % q]
-        t2 = table.values[(s2 * ((r + bs) % q)) % q]
-        major_terms.append(weight * abs(np.sum(t1 * np.conj(t2))))
-    majorant = math.fsum(major_terms) / (A * B)
+    a = np.arange(A, 2 * A, dtype=np.int64)
+    i1, i2 = np.nonzero(~np.eye(M, dtype=bool))
+    s = a[:, None] * alpha.support % q
+    r = ns * table.field.inv_table[a][:, None] % q
+    keys = np.stack(np.broadcast_arrays(r[:, :, None], s[:, None, i1], s[:, None, i2])).reshape(3, -1)
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    first = np.diff(keys, axis=1, prepend=-1).any(axis=0)
+    weights = np.broadcast_to(absa[i1] * absa[i2], (A, N, len(i1))).ravel()
+    nu = np.bincount(np.cumsum(first) - 1, weights=weights[order])
+    r, s1, s2 = keys[:, first]
+    nu_sum_sq = math.fsum(nu * nu)
+
+    rows = max(1, MAJORANT_ENTRIES // B)
+    major = np.empty(len(nu))
+    for lo in range(0, len(nu), rows):
+        x = (r[lo:lo + rows, None] + np.arange(B, 2 * B)) % q
+        t = table.values[s1[lo:lo + rows, None] * x % q]
+        t *= np.conj(table.values[s2[lo:lo + rows, None] * x % q])
+        major[lo:lo + rows] = nu[lo:lo + rows] * np.abs(t.sum(axis=1))
+    majorant = math.fsum(major) / (A * B)
 
     trace = ShiftTrace(
         q=q,
@@ -270,12 +277,12 @@ def shift_reduction_trace(
         N=N,
         l=l,
         s_neq=s_neq,
-        nu_sum=nu_sum,
-        nu_sum_identity=identity,
+        nu_sum=math.fsum(nu),
+        nu_sum_identity=A * N * (alpha.l1**2 - float(np.sum(absa**2))),
         nu_first_bound_l1=A * N * alpha.l1**2,
-        nu_first_bound_l2=A * len(sup) * N * alpha.l2**2,
+        nu_first_bound_l2=A * M * N * alpha.l2**2,
         nu_sum_sq=nu_sum_sq,
-        nu_second_ratio=second_ratio,
+        nu_second_ratio=nu_sum_sq / (A * N * alpha.l2**4),
         majorant=majorant,
     )
     if box_sum:
@@ -284,37 +291,29 @@ def shift_reduction_trace(
 
 
 def _attach_box_sum(trace: ShiftTrace, table: KlTable, l: int, seed: int) -> None:
-    q = table.field.q
-    B = trace.B
-    k = table.k
-    total = []
-    n_diag = 0
-    n_sub = 0
-    generic = None
-    strata_ok = (q - 1) % k == 0 and q > 2 * l + k ** (2 * l - 1)
-    if strata_ok:
+    q, B, k = table.field.q, trace.B, table.k
+    try:
         generic = generic_z_value(table.field, k, l, seed)
+    except PreconditionError:  # outside the strata's rule for (k, l, q): no strata counts
+        generic = None
+    total, n_diag, n_sub = [], 0, 0
     for b in itertools.product(range(B, 2 * B), repeat=2 * l):
-        rep = sigma_II(table, np.array(b, dtype=np.int64))
-        total.append(abs(rep.sigma_II))
+        bt = np.array(b, dtype=np.int64)
+        total.append(abs(sigma_II(table, bt).sigma_II))
         if is_diagonal(b):
             n_diag += 1
-        elif strata_ok:
+        elif generic is not None:
             try:
-                z = z_fiber_count(table.field, k, np.array(b, dtype=np.int64)).z_count
+                z = z_fiber_count(table.field, k, bt).z_count
             except DegenerateFiberError:
                 z = -1
-            if z < generic:
-                n_sub += 1
+            n_sub += int(z < generic)
     trace.box_sum = math.fsum(total)
     trace.n_diag_box = n_diag
-    trace.n_subgeneric_box = n_sub if strata_ok else None
+    trace.n_subgeneric_box = None if generic is None else n_sub
     trace.generic_z = generic
-    shape = q**3 * n_diag + q**1.5 * B ** (2 * l)
-    if strata_ok:
-        shape += q**2 * n_sub
-    trace.box_shape = shape
-    trace.box_ratio = trace.box_sum / shape
+    trace.box_shape = q**3 * n_diag + q**1.5 * B ** (2 * l) + q**2 * n_sub
+    trace.box_ratio = trace.box_sum / trace.box_shape
 
 
 # ---------------------------------------------------------------------------

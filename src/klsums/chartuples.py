@@ -140,12 +140,16 @@ def check_kummer_witness(t: CharTuple, w: KummerWitness) -> bool:
 
 
 def dualizing_characters(t: CharTuple) -> list[Dualizing]:
-    """All xi with the multiset stable under a -> xi - a, tagged symmetric/alternating."""
+    """All xi with the multiset stable under a -> xi - a, tagged symmetric/alternating.
+
+    The map sends the smallest index a0 into the tuple, so only e = a0 + a can work.
+    """
     n = t.field.q - 1
     ms = Counter(t.indices)
     lam = t.lambda_index
+    a0 = min(t.indices)
     out = []
-    for e in range(n):
+    for e in sorted({(a0 + a) % n for a in ms}):
         if Counter((e - a) % n for a in t.indices) == ms:
             alternating = t.k % 2 == 0 and (e * (t.k // 2)) % n == lam
             out.append(Dualizing(e, "alternating" if alternating else "symmetric"))

@@ -155,6 +155,9 @@ def bound_ladder(
     """Run the full generic/subgeneric Sigma_I / Sigma_II ratio experiment."""
     if len(primes) < 2:
         raise PreconditionError("need at least two primes for a trend")
+    if l < 2:
+        raise PreconditionError(f"bound ladder needs l >= 2, got l={l}: at l = 1 every non-"
+                                "diagonal b has z = 2, so no non-diagonal subgeneric b exists")
     if sorted(primes) != list(primes):
         raise PreconditionError("primes must be increasing")
     chars = tuple(chars) if chars is not None else (0,) * k

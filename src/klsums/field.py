@@ -206,11 +206,6 @@ class MultChar:
     def __call__(self, x: int) -> complex:
         return eval_char(self, x)
 
-    def __mul__(self, other: "MultChar") -> "MultChar":
-        if other.field is not self.field and other.field.q != self.field.q:
-            raise PreconditionError("characters live over different fields")
-        return MultChar(self.field, self.a + other.a)
-
     def values_by_log(self) -> np.ndarray:
         """Vector chi(g^m) for m = 0..q-2."""
         n = self.field.q - 1

@@ -93,9 +93,7 @@ class KlTable:
 def _factor_logs(field: PrimeField, t: CharTuple) -> list[np.ndarray]:
     """Log-reindexed factors h_i[m] = chi_i(g^m) e(g^m/q), the oracle's input."""
     psi = additive_char_vector(field)[field.exp]
-    n = field.q - 1
-    ms = np.arange(n)
-    return [np.exp(2j * np.pi * ((ai * ms) % n) / n) * psi for ai in t.indices]
+    return [MultChar(field, ai).values_by_log() * psi for ai in t.indices]
 
 
 def _assemble(field: PrimeField, t: CharTuple, a: int, conv_log: np.ndarray) -> KlTable:

@@ -194,6 +194,94 @@ def test_shift_trace_box_sum():
     assert tr.box_ratio <= 10
 
 
+def literal_shift_trace(table, alpha, N, A, B):
+    """The harness as a literal loop: a dict of nu-weights over (a, n, m1, m2)
+    with a^{-1} by pow, one majorant term per key, and S^{!=} as the
+    off-diagonal double sum accumulated by fsum."""
+    q = table.field.q
+    K = table.values
+    sup = alpha.support.tolist()
+    absa = np.abs(alpha.values)
+    nu = {}
+    for a in range(A, 2 * A):
+        a_inv = pow(a, q - 2, q)
+        for n in range(1, N + 1):
+            for i1, m1 in enumerate(sup):
+                for i2, m2 in enumerate(sup):
+                    if i1 != i2:
+                        key = (n * a_inv % q, a * m1 % q, a * m2 % q)
+                        nu[key] = nu.get(key, 0.0) + absa[i1] * absa[i2]
+    major = []
+    for (r, s1, s2), weight in nu.items():
+        inner = sum(K[s1 * (r + b) % q] * np.conj(K[s2 * (r + b) % q]) for b in range(B, 2 * B))
+        major.append(weight * abs(inner))
+    terms = [
+        alpha.values[i1] * np.conj(alpha.values[i2]) * K[m1 * n % q] * np.conj(K[m2 * n % q])
+        for i1, m1 in enumerate(sup)
+        for i2, m2 in enumerate(sup)
+        if i1 != i2
+        for n in range(1, N + 1)
+    ]
+    s_neq = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+    return {
+        "nu_sum": math.fsum(nu.values()),
+        "nu_sum_sq": math.fsum(v * v for v in nu.values()),
+        "majorant": math.fsum(major) / (A * B),
+        "s_neq": s_neq,
+    }
+
+
+def shift_cases():
+    """Seeded (q, chars, alpha, N, A, B), real and complex alpha, plus the
+    colliding-key input."""
+    # (2,2,3,6) and (3,3,2,4) in (a, n, m1, m2) both give the key (1, 6, 12)
+    yield 101, (0, 0), CoeffSeq(np.array([2, 3, 4, 6]), np.ones(4)), 12, 2, 2
+    rng = np.random.Generator(np.random.PCG64(9))
+    for i in range(24):
+        q = (101, 199, 1009)[i % 3]
+        chars = ((0, 0), (3,), (1, 5), (0, 0, 0))[i // 3 % 4]
+        M = int(rng.integers(2, 7))
+        A = int(rng.integers(1, 4))
+        N = int(rng.integers(2, min((q - 1) // (2 * A), 30) + 1))
+        B = int(rng.integers(1, N // A + 1))
+        support = rng.choice(np.arange(1, min(q, 40)), M, replace=False)
+        values = rng.standard_normal(M)
+        if i % 2:
+            values = values + 1j * rng.standard_normal(M)
+        yield q, chars, CoeffSeq(support, values), N, A, B
+
+
+@pytest.mark.parametrize("case", list(shift_cases()), ids=lambda c: f"q{c[0]}-N{c[3]}-A{c[4]}-B{c[5]}")
+def test_shift_trace_matches_literal_loop(case):
+    q, chars, alpha, N, A, B = case
+    f = build_field(q)
+    tab = kl_table_fast(f, CharTuple(f, chars))
+    tr = shift_reduction_trace(tab, alpha, N=N, A=A, B=B, l=2)
+    want = literal_shift_trace(tab, alpha, N, A, B)
+    assert tr.nu_sum == want["nu_sum"]
+    assert tr.nu_sum_sq == want["nu_sum_sq"]
+    assert tr.majorant == pytest.approx(want["majorant"], rel=1e-12)
+    assert tr.s_neq == pytest.approx(want["s_neq"], rel=1e-12)
+    assert tr.s_neq.imag == 0.0
+
+
+def test_shift_trace_colliding_keys(tab101):
+    # distinct (a, n, m1, m2) share nu keys: the second moment exceeds the
+    # first, which it cannot when every weight is 1
+    tr = shift_reduction_trace(tab101, CoeffSeq(np.array([2, 3, 4, 6]), np.ones(4)), N=12, A=2, B=2, l=2)
+    assert (tr.nu_sum, tr.nu_sum_sq) == (288.0, 304.0)
+
+
+def test_shift_trace_box_sum_k1_skips_strata():
+    # the strata need k >= 2: a k = 1 box sum reports no strata counts
+    f = build_field(199)
+    tab = kl_table_fast(f, CharTuple(f, (3,)))
+    tr = shift_reduction_trace(tab, CoeffSeq.ones(4), N=8, A=2, B=2, l=2, box_sum=True, seed=1)
+    assert tr.n_subgeneric_box is None and tr.generic_z is None
+    assert tr.n_diag_box == 8
+    assert tr.box_shape == 199**3 * 8 + 199**1.5 * 2**4
+
+
 def test_moment_identity_small_grid():
     for q in (13, 17):
         f = build_field(q)

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from klsums import errors
-from klsums.bilinear import CoeffSeq, bilinear_form
+from klsums.bilinear import CoeffSeq, bilinear_form, shift_reduction_trace
 from klsums.chartuples import CharTuple
 from klsums.errors import ResourceLimitError
 from klsums.field import build_field
@@ -28,6 +28,11 @@ F131 = build_field(131)
 
 def resolvent_bytes(k, l):
     return 3 * 8 * 2 * l * k ** (2 * l) * (k ** (2 * l - 2) + 1)
+
+
+def shift_trace_bytes(M, N, A, B):
+    # the M x N gather, 104 bytes per nu key, one majorant block of 2^14 entries
+    return 24 * M * N + 104 * A * N * M * (M - 1) + 64 * max(B, 2**14)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,9 @@ SITES = {
                      "exhaustive stratum scan at q=13, l=1"),
     "bilinear_form": (lambda t: bilinear_form(t, CoeffSeq.ones(100), CoeffSeq.ones(150)),
                       24 * 100 * 150, f"bilinear form at q={Q}, M=100, N=150"),
+    "shift_reduction_trace": (lambda t: shift_reduction_trace(t, CoeffSeq.ones(5), N=20, A=2, B=3, l=2),
+                              shift_trace_bytes(5, 20, 2, 3),
+                              f"shift-reduction trace at q={Q}, M=5, N=20, A=2, B=3"),
 }
 
 
@@ -81,6 +89,22 @@ def test_resolvent_count_covers_measured_peak(k, l, q):
     finally:
         tracemalloc.stop()
     assert peak <= resolvent_bytes(k, l)
+
+
+@pytest.mark.parametrize("q,M,N,A,B", [(1009, 20, 60, 2, 2), (1009, 2, 500, 1, 500),
+                                        (10007, 10, 200, 2, 60)])
+def test_shift_trace_count_covers_measured_peak(q, M, N, A, B):
+    # key-bound, block-bound and mixed shapes
+    f = build_field(q)
+    t = kl_table_fast(f, CharTuple(f, (0, 0)))
+    f.inv_table  # the field's own count covers its cached tables
+    tracemalloc.start()
+    try:
+        shift_reduction_trace(t, CoeffSeq.ones(M), N=N, A=A, B=B, l=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= shift_trace_bytes(M, N, A, B)
 
 
 def test_field_count_covers_measured_peak():

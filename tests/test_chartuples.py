@@ -20,6 +20,8 @@ from klsums.errors import PreconditionError
 from klsums.field import build_field
 from klsums.serialize import jsonify
 
+from conftest import primes_up_to
+
 
 # --- literal oracle, written independently from the definition --------------
 
@@ -207,3 +209,29 @@ def test_dualizing_direct(f13):
     for idx in [(0, 0), (1, 3), (5, 2)]:
         duals = dualizing_characters(CharTuple(f13, idx))
         assert any(e == sum(idx) % 12 for e, _ in duals)
+
+
+def test_dualizing_matches_full_loop_in_order():
+    # seeded tuples for q <= 41, k <= 6; every other one forced self-dual:
+    # pairs (a, e - a), plus a middle c with e = 2c when k is odd
+    rng = np.random.Generator(np.random.PCG64(3))
+    primes = primes_up_to(41)[1:]
+    for q in primes:
+        f = build_field(q)
+        n = q - 1
+        for k in range(1, 7):
+            for i in range(12):
+                idx = [int(a) for a in rng.integers(0, n, size=k)]
+                if i % 2:
+                    c = int(rng.integers(0, n))
+                    e = 2 * c if k % 2 else int(rng.integers(0, n))
+                    half = idx[: k // 2]
+                    idx = half + [c] * (k % 2) + [(e - a) % n for a in half]
+                    assert oracle_dualizing(idx, n), idx
+                assert dualizing_characters(CharTuple(f, idx)) == oracle_dualizing(idx, n), (q, idx)
+
+
+def test_dualizing_at_large_q():
+    f = build_field(1000003)
+    assert dualizing_characters(CharTuple(f, (1, 5))) == [(6, "alternating")]
+    assert dualizing_characters(CharTuple(f, (1, 2, 3))) == [(4, "symmetric")]

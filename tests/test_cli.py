@@ -343,6 +343,12 @@ def test_bound_check_no_chars_exit_2():
     assert "k >= 1" in env["payload"]["error"]
 
 
+def test_bound_check_l1_exit_2():
+    code, env = run_json(["bound-check", "--primes", "103,151", "--chars", "0,0,0", "--l", "1"])
+    assert code == 2 and env["status"] == "precondition-failed"
+    assert "l >= 2, got l=1" in env["payload"]["error"]
+
+
 def test_bound_check_payload_keys():
     code, env = run_json(
         ["bound-check", "--primes", "13,17", "--samples", "4", "--subgeneric-samples", "2",
