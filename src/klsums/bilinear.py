@@ -27,7 +27,7 @@ from .chartuples import CharTuple
 from .errors import DegenerateFiberError, InternalConsistencyError, PreconditionError, check_bytes
 from .field import MultChar, PrimeField, gauss_sum
 from .kloosterman import KlTable, kl_pointwise
-from .sums import kr_matrix, sigma_II
+from .sums import _sweep, sigma_II
 from .strata import generic_z_value, is_diagonal, z_fiber_count
 
 # Entries (keys times shifts b) per majorant block of shift_reduction_trace:
@@ -69,12 +69,17 @@ class CoeffSeq:
         return int(self.support.max())
 
 
+def _check_support(q: int, *seqs: CoeffSeq) -> None:
+    """Every coefficient index lies in [1, q-1], as the sums over m and n assume."""
+    for seq in seqs:
+        if seq.support.min() < 1 or seq.support.max() > q - 1:
+            raise PreconditionError(f"coefficient support must lie within [1, q-1] at q={q}")
+
+
 def bilinear_form(table: KlTable, alpha: CoeffSeq, beta: CoeffSeq) -> complex:
     """B(K, alpha, beta) = sum_{m,n} alpha_m beta_n K(m n mod q)."""
     q = table.field.q
-    for seq in (alpha, beta):
-        if seq.support.min() < 1 or seq.support.max() > q - 1:
-            raise PreconditionError("coefficient support must lie within [1, q-1]")
+    _check_support(q, alpha, beta)
     M, N = len(alpha.support), len(beta.support)
     # the M x N int64 index and the complex128 gather of K at it
     check_bytes(24 * M * N, "bilinear form", q=q, M=M, N=N)
@@ -232,6 +237,7 @@ def shift_reduction_trace(
     entry, 104 per key and 64 per block entry before it allocates.
     """
     q = table.field.q
+    _check_support(q, alpha)
     if A < 1 or B < 1 or A * B > N:
         raise PreconditionError("need A, B >= 1 and A*B <= N")
     if not (2 * A * N < q or 2 * A * alpha.m_plus < q):
@@ -451,10 +457,9 @@ def averaged_comparison_full_sample(
     rhs_terms: list[float] = []
     for _ in range(count):
         b = rng.integers(0, q, size=2 * l, dtype=np.int64)
-        m = kr_matrix(table, b)[:, 1:]  # drop r = 0
-        r_vec = m.sum(axis=0)
-        lhs_terms.append(float(np.sum(np.abs(r_vec) ** 2)))
-        rhs_terms.append(float(np.sum(np.abs(m) ** 2)))
+        r_vec, k2, k2_col0 = _sweep(table, b)
+        lhs_terms.append(float(np.vdot(r_vec[1:], r_vec[1:]).real))  # drop r = 0
+        rhs_terms.append(k2 - k2_col0)
     lhs = math.fsum(lhs_terms)
     rhs = math.fsum(rhs_terms)
     gap = abs(lhs - rhs)

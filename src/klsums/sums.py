@@ -16,33 +16,38 @@ the last one by default in the rearranged difference form
 
 which costs O(q^2 l) instead of O(q^3 l).  The direct (s1 != s2) evaluation
 is kept as an oracle behind a flag; the two must agree to 1e-6 * q^{3/2}.
-Both routes count their q x q matrices against the byte budget
-(``errors.MAX_BYTES``) first: 32 q^2 bytes admit q <= 5791 for the
-difference form, 64 q^2 bytes q <= 4093 for the direct route.
 
-Every quantity is a sum over the matrix M[s-1, r] = bfK(s*r, s*b) built by
-``kr_matrix``.  Its kernel reads the table's cached kmat[s, x] = K(s*x):
-factor i of row s is row s of kmat rotated left by b_i, so a b costs 2l
-slice copies and multiplies per block of KR_ROWS rows, with no per-b
-integer arithmetic and no q x q temporaries.  ``_bfk_product`` evaluates the
-same product pointwise from the table; it serves ``eval_KR`` and is the
-oracle the kernel is tested against, bit for bit.
+Every quantity is a sum over the matrix M[s-1, r] = bfK(s*r, s*b).  Sigma_I,
+Sigma_II and ``bilinear.averaged_comparison_full_sample`` take it in one
+sweep of KR_ROWS-row blocks from ``kr_matrix(table, b, lo, hi)``, each
+reduced while in cache to the column sums bfR(r, b) and sum |bfK|^2, so M
+is never held whole.  Against the byte budget (``errors.MAX_BYTES``) the
+sweep counts the table's cached kmat, 16 q^2 bytes, plus one block, which
+admits q <= 8147; the direct route counts 64 q^2 bytes, q <= 4093.
+
+``kr_matrix`` reads kmat[s, x] = K(s*x): factor i of row s is row s of kmat
+rotated left by b_i, so a b costs 2l slice copies and multiplies per block
+of KR_ROWS rows, with no per-b integer arithmetic and no q x q temporaries.
+``_bfk_product`` evaluates the same product pointwise from the table; it
+serves ``eval_KR`` and is the oracle the kernel is tested against, bit for
+bit.
 
 Any factor K(0) contributes 0 (vanishing stalk), which the table's
 zero-entry at index 0 implements for free.
 
-Numerics: the O(q^2)-term accumulations run through numpy pairwise
-summation (absolute error well below 1e3 * q^2 * eps for these unit-scale
+Numerics: the O(q^2)-term accumulations run through numpy sums and dot
+products (absolute error well below 1e3 * q^2 * eps for these unit-scale
 terms); scalar combination steps use math.fsum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalInstabilityError, check_bytes
+from .errors import NumericalInstabilityError, PreconditionError, check_bytes
 from .field import check_b
 from .kloosterman import KlTable
 
@@ -65,31 +70,60 @@ def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
-def kr_matrix(table: KlTable, b) -> np.ndarray:
-    """Matrix M[s-1, r] = bfK(s*r, s*b) for s = 1..q-1 and r = 0..q-1.
+def kr_matrix(table: KlTable, b, lo: int = 1, hi: int | None = None) -> np.ndarray:
+    """Rows s = lo..hi-1 of the matrix M[s-1, r] = bfK(s*r, s*b), r = 0..q-1;
+    by default all of them, s = 1..q-1.
 
-    Everything else in this module reduces to sums over this matrix.  Row s
-    of factor i is row s of ``table.kmat`` rotated left by b_i; the rows are
-    processed in blocks of KR_ROWS through one reused factor buffer.
+    Row s of factor i is row s of ``table.kmat`` rotated left by b_i; the
+    rows are processed in blocks of KR_ROWS through one reused factor
+    buffer, so a row range gives the matching rows of the full matrix bit
+    for bit.
     """
     b, l = check_b(table.field, b)
     q = table.field.q
-    # the table's kmat and the complex128 output, 16 q^2 bytes each
-    check_bytes(32 * q * q, "kr_matrix", q=q)
+    hi = q if hi is None else hi
+    if not 1 <= lo < hi <= q:
+        raise PreconditionError(f"kr_matrix rows need 1 <= lo < hi <= q, got q={q}, lo={lo}, hi={hi}")
+    # kmat (q rows of 16 q bytes), the output (hi - lo rows) and one more
+    # row, so the full range counts 32 q^2; the sweep, which calls this per
+    # block, also counts the KR_ROWS-row factor buffer
+    check_bytes(16 * q * (q + hi - lo + 1), "kr_matrix", q=q)
     kmat = table.kmat
-    out = np.ones((q - 1, q), dtype=np.complex128)
-    buf = np.empty((KR_ROWS, q), dtype=np.complex128)
-    for lo in range(1, q, KR_ROWS):
-        hi = min(lo + KR_ROWS, q)
-        block = out[lo - 1:hi - 1]
-        factor = buf[:hi - lo]
+    out = np.ones((hi - lo, q), dtype=np.complex128)
+    buf = np.empty((min(KR_ROWS, hi - lo), q), dtype=np.complex128)
+    for start in range(lo, hi, KR_ROWS):
+        stop = min(start + KR_ROWS, hi)
+        block = out[start - lo:stop - lo]
+        factor = buf[:stop - start]
         for i, bi in enumerate(b):
-            factor[:, :q - bi] = kmat[lo:hi, bi:]
-            factor[:, q - bi:] = kmat[lo:hi, :bi]
+            factor[:, :q - bi] = kmat[start:stop, bi:]
+            factor[:, q - bi:] = kmat[start:stop, :bi]
             if i >= l:
                 np.conjugate(factor, out=factor)
             block *= factor
     return out
+
+
+def _sweep(table: KlTable, b) -> tuple[np.ndarray, float, float]:
+    """One pass over M in KR_ROWS-row blocks from ``kr_matrix``: the column
+    sums bfR(r, b) for r = 0..q-1, sum |bfK|^2 over all of M, and the same
+    over its r = 0 column."""
+    b, _ = check_b(table.field, b)
+    q = table.field.q
+    rows = min(KR_ROWS, q - 1)
+    # kmat (q rows of 16 q bytes), one block and its factor buffer (rows
+    # each), the bfR vector and one column-sum temporary, and 16 KiB for the
+    # small arrays
+    check_bytes(16 * q * (q + 2 * rows + 2) + 2**14, "Sigma sweep", q=q)
+    r_vec = np.zeros(q, dtype=np.complex128)
+    k2, k2_col0 = [], []
+    for lo in range(1, q, KR_ROWS):
+        block = kr_matrix(table, b, lo, min(lo + KR_ROWS, q))
+        r_vec += block.sum(axis=0)
+        k2.append(np.vdot(block, block).real)
+        k2_col0.append(np.vdot(block[:, 0], block[:, 0]).real)
+        del block  # freed before the next block is built
+    return r_vec, math.fsum(k2), math.fsum(k2_col0)
 
 
 def eval_KR(table: KlTable, r: int, b) -> tuple[complex, complex]:
@@ -104,7 +138,7 @@ def eval_KR(table: KlTable, r: int, b) -> tuple[complex, complex]:
 
 def sigma_I(table: KlTable, b) -> complex:
     """Sigma_I(K, b) = sum over r in F_q, s in F_q^x of bfK(sr, sb)."""
-    return complex(np.sum(kr_matrix(table, b)))
+    return complex(_sweep(table, b)[0].sum())
 
 
 @dataclass
@@ -130,17 +164,15 @@ def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport:
     Gram matrix of M and raises NumericalInstabilityError if the two routes
     disagree beyond 1e-6 * q^{3/2}.  The direct route runs first, so its
     larger byte count is checked before any matrix is built, and its M is
-    freed before the difference form builds its own.
+    freed before the difference form sweeps M one row block at a time.
     """
     bt, l = check_b(table.field, b)
     q = table.field.q
     d = sigma_II_direct(table, bt) if direct else None
-    m = kr_matrix(table, bt)
-    r_vec = m.sum(axis=0)
-    comp_R2 = float(np.sum(np.abs(r_vec) ** 2))
-    comp_K2 = float(np.sum(np.abs(m) ** 2))
+    r_vec, comp_K2, _ = _sweep(table, bt)
+    comp_R2 = float(np.vdot(r_vec, r_vec).real)
     s2 = comp_R2 - comp_K2
-    si = complex(m.sum())
+    si = complex(r_vec.sum())
     rep = SumReport(
         b=tuple(int(x) for x in bt),
         l=l,

@@ -265,6 +265,50 @@ def test_shift_trace_matches_literal_loop(case):
     assert tr.s_neq.imag == 0.0
 
 
+def test_shift_trace_s_neq_error_bound():
+    """On a cancelling input the difference form meets an absolute bound
+    scaled by T = sum_m |alpha_m|^2 sum_n |K(mn)|^2, not a relative one.
+
+    With u = eps/2 and A_n = sum_m |alpha_m||K(mn)| (so sum_n A_n^2 <= M T by
+    Cauchy-Schwarz), to first order in u:
+    - v = alpha @ w is a complex inner product of length M, off by at most
+      sqrt(2)(M+2) u A_n; |v|^2 adds 5u relative (abs, square), so each term
+      of the first sum is off by (2 sqrt(2)(M+2) + 5) u A_n^2, and its
+      N-term sum of nonnegative terms adds N u sum_n A_n^2;
+    - the subtracted sum has 2N + 1 roundings per row (squares and their
+      sum), 5 for |alpha_m|^2, one per product and M for the dot: all terms
+      nonnegative, (2N + M + 6) u T in all;
+    - the final subtraction adds u M T, and the literal loop's reference
+      (three complex products per term, then fsum) 10 u M T.
+    With 2 sqrt(2) < 3 the total is below (M(3M + N + 23) + 2N + 6) u T,
+    which is at most c eps T for c = (M + 2)(3M + N + 23) / 2: 136 here.
+    """
+    f = build_field(101)
+    tab = kl_table_fast(f, CharTuple(f, (3,)))
+    alpha = CoeffSeq(np.array([12, 30]), np.ones(2))
+    M, N = 2, 39
+    tr = shift_reduction_trace(tab, alpha, N=N, A=1, B=1, l=2)
+    want = literal_shift_trace(tab, alpha, N, 1, 1)["s_neq"]
+    w = tab.values[(alpha.support[:, None] * np.arange(1, N + 1)) % 101]
+    T = math.fsum(np.abs(alpha.values) ** 2 * np.sum(np.abs(w) ** 2, axis=1))
+    assert abs(tr.s_neq.real + 0.016) < 1e-3 and T == pytest.approx(78.0)  # cancels 1 : 5000
+    c = (M + 2) * (3 * M + N + 23) / 2
+    assert abs(tr.s_neq - want) <= c * np.finfo(float).eps * T
+
+
+def test_shift_trace_support_checked_like_bilinear_form(tab101):
+    # m = 0 gives K(0) = 0 and -3 = 98 mod 101 breaks 2AM^+ < q: both refused
+    # with the message bilinear_form gives
+    alpha = CoeffSeq(np.array([0, -3, 2]), np.ones(3))
+    with pytest.raises(PreconditionError, match="q=101") as trace_exc:
+        shift_reduction_trace(tab101, alpha, N=5, A=1, B=1, l=2)
+    with pytest.raises(PreconditionError) as form_exc:
+        bilinear_form(tab101, alpha, CoeffSeq.ones(5))
+    assert str(trace_exc.value) == str(form_exc.value)
+    with pytest.raises(PreconditionError, match="q=101"):
+        shift_reduction_trace(tab101, CoeffSeq(np.array([1, 101]), np.ones(2)), N=5, A=1, B=1, l=2)
+
+
 def test_shift_trace_colliding_keys(tab101):
     # distinct (a, n, m1, m2) share nu keys: the second moment exceeds the
     # first, which it cannot when every weight is 1
@@ -411,3 +455,31 @@ def test_avg_full_sample_zero_count(f13):
     tab = kl_table_fast(f13, CharTuple(f13, (0, 0)))
     rep = averaged_comparison_full_sample(tab, 2, 0)
     assert rep.lhs == rep.rhs == rep.normalized_gap == 0.0
+
+
+def parent_full_sample(table, l, count, seed=0):
+    """averaged_comparison_full_sample's lhs and rhs over the whole kr_matrix,
+    as it computed them before the row-block sweep (kept verbatim)."""
+    q = table.field.q
+    rng = np.random.Generator(np.random.PCG64(seed))
+    lhs_terms: list[float] = []
+    rhs_terms: list[float] = []
+    for _ in range(count):
+        b = rng.integers(0, q, size=2 * l, dtype=np.int64)
+        m = kr_matrix(table, b)[:, 1:]  # drop r = 0
+        r_vec = m.sum(axis=0)
+        lhs_terms.append(float(np.sum(np.abs(r_vec) ** 2)))
+        rhs_terms.append(float(np.sum(np.abs(m) ** 2)))
+    return math.fsum(lhs_terms), math.fsum(rhs_terms)
+
+
+@pytest.mark.parametrize("q,chars,l", [(13, (0, 0), 2), (31, (1, 5), 1), (101, (0, 0, 0), 2),
+                                       (101, (2, 7, 3), 3)])
+def test_avg_full_sample_matches_full_matrix(q, chars, l):
+    f = build_field(q)
+    tab = kl_table_fast(f, CharTuple(f, chars))
+    rep = averaged_comparison_full_sample(tab, l, 6, seed=q)
+    lhs, rhs = parent_full_sample(tab, l, 6, seed=q)
+    assert rep.lhs == pytest.approx(lhs, rel=1e-12)
+    assert rep.rhs == pytest.approx(rhs, rel=1e-12)
+    assert abs(rep.gap - abs(lhs - rhs)) <= 1e-12 * 6 * q**1.5

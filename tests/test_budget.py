@@ -18,7 +18,7 @@ from klsums.errors import ResourceLimitError
 from klsums.field import build_field
 from klsums.kloosterman import kl_table_fast, kl_table_naive
 from klsums.strata import singular_polynomial, stratum_scan
-from klsums.sums import kr_matrix, sigma_II, sigma_II_direct
+from klsums.sums import kr_matrix, sigma_I, sigma_II, sigma_II_direct
 
 Q = 211
 B = (1, 2, 3, 4)
@@ -28,6 +28,11 @@ F131 = build_field(131)
 
 def resolvent_bytes(k, l):
     return 3 * 8 * 2 * l * k ** (2 * l) * (k ** (2 * l - 2) + 1)
+
+
+def sweep_bytes(q):
+    # kmat, a 32-row block and its factor buffer, two length-q vectors, 16 KiB
+    return 16 * q * (q + 2 * 32 + 2) + 2**14
 
 
 def shift_trace_bytes(M, N, A, B):
@@ -50,6 +55,8 @@ SITES = {
     "sigma_II(direct=True)": (lambda t: sigma_II(t, B, direct=True), 64 * Q**2,
                               f"sigma_II_direct at q={Q}"),
     "sigma_II_direct": (lambda t: sigma_II_direct(t, B), 64 * Q**2, f"sigma_II_direct at q={Q}"),
+    "sigma_II": (lambda t: sigma_II(t, B), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
+    "sigma_I": (lambda t: sigma_I(t, B), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
     "singular_polynomial": (lambda t: singular_polynomial(F131, 5, B), resolvent_bytes(5, 2),
                             "resolvent at q=131, k=5, l=2"),
     "stratum_scan": (lambda t: stratum_scan(F13, 2, 1, exhaustive=True), 400 * 13**2,
@@ -89,6 +96,23 @@ def test_resolvent_count_covers_measured_peak(k, l, q):
     finally:
         tracemalloc.stop()
     assert peak <= resolvent_bytes(k, l)
+
+
+@pytest.mark.parametrize("q", [211, 997])
+def test_sweep_count_covers_measured_peak(q):
+    # a fresh table, so the peak includes building kmat (16 q^2 bytes); a
+    # q x q M next to it would take the peak past 32 q^2, while the sweep's
+    # blocks stay under 8 q^2 even at q = 211
+    f = build_field(q)
+    t = kl_table_fast(f, CharTuple(f, (1, 5)))
+    tracemalloc.start()
+    try:
+        sigma_II(t, (1, 2, 3, 4, 5, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sweep_bytes(q)
+    assert peak < 24 * q**2
 
 
 @pytest.mark.parametrize("q,M,N,A,B", [(1009, 20, 60, 2, 2), (1009, 2, 500, 1, 500),

@@ -287,8 +287,8 @@ def test_complete_sum_kr_budget_exit_3():
         tracemalloc.stop()
     assert code == 3 and env["status"] == "resource-limit"
     assert "q=100003" in env["payload"]["error"]
-    assert "320019200288 bytes" in env["payload"]["error"]
-    assert peak < 64 * 2**20  # kmat and M (~320 GB) were never allocated
+    assert "160115219696 bytes" in env["payload"]["error"]
+    assert peak < 64 * 2**20  # kmat (~160 GB) was never allocated
 
 
 def test_complete_sum_direct_budget_exit_3():

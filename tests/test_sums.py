@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from klsums import sums
 from klsums.chartuples import CharTuple
 from klsums.errors import MAX_BYTES, PreconditionError, ResourceLimitError
 from klsums.field import build_field
@@ -292,3 +293,74 @@ def test_kr_matrix_byte_budget():
     with pytest.raises(ResourceLimitError, match=f"q=5801 needs {need} bytes"):
         kr_matrix(table, (1, 2, 3, 4))
     assert "kmat" not in vars(table)
+
+
+def full_matrix_reductions(table, b):
+    """The reductions sigma_II made over the whole matrix before the row-block
+    sweep, kept verbatim as the sweep's oracle: (Sigma_I, Sigma_II, comp_R2,
+    comp_K2)."""
+    m = kr_matrix(table, b)
+    r_vec = m.sum(axis=0)
+    comp_R2 = float(np.sum(np.abs(r_vec) ** 2))
+    comp_K2 = float(np.sum(np.abs(m) ** 2))
+    return complex(m.sum()), comp_R2 - comp_K2, comp_R2, comp_K2
+
+
+def assert_sweep_matches_full_matrix(table, b):
+    q = table.field.q
+    want_i, want_ii, want_r2, want_k2 = full_matrix_reductions(table, b)
+    rep = sigma_II(table, b)
+    # Sigma_I can cancel to rounding noise, so its scale has a floor at q
+    assert abs(rep.sigma_I - want_i) <= 1e-12 * max(abs(want_i), q)
+    assert sigma_I(table, b) == rep.sigma_I
+    assert rep.comp_R2 == pytest.approx(want_r2, rel=1e-12)
+    assert rep.comp_K2 == pytest.approx(want_k2, rel=1e-12)
+    assert abs(rep.sigma_II - want_ii) <= 1e-12 * q**1.5
+
+
+def sweep_cases(q):
+    """k = 2 and 3 tables with trivial and complex characters, and seeded b
+    at l = 1, 2, 3 with a repeated and a zero entry among them."""
+    f = build_field(q)
+    rng = np.random.Generator(np.random.PCG64(q))
+    for chars in ((0, 0), (1, 5), (0, 0, 0), (2, 7, 3)):
+        table = kl_table_fast(f, CharTuple(f, tuple(c % (q - 1) for c in chars)))
+        bs = [rng.integers(0, q, size=2 * l) for l in (1, 2, 3)] + [(0, 3, 3, q - 1)]
+        for b in bs:
+            yield table, b
+
+
+def test_kr_matrix_row_range_is_bit_identical():
+    for q in (3, 13, 101):
+        f = build_field(q)
+        table = kl_table_fast(f, CharTuple(f, (1, q - 2)))
+        for b in ((0, 2), (1, 2, 0, q - 1)):
+            full = kr_matrix(table, b)
+            for lo, hi in ((1, q), (1, 2), (q - 1, q), (2, min(q, 40)), (q // 2, q)):
+                part = kr_matrix(table, b, lo, hi)
+                assert part.shape == (hi - lo, q)
+                assert np.array_equal(part.view(np.uint64), full[lo - 1:hi - 1].view(np.uint64))
+
+
+def test_kr_matrix_bad_row_range(tab13):
+    for lo, hi in ((0, 5), (-1, 5), (1, 14), (5, 5), (7, 5)):
+        with pytest.raises(PreconditionError, match=f"q=13, lo={lo}, hi={hi}"):
+            kr_matrix(tab13, (1, 2, 3, 4), lo, hi)
+
+
+@pytest.mark.parametrize("q", [13, 31, 97, 101])
+@pytest.mark.parametrize("rows", [1, 5, 32, 10**6])
+def test_sweep_block_size_invariance(q, rows, monkeypatch):
+    """Any KR_ROWS, from one row to more than q - 1 (one block), with a last
+    block that is not full: kr_matrix stays bit-identical to the pointwise
+    oracle and the sweep agrees with the full-matrix reductions."""
+    monkeypatch.setattr(sums, "KR_ROWS", rows)
+    for table, b in sweep_cases(q):
+        assert np.array_equal(kr_matrix(table, b), broadcast_oracle(table, b))
+        assert_sweep_matches_full_matrix(table, b)
+
+
+def test_sweep_matches_full_matrix_at_larger_q():
+    for q in (211, 499):
+        for table, b in sweep_cases(q):
+            assert_sweep_matches_full_matrix(table, b)
