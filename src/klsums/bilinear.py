@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .chartuples import CharTuple
-from .errors import DegenerateFiberError, InternalConsistencyError, PreconditionError, check_bytes
+from .errors import InternalConsistencyError, PreconditionError, check_bytes
 from .field import MultChar, PrimeField, gauss_sum
 from .kloosterman import KlTable, kl_pointwise
 from .sums import _sweep, sigma_II
@@ -302,18 +302,17 @@ def _attach_box_sum(trace: ShiftTrace, table: KlTable, l: int, seed: int) -> Non
         generic = generic_z_value(table.field, k, l, seed)
     except PreconditionError:  # outside the strata's rule for (k, l, q): no strata counts
         generic = None
-    total, n_diag, n_sub = [], 0, 0
+    total, n_diag, off_diag = [], 0, []
     for b in itertools.product(range(B, 2 * B), repeat=2 * l):
-        bt = np.array(b, dtype=np.int64)
-        total.append(abs(sigma_II(table, bt).sigma_II))
+        total.append(abs(sigma_II(table, np.array(b, dtype=np.int64)).sigma_II))
         if is_diagonal(b):
             n_diag += 1
-        elif generic is not None:
-            try:
-                z = z_fiber_count(table.field, k, bt).z_count
-            except DegenerateFiberError:
-                z = -1
-            n_sub += int(z < generic)
+        else:
+            off_diag.append(b)
+    n_sub = 0
+    if generic is not None:  # degenerate b report z = -1, which counts as subgeneric
+        off_diag = np.array(off_diag, dtype=np.int64).reshape(-1, 2 * l)
+        n_sub = sum(rep.z_count < generic for rep in z_fiber_count(table.field, k, off_diag))
     trace.box_sum = math.fsum(total)
     trace.n_diag_box = n_diag
     trace.n_subgeneric_box = None if generic is None else n_sub

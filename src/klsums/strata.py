@@ -43,16 +43,28 @@ l = 1.  Seeded scans at q = 499 attain it for over 90% of b, so it is the
 generic value there (observed, not proved).  The squarefree reduction makes
 z(b) insensitive to the k-th power multiplicity.
 
-The resolvent product and the exhaustive scan count their bytes against
-the package's byte budget (``errors.MAX_BYTES``) before they allocate: the
-first grows as k^(4l), the second as q^(2l).
+Every multi-b caller hands its b over as one (B, 2l) array.  The resolvent
+product carries a leading b axis: its state is (B, k^(2l), D), and each of
+the k^(2l-1) forms costs one gather state[:, src] and two contractions over
+the coordinate axis (the constant term and the r term), summed and reduced
+mod q once, so one numpy call per form serves every b of a chunk.  A batch
+runs in chunks of as many b as keep the chunk's counted bytes,
+24 n k^n (k^(n-2) + 1) per b with n = 2l, within RESOLVENT_CHUNK_BYTES
+(1 MiB), and at least one b: 13 b at (k,l) = (3,2), 6 at (2,3), 2 at
+(4,2), one at (5,2) and (2,4).  The polyfq finish (M^k, the hyperplane
+factor and the squarefree part) stays per b.
+
+Against the package's byte budget (``errors.MAX_BYTES``) the resolvent
+counts one chunk before it allocates, which grows as k^(4l) per b, so
+under any budget above 1 MiB a batch is admitted exactly when a single b
+is; the exhaustive scan counts 400 bytes per b, q^(2l) of them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +78,10 @@ from .errors import (
 )
 from .field import PrimeField, check_b
 
+# Counted resolvent bytes per chunk of b.  Larger chunks save little more
+# numpy overhead per b and raise a scan's peak memory.
+RESOLVENT_CHUNK_BYTES = 2**20
+
 
 def is_diagonal(b) -> bool:
     """b lies on the diagonal variety: every coordinate value repeats."""
@@ -73,16 +89,33 @@ def is_diagonal(b) -> bool:
     return all(c >= 2 for c in counts.values())
 
 
+def _resolvent_bytes(k: int, l: int) -> int:
+    # 3x the int64 gather state[src] of one b (2l x k^(2l) rows by up to
+    # k^(2l-2) + 1 r-degrees): the measured peak is 1.6-2.4x the gather for
+    # k^(2l) >= 81
+    n = 2 * l
+    return 3 * 8 * n * k**n * (k ** (n - 2) + 1)
+
+
+def _chunk_rows(k: int, l: int) -> int:
+    """b per chunk: as many as RESOLVENT_CHUNK_BYTES holds, at least one."""
+    return max(1, RESOLVENT_CHUNK_BYTES // _resolvent_bytes(k, l))
+
+
+def _chunks(b: np.ndarray, k: int, l: int):
+    rows = _chunk_rows(k, l)
+    return (b[lo:lo + rows] for lo in range(0, len(b), rows))
+
+
 def _check_preconditions(field: PrimeField, k: int, b) -> tuple[np.ndarray, int]:
-    b, l = check_b(field, b)
+    b, l = check_b(field, b, batch=True)
     if k < 2:
         raise PreconditionError("need k >= 2")
     if (field.q - 1) % k != 0:
         raise PreconditionError(f"q = {field.q} is not 1 mod k = {k}: mu_k not in F_q")
-    # 3x the int64 gather state[src] (2l x k^(2l) rows by up to k^(2l-2) + 1
-    # r-degrees): the measured peak is 1.6-2.4x the gather for k^(2l) >= 81
-    n = 2 * l
-    check_bytes(3 * 8 * n * k**n * (k ** (n - 2) + 1), "resolvent", q=field.q, k=k, l=l)
+    # the largest chunk, which every chunk's bytes stay within
+    rows = min(len(b), _chunk_rows(k, l)) if b.ndim == 2 else 1
+    check_bytes(rows * _resolvent_bytes(k, l), "resolvent", q=field.q, k=k, l=l)
     if field.q <= 2 * l + k ** (2 * l - 1):
         raise PreconditionError(
             f"q = {field.q} <= 2l + k^(2l-1) = {2 * l + k ** (2 * l - 1)}: "
@@ -91,9 +124,10 @@ def _check_preconditions(field: PrimeField, k: int, b) -> tuple[np.ndarray, int]
     return b, l
 
 
+@functools.lru_cache(maxsize=16)
 def _row_maps(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row maps of the reduced state, whose rows are the exponent tuples
-    e in [0, k)^n in C order.
+    e in [0, k)^n in C order (cached, read-only).
 
     Multiplying by x_i sends row e to e + u_i (mod k); src[i, f] is the row
     that lands on f, and wrap[i, f] marks f_i = 0, where the exponent wrapped
@@ -103,49 +137,80 @@ def _row_maps(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     stride = (k ** np.arange(n - 1, -1, -1, dtype=np.int64))[:, None]
     wrap = digits == 0
     src = np.arange(k**n, dtype=np.int64) - stride + k * stride * wrap
+    src.flags.writeable = wrap.flags.writeable = False
     return src, wrap
+
+
+def _form_terms(const: np.ndarray, lin: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_i const_i g_i + r * sum_i lin_i g_i over a gathered (B, n, k^n, D)
+    state g, unreduced: (B, k^n, D + 1)."""
+    out = np.zeros((g.shape[0], g.shape[2], g.shape[3] + 1), dtype=np.int64)
+    out[..., :-1] = np.einsum("bif,bifd->bfd", const, g)
+    out[..., 1:] += np.einsum("if,bifd->bfd", lin, g)
+    return out
+
+
+def _resolvent(field: PrimeField, k: int, b: np.ndarray) -> list[np.ndarray]:
+    """P_b = M^k for each row of a (B, 2l) chunk of reduced b."""
+    q = field.q
+    n = b.shape[1]
+    zeta = pow(field.g, (q - 1) // k, q)
+    zpow = np.array([pow(zeta, t, q) for t in range(k)], dtype=np.int64)
+    src, wrap = _row_maps(k, n)
+    wrap_b = np.where(wrap, b[:, :, None], 1)
+    sign = np.where(np.arange(n) < n // 2, 1, -1)
+    forms = np.array([(0, *ts) for ts in itertools.product(range(k), repeat=n - 1)])
+    coeffs = sign * zpow[forms] % q
+    # a coefficient sums at most 2n products below q^2; when that can pass
+    # 2^63 the state is split into 16-bit halves, as in polyfq.mul
+    split = 2 * n * (q - 1) ** 2 >= 2**63
+    state = np.zeros((len(b), k**n, 1), dtype=np.int64)
+    state[:, 0, 0] = 1
+    for c in coeffs[:, :, None]:
+        g = state.take(src, axis=1)
+        const, lin = c * wrap_b % q, c * wrap
+        if split:
+            hi = _form_terms(const, lin, g >> 16) % q
+            out = (hi * 2**16 + _form_terms(const, lin, g & 0xFFFF)) % q
+        else:
+            out = _form_terms(const, lin, g) % q
+        while out.shape[2] > 1 and not out[:, :, -1].any():
+            out = out[:, :, :-1]
+        state = out
+    if state[:, 1:].any():
+        raise InternalConsistencyError(
+            "residual x-dependence after reduction: Galois cancellation failed"
+        )
+    polys = []
+    for row in state[:, 0]:
+        m = p = polyfq.trim(row)
+        for _ in range(k - 1):
+            p = polyfq.mul(p, m, q)
+        polys.append(p)
+    return polys
 
 
 def singular_polynomial(field: PrimeField, k: int, b) -> np.ndarray:
     """P_b as coefficients over F_q (ascending degree; empty array if P_b = 0).
 
-    Computes M over the k^(2l-1) forms with zeta_1 = 1 and returns M^k.
-    Each form costs one gather of the (k^(2l), D) state: the term for x_i
-    is c_i * state[src_i], times 1 or, on a wrapped row, (b_i + r).  Every
-    product of two residues is reduced mod q before it is summed, so int64
-    stays exact for every q < 2^31.  After each form the r-degree axis is
-    trimmed to the current degree.
+    b is one 2l-tuple, or a (B, 2l) array of them; then the result is a
+    (B, D) array whose row j, trimmed of trailing zeros, is P_b for row j
+    of b.  Computes M over the k^(2l-1) forms with zeta_1 = 1 and returns
+    M^k.  Each form costs one gather of the (B, k^(2l), D) state per chunk:
+    the term for x_i is c_i * state[:, src_i], times 1 or, on a wrapped row,
+    (b_i + r).  The 2n products that make up a coefficient are summed, then
+    reduced mod q once; int64 stays exact for every q < 2^31 (16-bit halves
+    past 2n (q-1)^2 >= 2^63).  After each form the r-degree axis is trimmed
+    to the chunk's largest degree.
     """
     b, l = _check_preconditions(field, k, b)
-    q = field.q
-    zeta = pow(field.g, (q - 1) // k, q)
-    zpow = [pow(zeta, t, q) for t in range(k)]
-    n = 2 * l
-    src, wrap = _row_maps(k, n)
-    wrap_b = np.where(wrap, b[:, None], 1)
-    sign = np.where(np.arange(n) < l, 1, -1)
-    forms = np.array([(0, *ts) for ts in itertools.product(range(k), repeat=n - 1)])
-    coeffs = sign * np.array(zpow, dtype=np.int64)[forms] % q
-    state = np.zeros((k**n, 1), dtype=np.int64)
-    state[0, 0] = 1
-    for c in coeffs[:, :, None]:
-        g = state[src]
-        out = np.zeros((k**n, state.shape[1] + 1), dtype=np.int64)
-        out[:, :-1] = ((c * wrap_b % q)[..., None] * g % q).sum(axis=0)
-        out[:, 1:] += ((c * wrap)[..., None] * g % q).sum(axis=0)
-        out %= q
-        while out.shape[1] > 1 and not out[:, -1].any():
-            out = out[:, :-1]
-        state = out
-    m = polyfq.trim(state[0])
-    if state[1:].any():
-        raise InternalConsistencyError(
-            "residual x-dependence after reduction: Galois cancellation failed"
-        )
-    p = m
-    for _ in range(k - 1):
-        p = polyfq.mul(p, m, q)
-    return p
+    if b.ndim == 1:
+        return _resolvent(field, k, b[None])[0]
+    polys = [p for chunk in _chunks(b, k, l) for p in _resolvent(field, k, chunk)]
+    out = np.zeros((len(polys), max(map(len, polys), default=0)), dtype=np.int64)
+    for row, p in zip(out, polys):
+        row[:len(p)] = p
+    return out
 
 
 @dataclass
@@ -160,32 +225,45 @@ class StratumReport:
         return [*self.b, self.deg_P, self.z_count, self.generic]
 
 
-def z_fiber_count(field: PrimeField, k: int, b) -> StratumReport:
-    """Distinct geometric points of Z_b = {P_b = 0} union {r = -b_i}."""
-    bt, l = _check_preconditions(field, k, b)
+def _report(field: PrimeField, l: int, b: np.ndarray, p: np.ndarray) -> StratumReport:
+    """The report for one reduced b from its P_b; deg_P = z_count = -1 when
+    P_b = 0."""
     q = field.q
-    p = singular_polynomial(field, k, bt)
-    diag = is_diagonal(bt)
+    bt = tuple(int(x) for x in b)
     if len(p) == 0:
-        raise DegenerateFiberError(
-            f"P_b vanishes identically at b = {tuple(int(x) for x in bt)}"
-            + (" (b is diagonal)" if diag else "")
-        )
+        return StratumReport(b=bt, on_diagonal=is_diagonal(bt), deg_P=-1, z_count=-1)
     hyper = np.ones(1, dtype=np.int64)
     for bi in bt:
-        hyper = polyfq.mul(hyper, np.array([bi % q, 1], dtype=np.int64), q)
+        hyper = polyfq.mul(hyper, np.array([bi, 1], dtype=np.int64), q)
     full = polyfq.mul(p, hyper, q)
     sf = polyfq.squarefree_part(full, q)
     z = polyfq.deg(sf)
-    n_hyper = len({int(-bi) % q for bi in bt})
+    n_hyper = len({-bi % q for bi in bt})
     if not n_hyper <= z <= polyfq.deg(p) + 2 * l:
         raise InternalConsistencyError(f"z_count {z} outside [{n_hyper}, {polyfq.deg(p) + 2 * l}]")
-    return StratumReport(
-        b=tuple(int(x) for x in bt),
-        on_diagonal=diag,
-        deg_P=polyfq.deg(p),
-        z_count=z,
-    )
+    return StratumReport(b=bt, on_diagonal=is_diagonal(bt), deg_P=polyfq.deg(p), z_count=z)
+
+
+def z_fiber_count(field: PrimeField, k: int, b) -> StratumReport | list[StratumReport]:
+    """Distinct geometric points of Z_b = {P_b = 0} union {r = -b_i}.
+
+    For one b, its report; DegenerateFiberError when P_b = 0.  For a
+    (B, 2l) array, one report per row in order, with deg_P = z_count = -1
+    on the degenerate rows; the rows reach ``singular_polynomial`` one
+    chunk per call.
+    """
+    bt, l = _check_preconditions(field, k, b)
+    if bt.ndim == 2:
+        return [_report(field, l, row, polyfq.trim(p))
+                for chunk in _chunks(bt, k, l)
+                for row, p in zip(chunk, singular_polynomial(field, k, chunk))]
+    rep = _report(field, l, bt, singular_polynomial(field, k, bt))
+    if rep.z_count < 0:
+        raise DegenerateFiberError(
+            f"P_b vanishes identically at b = {rep.b}"
+            + (" (b is diagonal)" if rep.on_diagonal else "")
+        )
+    return rep
 
 
 @dataclass
@@ -197,18 +275,6 @@ class ScanResult:
     def generic_fraction(self) -> float:
         total = sum(self.histogram.values())
         return self.histogram.get(self.generic, 0) / total if total else 0.0
-
-
-def _scan_one(field: PrimeField, k: int, b) -> StratumReport:
-    try:
-        return z_fiber_count(field, k, b)
-    except DegenerateFiberError:
-        return StratumReport(
-            b=tuple(int(x) for x in np.asarray(b) % field.q),
-            on_diagonal=is_diagonal(np.asarray(b) % field.q),
-            deg_P=-1,
-            z_count=-1,
-        )
 
 
 def stratum_scan(
@@ -223,25 +289,27 @@ def stratum_scan(
     """Histogram of z_count over b, exhaustive or seeded-random (PCG64(seed)).
 
     Degenerate fibers (P_b = 0) land in the -1 bucket and never define the
-    generic value.  Results are independent of thread count: the b list is
-    fixed up front and reports are merged in list order.
+    generic value.  All b go to ``z_fiber_count`` as one (B, 2l) array, so
+    reports come in b order.  ``threads`` has no effect (the batch replaced
+    the thread pool, which the GIL made slower than one thread); it must be
+    at least 1.
     """
-    q = field.q
+    if threads < 1:
+        raise PreconditionError(f"threads must be >= 1, got {threads}")
+    if l < 1:
+        raise PreconditionError(f"need l >= 1, got {l}")
+    q, n = field.q, 2 * l
     if exhaustive:
-        # each of the q^(2l) b holds an int64 array and a report: 314-346 bytes
-        # per b measured at l = 1, 2
-        check_bytes(400 * q ** (2 * l), "exhaustive stratum scan", q=q, l=l)
-        bs = [np.array(t, dtype=np.int64) for t in itertools.product(range(q), repeat=2 * l)]
+        # the q^(2l) x 2l b array and one report per b: 220-275 bytes per b
+        # measured at l = 1, 2
+        check_bytes(400 * q**n, "exhaustive stratum scan", q=q, l=l)
+        bs = np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
     else:
         if not samples or samples < 1:
             raise PreconditionError("random scan needs samples >= 1")
         rng = np.random.Generator(np.random.PCG64(seed))
-        bs = list(rng.integers(0, q, size=(samples, 2 * l), dtype=np.int64))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda b: _scan_one(field, k, b), bs))
-    else:
-        reports = [_scan_one(field, k, b) for b in bs]
+        bs = rng.integers(0, q, size=(samples, n), dtype=np.int64)
+    reports = z_fiber_count(field, k, bs)
     hist: dict[int, int] = {}
     for rep in reports:
         hist[rep.z_count] = hist.get(rep.z_count, 0) + 1

@@ -84,13 +84,13 @@ def kr_matrix(table: KlTable, b, lo: int = 1, hi: int | None = None) -> np.ndarr
     hi = q if hi is None else hi
     if not 1 <= lo < hi <= q:
         raise PreconditionError(f"kr_matrix rows need 1 <= lo < hi <= q, got q={q}, lo={lo}, hi={hi}")
-    # kmat (q rows of 16 q bytes), the output (hi - lo rows) and one more
-    # row, so the full range counts 32 q^2; the sweep, which calls this per
-    # block, also counts the KR_ROWS-row factor buffer
-    check_bytes(16 * q * (q + hi - lo + 1), "kr_matrix", q=q)
+    rows = min(KR_ROWS, hi - lo)
+    # kmat (q rows of 16 q bytes), the output (hi - lo rows), one more row
+    # and the factor buffer (rows), so the full range counts 32 q^2 + 512 q
+    check_bytes(16 * q * (q + hi - lo + 1 + rows), "kr_matrix", q=q)
     kmat = table.kmat
     out = np.ones((hi - lo, q), dtype=np.complex128)
-    buf = np.empty((min(KR_ROWS, hi - lo), q), dtype=np.complex128)
+    buf = np.empty((rows, q), dtype=np.complex128)
     for start in range(lo, hi, KR_ROWS):
         stop = min(start + KR_ROWS, hi)
         block = out[start - lo:stop - lo]

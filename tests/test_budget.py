@@ -9,9 +9,10 @@ move every site's limit.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from klsums import errors
+from klsums import errors, strata
 from klsums.bilinear import CoeffSeq, bilinear_form, shift_reduction_trace
 from klsums.chartuples import CharTuple
 from klsums.errors import ResourceLimitError
@@ -28,6 +29,11 @@ F131 = build_field(131)
 
 def resolvent_bytes(k, l):
     return 3 * 8 * 2 * l * k ** (2 * l) * (k ** (2 * l - 2) + 1)
+
+
+def kr_matrix_bytes(q):
+    # kmat, the (q - 1)-row output, one more row and the 32-row factor buffer
+    return 16 * q * (2 * q + 32)
 
 
 def sweep_bytes(q):
@@ -51,7 +57,7 @@ SITES = {
     "build_field": (lambda t: build_field(100003), 56 * 100003 + 2**14, "field at q=100003"),
     "kl_table_naive": (lambda t: kl_table_naive(t.field, t.tuple), 40 * (Q - 1) ** 2,
                        f"naive Kl table at q={Q}"),
-    "kr_matrix": (lambda t: kr_matrix(t, B), 32 * Q**2, f"kr_matrix at q={Q}"),
+    "kr_matrix": (lambda t: kr_matrix(t, B), kr_matrix_bytes(Q), f"kr_matrix at q={Q}"),
     "sigma_II(direct=True)": (lambda t: sigma_II(t, B, direct=True), 64 * Q**2,
                               f"sigma_II_direct at q={Q}"),
     "sigma_II_direct": (lambda t: sigma_II_direct(t, B), 64 * Q**2, f"sigma_II_direct at q={Q}"),
@@ -59,6 +65,8 @@ SITES = {
     "sigma_I": (lambda t: sigma_I(t, B), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
     "singular_polynomial": (lambda t: singular_polynomial(F131, 5, B), resolvent_bytes(5, 2),
                             "resolvent at q=131, k=5, l=2"),
+    "singular_polynomial(batch)": (lambda t: singular_polynomial(F13, 2, [B] * 5),
+                                   5 * resolvent_bytes(2, 2), "resolvent at q=13, k=2, l=2"),
     "stratum_scan": (lambda t: stratum_scan(F13, 2, 1, exhaustive=True), 400 * 13**2,
                      "exhaustive stratum scan at q=13, l=1"),
     "bilinear_form": (lambda t: bilinear_form(t, CoeffSeq.ones(100), CoeffSeq.ones(150)),
@@ -96,6 +104,36 @@ def test_resolvent_count_covers_measured_peak(k, l, q):
     finally:
         tracemalloc.stop()
     assert peak <= resolvent_bytes(k, l)
+
+
+@pytest.mark.parametrize("k,l,q", [(2, 2, 97), (3, 2, 499), (2, 3, 499), (4, 2, 509)])
+def test_resolvent_chunk_count_covers_measured_peak(k, l, q):
+    # one full chunk of b: the count is per chunk, whatever the batch size
+    f = build_field(q)
+    rows = max(1, strata.RESOLVENT_CHUNK_BYTES // resolvent_bytes(k, l))
+    bs = np.random.Generator(np.random.PCG64(1)).integers(0, q, size=(rows, 2 * l))
+    singular_polynomial(f, k, bs[:1])  # the cached row maps
+    tracemalloc.start()
+    try:
+        singular_polynomial(f, k, bs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows * resolvent_bytes(k, l)
+
+
+@pytest.mark.parametrize("q", [211, 499])
+def test_kr_matrix_count_covers_measured_peak(q):
+    # a fresh table, so the peak includes building kmat
+    f = build_field(q)
+    t = kl_table_fast(f, CharTuple(f, (1, 5)))
+    tracemalloc.start()
+    try:
+        kr_matrix(t, (1, 2, 3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kr_matrix_bytes(q)
 
 
 @pytest.mark.parametrize("q", [211, 997])

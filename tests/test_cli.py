@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -390,3 +391,13 @@ def test_bilinear_bench_payload_keys():
     assert p["ratio_trivial"] == pytest.approx(p["computed"] / p["trivial_bound"])
     assert p["ratio_theorem"] == pytest.approx(p["computed"] / p["theorem_bound"])
     assert p["in_range"] is (p["cond_interval"] or bool(p["cond_mplus"]))
+
+
+def test_strata_scan_csv_pinned():
+    """The seeded (3,2) scan CSV at q = 499, byte for byte as the one-b-at-a-time
+    resolvent wrote it (sha256 taken before the b axis was added)."""
+    code, text = run_cli(["strata-scan", "--q", "499", "--k", "3", "--l", "2",
+                          "--samples", "200", "--seed", "7"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "46d00b093e63e1eb2d719646628116eb0aaf77b07f835bc1eb08dbb684d26884")

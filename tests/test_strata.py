@@ -11,12 +11,13 @@ the quotient ring or pick a root of unity.
 """
 
 import itertools
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from klsums import polyfq
+from klsums import polyfq, strata
 from klsums.errors import (
     DegenerateFiberError,
     PreconditionError,
@@ -259,6 +260,156 @@ def test_resultant_oracle_zcount():
                 assert z < true_z, (k, l, b)
 
 
+# --- the b axis ---------------------------------------------------------------
+
+# (k, l, q, diagonal b, degenerate b): at k = 2 the diagonal b is degenerate;
+# at k >= 3 only cross pairs (b_1..b_l a permutation of b_{l+1}..b_2l) are
+BATCH_SHAPES = [
+    (2, 2, 97, (5, 5, 9, 9), (3, 8, 8, 3)),
+    (3, 2, 499, (5, 5, 9, 9), (5, 9, 9, 5)),
+    (2, 3, 97, (1, 1, 2, 2, 3, 3), (1, 2, 3, 3, 1, 2)),
+    (5, 2, 131, (7, 7, 4, 4), (7, 4, 7, 4)),
+]
+
+
+def batch_of(k, l, q, diagonal, degenerate, size):
+    rng = np.random.Generator(np.random.PCG64([k, l, q]))
+    rows = list(rng.integers(0, q, size=(size, 2 * l)))
+    rows[1:1] = [diagonal, degenerate]
+    return np.array(rows, dtype=np.int64)
+
+
+def single_report(f, k, b):
+    try:
+        return z_fiber_count(f, k, b)
+    except DegenerateFiberError:
+        return strata.StratumReport(b=tuple(int(x) for x in b), on_diagonal=is_diagonal(b),
+                                    deg_P=-1, z_count=-1)
+
+
+@pytest.mark.parametrize("k,l,q,diagonal,degenerate", BATCH_SHAPES)
+def test_batched_singular_polynomial_rows_match_single(k, l, q, diagonal, degenerate):
+    f = build_field(q)
+    bs = batch_of(k, l, q, diagonal, degenerate, 3 if k == 5 else 16)
+    got = singular_polynomial(f, k, bs)
+    assert got.dtype == np.int64 and got.shape[0] == len(bs)
+    for row, b in zip(got, bs):
+        assert np.array_equal(polyfq.trim(row), singular_polynomial(f, k, b)), b
+    assert not got[2].any()  # the degenerate row
+    assert got.shape[1] == max(len(singular_polynomial(f, k, b)) for b in bs)
+
+
+@pytest.mark.parametrize("k,l,q,diagonal,degenerate", BATCH_SHAPES)
+def test_batched_z_fiber_count_matches_single(k, l, q, diagonal, degenerate):
+    f = build_field(q)
+    bs = batch_of(k, l, q, diagonal, degenerate, 3 if k == 5 else 16)
+    reports = z_fiber_count(f, k, bs)
+    assert reports == [single_report(f, k, b) for b in bs]
+    assert (reports[2].deg_P, reports[2].z_count) == (-1, -1)
+    assert (reports[1].z_count == -1) == (k == 2)
+    assert z_fiber_count(f, k, bs[:0]) == []
+
+
+def test_single_b_degenerate_message_unchanged(f97):
+    with pytest.raises(DegenerateFiberError) as exc:
+        z_fiber_count(f97, 2, (5, 5, 9, 9))
+    assert str(exc.value) == "P_b vanishes identically at b = (5, 5, 9, 9) (b is diagonal)"
+    with pytest.raises(DegenerateFiberError) as exc:
+        z_fiber_count(f97, 2, (3, 8, 8, 100))
+    assert str(exc.value) == "P_b vanishes identically at b = (3, 8, 8, 3) (b is diagonal)"
+
+
+def test_batch_shape_rule(f97):
+    for bad in (np.zeros((3, 3), dtype=np.int64), np.zeros((2, 2, 2), dtype=np.int64)):
+        for call in (z_fiber_count, singular_polynomial):
+            with pytest.raises(PreconditionError, match="even length 2l >= 2, or a"):
+                call(f97, 2, bad)
+    with pytest.raises(PreconditionError, match="must be integers"):
+        z_fiber_count(f97, 2, np.full((2, 4), 1.5))
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 2**40])
+def test_scan_chunk_invariance(chunk_bytes, monkeypatch):
+    """One b per chunk, and one chunk for the whole scan, give the scan the
+    default chunks give, through one singular_polynomial call per chunk."""
+    f = build_field(499)
+    want = [stratum_scan(f, k, l, samples=30, seed=9) for k, l in ((3, 2), (2, 3))]
+    calls = []
+
+    def counted(field, k, b):
+        calls.append(len(b))
+        return singular_polynomial(field, k, b)
+
+    monkeypatch.setattr(strata, "RESOLVENT_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(strata, "singular_polynomial", counted)
+    for (k, l), res in zip(((3, 2), (2, 3)), want):
+        calls.clear()
+        got = stratum_scan(f, k, l, samples=30, seed=9)
+        assert got == res
+        assert calls == ([1] * 30 if chunk_bytes == 1 else [30])
+
+
+def test_resolvent_exact_at_largest_admitted_q():
+    """At q = 2^31 - 1 a coefficient's 2n products pass 2^63, so the state
+    goes through 16-bit halves; P_b and z(b) still match iterated resultants.
+    The stub field carries only q and its primitive root 7, which is all the
+    resolvent reads."""
+    pytest.importorskip("sympy")
+    q = 2**31 - 1
+    f = types.SimpleNamespace(q=q, g=7)
+    cases = [(2, 1, (q - 1, 3)), (2, 2, (q - 1, q - 2, 12345, 2**30 + 7)),
+             (3, 2, (q - 3, 5, q - 99, 77))]
+    for k, l, b in cases:
+        assert 2 * 2 * l * (q - 1) ** 2 >= 2**63
+        z, res = resultant_poly(b, k, q)
+        got = singular_polynomial(f, k, b)
+        assert any(np.array_equal(got, s * res % q) for s in (1, -1)), (k, b)
+        assert z_fiber_count(f, k, b).z_count == z
+        batch = np.array([b, b[::-1]], dtype=np.int64)
+        assert np.array_equal(polyfq.trim(singular_polynomial(f, k, batch)[0]), got)
+        assert z_fiber_count(f, k, batch)[0] == z_fiber_count(f, k, b)
+
+
+def test_batch_matches_single_near_headroom_bound():
+    """Batched singular_polynomial and z_fiber_count against single-b calls
+    at the smallest primes past the separability bound 2l + k^(2l-1), on
+    batches mixing random, diagonal and cross-paired (degenerate) b."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    primes = primes_up_to(200)
+
+    def shape(kl):
+        k, l = kl
+        admitted = [p for p in primes if p > 2 * l + k ** (2 * l - 1) and (p - 1) % k == 0][:3]
+        row = st.lists(st.integers(0, 10_000), min_size=2 * l, max_size=2 * l)
+        kind = st.sampled_from(("random", "diagonal", "cross"))
+        rows = st.lists(st.tuples(row, kind), min_size=1, max_size=6)
+        return st.tuples(st.just(k), st.just(l), st.sampled_from(admitted), rows)
+
+    @hyp.settings(max_examples=30, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(((2, 1), (2, 2), (3, 2), (2, 3))).flatmap(shape))
+    @hyp.example((2, 2, 13, [([1, 2, 3, 4], "random"), ([5, 9, 0, 0], "diagonal")]))
+    @hyp.example((3, 2, 37, [([1, 2, 3, 4], "cross"), ([5, 9, 0, 0], "random")]))
+    def check(case):
+        k, l, q, rows = case
+        bs = []
+        for raw, kind in rows:
+            b = [v % q for v in raw]
+            if kind == "diagonal":  # b_1 = b_2, b_3 = b_4, ...
+                b = [b[i // 2 * 2] for i in range(2 * l)]
+            elif kind == "cross":  # the second half permutes the first
+                b = b[:l] + b[:l][::-1]
+            bs.append(b)
+        bs = np.array(bs, dtype=np.int64)
+        f = build_field(q)
+        polys = singular_polynomial(f, k, bs)
+        for row, b in zip(polys, bs):
+            assert np.array_equal(polyfq.trim(row), singular_polynomial(f, k, b)), (q, b)
+        assert z_fiber_count(f, k, bs) == [single_report(f, k, b) for b in bs], q
+
+    check()
+
+
 LARGER_GENERIC = [(4, 2, 509, 11), (5, 2, 521, 20), (2, 4, 499, 37)]
 
 
@@ -328,6 +479,17 @@ def test_scan_exhaustive_small():
 def test_scan_resource_bound(f101):
     with pytest.raises(ResourceLimitError):
         stratum_scan(f101, 2, 2, exhaustive=True)
+
+
+def test_scan_threads_must_be_positive(f97):
+    with pytest.raises(PreconditionError, match="threads must be >= 1, got 0"):
+        stratum_scan(f97, 2, 2, samples=4, threads=0)
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_scan_needs_positive_l(f13, exhaustive):
+    with pytest.raises(PreconditionError, match="need l >= 1, got 0"):
+        stratum_scan(f13, 2, 0, samples=4, exhaustive=exhaustive)
 
 
 def test_scan_generic_flags(f97):

@@ -284,13 +284,16 @@ def test_kr_matrix_no_q2_temporaries():
 
 
 def test_kr_matrix_byte_budget():
-    # 5801 is the first prime past the bound; the largest q the tests and the
+    # kmat, the output, one more row and the 32-row factor buffer: 5791 is
+    # the first prime past the bound; the largest q the tests and the
     # benchmark use (1999) stays far inside it
-    assert 32 * 1999**2 <= MAX_BYTES < 32 * 5801**2
-    f = build_field(5801)
+    def need(q):
+        return 16 * q * (2 * q + 32)
+
+    assert need(1999) <= need(5783) <= MAX_BYTES < need(5791)
+    f = build_field(5791)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
-    need = 32 * 5801**2
-    with pytest.raises(ResourceLimitError, match=f"q=5801 needs {need} bytes"):
+    with pytest.raises(ResourceLimitError, match=f"q=5791 needs {need(5791)} bytes"):
         kr_matrix(table, (1, 2, 3, 4))
     assert "kmat" not in vars(table)
 
