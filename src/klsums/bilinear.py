@@ -57,7 +57,9 @@ class CoeffSeq:
 
     @classmethod
     def ones(cls, n: int) -> "CoeffSeq":
-        return cls(np.arange(1, n + 1), np.ones(n))
+        """Unit coefficients on 1..n, empty for n < 1."""
+        support = np.arange(1, n + 1)
+        return cls(support, np.ones(len(support)))
 
     @classmethod
     def indicator(cls, indices) -> "CoeffSeq":
@@ -69,9 +71,12 @@ class CoeffSeq:
         return int(self.support.max())
 
 
-def _check_support(q: int, *seqs: CoeffSeq) -> None:
-    """Every coefficient index lies in [1, q-1], as the sums over m and n assume."""
-    for seq in seqs:
+def _check_support(q: int, **seqs: CoeffSeq) -> None:
+    """Each sequence is nonempty and every coefficient index lies in [1, q-1],
+    as the sums over m and n assume."""
+    for name, seq in seqs.items():
+        if len(seq.support) == 0:
+            raise PreconditionError(f"coefficient sequence {name} is empty")
         if seq.support.min() < 1 or seq.support.max() > q - 1:
             raise PreconditionError(f"coefficient support must lie within [1, q-1] at q={q}")
 
@@ -79,7 +84,7 @@ def _check_support(q: int, *seqs: CoeffSeq) -> None:
 def bilinear_form(table: KlTable, alpha: CoeffSeq, beta: CoeffSeq) -> complex:
     """B(K, alpha, beta) = sum_{m,n} alpha_m beta_n K(m n mod q)."""
     q = table.field.q
-    _check_support(q, alpha, beta)
+    _check_support(q, alpha=alpha, beta=beta)
     M, N = len(alpha.support), len(beta.support)
     # the M x N int64 index and the complex128 gather of K at it
     check_bytes(24 * M * N, "bilinear form", q=q, M=M, N=N)
@@ -237,7 +242,7 @@ def shift_reduction_trace(
     entry, 104 per key and 64 per block entry before it allocates.
     """
     q = table.field.q
-    _check_support(q, alpha)
+    _check_support(q, alpha=alpha)
     if A < 1 or B < 1 or A * B > N:
         raise PreconditionError("need A, B >= 1 and A*B <= N")
     if not (2 * A * N < q or 2 * A * alpha.m_plus < q):

@@ -224,8 +224,9 @@ def _cmd_bilinear_bench(args) -> dict:
     table = kl_table_fast(f, t, args.scale)
     if args.random_coeffs:
         rng = np.random.Generator(np.random.PCG64(args.seed))
-        alpha = CoeffSeq(np.arange(1, args.M + 1), rng.standard_normal(args.M))
-        beta = CoeffSeq(np.arange(1, args.N + 1), rng.standard_normal(args.N))
+        # empty for M or N < 1, which bilinear_form refuses
+        alpha = CoeffSeq(np.arange(1, args.M + 1), rng.standard_normal(max(args.M, 0)))
+        beta = CoeffSeq(np.arange(1, args.N + 1), rng.standard_normal(max(args.N, 0)))
     else:
         alpha, beta = CoeffSeq.ones(args.M), CoeffSeq.ones(args.N)
     val = bilinear_form(table, alpha, beta)

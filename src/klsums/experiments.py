@@ -13,7 +13,9 @@ separately and held against the weaker middle-stratum bounds
 |Sigma_II| <= 10 q^2 and |Sigma_I| <= 10 q^{3/2}.
 
 Sampling is deterministic: each prime uses PCG64 seeded with
-(seed, q, k, l).
+(seed, q, k, l).  The samplers draw in rounds and read z for each round's
+admitted b from one batched ``z_fiber_count`` call; they keep the b, the
+order and the generator state of a one-draw-at-a-time rejection loop.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .chartuples import CharTuple
-from .errors import DegenerateFiberError, PreconditionError
+from .errors import PreconditionError
 from .field import PrimeField, build_field
 from .kloosterman import kl_table_fast
 from .serialize import jsonify
@@ -39,23 +41,25 @@ def _rng_for(seed: int, q: int, k: int, l: int) -> np.random.Generator:
 
 
 def _sample_b(field, k, l, count, rng, admit, accept, failure: str) -> list[np.ndarray]:
-    """Rejection loop shared by the samplers: one draw of 2l residues per
-    attempt, kept when admit(b) (which may edit b in place) and then
-    accept(z_count) hold; degenerate b are rejected."""
+    """Rejection sampling shared by the samplers, in rounds.  A round draws
+    as many b of 2l residues as are still missing, keeps those for which
+    admit(b) holds (it may edit b in place), and sends them to
+    ``z_fiber_count`` as one array; a b is kept, in draw order, when it is
+    not degenerate and accept(z_count) holds.  Each draw adds at most one b,
+    so the rounds make exactly the draws of a one-at-a-time loop, up to
+    100 count + 1000 of them."""
     out: list[np.ndarray] = []
-    attempts = 0
+    cap, attempts = 100 * count + 1000, 0
     while len(out) < count:
-        attempts += 1
-        if attempts > 100 * count + 1000:
+        n = min(count - len(out), cap - attempts)
+        if n == 0:
             raise PreconditionError(failure)
-        b = rng.integers(0, field.q, size=2 * l, dtype=np.int64)
-        if not admit(b):
-            continue
-        try:
-            if accept(z_fiber_count(field, k, b).z_count):
-                out.append(b)
-        except DegenerateFiberError:
-            continue
+        attempts += n
+        drawn = [rng.integers(0, field.q, size=2 * l, dtype=np.int64) for _ in range(n)]
+        admitted = [b for b in drawn if admit(b)]
+        if admitted:
+            reps = z_fiber_count(field, k, np.array(admitted))
+            out += [b for b, rep in zip(admitted, reps) if rep.z_count >= 0 and accept(rep.z_count)]
     return out
 
 

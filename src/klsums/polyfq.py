@@ -2,8 +2,8 @@
 
 Polynomials are numpy int64 arrays of coefficients in ascending degree,
 normalized so the last entry is nonzero; the zero polynomial is the empty
-array.  Only what the stratification needs: product, gcd, derivative, and
-squarefree part.
+array.  Only what the stratification needs: product, value at a point, gcd,
+derivative, and squarefree part.
 """
 
 from __future__ import annotations
@@ -38,6 +38,14 @@ def mul(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
     hi = np.convolve(f >> 16, g) % q
     lo = np.convolve(f & 0xFFFF, g) % q
     return trim((hi * 2**16 + lo) % q)
+
+
+def value(f: np.ndarray, x: int, q: int) -> int:
+    """f(x) mod q by Horner's rule on Python ints, exact for every q."""
+    acc = 0
+    for c in reversed(f.tolist()):
+        acc = (acc * x + c) % q
+    return acc
 
 
 def divmod_poly(f: np.ndarray, g: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:

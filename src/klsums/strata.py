@@ -25,12 +25,13 @@ The full singular set adds the hyperplanes r = -b_i:
     F_b(r) = P_b(r) * prod_i (r + b_i),
 
 and the geometric fiber count z(b) = |Z_b| is the number of distinct roots
-of F_b over the algebraic closure, obtained as deg of the squarefree part
-F/gcd(F, F') (valid because q > deg F is a precondition).  Strata are the
-loci {b : z(b) <= j}; "generic" b are those attaining the maximum observed
-z, and b with subgeneric z serve as the empirical proxy for the
-low-dimensional exceptional locus (a superset of it, restricted to rational
-points, since the strata are closed).
+of F_b over the algebraic closure.  Those are the roots of P_b, counted as
+deg of the squarefree part P/gcd(P, P') (valid because q > deg P is a
+precondition), plus each distinct -b_i with P_b(-b_i) != 0, so F_b itself
+is never formed.  Strata are the loci {b : z(b) <= j}; "generic" b are
+those attaining the maximum observed z, and b with subgeneric z serve as
+the empirical proxy for the low-dimensional exceptional locus (a superset
+of it, restricted to rational points, since the strata are closed).
 
 Since each x_i has r-degree 1/k, deg M <= k^{2l-2}.  As r -> infinity, each
 representative whose leading coefficient sum_{i<=l} zeta_i - sum_{i>l} zeta_i
@@ -51,8 +52,8 @@ mod q once, so one numpy call per form serves every b of a chunk.  A batch
 runs in chunks of as many b as keep the chunk's counted bytes,
 24 n k^n (k^(n-2) + 1) per b with n = 2l, within RESOLVENT_CHUNK_BYTES
 (1 MiB), and at least one b: 13 b at (k,l) = (3,2), 6 at (2,3), 2 at
-(4,2), one at (5,2) and (2,4).  The polyfq finish (M^k, the hyperplane
-factor and the squarefree part) stays per b.
+(4,2), one at (5,2) and (2,4).  The polyfq finish stays per b: M^k, the
+squarefree part of P_b, and P_b evaluated at each -b_i by Horner's rule.
 
 Against the package's byte budget (``errors.MAX_BYTES``) the resolvent
 counts one chunk before it allocates, which grows as k^(4l) per b, so
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -232,15 +234,11 @@ def _report(field: PrimeField, l: int, b: np.ndarray, p: np.ndarray) -> StratumR
     bt = tuple(int(x) for x in b)
     if len(p) == 0:
         return StratumReport(b=bt, on_diagonal=is_diagonal(bt), deg_P=-1, z_count=-1)
-    hyper = np.ones(1, dtype=np.int64)
-    for bi in bt:
-        hyper = polyfq.mul(hyper, np.array([bi, 1], dtype=np.int64), q)
-    full = polyfq.mul(p, hyper, q)
-    sf = polyfq.squarefree_part(full, q)
-    z = polyfq.deg(sf)
-    n_hyper = len({-bi % q for bi in bt})
-    if not n_hyper <= z <= polyfq.deg(p) + 2 * l:
-        raise InternalConsistencyError(f"z_count {z} outside [{n_hyper}, {polyfq.deg(p) + 2 * l}]")
+    hyper = {-bi % q for bi in bt}
+    # the roots of P_b, plus the hyperplane roots -b_i that P_b misses
+    z = polyfq.deg(polyfq.squarefree_part(p, q)) + sum(polyfq.value(p, r, q) != 0 for r in hyper)
+    if not len(hyper) <= z <= polyfq.deg(p) + 2 * l:
+        raise InternalConsistencyError(f"z_count {z} outside [{len(hyper)}, {polyfq.deg(p) + 2 * l}]")
     return StratumReport(b=bt, on_diagonal=is_diagonal(bt), deg_P=polyfq.deg(p), z_count=z)
 
 
@@ -325,39 +323,28 @@ def generic_z_value(field: PrimeField, k: int, l: int, seed: int, samples: int =
     return stratum_scan(field, k, l, samples=samples, seed=seed).generic
 
 
-def _partitions_min_block2(items: tuple[int, ...]):
-    """Set partitions of items with every block of size >= 2."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for rsize in range(1, len(rest) + 1):
-        for mates in itertools.combinations(rest, rsize):
-            block = (first, *mates)
-            remaining = tuple(x for x in rest if x not in mates)
-            for sub in _partitions_min_block2(remaining):
-                yield [block, *sub]
-
-
 def diagonal_box_count(B: int, l: int) -> int:
     """|V_diag ∩ [B,2B)^{2l}| exactly: tuples whose equality pattern has all
-    blocks of size >= 2, counted by summing falling factorials over patterns."""
+    blocks of size >= 2, summed as S(2l, m) B(B-1)...(B-m+1) over the block
+    count m.  S(n, m), the partitions of n items into m blocks of size >= 2,
+    follows S(n, m) = m S(n-1, m) + (n-1) S(n-2, m-1) from S(0, 0) = 1: item
+    n lies in a block of 3 or more, which it leaves a partition of the rest,
+    or in a pair with one of the other n-1 items."""
     n = 2 * l
-    total = 0
-    for part in _partitions_min_block2(tuple(range(n))):
-        m = len(part)
-        ways = 1
-        for j in range(m):
-            ways *= B - j
-        if ways > 0:
-            total += ways
-    return total
+    S = [[0] * (l + 1) for _ in range(n + 1)]
+    S[0][0] = 1
+    for j in range(2, n + 1):
+        for m in range(1, l + 1):
+            S[j][m] = m * S[j - 1][m] + (j - 1) * S[j - 2][m - 1]
+    return sum(S[n][m] * math.perm(B, m) for m in range(l + 1))
 
 
 def box_count_variety(field: PrimeField, predicate: str, B: int, l: int) -> int:
     """Exact count of points of [B, 2B)^{2l} (integer coordinates, reduced
-    mod q) on a variety: predicate "diagonal" (pruned combinatorial count)
+    mod q) on a variety: predicate "diagonal" (exact combinatorial count)
     or "empty" (no equations: B^{2l})."""
+    if l < 1:
+        raise PreconditionError(f"box count needs l >= 1, got l={l}")
     if not 0 <= B < field.q / 2:
         raise PreconditionError("need 0 <= B < q/2 so the box injects into F_q")
     if predicate == "diagonal":

@@ -29,8 +29,7 @@ admits q <= 8147; the direct route counts 64 q^2 bytes, q <= 4093.
 rotated left by b_i, so a b costs 2l slice copies and multiplies per block
 of KR_ROWS rows, with no per-b integer arithmetic and no q x q temporaries.
 ``_bfk_product`` evaluates the same product pointwise from the table; it
-serves ``eval_KR`` and is the oracle the kernel is tested against, bit for
-bit.
+is the oracle the kernel is tested against, bit for bit.
 
 Any factor K(0) contributes 0 (vanishing stalk), which the table's
 zero-entry at index 0 implements for free.
@@ -124,16 +123,6 @@ def _sweep(table: KlTable, b) -> tuple[np.ndarray, float, float]:
         k2_col0.append(np.vdot(block[:, 0], block[:, 0]).real)
         del block  # freed before the next block is built
     return r_vec, math.fsum(k2), math.fsum(k2_col0)
-
-
-def eval_KR(table: KlTable, r: int, b) -> tuple[complex, complex]:
-    """(bfK(r, b), bfR(r, b)) at a single point r, in O(q)."""
-    b, l = check_b(table.field, b)
-    q = table.field.q
-    r %= q
-    s = np.arange(1, q, dtype=np.int64)
-    bfk = complex(_bfk_product(table, 1, r, b, l))
-    return bfk, complex(np.sum(_bfk_product(table, s, r, b, l)))
 
 
 def sigma_I(table: KlTable, b) -> complex:

@@ -61,6 +61,16 @@ def test_support_bounds(tab101):
         bilinear_form(tab101, CoeffSeq.indicator([1]), CoeffSeq.indicator([101]))
 
 
+def test_empty_sequence_refused(tab101):
+    empty = CoeffSeq(np.zeros(0, dtype=np.int64), np.zeros(0))
+    for alpha, beta, name in ((empty, CoeffSeq.ones(3), "alpha"), (CoeffSeq.ones(3), empty, "beta"),
+                              (CoeffSeq.ones(0), CoeffSeq.ones(-3), "alpha")):
+        with pytest.raises(PreconditionError, match=f"^coefficient sequence {name} is empty$"):
+            bilinear_form(tab101, alpha, beta)
+    with pytest.raises(PreconditionError, match="^coefficient sequence alpha is empty$"):
+        shift_reduction_trace(tab101, empty, N=5, A=1, B=1, l=2)
+
+
 def test_coeffseq_norms():
     c = CoeffSeq(np.array([1, 2, 3]), np.array([3.0, -4.0, 0.0]))
     assert c.l1 == pytest.approx(7.0)

@@ -137,6 +137,13 @@ def test_box_count_cli():
     assert env["payload"]["count"] == 280
 
 
+@pytest.mark.parametrize("l", ["0", "-1"])
+def test_box_count_nonpositive_l_exit_2(l):
+    code, env = run_json(["box-count", "--q", "997", "--l", l, "--box", "10"])
+    assert code == 2 and env["status"] == "precondition-failed"
+    assert f"l >= 1, got l={l}" in env["payload"]["error"]
+
+
 def test_moment_check_cli():
     code, env = run_json(["moment-check", "--q", "13", "--xi", "0", "--n", "1"])
     assert code == 0
@@ -156,6 +163,15 @@ def test_bilinear_bench_cli():
     p = env["payload"]
     assert p["computed"] <= p["trivial_bound"]
     assert set(p["B_value"]) == {"re", "im"}
+
+
+@pytest.mark.parametrize("sizes,empty", [(["--M", "0", "--N", "5"], "alpha"),
+                                         (["--M", "5", "--N", "-3"], "beta")])
+@pytest.mark.parametrize("random", [[], ["--random-coeffs"]])
+def test_bilinear_bench_empty_sequence_exit_2(sizes, empty, random):
+    code, env = run_json(["bilinear-bench", "--q", "101", "--chars", "0,0", *sizes, *random])
+    assert code == 2 and env["status"] == "precondition-failed"
+    assert env["payload"]["error"] == f"coefficient sequence {empty} is empty"
 
 
 def test_avg_compare_cli_full_sample():

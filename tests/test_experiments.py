@@ -5,9 +5,13 @@ import json
 
 import pytest
 
+import numpy as np
+
 from klsums import experiments
-from klsums.errors import PreconditionError
-from klsums.experiments import bound_ladder
+from klsums.errors import DegenerateFiberError, PreconditionError
+from klsums.experiments import bound_ladder, sample_generic_b, sample_subgeneric_b
+from klsums.field import build_field
+from klsums.strata import generic_z_value, is_diagonal, z_fiber_count
 
 
 def test_ladder_refuses_l1_before_any_field(monkeypatch):
@@ -28,3 +32,95 @@ def test_bound_ladder_json_pinned():
     text = json.dumps(bound_ladder([101, 307, 499], seed=0).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "33d02e52407223a87f201baea805aa0cbced5e95a5e5cfdfdaa25ecb7cedbbf0")
+
+
+# --- the samplers against a one-draw-at-a-time loop ----------------------------
+
+
+def one_at_a_time(field, k, l, count, rng, admit, accept):
+    """The rejection loop the batched samplers must reproduce: one draw, one
+    single-b z_fiber_count, degenerate b skipped."""
+    out, attempts = [], 0
+    while len(out) < count:
+        attempts += 1
+        if attempts > 100 * count + 1000:
+            raise PreconditionError("too many draws")
+        b = rng.integers(0, field.q, size=2 * l, dtype=np.int64)
+        if not admit(b):
+            continue
+        try:
+            if accept(z_fiber_count(field, k, b).z_count):
+                out.append(b)
+        except DegenerateFiberError:
+            continue
+    return out
+
+
+def distinct(b):
+    return len(set(b.tolist())) == len(b)
+
+
+def collide(b):
+    b[1] = b[0]
+    return len(set(b[1:].tolist())) == len(b) - 1 and not is_diagonal(b)
+
+
+def assert_same_draws(batched, reference, seed_key):
+    rng_b = np.random.Generator(np.random.PCG64(seed_key))
+    rng_r = np.random.Generator(np.random.PCG64(seed_key))
+    got, want = batched(rng_b), reference(rng_r)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert rng_b.bit_generator.state == rng_r.bit_generator.state
+
+
+@pytest.mark.parametrize("q", [101, 307])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_samplers_match_one_at_a_time(q, seed):
+    f = build_field(q)
+    generic = generic_z_value(f, 2, 2, seed)
+    assert_same_draws(lambda rng: sample_generic_b(f, 2, 2, 30, rng, generic),
+                      lambda rng: one_at_a_time(f, 2, 2, 30, rng, distinct,
+                                                lambda z: z == generic),
+                      [seed, q, 0])
+    assert_same_draws(lambda rng: sample_subgeneric_b(f, 2, 2, 8, rng, generic),
+                      lambda rng: one_at_a_time(f, 2, 2, 8, rng, collide,
+                                                lambda z: z < generic),
+                      [seed, q, 1])
+
+
+def test_sampler_skips_degenerate_b():
+    # at q = 13 about 2% of b are diagonal, where P_b = 0 at k = 2: z = -1
+    # passes z < generic but must not be kept
+    f = build_field(13)
+    draws = []
+
+    def admit(b):
+        draws.append(b)
+        return True
+
+    for seed in range(3):
+        assert_same_draws(
+            lambda rng: experiments._sample_b(f, 2, 2, 60, rng, admit, lambda z: z < 5, "never"),
+            lambda rng: one_at_a_time(f, 2, 2, 60, rng, lambda b: True, lambda z: z < 5),
+            [seed, 13])
+    assert any(is_diagonal(b) for b in draws)
+
+
+@pytest.mark.parametrize("admit_all", [True, False])
+def test_sampler_gives_up_after_the_draw_cap(admit_all):
+    f, count = build_field(101), 2
+    rng = np.random.Generator(np.random.PCG64(5))
+    draws = []
+
+    def admit(b):
+        draws.append(b)
+        return admit_all
+
+    with pytest.raises(PreconditionError, match="^no b$"):
+        experiments._sample_b(f, 2, 2, count, rng, admit, lambda z: False, "no b")
+    assert len(draws) == 100 * count + 1000
+    fresh = np.random.Generator(np.random.PCG64(5))
+    for _ in range(100 * count + 1000):
+        fresh.integers(0, 101, size=4, dtype=np.int64)
+    assert rng.bit_generator.state == fresh.bit_generator.state

@@ -46,3 +46,26 @@ def test_mul_rejects_overflowing_length():
     long = np.ones(2**16, dtype=np.int64)
     with pytest.raises(ValueError, match="overflow"):
         polyfq.mul(long, long, Q)
+
+
+def test_value_matches_direct_evaluation():
+    """polyfq.value against sum c_j x^j reduced once, in Python integers."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def cases(q):
+        return st.tuples(st.just(q), st.lists(st.integers(0, q - 1), max_size=40),
+                         st.integers(0, q - 1))
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from((3, 13, 499, 10**9 + 7, Q)).flatmap(cases))
+    @hyp.example((Q, [Q - 1] * 40, Q - 1))
+    @hyp.example((Q, [Q - 2, Q - 1, 1], Q - 3))
+    @hyp.example((13, [], 5))
+    def check(case):
+        q, f, x = case
+        got = polyfq.value(np.array(f, dtype=np.int64), x, q)
+        assert got == sum(c * x**j for j, c in enumerate(f)) % q
+        assert type(got) is int
+
+    check()

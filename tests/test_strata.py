@@ -310,6 +310,59 @@ def test_batched_z_fiber_count_matches_single(k, l, q, diagonal, degenerate):
     assert z_fiber_count(f, k, bs[:0]) == []
 
 
+# --- z from P_b and the hyperplane roots it misses ------------------------------
+
+
+def z_via_full_product(p, b, q):
+    """deg sqfree(P_b * prod (r + b_i)): z by forming F_b.  The value depends
+    only on P_b and the set of b_i, which keys the cache of the exhaustive
+    test."""
+    full = p
+    for bi in b:
+        full = polyfq.mul(full, np.array([bi, 1], dtype=np.int64), q)
+    return polyfq.deg(polyfq.squarefree_part(full, q))
+
+
+def hits_hyperplane_root(p, b, q):
+    """Some -b_i is a root of P_b, by direct evaluation."""
+    return any(sum(int(c) * pow(-bi, j, q) for j, c in enumerate(p)) % q == 0 for bi in b)
+
+
+def check_z_against_full_product(f, k, bs):
+    """Every z in a batch against the full-product rule; returns how many
+    nondegenerate b have a hyperplane root that is also a root of P_b."""
+    q, cache, hits = f.q, {}, 0
+    polys = singular_polynomial(f, k, bs)
+    for rep, b, row in zip(z_fiber_count(f, k, bs), bs, polys):
+        p = polyfq.trim(row)
+        if len(p) == 0:
+            assert rep.z_count == -1, b
+            continue
+        key = (tuple(p.tolist()), frozenset(b.tolist()))
+        if key not in cache:
+            cache[key] = z_via_full_product(p, b.tolist(), q)
+        assert rep.z_count == cache[key], b
+        hits += hits_hyperplane_root(p.tolist(), b.tolist(), q)
+    return hits
+
+
+def test_z_matches_full_product_exhaustive_q13(f13):
+    """All of F_13^4 at (k,l) = (2,2), and the space holds b where P_b
+    vanishes at some -b_i, so the rule's missed-root count is exercised."""
+    bs = np.indices((13,) * 4, dtype=np.int64).reshape(4, -1).T
+    assert check_z_against_full_product(f13, 2, bs) > 0
+
+
+@pytest.mark.parametrize("k,l,q", [(2, 2, 97), (3, 2, 37), (2, 3, 41)])
+def test_z_matches_full_product_sampled(k, l, q):
+    # half the draws merge b_2 into b_1, which lands on the subgeneric strata
+    f = build_field(q)
+    rng = np.random.Generator(np.random.PCG64([k, l, q]))
+    bs = rng.integers(0, q, size=(120, 2 * l), dtype=np.int64)
+    bs[::2, 1] = bs[::2, 0]
+    check_z_against_full_product(f, k, bs)
+
+
 def test_single_b_degenerate_message_unchanged(f97):
     with pytest.raises(DegenerateFiberError) as exc:
         z_fiber_count(f97, 2, (5, 5, 9, 9))
@@ -509,8 +562,7 @@ def test_box_diagonal_l1(f97):
 
 
 def test_box_diagonal_pruned_vs_exhaustive():
-    f = build_field(997)
-    for B, l in [(3, 1), (5, 1), (3, 2), (5, 2), (2, 3)]:
+    for B, l in [(3, 1), (5, 1), (3, 2), (5, 2), (2, 3), (2, 5), (2, 6)]:
         brute = 0
         for tup in itertools.product(range(B, 2 * B), repeat=2 * l):
             if all(c >= 2 for c in Counter(tup).values()):
@@ -533,3 +585,7 @@ def test_box_preconditions(f97):
         box_count_variety(f97, "diagonal", 60, 1)  # B >= q/2
     with pytest.raises(PreconditionError, match="'diagonal' or 'empty'"):
         box_count_variety(f97, "custom", 4, 2)
+    for l in (0, -1):
+        for predicate in ("diagonal", "empty"):
+            with pytest.raises(PreconditionError, match=f"l >= 1, got l={l}"):
+                box_count_variety(f97, predicate, 4, l)
