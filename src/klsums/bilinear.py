@@ -307,18 +307,13 @@ def _attach_box_sum(trace: ShiftTrace, table: KlTable, l: int, seed: int) -> Non
         generic = generic_z_value(table.field, k, l, seed)
     except PreconditionError:  # outside the strata's rule for (k, l, q): no strata counts
         generic = None
-    total, n_diag, off_diag = [], 0, []
-    for b in itertools.product(range(B, 2 * B), repeat=2 * l):
-        total.append(abs(sigma_II(table, np.array(b, dtype=np.int64)).sigma_II))
-        if is_diagonal(b):
-            n_diag += 1
-        else:
-            off_diag.append(b)
+    box = np.array(list(itertools.product(range(B, 2 * B), repeat=2 * l)), dtype=np.int64)
+    diag = np.array([is_diagonal(b) for b in box], dtype=bool)
+    n_diag = int(diag.sum())
     n_sub = 0
     if generic is not None:  # degenerate b report z = -1, which counts as subgeneric
-        off_diag = np.array(off_diag, dtype=np.int64).reshape(-1, 2 * l)
-        n_sub = sum(rep.z_count < generic for rep in z_fiber_count(table.field, k, off_diag))
-    trace.box_sum = math.fsum(total)
+        n_sub = sum(rep.z_count < generic for rep in z_fiber_count(table.field, k, box[~diag]))
+    trace.box_sum = math.fsum(abs(rep.sigma_II) for rep in sigma_II(table, box))
     trace.n_diag_box = n_diag
     trace.n_subgeneric_box = None if generic is None else n_sub
     trace.generic_z = generic
@@ -451,17 +446,20 @@ def averaged_comparison_full_sample(
 
     lhs = sum_b sum_{r != 0} |sum_s bfK(sr, sb)|^2, rhs with |.|^2 inside.
     The per-b error density of the underlying estimate is O(q^{3/2}), so the
-    gap is normalized by count * q^{3/2}.
+    gap is normalized by count * q^{3/2}.  The count b are drawn first, one
+    ``rng.integers`` call each, and swept as one (count, 2l) batch.
     """
     q = table.field.q
     if count < 0:
         raise PreconditionError("count must be >= 0")
+    if l < 1:
+        raise PreconditionError(f"need l >= 1, got l={l}")
     rng = np.random.Generator(np.random.PCG64(seed))
+    bs = np.array([rng.integers(0, q, size=2 * l, dtype=np.int64) for _ in range(count)],
+                  dtype=np.int64).reshape(count, 2 * l)
     lhs_terms: list[float] = []
     rhs_terms: list[float] = []
-    for _ in range(count):
-        b = rng.integers(0, q, size=2 * l, dtype=np.int64)
-        r_vec, k2, k2_col0 = _sweep(table, b)
+    for r_vec, k2, k2_col0 in _sweep(table, bs):
         lhs_terms.append(float(np.vdot(r_vec[1:], r_vec[1:]).real))  # drop r = 0
         rhs_terms.append(k2 - k2_col0)
     lhs = math.fsum(lhs_terms)

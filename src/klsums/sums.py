@@ -21,15 +21,30 @@ Every quantity is a sum over the matrix M[s-1, r] = bfK(s*r, s*b).  Sigma_I,
 Sigma_II and ``bilinear.averaged_comparison_full_sample`` take it in one
 sweep of KR_ROWS-row blocks from ``kr_matrix(table, b, lo, hi)``, each
 reduced while in cache to the column sums bfR(r, b) and sum |bfK|^2, so M
-is never held whole.  Against the byte budget (``errors.MAX_BYTES``) the
-sweep counts the table's cached kmat, 16 q^2 bytes, plus one block, which
-admits q <= 8147; the direct route counts 64 q^2 bytes, q <= 4093.
+is never held whole.
 
-``kr_matrix`` reads kmat[s, x] = K(s*x): factor i of row s is row s of kmat
-rotated left by b_i, so a b costs 2l slice copies and multiplies per block
-of KR_ROWS rows, with no per-b integer arithmetic and no q x q temporaries.
-``_bfk_product`` evaluates the same product pointwise from the table; it
-is the oracle the kernel is tested against, bit for bit.
+``kr_matrix``, the sweep and ``sigma_II`` take one b or a (B, 2l) array of
+them.  ``kr_matrix`` reads kmat[s, x] = K(s*x): factor i of row s is row s
+of kmat rotated left by b_i.  Per block it conjugates the kmat rows once
+and shares them across every b of the call; per b it copies factor 0's
+rotation into the output and multiplies in factors 1..2l-1, each rotated
+from the plain or the conjugated block into one reused factor buffer, so a
+b costs 2l - 1 multiplies per block, with no per-b integer arithmetic and
+no q x q temporaries.  The sweep hands ``kr_matrix`` chunks of as many b as
+keep their output blocks and bfR vectors, 16 q (KR_ROWS + 1) bytes per b,
+within SIGMA_CHUNK_BYTES (1 MiB), and at least one: 19 b at q = 101, 6 at
+q = 307, 3 at q = 499, one from q = 997 up.  Per b it reduces the same
+blocks in the same order as for one b, so every value is bit-identical to
+the one-b call.  ``_bfk_product`` evaluates the same product pointwise from
+the table; it is the oracle the kernel is tested against, bit for bit.
+
+Against the byte budget (``errors.MAX_BYTES``) the sweep counts the
+table's cached kmat, 16 q^2 bytes, the conjugated block and the factor
+buffer, and one chunk: one b counts 16 q (q + 3 KR_ROWS + 2) + 16 KiB and
+admits q <= 8123.  A chunk holds more than one b only for q < 1000, where
+the count stays under 20 MB, so under the 1 GiB budget a batch is admitted
+exactly when one b is.  A full one-b ``kr_matrix`` counts
+32 q^2 + 1024 q, q <= 5749; the direct route counts 64 q^2 bytes, q <= 4093.
 
 Any factor K(0) contributes 0 (vanishing stalk), which the table's
 zero-entry at index 0 implements for free.
@@ -51,9 +66,12 @@ from .field import check_b
 from .kloosterman import KlTable
 
 SIGMA_II_AGREE_RTOL = 1e-6
-# Rows of s per kr_matrix block: the (rows, q) factor buffer and output block
-# stay in L2 (1 MB at q = 1999).
+# Rows of s per kr_matrix block: the (rows, q) conjugated block, factor
+# buffer and output block stay in L2 (1 MB at q = 1999).
 KR_ROWS = 32
+# Counted bytes of one chunk of b in the Sigma sweep: each b holds its
+# KR_ROWS-row output block and its bfR vector, 16 q (KR_ROWS + 1) bytes.
+SIGMA_CHUNK_BYTES = 2**20
 
 
 def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
@@ -71,63 +89,107 @@ def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
 
 def kr_matrix(table: KlTable, b, lo: int = 1, hi: int | None = None) -> np.ndarray:
     """Rows s = lo..hi-1 of the matrix M[s-1, r] = bfK(s*r, s*b), r = 0..q-1;
-    by default all of them, s = 1..q-1.
+    by default all of them, s = 1..q-1.  For a (B, 2l) array of b, a
+    (B, hi - lo, q) array whose slab j is the matrix of row j.
 
-    Row s of factor i is row s of ``table.kmat`` rotated left by b_i; the
-    rows are processed in blocks of KR_ROWS through one reused factor
-    buffer, so a row range gives the matching rows of the full matrix bit
-    for bit.
+    Row s of factor i is row s of ``table.kmat`` rotated left by b_i.  The
+    rows go in blocks of KR_ROWS; each block of kmat is conjugated once and
+    serves every b.  Per b, factor 0 is copied into the output, and factors
+    1..2l-1 are rotated, from the plain block for i < l and the conjugated
+    one after, into one reused factor buffer and multiplied in, in order, so
+    a row range or a slab gives the matching rows of the one-b full matrix
+    bit for bit.
     """
-    b, l = check_b(table.field, b)
+    bt, l = check_b(table.field, b, batch=True)
+    batch = bt if bt.ndim == 2 else bt[None]
     q = table.field.q
     hi = q if hi is None else hi
     if not 1 <= lo < hi <= q:
         raise PreconditionError(f"kr_matrix rows need 1 <= lo < hi <= q, got q={q}, lo={lo}, hi={hi}")
     rows = min(KR_ROWS, hi - lo)
-    # kmat (q rows of 16 q bytes), the output (hi - lo rows), one more row
-    # and the factor buffer (rows), so the full range counts 32 q^2 + 512 q
-    check_bytes(16 * q * (q + hi - lo + 1 + rows), "kr_matrix", q=q)
+    # kmat (q rows of 16 q bytes), the output and one more row per b (hi - lo
+    # + 1 rows), the conjugated block and the factor buffer (rows each), so
+    # one b over the full range counts 32 q^2 + 1024 q
+    check_bytes(16 * q * (q + len(batch) * (hi - lo + 1) + 2 * rows), "kr_matrix",
+                **_named(q, bt))
     kmat = table.kmat
-    out = np.ones((hi - lo, q), dtype=np.complex128)
-    buf = np.empty((rows, q), dtype=np.complex128)
+    out = np.empty((len(batch), hi - lo, q), dtype=np.complex128)
+    conj_buf = np.empty((rows, q), dtype=np.complex128)
+    factor_buf = np.empty((rows, q), dtype=np.complex128)
     for start in range(lo, hi, KR_ROWS):
         stop = min(start + KR_ROWS, hi)
-        block = out[start - lo:stop - lo]
-        factor = buf[:stop - start]
-        for i, bi in enumerate(b):
-            factor[:, :q - bi] = kmat[start:stop, bi:]
-            factor[:, q - bi:] = kmat[start:stop, :bi]
-            if i >= l:
-                np.conjugate(factor, out=factor)
-            block *= factor
-    return out
+        plain, conj, factor = kmat[start:stop], conj_buf[:stop - start], factor_buf[:stop - start]
+        np.conjugate(plain, out=conj)
+        for row, block in zip(batch.tolist(), out[:, start - lo:stop - lo]):
+            _rotate(block, plain, row[0])
+            for i in range(1, 2 * l):
+                _rotate(factor, plain if i < l else conj, row[i])
+                block *= factor
+    return out if bt.ndim == 2 else out[0]
 
 
-def _sweep(table: KlTable, b) -> tuple[np.ndarray, float, float]:
+def _rotate(dst: np.ndarray, src: np.ndarray, shift: int) -> None:
+    """dst = src rotated left by shift along its rows, as two slice copies."""
+    q = src.shape[1]
+    dst[:, :q - shift] = src[:, shift:]
+    dst[:, q - shift:] = src[:, :shift]
+
+
+def _named(q: int, bt: np.ndarray) -> dict:
+    """The parameters a byte-budget refusal names: q, and B for a batch."""
+    return {"q": q, "B": len(bt)} if bt.ndim == 2 else {"q": q}
+
+
+def _sweep(table: KlTable, b):
     """One pass over M in KR_ROWS-row blocks from ``kr_matrix``: the column
     sums bfR(r, b) for r = 0..q-1, sum |bfK|^2 over all of M, and the same
-    over its r = 0 column."""
-    b, _ = check_b(table.field, b)
+    over its r = 0 column.
+
+    For one b, that triple; for a (B, 2l) array, an iterator of the triples
+    of its rows in order.  The rows go in chunks of as many b as keep their
+    row blocks and bfR vectors within SIGMA_CHUNK_BYTES, at least one, so
+    each kr_matrix call serves a chunk; per b, the reductions run over the
+    same blocks in the same order as for one b.
+    """
+    bt, _ = check_b(table.field, b, batch=True)
     q = table.field.q
     rows = min(KR_ROWS, q - 1)
-    # kmat (q rows of 16 q bytes), one block and its factor buffer (rows
-    # each), the bfR vector and one column-sum temporary, and 16 KiB for the
-    # small arrays
-    check_bytes(16 * q * (q + 2 * rows + 2) + 2**14, "Sigma sweep", q=q)
-    r_vec = np.zeros(q, dtype=np.complex128)
-    k2, k2_col0 = [], []
-    for lo in range(1, q, KR_ROWS):
-        block = kr_matrix(table, b, lo, min(lo + KR_ROWS, q))
-        r_vec += block.sum(axis=0)
-        k2.append(np.vdot(block, block).real)
-        k2_col0.append(np.vdot(block[:, 0], block[:, 0]).real)
-        del block  # freed before the next block is built
-    return r_vec, math.fsum(k2), math.fsum(k2_col0)
+    per_b = 16 * q * (rows + 1)
+    chunk = max(1, min(len(bt) if bt.ndim == 2 else 1, SIGMA_CHUNK_BYTES // per_b))
+    # kmat (q rows of 16 q bytes), the conjugated block and the factor buffer
+    # (rows each), one chunk of output blocks and bfR vectors, one column-sum
+    # temporary, and 16 KiB for the small arrays; one b counts
+    # 16 q (q + 3 rows + 2) + 16 KiB
+    check_bytes(16 * q * (q + 2 * rows + 1) + chunk * per_b + 2**14, "Sigma sweep",
+                **_named(q, bt))
+    triples = _sweep_chunks(table, bt if bt.ndim == 2 else bt[None], chunk)
+    return triples if bt.ndim == 2 else next(triples)
+
+
+def _sweep_chunks(table: KlTable, bt: np.ndarray, chunk: int):
+    """The sweep triples of the rows of bt, one kr_matrix call per chunk of
+    b and row block."""
+    q = table.field.q
+    for c0 in range(0, len(bt), chunk):
+        rows_b = bt[c0:c0 + chunk]
+        r_vec = [np.zeros(q, dtype=np.complex128) for _ in rows_b]
+        k2 = [[] for _ in rows_b]
+        k2_col0 = [[] for _ in rows_b]
+        for lo in range(1, q, KR_ROWS):
+            blocks = kr_matrix(table, rows_b, lo, min(lo + KR_ROWS, q))
+            for j, block in enumerate(blocks):
+                r_vec[j] += block.sum(axis=0)
+                k2[j].append(np.vdot(block, block).real)
+                k2_col0[j].append(np.vdot(block[:, 0], block[:, 0]).real)
+            del blocks, block  # freed before the next blocks are built
+        for j in range(len(rows_b)):
+            yield r_vec[j], math.fsum(k2[j]), math.fsum(k2_col0[j])
 
 
 def sigma_I(table: KlTable, b) -> complex:
-    """Sigma_I(K, b) = sum over r in F_q, s in F_q^x of bfK(sr, sb)."""
-    return complex(_sweep(table, b)[0].sum())
+    """Sigma_I(K, b) = sum over r in F_q, s in F_q^x of bfK(sr, sb), for one b."""
+    bt, _ = check_b(table.field, b)
+    return complex(_sweep(table, bt)[0].sum())
 
 
 @dataclass
@@ -146,24 +208,49 @@ class SumReport:
     sigma_II_direct: float | None = None
 
 
-def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport:
+def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport | list[SumReport]:
     """Sigma_II(K, b) in difference form; optionally cross-check the direct sum.
 
-    With ``direct=True`` also evaluates the s1 != s2 double sum through the
-    Gram matrix of M and raises NumericalInstabilityError if the two routes
-    disagree beyond 1e-6 * q^{3/2}.  The direct route runs first, so its
-    larger byte count is checked before any matrix is built, and its M is
-    freed before the difference form sweeps M one row block at a time.
+    For a (B, 2l) array of b, one report per row in order, from one sweep
+    that serves a chunk of b per row block.  With ``direct=True`` (one b
+    only) also evaluates the s1 != s2 double sum through the Gram matrix of
+    M and raises NumericalInstabilityError if the two routes disagree beyond
+    1e-6 * q^{3/2}.  The direct route runs first, so its larger byte count
+    is checked before any matrix is built, and its M is freed before the
+    difference form sweeps M one row block at a time.
     """
-    bt, l = check_b(table.field, b)
-    q = table.field.q
+    bt, l = check_b(table.field, b, batch=True)
+    if bt.ndim == 2:
+        if direct:
+            raise PreconditionError(f"the direct Sigma_II oracle takes one b, got a batch of "
+                                    f"B={len(bt)} at l={l}")
+        return [_report(table, row, l, r_vec, k2)
+                for row, (r_vec, k2, _) in zip(bt, _sweep(table, bt))]
     d = sigma_II_direct(table, bt) if direct else None
-    r_vec, comp_K2, _ = _sweep(table, bt)
+    r_vec, k2, _ = _sweep(table, bt)
+    rep = _report(table, bt, l, r_vec, k2)
+    if d is not None:
+        q = table.field.q
+        rep.sigma_II_direct = d.real
+        rep.sigma_II_imag = abs(d.imag)
+        if abs(d.real - rep.sigma_II) > SIGMA_II_AGREE_RTOL * q**1.5:
+            raise NumericalInstabilityError(
+                f"Sigma_II direct/difference disagreement beyond {SIGMA_II_AGREE_RTOL}*q^1.5: "
+                f"direct={d.real!r}, difference={rep.sigma_II!r}",
+                d.real,
+                rep.sigma_II,
+            )
+    return rep
+
+
+def _report(table: KlTable, b: np.ndarray, l: int, r_vec: np.ndarray, comp_K2: float) -> SumReport:
+    """The difference-form report of one b from its sweep."""
+    q = table.field.q
     comp_R2 = float(np.vdot(r_vec, r_vec).real)
     s2 = comp_R2 - comp_K2
     si = complex(r_vec.sum())
-    rep = SumReport(
-        b=tuple(int(x) for x in bt),
+    return SumReport(
+        b=tuple(int(x) for x in b),
         l=l,
         sigma_I=si,
         sigma_II=s2,
@@ -173,17 +260,6 @@ def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport:
         ratio_I=abs(si) / q,
         ratio_II=abs(s2) / q**1.5,
     )
-    if d is not None:
-        rep.sigma_II_direct = d.real
-        rep.sigma_II_imag = abs(d.imag)
-        if abs(d.real - s2) > SIGMA_II_AGREE_RTOL * q**1.5:
-            raise NumericalInstabilityError(
-                f"Sigma_II direct/difference disagreement beyond {SIGMA_II_AGREE_RTOL}*q^1.5: "
-                f"direct={d.real!r}, difference={s2!r}",
-                d.real,
-                s2,
-            )
-    return rep
 
 
 def sigma_II_direct(table: KlTable, b) -> complex:

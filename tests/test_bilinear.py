@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -18,7 +20,12 @@ from klsums.chartuples import CharTuple
 from klsums.errors import InternalConsistencyError, PreconditionError
 from klsums.field import MultChar, build_field, gauss_sum
 from klsums.kloosterman import kl_table_fast
+from klsums.serialize import jsonify
 from klsums.sums import kr_matrix
+
+
+def json_sha256(report):
+    return hashlib.sha256(json.dumps(jsonify(report), sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +209,15 @@ def test_shift_trace_box_sum():
     assert tr.generic_z == 5
     # harness sanity: the measured box sum sits within the three-strata shape
     assert tr.box_ratio <= 10
+
+
+def test_shift_trace_box_sum_pinned():
+    """The box-sum trace as sorted-key JSON, pinned by sha256 taken while the
+    box sum made one sigma_II call per b; its batched call gives every float."""
+    f = build_field(199)
+    tab = kl_table_fast(f, CharTuple(f, (0, 0)))
+    tr = shift_reduction_trace(tab, CoeffSeq.ones(4), N=8, A=2, B=2, l=2, box_sum=True, seed=1)
+    assert json_sha256(tr) == "fbf3b876367accffc3dd7ac524faf26cbe325e0ab1fd5ad7c47148d3467203c3"
 
 
 def literal_shift_trace(table, alpha, N, A, B):
@@ -451,6 +467,14 @@ def test_avg_full_sample_nonnegative_real(f13):
     assert rep.normalized_gap >= 0
 
 
+def test_avg_full_sample_pinned(f13):
+    """The full-sample report as sorted-key JSON, pinned by sha256 taken while
+    each b was drawn and swept on its own: the batch keeps the draws and floats."""
+    tab = kl_table_fast(f13, CharTuple(f13, (0, 0)))
+    rep = averaged_comparison_full_sample(tab, 2, 10, seed=3)
+    assert json_sha256(rep) == "16fd2755e3a5903ce1a9ca17b465027e2bbe0c2d0f776307f423b932457b85b0"
+
+
 def test_avg_full_sample_paired_cauchy_schwarz(f13):
     # paired b: bfK(sr, sb) >= 0, so (sum_s)^2 >= sum_s of squares per (b, r)
     tab = kl_table_fast(f13, CharTuple(f13, (0, 0)))
@@ -465,6 +489,13 @@ def test_avg_full_sample_zero_count(f13):
     tab = kl_table_fast(f13, CharTuple(f13, (0, 0)))
     rep = averaged_comparison_full_sample(tab, 2, 0)
     assert rep.lhs == rep.rhs == rep.normalized_gap == 0.0
+
+
+def test_avg_full_sample_refuses_l_below_1(f13):
+    tab = kl_table_fast(f13, CharTuple(f13, (0, 0)))
+    for l, count in ((0, 0), (0, 2), (-1, 0), (-1, 2)):
+        with pytest.raises(PreconditionError, match=f"got l={l}"):
+            averaged_comparison_full_sample(tab, l, count)
 
 
 def parent_full_sample(table, l, count, seed=0):

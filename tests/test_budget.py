@@ -12,14 +12,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from klsums import errors, strata
-from klsums.bilinear import CoeffSeq, bilinear_form, shift_reduction_trace
+from klsums import errors, strata, sums
+from klsums.bilinear import (
+    CoeffSeq,
+    averaged_comparison_full_sample,
+    bilinear_form,
+    shift_reduction_trace,
+)
 from klsums.chartuples import CharTuple
 from klsums.errors import ResourceLimitError
 from klsums.field import build_field
 from klsums.kloosterman import kl_table_fast, kl_table_naive
 from klsums.strata import singular_polynomial, stratum_scan
 from klsums.sums import kr_matrix, sigma_I, sigma_II, sigma_II_direct
+
+# the first PCG64 in a process imports its seeding modules (about 1 MB under
+# tracemalloc), which a measured site must not be charged for
+np.random.PCG64(0)
 
 Q = 211
 B = (1, 2, 3, 4)
@@ -31,14 +40,16 @@ def resolvent_bytes(k, l):
     return 3 * 8 * 2 * l * k ** (2 * l) * (k ** (2 * l - 2) + 1)
 
 
-def kr_matrix_bytes(q):
-    # kmat, the (q - 1)-row output, one more row and the 32-row factor buffer
-    return 16 * q * (2 * q + 32)
+def kr_matrix_bytes(q, B=1):
+    # kmat, per b the (q - 1)-row output and one more row, and the 32-row
+    # conjugated block and factor buffer
+    return 16 * q * (q + B * q + 2 * 32)
 
 
-def sweep_bytes(q):
-    # kmat, a 32-row block and its factor buffer, two length-q vectors, 16 KiB
-    return 16 * q * (q + 2 * 32 + 2) + 2**14
+def sweep_bytes(q, chunk=1):
+    # kmat, the 32-row conjugated block and factor buffer, per b of a chunk a
+    # 32-row block and its bfR vector, one column-sum temporary, 16 KiB
+    return 16 * q * (q + 2 * 32 + 1) + chunk * 16 * q * (32 + 1) + 2**14
 
 
 def shift_trace_bytes(M, N, A, B):
@@ -58,11 +69,20 @@ SITES = {
     "kl_table_naive": (lambda t: kl_table_naive(t.field, t.tuple), 40 * (Q - 1) ** 2,
                        f"naive Kl table at q={Q}"),
     "kr_matrix": (lambda t: kr_matrix(t, B), kr_matrix_bytes(Q), f"kr_matrix at q={Q}"),
+    "kr_matrix(batch)": (lambda t: kr_matrix(t, [B] * 3), kr_matrix_bytes(Q, 3),
+                         f"kr_matrix at q={Q}, B=3"),
     "sigma_II(direct=True)": (lambda t: sigma_II(t, B, direct=True), 64 * Q**2,
                               f"sigma_II_direct at q={Q}"),
     "sigma_II_direct": (lambda t: sigma_II_direct(t, B), 64 * Q**2, f"sigma_II_direct at q={Q}"),
     "sigma_II": (lambda t: sigma_II(t, B), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
     "sigma_I": (lambda t: sigma_I(t, B), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
+    "sigma_II(batch)": (lambda t: sigma_II(t, [B] * 5), sweep_bytes(Q, 5),
+                        f"Sigma sweep at q={Q}, B=5"),
+    # 9 b of 111408 bytes fill SIGMA_CHUNK_BYTES at q = 211: the count is per chunk
+    "sigma_II(batch past a chunk)": (lambda t: sigma_II(t, [B] * 20), sweep_bytes(Q, 9),
+                                     f"Sigma sweep at q={Q}, B=20"),
+    "averaged_comparison_full_sample": (lambda t: averaged_comparison_full_sample(t, 2, 4),
+                                        sweep_bytes(Q, 4), f"Sigma sweep at q={Q}, B=4"),
     "singular_polynomial": (lambda t: singular_polynomial(F131, 5, B), resolvent_bytes(5, 2),
                             "resolvent at q=131, k=5, l=2"),
     "singular_polynomial(batch)": (lambda t: singular_polynomial(F13, 2, [B] * 5),
@@ -151,6 +171,27 @@ def test_sweep_count_covers_measured_peak(q):
         tracemalloc.stop()
     assert peak <= sweep_bytes(q)
     assert peak < 24 * q**2
+
+
+@pytest.mark.parametrize("q", [211, 499])
+def test_batch_counts_cover_measured_peak(q):
+    # a fresh table; the sweep over one full chunk of b, and kr_matrix over
+    # three b, each against its count
+    f = build_field(q)
+    t = kl_table_fast(f, CharTuple(f, (1, 5)))
+    chunk = sums.SIGMA_CHUNK_BYTES // (16 * q * 33)
+    bs = np.random.Generator(np.random.PCG64(q)).integers(0, q, size=(chunk, 4))
+    tracemalloc.start()
+    try:
+        sigma_II(t, bs)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        kr_matrix(t, bs[:3])
+        kr_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sweep_bytes(q, chunk)
+    assert kr_peak <= kr_matrix_bytes(q, 3)
 
 
 @pytest.mark.parametrize("q,M,N,A,B", [(1009, 20, 60, 2, 2), (1009, 2, 500, 1, 500),

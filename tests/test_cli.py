@@ -182,6 +182,15 @@ def test_avg_compare_cli_full_sample():
     assert env["payload"]["count"] == 5
 
 
+@pytest.mark.parametrize("l,count", [("0", "0"), ("0", "2"), ("-1", "0"), ("-1", "2")])
+def test_avg_compare_full_sample_l_below_1_exit_2(l, count):
+    # l = -1 with a positive count exited 1 with a numpy traceback
+    code, env = run_json(["avg-compare", "--q", "13", "--family", "full-sample",
+                          "--count", count, "--l", l])
+    assert code == 2 and env["status"] == "precondition-failed"
+    assert env["payload"]["error"] == f"need l >= 1, got l={l}"
+
+
 def test_bound_check_cli_tiny():
     code, env = run_json(
         [
@@ -304,7 +313,7 @@ def test_complete_sum_kr_budget_exit_3():
         tracemalloc.stop()
     assert code == 3 and env["status"] == "resource-limit"
     assert "q=100003" in env["payload"]["error"]
-    assert "160115219696 bytes" in env["payload"]["error"]
+    assert "160166421232 bytes" in env["payload"]["error"]
     assert peak < 64 * 2**20  # kmat (~160 GB) was never allocated
 
 

@@ -27,8 +27,9 @@ def test_ladder_refuses_l1_before_any_field(monkeypatch):
 
 def test_bound_ladder_json_pinned():
     """bound_ladder([101, 307, 499], seed=0) as sorted-key JSON, pinned by
-    sha256 taken before the resolvent gained its b axis: the batched scans
-    and the unchanged per-b samplers reproduce every draw, count and float."""
+    sha256 taken before the resolvent gained its b axis: the batched scans,
+    the samplers' batched rounds and the batched Sigma sweep reproduce every
+    draw, count and float of the per-b code."""
     text = json.dumps(bound_ladder([101, 307, 499], seed=0).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "33d02e52407223a87f201baea805aa0cbced5e95a5e5cfdfdaa25ecb7cedbbf0")

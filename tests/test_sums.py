@@ -189,8 +189,13 @@ def test_translation_covariance_exact(tab13):
 def test_b_validation(tab13):
     with pytest.raises(PreconditionError):
         sigma_I(tab13, (1, 2, 3))
+    # a (B, 2l) array is a batch of b; any other shape is refused, and
+    # sigma_I takes one b only
+    for bad in (np.zeros((2, 2, 2), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)):
+        with pytest.raises(PreconditionError):
+            kr_matrix(tab13, bad)
     with pytest.raises(PreconditionError):
-        kr_matrix(tab13, np.zeros((2, 2), dtype=np.int64))
+        sigma_I(tab13, np.zeros((2, 2), dtype=np.int64))
 
 
 def test_kr_matrix_shape_and_zero_column(tab13):
@@ -235,7 +240,8 @@ def broadcast_oracle(table, b):
 def test_kr_matrix_matches_oracle_property():
     """The shifted-slice kernel equals the broadcast oracle bit for bit, over
     q in {3, 5, 13, 101}, k in {2, 3}, l in {1, 2, 3}, any characters and
-    scale, with b drawn to hit 0, q - 1 and repeated entries."""
+    scale, with b drawn to hit 0, q - 1 and repeated entries; so does each
+    slab of a batched call."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -259,6 +265,14 @@ def test_kr_matrix_matches_oracle_property():
         f = build_field(q)
         table = kl_table_fast(f, CharTuple(f, tuple(chars)), a)
         assert np.array_equal(kr_matrix(table, b), broadcast_oracle(table, b)), c
+        # a batch of b, its reversal and its rotation: each slab is the one-b
+        # call to the bit and equals the oracle
+        batch = np.array([b, b[::-1], b[1:] + b[:1]])
+        slabs = kr_matrix(table, batch)
+        assert slabs.shape == (3, q - 1, q)
+        for row, slab in zip(batch, slabs):
+            assert np.array_equal(slab.view(np.uint64), kr_matrix(table, row).view(np.uint64)), c
+            assert np.array_equal(slab, broadcast_oracle(table, row)), c
 
     check()
 
@@ -289,16 +303,16 @@ def test_kr_matrix_no_q2_temporaries():
 
 
 def test_kr_matrix_byte_budget():
-    # kmat, the output, one more row and the 32-row factor buffer: 5791 is
-    # the first prime past the bound; the largest q the tests and the
-    # benchmark use (1999) stays far inside it
+    # kmat, the output, one more row, the 32-row conjugated block and factor
+    # buffer: 5779 is the first prime past the bound; the largest q the tests
+    # and the benchmark use (1999) stays far inside it
     def need(q):
-        return 16 * q * (2 * q + 32)
+        return 16 * q * (2 * q + 64)
 
-    assert need(1999) <= need(5783) <= MAX_BYTES < need(5791)
-    f = build_field(5791)
+    assert need(1999) <= need(5749) <= MAX_BYTES < need(5779)
+    f = build_field(5779)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
-    with pytest.raises(ResourceLimitError, match=f"q=5791 needs {need(5791)} bytes"):
+    with pytest.raises(ResourceLimitError, match=f"q=5779 needs {need(5779)} bytes"):
         kr_matrix(table, (1, 2, 3, 4))
     assert "kmat" not in vars(table)
 
@@ -356,16 +370,70 @@ def test_kr_matrix_bad_row_range(tab13):
             kr_matrix(tab13, (1, 2, 3, 4), lo, hi)
 
 
+def sweep_bytes_per_b(q):
+    """The chunk bytes one b holds in the sweep: its row block and bfR."""
+    return 16 * q * (min(sums.KR_ROWS, q - 1) + 1)
+
+
+def assert_batch_matches_one_b(table, bs):
+    """sigma_II and the sweep over a (B, 2l) batch give, row by row, the
+    one-b results, compared with == (the bfR vectors to the bit)."""
+    reps = sigma_II(table, bs)
+    assert reps == [sigma_II(table, b) for b in bs]
+    for b, (r_vec, k2, k2_col0) in zip(bs, sums._sweep(table, bs)):
+        one = sums._sweep(table, b)
+        assert r_vec.view(np.uint64).tolist() == one[0].view(np.uint64).tolist()
+        assert (k2, k2_col0) == one[1:]
+    return reps
+
+
 @pytest.mark.parametrize("q", [13, 31, 97, 101])
 @pytest.mark.parametrize("rows", [1, 5, 32, 10**6])
 def test_sweep_block_size_invariance(q, rows, monkeypatch):
     """Any KR_ROWS, from one row to more than q - 1 (one block), with a last
     block that is not full: kr_matrix stays bit-identical to the pointwise
-    oracle and the sweep agrees with the full-matrix reductions."""
+    oracle and the sweep agrees with the full-matrix reductions.  Batches of
+    1 and 2 b, and of 5 b in chunks of 2 (a short last chunk) and of 1, give
+    the one-b reports field for field."""
     monkeypatch.setattr(sums, "KR_ROWS", rows)
     for table, b in sweep_cases(q):
         assert np.array_equal(kr_matrix(table, b), broadcast_oracle(table, b))
         assert_sweep_matches_full_matrix(table, b)
+    rng = np.random.Generator(np.random.PCG64(q + rows))
+    for table, b in list(sweep_cases(q))[::4]:
+        l = len(b) // 2
+        assert_batch_matches_one_b(table, np.array([b]))
+        assert_batch_matches_one_b(table, np.array([b, rng.integers(0, q, size=2 * l)]))
+        five = np.vstack([b, rng.integers(0, q, size=(4, 2 * l))])
+        for chunk_b in (2, 1):
+            monkeypatch.setattr(sums, "SIGMA_CHUNK_BYTES", chunk_b * sweep_bytes_per_b(q))
+            assert_batch_matches_one_b(table, five)
+        monkeypatch.undo()
+        monkeypatch.setattr(sums, "KR_ROWS", rows)
+
+
+def test_sweep_batch_order():
+    """Permuting a batch permutes its reports, across chunk boundaries."""
+    q = 101
+    f = build_field(q)
+    table = kl_table_fast(f, CharTuple(f, (3, 17)))
+    rng = np.random.Generator(np.random.PCG64(5))
+    bs = rng.integers(0, q, size=(45, 4))  # three chunks of 19 b at q = 101
+    assert sums.SIGMA_CHUNK_BYTES // sweep_bytes_per_b(q) == 19
+    reps = sigma_II(table, bs)
+    perm = rng.permutation(len(bs))
+    assert sigma_II(table, bs[perm]) == [reps[i] for i in perm]
+    assert [rep.b for rep in reps] == [tuple(b) for b in bs.tolist()]
+
+
+def test_sigma_II_batch_edges(tab13):
+    bs = np.array([(1, 2, 3, 4), (5, 5, 0, 12), (7, 1, 1, 7)])
+    with pytest.raises(PreconditionError, match="B=3 at l=2"):
+        sigma_II(tab13, bs, direct=True)
+    assert sigma_II(tab13, np.zeros((0, 4), dtype=np.int64)) == []
+    assert kr_matrix(tab13, bs, 3, 7).shape == (3, 4, 13)
+    with pytest.raises(PreconditionError, match="B, 2l"):
+        sigma_II(tab13, np.zeros((2, 2, 4), dtype=np.int64))
 
 
 def test_sweep_matches_full_matrix_at_larger_q():
