@@ -459,7 +459,7 @@ def averaged_comparison_full_sample(
                   dtype=np.int64).reshape(count, 2 * l)
     lhs_terms: list[float] = []
     rhs_terms: list[float] = []
-    for r_vec, k2, k2_col0 in _sweep(table, bs):
+    for r_vec, k2, k2_col0 in _sweep(table, bs, col0=True):
         lhs_terms.append(float(np.vdot(r_vec[1:], r_vec[1:]).real))  # drop r = 0
         rhs_terms.append(k2 - k2_col0)
     lhs = math.fsum(lhs_terms)

@@ -2,8 +2,13 @@
 
 Polynomials are numpy int64 arrays of coefficients in ascending degree,
 normalized so the last entry is nonzero; the zero polynomial is the empty
-array.  Only what the stratification needs: product, value at a point, gcd,
-derivative, and squarefree part.
+array.  Only what the stratification needs: product, value at a point,
+division with remainder, gcd, and squarefree part.
+
+The product runs in numpy.  Value, division, gcd and squarefree part run
+their inner loops on Python-int lists: the polynomials the stratification
+feeds them have a few dozen coefficients, where a loop over Python ints
+beats a numpy call per step, and Python ints make them exact for every q.
 """
 
 from __future__ import annotations
@@ -48,50 +53,78 @@ def value(f: np.ndarray, x: int, q: int) -> int:
     return acc
 
 
-def divmod_poly(f: np.ndarray, g: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    if len(g) == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = f.copy() % q
-    dq = len(f) - len(g)
-    if dq < 0:
-        return np.zeros(0, dtype=np.int64), trim(r)
-    quo = np.zeros(dq + 1, dtype=np.int64)
-    ginv = pow(int(g[-1]), q - 2, q)
-    for i in range(dq, -1, -1):
-        c = r[i + len(g) - 1] * ginv % q
+def _ints(f: np.ndarray, q: int) -> list[int]:
+    """The coefficients of f reduced mod q as Python ints, trailing zeros
+    dropped."""
+    return _trimmed([c % q for c in np.asarray(f).tolist()])
+
+
+def _trimmed(f: list[int]) -> list[int]:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _array(f: list[int]) -> np.ndarray:
+    return np.array(f, dtype=np.int64)
+
+
+def _divmod(f: list[int], g: list[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of reduced, trimmed Python-int lists, g nonzero.
+
+    g is made monic once; each step reduces only the leading coefficient it
+    reads, and the subtractions run unreduced (Python ints cannot overflow)
+    until the remainder is reduced at the end.
+    """
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return [], f
+    inv = pow(g[-1], -1, q)
+    low = [c * inv % q for c in g[:-1]]
+    r = f.copy()
+    quo = [0] * (len(f) - dg)
+    for i in range(len(f) - 1 - dg, -1, -1):
+        c = r[i + dg] % q
         if c:
-            quo[i] = c
-            r[i : i + len(g)] = (r[i : i + len(g)] - c * g) % q
-    return trim(quo), trim(r)
+            quo[i] = c * inv % q
+            for j, a in enumerate(low, i):
+                r[j] -= c * a
+    return quo, _trimmed([c % q for c in r[:dg]])
 
 
-def monic(f: np.ndarray, q: int) -> np.ndarray:
-    if len(f) == 0:
-        return f
-    return f * pow(int(f[-1]), q - 2, q) % q
+def _gcd(a: list[int], b: list[int], q: int) -> list[int]:
+    """Monic gcd of reduced, trimmed Python-int lists by Euclid's algorithm."""
+    while b:
+        a, b = b, _divmod(a, b, q)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
+def divmod_poly(f: np.ndarray, g: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of f by g over F_q, on Python ints: exact for
+    every q."""
+    g = _ints(g, q)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    quo, rem = _divmod(_ints(f, q), g, q)
+    return _array(quo), _array(rem)
 
 
 def gcd(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
-    a, b = trim(f % q), trim(g % q)
-    while len(b):
-        _, r = divmod_poly(a, b, q)
-        a, b = b, r
-    return monic(a, q)
-
-
-def derivative(f: np.ndarray, q: int) -> np.ndarray:
-    if len(f) <= 1:
-        return np.zeros(0, dtype=np.int64)
-    return trim(f[1:] * np.arange(1, len(f), dtype=np.int64) % q)
+    """Monic gcd over F_q (empty when f = g = 0), on Python ints."""
+    return _array(_gcd(_ints(f, q), _ints(g, q), q))
 
 
 def squarefree_part(f: np.ndarray, q: int) -> np.ndarray:
     """f / gcd(f, f'); its degree counts the distinct roots of f over the
-    algebraic closure, provided q > deg(f) (so no multiplicity reaches p)."""
-    f = trim(f % q)
-    if len(f) == 0:
+    algebraic closure, provided q > deg(f) (so no multiplicity reaches p).
+    Runs on Python ints, exact for every q."""
+    f = _ints(f, q)
+    if not f:
         raise ZeroDivisionError("squarefree part of the zero polynomial")
-    g = gcd(f, derivative(f, q), q)
-    quo, rem = divmod_poly(f, g, q)
-    assert len(rem) == 0
-    return quo
+    df = _trimmed([i * c % q for i, c in enumerate(f)][1:])
+    quo, rem = _divmod(f, _gcd(f, df, q), q)
+    assert not rem
+    return _array(quo)

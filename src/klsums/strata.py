@@ -51,13 +51,15 @@ the coordinate axis (the constant term and the r term), summed and reduced
 mod q once, so one numpy call per form serves every b of a chunk.  A batch
 runs in chunks of as many b as keep the chunk's counted bytes,
 24 n k^n (k^(n-2) + 1) per b with n = 2l, within RESOLVENT_CHUNK_BYTES
-(1 MiB), and at least one b: 13 b at (k,l) = (3,2), 6 at (2,3), 2 at
-(4,2), one at (5,2) and (2,4).  The polyfq finish stays per b: M^k, the
-squarefree part of P_b, and P_b evaluated at each -b_i by Horner's rule.
+(4 MiB), and at least one b: 53 b at (k,l) = (3,2), 26 at (2,3), 10 at
+(4,2), 2 at (5,2) and one at (2,4).  Each chunk pays the same numpy calls per
+form whatever its size, so a scan of up to 53 b at (3,2) or 26 at (2,3)
+pays them once.  The polyfq finish stays per b: M^k, the squarefree part
+of P_b (on Python ints), and P_b evaluated at each -b_i by Horner's rule.
 
 Against the package's byte budget (``errors.MAX_BYTES``) the resolvent
 counts one chunk before it allocates, which grows as k^(4l) per b, so
-under any budget above 1 MiB a batch is admitted exactly when a single b
+under any budget above 4 MiB a batch is admitted exactly when a single b
 is; the exhaustive scan counts 400 bytes per b, q^(2l) of them.
 """
 
@@ -80,9 +82,10 @@ from .errors import (
 )
 from .field import PrimeField, check_b
 
-# Counted resolvent bytes per chunk of b.  Larger chunks save little more
-# numpy overhead per b and raise a scan's peak memory.
-RESOLVENT_CHUNK_BYTES = 2**20
+# Counted resolvent bytes per chunk of b: each chunk costs about 11 numpy
+# calls per form, so fewer, larger chunks cut a scan's fixed cost, at the
+# price of a scan's peak memory.
+RESOLVENT_CHUNK_BYTES = 2**22
 
 
 def is_diagonal(b) -> bool:

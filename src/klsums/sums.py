@@ -140,10 +140,10 @@ def _named(q: int, bt: np.ndarray) -> dict:
     return {"q": q, "B": len(bt)} if bt.ndim == 2 else {"q": q}
 
 
-def _sweep(table: KlTable, b):
+def _sweep(table: KlTable, b, col0: bool = False):
     """One pass over M in KR_ROWS-row blocks from ``kr_matrix``: the column
-    sums bfR(r, b) for r = 0..q-1, sum |bfK|^2 over all of M, and the same
-    over its r = 0 column.
+    sums bfR(r, b) for r = 0..q-1, sum |bfK|^2 over all of M, and, with
+    ``col0``, the same over its r = 0 column (None without).
 
     For one b, that triple; for a (B, 2l) array, an iterator of the triples
     of its rows in order.  The rows go in chunks of as many b as keep their
@@ -162,11 +162,11 @@ def _sweep(table: KlTable, b):
     # 16 q (q + 3 rows + 2) + 16 KiB
     check_bytes(16 * q * (q + 2 * rows + 1) + chunk * per_b + 2**14, "Sigma sweep",
                 **_named(q, bt))
-    triples = _sweep_chunks(table, bt if bt.ndim == 2 else bt[None], chunk)
+    triples = _sweep_chunks(table, bt if bt.ndim == 2 else bt[None], chunk, col0)
     return triples if bt.ndim == 2 else next(triples)
 
 
-def _sweep_chunks(table: KlTable, bt: np.ndarray, chunk: int):
+def _sweep_chunks(table: KlTable, bt: np.ndarray, chunk: int, col0: bool):
     """The sweep triples of the rows of bt, one kr_matrix call per chunk of
     b and row block."""
     q = table.field.q
@@ -180,10 +180,11 @@ def _sweep_chunks(table: KlTable, bt: np.ndarray, chunk: int):
             for j, block in enumerate(blocks):
                 r_vec[j] += block.sum(axis=0)
                 k2[j].append(np.vdot(block, block).real)
-                k2_col0[j].append(np.vdot(block[:, 0], block[:, 0]).real)
+                if col0:
+                    k2_col0[j].append(np.vdot(block[:, 0], block[:, 0]).real)
             del blocks, block  # freed before the next blocks are built
         for j in range(len(rows_b)):
-            yield r_vec[j], math.fsum(k2[j]), math.fsum(k2_col0[j])
+            yield r_vec[j], math.fsum(k2[j]), math.fsum(k2_col0[j]) if col0 else None
 
 
 def sigma_I(table: KlTable, b) -> complex:

@@ -126,11 +126,16 @@ def test_resolvent_count_covers_measured_peak(k, l, q):
     assert peak <= resolvent_bytes(k, l)
 
 
+# b per full RESOLVENT_CHUNK_BYTES (4 MiB) chunk
+CHUNK_ROWS = {(2, 2): 546, (3, 2): 53, (2, 3): 26, (4, 2): 10}
+
+
 @pytest.mark.parametrize("k,l,q", [(2, 2, 97), (3, 2, 499), (2, 3, 499), (4, 2, 509)])
 def test_resolvent_chunk_count_covers_measured_peak(k, l, q):
     # one full chunk of b: the count is per chunk, whatever the batch size
     f = build_field(q)
-    rows = max(1, strata.RESOLVENT_CHUNK_BYTES // resolvent_bytes(k, l))
+    rows = CHUNK_ROWS[k, l]
+    assert rows == strata.RESOLVENT_CHUNK_BYTES // resolvent_bytes(k, l)
     bs = np.random.Generator(np.random.PCG64(1)).integers(0, q, size=(rows, 2 * l))
     singular_polynomial(f, k, bs[:1])  # the cached row maps
     tracemalloc.start()

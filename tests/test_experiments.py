@@ -1,7 +1,8 @@
 """Argument checks of the prime-ladder experiment."""
 
-import hashlib
-import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -25,14 +26,32 @@ def test_ladder_refuses_l1_before_any_field(monkeypatch):
         bound_ladder([101, 151], k=2, l=1, samples=5, subgeneric_samples=2)
 
 
+# perfbench/run.py sets these before numpy loads.  np.vdot in the Sigma sweep
+# splits a block of about 10^4 entries or more across BLAS threads, which
+# moves the last bits of Sigma with the thread count.
+ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
+LADDER_SHA256 = """
+import hashlib, json
+from klsums.experiments import bound_ladder
+text = json.dumps(bound_ladder([101, 307, 499], seed=0).to_json(), sort_keys=True)
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
 def test_bound_ladder_json_pinned():
     """bound_ladder([101, 307, 499], seed=0) as sorted-key JSON, pinned by
-    sha256 taken before the resolvent gained its b axis: the batched scans,
-    the samplers' batched rounds and the batched Sigma sweep reproduce every
-    draw, count and float of the per-b code."""
-    text = json.dumps(bound_ladder([101, 307, 499], seed=0).to_json(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "33d02e52407223a87f201baea805aa0cbced5e95a5e5cfdfdaa25ecb7cedbbf0")
+    sha256 in a fresh process with one BLAS thread, so the pin does not
+    depend on the machine's core count.  The per-b code gave the same JSON:
+    the batched scans, the samplers' batched rounds and the batched Sigma
+    sweep reproduce every draw, count and float."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, **ONE_BLAS_THREAD,
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", LADDER_SHA256], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == (
+        "46c4a7518d940c4bb3b3f57174964865bd04b1d14d0aecb305920395dcec3022")
 
 
 # --- the samplers against a one-draw-at-a-time loop ----------------------------

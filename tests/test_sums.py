@@ -380,10 +380,11 @@ def assert_batch_matches_one_b(table, bs):
     one-b results, compared with == (the bfR vectors to the bit)."""
     reps = sigma_II(table, bs)
     assert reps == [sigma_II(table, b) for b in bs]
-    for b, (r_vec, k2, k2_col0) in zip(bs, sums._sweep(table, bs)):
-        one = sums._sweep(table, b)
+    for b, (r_vec, k2, k2_col0) in zip(bs, sums._sweep(table, bs, col0=True)):
+        one = sums._sweep(table, b, col0=True)
         assert r_vec.view(np.uint64).tolist() == one[0].view(np.uint64).tolist()
         assert (k2, k2_col0) == one[1:]
+        assert sums._sweep(table, b)[2] is None  # the r = 0 column only on request
     return reps
 
 
