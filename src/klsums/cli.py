@@ -118,6 +118,8 @@ def _cmd_kl_table(args) -> dict:
 
 
 def _cmd_kl_verify(args) -> dict:
+    if args.n_lambda < 0:
+        raise PreconditionError(f"--n-lambda must be >= 0, got {args.n_lambda}")
     f = build_field(args.q)
     t = _chars_arg(f, args.chars)
     naive = kl_table_naive(f, t, args.scale)  # first: its byte budget is the binding one
@@ -193,12 +195,11 @@ def _cmd_strata_scan(args) -> dict:
 
 def _cmd_box_count(args) -> dict:
     f = build_field(args.q)
-    count = box_count_variety(f, args.predicate, args.box, args.l)
+    count = box_count_variety(f, args.box, args.l)
     return {
         "q": f.q,
         "l": args.l,
         "B": args.box,
-        "predicate": args.predicate,
         "count": count,
         "count_over_B_pow_l": count / args.box**args.l if args.box else None,
     }
@@ -376,11 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--exhaustive", action="store_true")
 
-    p = add("box-count", help="points of a variety in the box [B,2B)^{2l}")
+    p = add("box-count", help="points of the diagonal variety in the box [B,2B)^{2l}")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--box", type=int, required=True, metavar="B")
-    p.add_argument("--predicate", choices=("diagonal", "empty"), default="diagonal")
 
     p = add("bound-check", seeded=True, help="prime-ladder Sigma_I/Sigma_II ratio experiment")
     p.add_argument("--l", type=int, default=2)

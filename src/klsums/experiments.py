@@ -168,6 +168,9 @@ def bound_ladder(
     if l < 2:
         raise PreconditionError(f"bound ladder needs l >= 2, got l={l}: at l = 1 every non-"
                                 "diagonal b has z = 2, so no non-diagonal subgeneric b exists")
+    if samples < 1 or subgeneric_samples < 1:
+        raise PreconditionError(f"bound ladder needs samples >= 1 and subgeneric_samples >= 1, "
+                                f"got samples={samples}, subgeneric_samples={subgeneric_samples}")
     if sorted(primes) != list(primes):
         raise PreconditionError("primes must be increasing")
     chars = tuple(chars) if chars is not None else (0,) * k

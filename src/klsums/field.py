@@ -163,13 +163,14 @@ def build_field(q: int) -> PrimeField:
     return PrimeField(q=q, g=g, dlog=dlog, exp=exp)
 
 
-def check_b(field: PrimeField, b, batch: bool = False) -> tuple[np.ndarray, int]:
+def check_b(field: PrimeField, b) -> tuple[np.ndarray, int]:
     """A shift tuple b as int64 residues mod q, with its l = len(b) / 2.
 
-    The one rule for b, shared by the complete sums and the strata: entries
-    are integers within int64 (integral floats such as 4.0 count; 1.7, NaN
-    and 2**70 do not), and the length is even and at least 2.  With
-    ``batch``, b may also be a (B, 2l) array holding one such tuple per row.
+    The one rule for b, shared by the complete sums and the strata: b is one
+    2l-tuple or a (B, 2l) array holding one per row.  Entries are integers
+    within int64 (integral floats such as 4.0 count; 1.7, NaN and 2**70 do
+    not), and 2l is even and at least 2.  Every b-kernel runs a single tuple
+    as a batch of one and returns its one result unwrapped.
     """
     raw = np.asarray(b)
     if raw.dtype.kind == "f":
@@ -180,9 +181,9 @@ def check_b(field: PrimeField, b, batch: bool = False) -> tuple[np.ndarray, int]
         raise PreconditionError(f"b entries must be integers within int64, got {b!r}")
     reduced = raw.astype(np.int64) % field.q
     n = reduced.shape[-1] if reduced.ndim else 0
-    if reduced.ndim not in ((1, 2) if batch else (1,)) or n < 2 or n % 2 != 0:
-        raise PreconditionError("b must be a flat tuple of even length 2l >= 2"
-                                + (", or a (B, 2l) array of them" if batch else ""))
+    if reduced.ndim not in (1, 2) or n < 2 or n % 2 != 0:
+        raise PreconditionError("b must be a flat tuple of even length 2l >= 2, "
+                                "or a (B, 2l) array of them")
     return reduced, n // 2
 
 

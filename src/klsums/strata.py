@@ -44,17 +44,18 @@ l = 1.  Seeded scans at q = 499 attain it for over 90% of b, so it is the
 generic value there (observed, not proved).  The squarefree reduction makes
 z(b) insensitive to the k-th power multiplicity.
 
-Every multi-b caller hands its b over as one (B, 2l) array.  The resolvent
-product carries a leading b axis: its state is (B, k^(2l), D), and each of
-the k^(2l-1) forms costs one gather state[:, src] and two contractions over
-the coordinate axis (the constant term and the r term), summed and reduced
-mod q once, so one numpy call per form serves every b of a chunk.  A batch
-runs in chunks of as many b as keep the chunk's counted bytes,
-24 n k^n (k^(n-2) + 1) per b with n = 2l, within RESOLVENT_CHUNK_BYTES
-(4 MiB), and at least one b: 53 b at (k,l) = (3,2), 26 at (2,3), 10 at
-(4,2), 2 at (5,2) and one at (2,4).  Each chunk pays the same numpy calls per
-form whatever its size, so a scan of up to 53 b at (3,2) or 26 at (2,3)
-pays them once.  The polyfq finish stays per b: M^k, the squarefree part
+``singular_polynomial`` and ``z_fiber_count`` take b by the rule of
+``field.check_b``, and every multi-b caller hands its b over as one
+(B, 2l) array.  The resolvent product carries a leading b axis: its state
+is (B, k^(2l), D), and each of the k^(2l-1) forms costs one gather
+state[:, src] and two contractions over the coordinate axis (the constant
+term and the r term), summed and reduced mod q once, so one numpy call per
+form serves every b of a chunk.  A batch runs in chunks of as many b as
+keep the chunk's counted bytes, 24 n k^n (k^(n-2) + 1) per b with n = 2l,
+within RESOLVENT_CHUNK_BYTES (4 MiB), and at least one b: 53 b at
+(k,l) = (3,2), 26 at (2,3), 10 at (4,2), 2 at (5,2) and one at (2,4).
+Each chunk pays the same numpy calls per form whatever its size, so a scan
+of up to 53 b at (3,2) or 26 at (2,3) pays them once.  The polyfq finish stays per b: M^k, the squarefree part
 of P_b (on Python ints), and P_b evaluated at each -b_i by Horner's rule.
 
 Against the package's byte budget (``errors.MAX_BYTES``) the resolvent
@@ -113,13 +114,13 @@ def _chunks(b: np.ndarray, k: int, l: int):
 
 
 def _check_preconditions(field: PrimeField, k: int, b) -> tuple[np.ndarray, int]:
-    b, l = check_b(field, b, batch=True)
+    b, l = check_b(field, b)
     if k < 2:
         raise PreconditionError("need k >= 2")
     if (field.q - 1) % k != 0:
         raise PreconditionError(f"q = {field.q} is not 1 mod k = {k}: mu_k not in F_q")
     # the largest chunk, which every chunk's bytes stay within
-    rows = min(len(b), _chunk_rows(k, l)) if b.ndim == 2 else 1
+    rows = min(len(np.atleast_2d(b)), _chunk_rows(k, l))
     check_bytes(rows * _resolvent_bytes(k, l), "resolvent", q=field.q, k=k, l=l)
     if field.q <= 2 * l + k ** (2 * l - 1):
         raise PreconditionError(
@@ -195,27 +196,23 @@ def _resolvent(field: PrimeField, k: int, b: np.ndarray) -> list[np.ndarray]:
     return polys
 
 
-def singular_polynomial(field: PrimeField, k: int, b) -> np.ndarray:
-    """P_b as coefficients over F_q (ascending degree; empty array if P_b = 0).
+def singular_polynomial(field: PrimeField, k: int, b) -> np.ndarray | list[np.ndarray]:
+    """P_b as coefficients over F_q (ascending degree, trimmed; empty array
+    if P_b = 0).
 
-    b is one 2l-tuple, or a (B, 2l) array of them; then the result is a
-    (B, D) array whose row j, trimmed of trailing zeros, is P_b for row j
-    of b.  Computes M over the k^(2l-1) forms with zeta_1 = 1 and returns
-    M^k.  Each form costs one gather of the (B, k^(2l), D) state per chunk:
-    the term for x_i is c_i * state[:, src_i], times 1 or, on a wrapped row,
-    (b_i + r).  The 2n products that make up a coefficient are summed, then
-    reduced mod q once; int64 stays exact for every q < 2^31 (16-bit halves
-    past 2n (q-1)^2 >= 2^63).  After each form the r-degree axis is trimmed
-    to the chunk's largest degree.
+    For one b, its P_b; for a (B, 2l) array (``field.check_b``), the list of
+    P_b of its rows in order.  Computes M over the k^(2l-1) forms with
+    zeta_1 = 1 and returns M^k.  Each form costs one gather of the
+    (B, k^(2l), D) state per chunk: the term for x_i is
+    c_i * state[:, src_i], times 1 or, on a wrapped row, (b_i + r).  The 2n
+    products that make up a coefficient are summed, then reduced mod q once;
+    int64 stays exact for every q < 2^31 (16-bit halves past
+    2n (q-1)^2 >= 2^63).  After each form the r-degree axis is trimmed to
+    the chunk's largest degree.
     """
-    b, l = _check_preconditions(field, k, b)
-    if b.ndim == 1:
-        return _resolvent(field, k, b[None])[0]
-    polys = [p for chunk in _chunks(b, k, l) for p in _resolvent(field, k, chunk)]
-    out = np.zeros((len(polys), max(map(len, polys), default=0)), dtype=np.int64)
-    for row, p in zip(out, polys):
-        row[:len(p)] = p
-    return out
+    bt, l = _check_preconditions(field, k, b)
+    polys = [p for chunk in _chunks(np.atleast_2d(bt), k, l) for p in _resolvent(field, k, chunk)]
+    return polys if bt.ndim == 2 else polys[0]
 
 
 @dataclass
@@ -248,17 +245,18 @@ def _report(field: PrimeField, l: int, b: np.ndarray, p: np.ndarray) -> StratumR
 def z_fiber_count(field: PrimeField, k: int, b) -> StratumReport | list[StratumReport]:
     """Distinct geometric points of Z_b = {P_b = 0} union {r = -b_i}.
 
-    For one b, its report; DegenerateFiberError when P_b = 0.  For a
-    (B, 2l) array, one report per row in order, with deg_P = z_count = -1
-    on the degenerate rows; the rows reach ``singular_polynomial`` one
-    chunk per call.
+    For a (B, 2l) array, one report per row in order, with
+    deg_P = z_count = -1 on the degenerate rows; the rows reach
+    ``singular_polynomial`` one chunk per call.  For one b, its report, and
+    DegenerateFiberError when P_b = 0.
     """
     bt, l = _check_preconditions(field, k, b)
+    reports = [_report(field, l, row, p)
+               for chunk in _chunks(np.atleast_2d(bt), k, l)
+               for row, p in zip(chunk, singular_polynomial(field, k, chunk))]
     if bt.ndim == 2:
-        return [_report(field, l, row, polyfq.trim(p))
-                for chunk in _chunks(bt, k, l)
-                for row, p in zip(chunk, singular_polynomial(field, k, chunk))]
-    rep = _report(field, l, bt, singular_polynomial(field, k, bt))
+        return reports
+    rep = reports[0]
     if rep.z_count < 0:
         raise DegenerateFiberError(
             f"P_b vanishes identically at b = {rep.b}"
@@ -321,9 +319,10 @@ def stratum_scan(
     return ScanResult(histogram=hist, generic=generic, reports=reports)
 
 
-def generic_z_value(field: PrimeField, k: int, l: int, seed: int, samples: int = 200) -> int:
-    """The generic |Z_b| for (q, k, l): the maximum z over a seeded scan."""
-    return stratum_scan(field, k, l, samples=samples, seed=seed).generic
+def generic_z_value(field: PrimeField, k: int, l: int, seed: int) -> int:
+    """The generic |Z_b| for (q, k, l): the maximum z over a seeded
+    200-sample scan."""
+    return stratum_scan(field, k, l, samples=200, seed=seed).generic
 
 
 def diagonal_box_count(B: int, l: int) -> int:
@@ -342,16 +341,11 @@ def diagonal_box_count(B: int, l: int) -> int:
     return sum(S[n][m] * math.perm(B, m) for m in range(l + 1))
 
 
-def box_count_variety(field: PrimeField, predicate: str, B: int, l: int) -> int:
-    """Exact count of points of [B, 2B)^{2l} (integer coordinates, reduced
-    mod q) on a variety: predicate "diagonal" (exact combinatorial count)
-    or "empty" (no equations: B^{2l})."""
+def box_count_variety(field: PrimeField, B: int, l: int) -> int:
+    """Exact count of the points of [B, 2B)^{2l} (integer coordinates,
+    reduced mod q) on the diagonal variety, by ``diagonal_box_count``."""
     if l < 1:
         raise PreconditionError(f"box count needs l >= 1, got l={l}")
     if not 0 <= B < field.q / 2:
         raise PreconditionError("need 0 <= B < q/2 so the box injects into F_q")
-    if predicate == "diagonal":
-        return diagonal_box_count(B, l)
-    if predicate == "empty":
-        return B ** (2 * l)
-    raise PreconditionError(f"predicate must be 'diagonal' or 'empty', got {predicate!r}")
+    return diagonal_box_count(B, l)

@@ -17,26 +17,29 @@ the last one by default in the rearranged difference form
 which costs O(q^2 l) instead of O(q^3 l).  The direct (s1 != s2) evaluation
 is kept as an oracle behind a flag; the two must agree to 1e-6 * q^{3/2}.
 
-Every quantity is a sum over the matrix M[s-1, r] = bfK(s*r, s*b).  Sigma_I,
-Sigma_II and ``bilinear.averaged_comparison_full_sample`` take it in one
-sweep of KR_ROWS-row blocks from ``kr_matrix(table, b, lo, hi)``, each
-reduced while in cache to the column sums bfR(r, b) and sum |bfK|^2, so M
-is never held whole.
+Every quantity is a sum over the matrix M[s-1, r] = bfK(s*r, s*b).  The
+``sigma_II`` report (Sigma_I and Sigma_II) and
+``bilinear.averaged_comparison_full_sample`` take it in one sweep of
+KR_ROWS-row blocks from ``kr_matrix(table, b, lo, hi)``, each reduced while
+in cache to the column sums bfR(r, b) and sum |bfK|^2, so M is never held
+whole.
 
-``kr_matrix``, the sweep and ``sigma_II`` take one b or a (B, 2l) array of
-them.  ``kr_matrix`` reads kmat[s, x] = K(s*x): factor i of row s is row s
-of kmat rotated left by b_i.  Per block it conjugates the kmat rows once
-and shares them across every b of the call; per b it copies factor 0's
-rotation into the output and multiplies in factors 1..2l-1, each rotated
-from the plain or the conjugated block into one reused factor buffer, so a
-b costs 2l - 1 multiplies per block, with no per-b integer arithmetic and
-no q x q temporaries.  The sweep hands ``kr_matrix`` chunks of as many b as
-keep their output blocks and bfR vectors, 16 q (KR_ROWS + 1) bytes per b,
-within SIGMA_CHUNK_BYTES (1 MiB), and at least one: 19 b at q = 101, 6 at
+``kr_matrix``, the sweep and ``sigma_II`` take b by the rule of
+``field.check_b``.  ``kr_matrix`` reads
+kmat[s, x] = K(s*x): factor i of row s is row s of kmat rotated left by
+b_i.  Per block it conjugates the kmat rows once and shares them across
+every b of the call; per b it copies factor 0's rotation into the output
+and multiplies in factors 1..2l-1, each rotated from the plain or the
+conjugated block into one reused factor buffer, so a b costs 2l - 1
+multiplies per block, with no per-b integer arithmetic and no q x q
+temporaries.  The sweep hands ``kr_matrix`` chunks of as many b as keep
+their output blocks and bfR vectors, 16 q (KR_ROWS + 1) bytes per b, within
+SIGMA_CHUNK_BYTES (1 MiB), and at least one: 19 b at q = 101, 6 at
 q = 307, 3 at q = 499, one from q = 997 up.  Per b it reduces the same
-blocks in the same order as for one b, so every value is bit-identical to
-the one-b call.  ``_bfk_product`` evaluates the same product pointwise from
-the table; it is the oracle the kernel is tested against, bit for bit.
+blocks in the same order whatever the chunk, so every value is
+bit-identical to the one-b call.  ``_bfk_product`` evaluates the same
+product pointwise from the table; it is the oracle the kernel is tested
+against, bit for bit.
 
 Against the byte budget (``errors.MAX_BYTES``) the sweep counts the
 table's cached kmat, 16 q^2 bytes, the conjugated block and the factor
@@ -100,8 +103,8 @@ def kr_matrix(table: KlTable, b, lo: int = 1, hi: int | None = None) -> np.ndarr
     a row range or a slab gives the matching rows of the one-b full matrix
     bit for bit.
     """
-    bt, l = check_b(table.field, b, batch=True)
-    batch = bt if bt.ndim == 2 else bt[None]
+    bt, l = check_b(table.field, b)
+    batch = np.atleast_2d(bt)
     q = table.field.q
     hi = q if hi is None else hi
     if not 1 <= lo < hi <= q:
@@ -111,7 +114,7 @@ def kr_matrix(table: KlTable, b, lo: int = 1, hi: int | None = None) -> np.ndarr
     # + 1 rows), the conjugated block and the factor buffer (rows each), so
     # one b over the full range counts 32 q^2 + 1024 q
     check_bytes(16 * q * (q + len(batch) * (hi - lo + 1) + 2 * rows), "kr_matrix",
-                **_named(q, bt))
+                **_named(q, batch))
     kmat = table.kmat
     out = np.empty((len(batch), hi - lo, q), dtype=np.complex128)
     conj_buf = np.empty((rows, q), dtype=np.complex128)
@@ -135,9 +138,10 @@ def _rotate(dst: np.ndarray, src: np.ndarray, shift: int) -> None:
     dst[:, q - shift:] = src[:, :shift]
 
 
-def _named(q: int, bt: np.ndarray) -> dict:
-    """The parameters a byte-budget refusal names: q, and B for a batch."""
-    return {"q": q, "B": len(bt)} if bt.ndim == 2 else {"q": q}
+def _named(q: int, batch: np.ndarray) -> dict:
+    """The parameters a byte-budget refusal names: q, and B for a batch of
+    other than one b."""
+    return {"q": q} if len(batch) == 1 else {"q": q, "B": len(batch)}
 
 
 def _sweep(table: KlTable, b, col0: bool = False):
@@ -145,24 +149,25 @@ def _sweep(table: KlTable, b, col0: bool = False):
     sums bfR(r, b) for r = 0..q-1, sum |bfK|^2 over all of M, and, with
     ``col0``, the same over its r = 0 column (None without).
 
-    For one b, that triple; for a (B, 2l) array, an iterator of the triples
-    of its rows in order.  The rows go in chunks of as many b as keep their
+    For a (B, 2l) array, an iterator of the triples of its rows in order;
+    for one b, its triple.  The rows go in chunks of as many b as keep their
     row blocks and bfR vectors within SIGMA_CHUNK_BYTES, at least one, so
-    each kr_matrix call serves a chunk; per b, the reductions run over the
-    same blocks in the same order as for one b.
+    each kr_matrix call serves a chunk; the byte budget is checked before
+    the first triple.
     """
-    bt, _ = check_b(table.field, b, batch=True)
+    bt, _ = check_b(table.field, b)
+    batch = np.atleast_2d(bt)
     q = table.field.q
     rows = min(KR_ROWS, q - 1)
     per_b = 16 * q * (rows + 1)
-    chunk = max(1, min(len(bt) if bt.ndim == 2 else 1, SIGMA_CHUNK_BYTES // per_b))
+    chunk = max(1, min(len(batch), SIGMA_CHUNK_BYTES // per_b))
     # kmat (q rows of 16 q bytes), the conjugated block and the factor buffer
     # (rows each), one chunk of output blocks and bfR vectors, one column-sum
     # temporary, and 16 KiB for the small arrays; one b counts
     # 16 q (q + 3 rows + 2) + 16 KiB
     check_bytes(16 * q * (q + 2 * rows + 1) + chunk * per_b + 2**14, "Sigma sweep",
-                **_named(q, bt))
-    triples = _sweep_chunks(table, bt if bt.ndim == 2 else bt[None], chunk, col0)
+                **_named(q, batch))
+    triples = _sweep_chunks(table, batch, chunk, col0)
     return triples if bt.ndim == 2 else next(triples)
 
 
@@ -187,12 +192,6 @@ def _sweep_chunks(table: KlTable, bt: np.ndarray, chunk: int, col0: bool):
             yield r_vec[j], math.fsum(k2[j]), math.fsum(k2_col0[j]) if col0 else None
 
 
-def sigma_I(table: KlTable, b) -> complex:
-    """Sigma_I(K, b) = sum over r in F_q, s in F_q^x of bfK(sr, sb), for one b."""
-    bt, _ = check_b(table.field, b)
-    return complex(_sweep(table, bt)[0].sum())
-
-
 @dataclass
 class SumReport:
     """Sigma_I / Sigma_II values for one b, with components and scale ratios."""
@@ -210,26 +209,28 @@ class SumReport:
 
 
 def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport | list[SumReport]:
-    """Sigma_II(K, b) in difference form; optionally cross-check the direct sum.
+    """Sigma_II(K, b) in difference form, with Sigma_I from the same sweep;
+    optionally cross-check the direct sum.
 
     For a (B, 2l) array of b, one report per row in order, from one sweep
-    that serves a chunk of b per row block.  With ``direct=True`` (one b
-    only) also evaluates the s1 != s2 double sum through the Gram matrix of
-    M and raises NumericalInstabilityError if the two routes disagree beyond
-    1e-6 * q^{3/2}.  The direct route runs first, so its larger byte count
-    is checked before any matrix is built, and its M is freed before the
-    difference form sweeps M one row block at a time.
+    that serves a chunk of b per row block; for one b, its report.  With
+    ``direct=True`` (one b only) also evaluates the s1 != s2 double sum
+    through the Gram matrix of M and raises NumericalInstabilityError if the
+    two routes disagree beyond 1e-6 * q^{3/2}.  The direct route runs first,
+    so its larger byte count is checked before any matrix is built, and its
+    M is freed before the difference form sweeps M one row block at a time.
     """
-    bt, l = check_b(table.field, b, batch=True)
-    if bt.ndim == 2:
-        if direct:
-            raise PreconditionError(f"the direct Sigma_II oracle takes one b, got a batch of "
-                                    f"B={len(bt)} at l={l}")
-        return [_report(table, row, l, r_vec, k2)
-                for row, (r_vec, k2, _) in zip(bt, _sweep(table, bt))]
+    bt, l = check_b(table.field, b)
+    if direct and bt.ndim == 2:
+        raise PreconditionError(f"the direct Sigma_II oracle takes one b, got a batch of "
+                                f"B={len(bt)} at l={l}")
     d = sigma_II_direct(table, bt) if direct else None
-    r_vec, k2, _ = _sweep(table, bt)
-    rep = _report(table, bt, l, r_vec, k2)
+    batch = np.atleast_2d(bt)
+    reps = [_report(table, row, l, r_vec, k2)
+            for row, (r_vec, k2, _) in zip(batch, _sweep(table, batch))]
+    if bt.ndim == 2:
+        return reps
+    rep = reps[0]
     if d is not None:
         q = table.field.q
         rep.sigma_II_direct = d.real
@@ -278,10 +279,3 @@ def sigma_II_direct(table: KlTable, b) -> complex:
     total = complex(gram.sum())
     diag = complex(np.trace(gram))
     return total - diag
-
-
-def sigma_envelope(table: KlTable, l: int) -> tuple[float, float]:
-    """Trivial envelopes |Sigma_I| <= k^{2l} q^2 and |Sigma_II| <= k^{4l} q^3."""
-    q = table.field.q
-    k = table.k
-    return float(k ** (2 * l)) * q**2, float(k ** (4 * l)) * q**3

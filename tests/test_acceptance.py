@@ -250,7 +250,7 @@ def test_criterion_10_box_counting():
     field = build_field(997)
     counts = {}
     for B in (10, 20, 40):
-        counts[B] = box_count_variety(field, "diagonal", B, 2)
+        counts[B] = box_count_variety(field, B, 2)
         assert counts[B] <= 3 * B**2, (B, counts[B])
     assert report(
         10,

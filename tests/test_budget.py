@@ -24,7 +24,7 @@ from klsums.errors import ResourceLimitError
 from klsums.field import build_field
 from klsums.kloosterman import kl_table_fast, kl_table_naive
 from klsums.strata import singular_polynomial, stratum_scan
-from klsums.sums import kr_matrix, sigma_I, sigma_II, sigma_II_direct
+from klsums.sums import kr_matrix, sigma_II, sigma_II_direct
 
 # the first PCG64 in a process imports its seeding modules (about 1 MB under
 # tracemalloc), which a measured site must not be charged for
@@ -75,7 +75,8 @@ SITES = {
                               f"sigma_II_direct at q={Q}"),
     "sigma_II_direct": (lambda t: sigma_II_direct(t, B), 64 * Q**2, f"sigma_II_direct at q={Q}"),
     "sigma_II": (lambda t: sigma_II(t, B), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
-    "sigma_I": (lambda t: sigma_I(t, B), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
+    # a batch of one counts and is named as one b
+    "sigma_II(batch of one)": (lambda t: sigma_II(t, [B]), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
     "sigma_II(batch)": (lambda t: sigma_II(t, [B] * 5), sweep_bytes(Q, 5),
                         f"Sigma sweep at q={Q}, B=5"),
     # 9 b of 111408 bytes fill SIGMA_CHUNK_BYTES at q = 211: the count is per chunk

@@ -243,7 +243,7 @@ def test_option_surface():
         assert ("--seed" in opts) == (name in SEEDED_SUBCOMMANDS), name
         assert "--threads" not in opts, name
         assert ("--k" in opts) == (name == "strata-scan"), name
-    assert sum(len(_options(p)) for p in subs.values()) == 67
+    assert sum(len(_options(p)) for p in subs.values()) == 66
 
 
 @pytest.mark.parametrize("name", sorted(MINIMAL_ARGS))
@@ -373,6 +373,22 @@ def test_bound_check_l1_exit_2():
     code, env = run_json(["bound-check", "--primes", "103,151", "--chars", "0,0,0", "--l", "1"])
     assert code == 2 and env["status"] == "precondition-failed"
     assert "l >= 2, got l=1" in env["payload"]["error"]
+
+
+@pytest.mark.parametrize("option,value", [("--samples", "0"), ("--samples", "-2"),
+                                          ("--subgeneric-samples", "0"),
+                                          ("--subgeneric-samples", "-1")])
+def test_bound_check_empty_sample_set_exit_2(option, value):
+    code, env = run_json(["bound-check", "--primes", "101,151", option, value])
+    assert code == 2 and env["status"] == "precondition-failed"
+    name = option[2:].replace("-", "_")
+    assert f"{name}={value}" in env["payload"]["error"]
+
+
+def test_kl_verify_negative_n_lambda_exit_2():
+    code, env = run_json(["kl-verify", "--q", "101", "--chars", "0,0", "--n-lambda", "-3"])
+    assert code == 2 and env["status"] == "precondition-failed"
+    assert env["payload"]["error"] == "--n-lambda must be >= 0, got -3"
 
 
 def test_bound_check_payload_keys():

@@ -26,6 +26,18 @@ def test_ladder_refuses_l1_before_any_field(monkeypatch):
         bound_ladder([101, 151], k=2, l=1, samples=5, subgeneric_samples=2)
 
 
+@pytest.mark.parametrize("samples,subgeneric", [(0, 20), (-1, 20), (100, 0), (100, -1)])
+def test_ladder_refuses_empty_sample_sets_before_any_field(samples, subgeneric, monkeypatch):
+    # no generic b leaves the trend ratios 0/0; no subgeneric b passes vacuously
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ladder should refuse its sample counts before any work")
+
+    monkeypatch.setattr(experiments, "build_field", forbidden)
+    msg = f"samples={samples}, subgeneric_samples={subgeneric}"
+    with pytest.raises(PreconditionError, match=msg):
+        bound_ladder([101, 151], samples=samples, subgeneric_samples=subgeneric)
+
+
 # perfbench/run.py sets these before numpy loads.  np.vdot in the Sigma sweep
 # splits a block of about 10^4 entries or more across BLAS threads, which
 # moves the last bits of Sigma with the thread count.

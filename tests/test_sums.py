@@ -13,10 +13,8 @@ from klsums.kloosterman import kl_table_fast
 from klsums.sums import (
     _bfk_product,
     kr_matrix,
-    sigma_I,
     sigma_II,
     sigma_II_direct,
-    sigma_envelope,
 )
 
 
@@ -86,7 +84,7 @@ def test_quadruple_loop_oracle_q7():
         for r in range(q)
         for s in range(1, q)
     )
-    assert sigma_I(tab, b) == pytest.approx(want_sI, abs=1e-8)
+    assert sigma_II(tab, b).sigma_I == pytest.approx(want_sI, abs=1e-8)
 
     want_sII = sum(
         bfK(s1 * r % q, tuple(s1 * bi % q for bi in b))
@@ -103,7 +101,7 @@ def test_quadruple_loop_oracle_q7():
 
 def test_sigma_I_paired_nonnegative(tab13):
     # b with b_{i+l} = b_i: every term is a product of squared moduli
-    val = sigma_I(tab13, (2, 5, 2, 5))
+    val = sigma_II(tab13, (2, 5, 2, 5)).sigma_I
     assert val.real >= -1e-6
     assert abs(val.imag) <= 1e-6
 
@@ -122,7 +120,7 @@ def test_sigma_I_brute_q11():
                 term = kv[s * (r + b[0]) % q] * kv[s * (r + b[1]) % q]
                 term *= (kv[s * (r + b[2]) % q] * kv[s * (r + b[3]) % q]).conjugate()
                 want += term
-        assert sigma_I(tab, b) == pytest.approx(want, abs=1e-6)
+        assert sigma_II(tab, b).sigma_I == pytest.approx(want, abs=1e-6)
 
 
 @pytest.mark.parametrize("q,k,l", [(13, 2, 1), (13, 3, 2), (53, 2, 2)])
@@ -157,17 +155,16 @@ def test_scale_invariance(l):
     tabs = {a: kl_table_fast(f, t, a) for a in (1, 2, f.g)}
     for _ in range(20):
         b = rng.integers(0, q, size=2 * l)
-        ref_i = sigma_I(tabs[1], b)
-        ref_ii = sigma_II(tabs[1], b).sigma_II
+        ref = sigma_II(tabs[1], b)
         for a in (2, f.g):
-            assert sigma_I(tabs[a], b) == pytest.approx(ref_i, abs=1e-6 * max(1, abs(ref_i)))
-            got = sigma_II(tabs[a], b).sigma_II
-            assert got == pytest.approx(ref_ii, abs=1e-6 * max(1.0, abs(ref_ii)))
+            got = sigma_II(tabs[a], b)
+            assert got.sigma_I == pytest.approx(ref.sigma_I, abs=1e-6 * max(1, abs(ref.sigma_I)))
+            assert got.sigma_II == pytest.approx(ref.sigma_II, abs=1e-6 * max(1.0, abs(ref.sigma_II)))
 
 
 def test_trivial_envelopes(tab13):
-    env_i, env_ii = sigma_envelope(tab13, 2)
-    assert env_i == 2**4 * 13**2 and env_ii == 2**8 * 13**3
+    # |Sigma_I| <= k^(2l) q^2 and |Sigma_II| <= k^(4l) q^3 at k = l = 2
+    env_i, env_ii = 2**4 * 13**2, 2**8 * 13**3
     rng = np.random.Generator(np.random.PCG64(0))
     for _ in range(10):
         b = rng.integers(0, 13, size=4)
@@ -188,14 +185,12 @@ def test_translation_covariance_exact(tab13):
 
 def test_b_validation(tab13):
     with pytest.raises(PreconditionError):
-        sigma_I(tab13, (1, 2, 3))
-    # a (B, 2l) array is a batch of b; any other shape is refused, and
-    # sigma_I takes one b only
+        sigma_II(tab13, (1, 2, 3))
+    # a (B, 2l) array is a batch of b; any other shape is refused
     for bad in (np.zeros((2, 2, 2), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)):
-        with pytest.raises(PreconditionError):
-            kr_matrix(tab13, bad)
-    with pytest.raises(PreconditionError):
-        sigma_I(tab13, np.zeros((2, 2), dtype=np.int64))
+        for call in (kr_matrix, sigma_II):
+            with pytest.raises(PreconditionError, match="or a \\(B, 2l\\) array of them"):
+                call(tab13, bad)
 
 
 def test_kr_matrix_shape_and_zero_column(tab13):
@@ -334,7 +329,7 @@ def assert_sweep_matches_full_matrix(table, b):
     rep = sigma_II(table, b)
     # Sigma_I can cancel to rounding noise, so its scale has a floor at q
     assert abs(rep.sigma_I - want_i) <= 1e-12 * max(abs(want_i), q)
-    assert sigma_I(table, b) == rep.sigma_I
+    assert complex(sums._sweep(table, b)[0].sum()) == rep.sigma_I
     assert rep.comp_R2 == pytest.approx(want_r2, rel=1e-12)
     assert rep.comp_K2 == pytest.approx(want_k2, rel=1e-12)
     assert abs(rep.sigma_II - want_ii) <= 1e-12 * q**1.5
@@ -377,9 +372,11 @@ def sweep_bytes_per_b(q):
 
 def assert_batch_matches_one_b(table, bs):
     """sigma_II and the sweep over a (B, 2l) batch give, row by row, the
-    one-b results, compared with == (the bfR vectors to the bit)."""
+    one-b results and those of a batch of one, compared with == (the bfR
+    vectors to the bit)."""
     reps = sigma_II(table, bs)
     assert reps == [sigma_II(table, b) for b in bs]
+    assert reps == [rep for b in bs for rep in sigma_II(table, b[None])]
     for b, (r_vec, k2, k2_col0) in zip(bs, sums._sweep(table, bs, col0=True)):
         one = sums._sweep(table, b, col0=True)
         assert r_vec.view(np.uint64).tolist() == one[0].view(np.uint64).tolist()
