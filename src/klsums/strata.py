@@ -55,8 +55,9 @@ keep the chunk's counted bytes, 24 n k^n (k^(n-2) + 1) per b with n = 2l,
 within RESOLVENT_CHUNK_BYTES (4 MiB), and at least one b: 53 b at
 (k,l) = (3,2), 26 at (2,3), 10 at (4,2), 2 at (5,2) and one at (2,4).
 Each chunk pays the same numpy calls per form whatever its size, so a scan
-of up to 53 b at (3,2) or 26 at (2,3) pays them once.  The polyfq finish stays per b: M^k, the squarefree part
-of P_b (on Python ints), and P_b evaluated at each -b_i by Horner's rule.
+of up to 53 b at (3,2) or 26 at (2,3) pays them once.  The polyfq finish
+stays per b: M^k, the squarefree part of P_b (on Python ints), and P_b
+evaluated at each -b_i by Horner's rule.
 
 Against the package's byte budget (``errors.MAX_BYTES``) the resolvent
 counts one chunk before it allocates, which grows as k^(4l) per b, so
@@ -197,8 +198,7 @@ def _resolvent(field: PrimeField, k: int, b: np.ndarray) -> list[np.ndarray]:
 
 
 def singular_polynomial(field: PrimeField, k: int, b) -> np.ndarray | list[np.ndarray]:
-    """P_b as coefficients over F_q (ascending degree, trimmed; empty array
-    if P_b = 0).
+    """P_b over F_q, ascending coefficients, trimmed (empty if P_b = 0).
 
     For one b, its P_b; for a (B, 2l) array (``field.check_b``), the list of
     P_b of its rows in order.  Computes M over the k^(2l-1) forms with

@@ -158,8 +158,9 @@ def test_scale_invariance(l):
         ref = sigma_II(tabs[1], b)
         for a in (2, f.g):
             got = sigma_II(tabs[a], b)
-            assert got.sigma_I == pytest.approx(ref.sigma_I, abs=1e-6 * max(1, abs(ref.sigma_I)))
-            assert got.sigma_II == pytest.approx(ref.sigma_II, abs=1e-6 * max(1.0, abs(ref.sigma_II)))
+            for name in ("sigma_I", "sigma_II"):
+                want = getattr(ref, name)
+                assert getattr(got, name) == pytest.approx(want, abs=1e-6 * max(1.0, abs(want)))
 
 
 def test_trivial_envelopes(tab13):
