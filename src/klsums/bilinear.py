@@ -61,11 +61,6 @@ class CoeffSeq:
         support = np.arange(1, n + 1)
         return cls(support, np.ones(len(support)))
 
-    @classmethod
-    def indicator(cls, indices) -> "CoeffSeq":
-        idx = np.asarray(indices, dtype=np.int64)
-        return cls(idx, np.ones(len(idx)))
-
     @property
     def m_plus(self) -> int:
         return int(self.support.max())
@@ -145,7 +140,7 @@ def theorem_bounds(
     false for every type-II input at l <= 3.
     """
     if min(q, M, N, l) < 1:
-        raise PreconditionError("q, M, N, l must be positive")
+        raise PreconditionError(f"q, M, N, l must be positive, got q={q}, M={M}, N={N}, l={l}")
     trivial = k * alpha_l2 * beta_l2 * math.sqrt(M * N)
     if kind == "II":
         if l < 2:
@@ -346,10 +341,12 @@ def moment_identity_check(field: PrimeField, xi: MultChar, n: int) -> tuple[comp
     """
     q = field.q
     if not xi.is_even:
-        raise PreconditionError("the moment identity is derived for even xi only")
+        raise PreconditionError(
+            f"the moment identity is derived for even xi only, got xi={xi.a} at q={q}"
+        )
+    if n % q == 0:
+        raise PreconditionError(f"n must be nonzero mod q, got n={n} at q={q}")
     n %= q
-    if n == 0:
-        raise PreconditionError("n must be nonzero")
     sq = math.sqrt(q)
     N = q - 1
     spec = field.gauss_spectrum
@@ -398,9 +395,11 @@ def averaged_comparison_power_sum(
     """
     q = table.field.q
     if n > 4 or m > 1 or q > 31:
-        raise PreconditionError("power-sum family limited to n <= 4, m <= 1, q <= 31")
+        raise PreconditionError(
+            f"power-sum family limited to n <= 4, m <= 1, q <= 31, got n={n}, m={m}, q={q}"
+        )
     if n < 1 or m < 0:
-        raise PreconditionError("need n >= 1, m >= 0")
+        raise PreconditionError(f"need n >= 1, m >= 0, got n={n}, m={m}")
     s = np.arange(1, q, dtype=np.int64)
     lhs_terms: list[complex] = []
     rhs_terms: list[float] = []
@@ -451,7 +450,7 @@ def averaged_comparison_full_sample(
     """
     q = table.field.q
     if count < 0:
-        raise PreconditionError("count must be >= 0")
+        raise PreconditionError(f"count must be >= 0, got count={count}")
     if l < 1:
         raise PreconditionError(f"need l >= 1, got l={l}")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -4,9 +4,9 @@ A tuple is stored as its multiset of indices in Z/(q-1).  The properties
 decided here are purely combinatorial:
 
 * Kummer-induced: the multiset is a union of full fibers of the d-th power
-  map on the character group, for some divisor d != 1 of k (the map a -> d*a
-  on Z/(q-1); a fiber is nonempty only when d | q-1, in which case it is a
-  coset of the subgroup generated by (q-1)/d).
+  map a -> d*a on Z/(q-1), for some divisor d != 1 of k with d | q-1.  Such
+  a fiber is a coset of the subgroup generated by (q-1)/d, so this says the
+  multiset is stable under a -> a + (q-1)/d.
 * self-dual with dualizing character xi: the multiset is stable under
   a -> e - a, where e is the index of xi.  A dualizing xi is alternating
   when k is even and Lambda = xi^(k/2), otherwise symmetric.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .field import MultChar, PrimeField
+from .field import PrimeField
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,6 @@ class CharTuple:
     def lambda_index(self) -> int:
         """Index of Lambda = chi_1 * ... * chi_k."""
         return sum(self.indices) % (self.field.q - 1)
-
-    def chars(self) -> tuple[MultChar, ...]:
-        return tuple(MultChar(self.field, a) for a in self.indices)
 
     def twist(self, a0: int) -> "CharTuple":
         """The tuple chi_0 * chars with chi_0 of index a0."""
@@ -81,62 +78,23 @@ class ClassificationReport:
     mixed_duality: bool
 
 
-def _divisors(k: int) -> list[int]:
-    return [d for d in range(2, k + 1) if k % d == 0]
-
-
-def _fiber(d: int, xi_index: int, n: int) -> list[int] | None:
-    """Indices a with d*a = xi_index mod n, i.e. the d-th power fiber over xi."""
-    g = math.gcd(d, n)
-    if xi_index % g != 0:
-        return None
-    # one solution of d*a = xi (mod n), then translate by the kernel n/g * t
-    a0 = (xi_index // g) * pow(d // g, -1, n // g) % (n // g)
-    return sorted((a0 + (n // g) * t) % n for t in range(g))
-
-
 def is_kummer_induced(t: CharTuple) -> tuple[bool, KummerWitness | None]:
-    """Exhaustive search over divisors d | k, d != 1, for a full-fiber decomposition.
+    """The first divisor d | k, d != 1, whose d-th power fibers tile the tuple.
 
-    A union of k/d fibers of a -> d*a has size (k/d) * gcd(d, q-1), so only
-    divisors with gcd(d, q-1) = d (i.e. d | q-1) can work.  Distinct fibers
-    are disjoint cosets, so greedy peeling is exact.
+    A nonempty fiber of a -> d*a has gcd(d, q-1) elements, so k/d fibers
+    fill k slots only when d | q-1; then each fiber is a coset of the
+    subgroup generated by (q-1)/d, and a multiset is a union of such cosets
+    exactly when translation by (q-1)/d fixes it.  Each fiber gives its base
+    point d*a d times, so the witness keeps every d-th of the sorted d*a.
     """
     n = t.field.q - 1
     k = t.k
-    for d in _divisors(k):
-        if n % d != 0:
-            continue
-        remaining = Counter(t.indices)
-        xi_list: list[int] = []
-        ok = True
-        while remaining:
-            a = min(remaining)
-            fib = _fiber(d, d * a % n, n)
-            assert fib is not None and a in fib
-            if any(remaining[b] < 1 for b in fib):
-                ok = False
-                break
-            for b in fib:
-                remaining[b] -= 1
-                if remaining[b] == 0:
-                    del remaining[b]
-            xi_list.append(d * a % n)
-        if ok:
-            return True, KummerWitness(d=d, xi_indices=tuple(sorted(xi_list)))
+    ms = Counter(t.indices)
+    for d in range(2, k + 1):
+        if k % d == 0 and n % d == 0 and Counter((a + n // d) % n for a in t.indices) == ms:
+            xi = sorted(d * a % n for a in t.indices)[::d]
+            return True, KummerWitness(d=d, xi_indices=tuple(xi))
     return False, None
-
-
-def check_kummer_witness(t: CharTuple, w: KummerWitness) -> bool:
-    """Recheck: the multiset of the witness fibers reproduces the tuple exactly."""
-    n = t.field.q - 1
-    acc: Counter = Counter()
-    for e in w.xi_indices:
-        fib = _fiber(w.d, e, n)
-        if fib is None:
-            return False
-        acc.update(fib)
-    return acc == Counter(t.indices)
 
 
 def dualizing_characters(t: CharTuple) -> list[Dualizing]:

@@ -148,13 +148,11 @@ def _cmd_complete_sum(args) -> dict:
     f = build_field(args.q)
     t = _chars_arg(f, args.chars)
     b = _parse_ints(args.b, "--b")
-    table = kl_table_fast(f, t, args.scale)
-    rep = sigma_II(table, b, direct=args.direct)
+    rep = sigma_II(kl_table_fast(f, t), b, direct=args.direct)
     payload = {
         "q": f.q,
         "k": t.k,
         "chars": list(t.indices),
-        "scale": args.scale,
         "b": rep.b,
         "l": rep.l,
         "sigma_I": rep.sigma_I,
@@ -364,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--chars", required=True)
     p.add_argument("--b", required=True, help="comma-separated 2l field elements")
-    p.add_argument("--scale", type=int, default=1)
     p.add_argument("--direct", action="store_true", help="also run the O(q^3) direct oracle")
     p.add_argument("--stratum", action="store_true", help="attach z_count (needs q = 1 mod k)")
 

@@ -164,7 +164,7 @@ def bound_ladder(
 ) -> LadderReport:
     """Run the full generic/subgeneric Sigma_I / Sigma_II ratio experiment."""
     if len(primes) < 2:
-        raise PreconditionError("need at least two primes for a trend")
+        raise PreconditionError(f"need at least two primes for a trend, got primes={list(primes)}")
     if l < 2:
         raise PreconditionError(f"bound ladder needs l >= 2, got l={l}: at l = 1 every non-"
                                 "diagonal b has z = 2, so no non-diagonal subgeneric b exists")
@@ -172,7 +172,7 @@ def bound_ladder(
         raise PreconditionError(f"bound ladder needs samples >= 1 and subgeneric_samples >= 1, "
                                 f"got samples={samples}, subgeneric_samples={subgeneric_samples}")
     if sorted(primes) != list(primes):
-        raise PreconditionError("primes must be increasing")
+        raise PreconditionError(f"primes must be increasing, got primes={list(primes)}")
     chars = tuple(chars) if chars is not None else (0,) * k
     if k < 1 or len(chars) != k:
         raise PreconditionError("need exactly k >= 1 character indices")

@@ -252,8 +252,3 @@ def gauss_sum(chi: MultChar) -> complex:
     f = chi.field
     psi = additive_char_vector(f)
     return complex(np.sum(chi.values_by_log() * psi[f.exp]))
-
-
-def normalized_gauss_sum(chi: MultChar) -> complex:
-    """epsilon_chi = tau(chi) / sqrt(q); modulus 1 for nontrivial chi, -1/sqrt(q) for trivial."""
-    return gauss_sum(chi) / math.sqrt(chi.field.q)

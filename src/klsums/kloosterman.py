@@ -121,7 +121,7 @@ def _assemble(field: PrimeField, t: CharTuple, a: int, conv_log: np.ndarray) -> 
 def kl_table_fast(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
     """Full Kl_k table: one inverse FFT of length q-1 of prod_i roll(G, a_i)."""
     if a % field.q == 0:
-        raise PreconditionError("scale a must be nonzero mod q")
+        raise PreconditionError(f"scale a must be nonzero mod q, got a={a} at q={field.q}")
     if t.k == 1:
         conv = _factor_logs(field, t)[0]
     else:
@@ -136,7 +136,7 @@ def kl_table_fast(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
 def kl_table_naive(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
     """Oracle table: direct O(k q^2) cyclic convolution, no transforms."""
     if a % field.q == 0:
-        raise PreconditionError("scale a must be nonzero mod q")
+        raise PreconditionError(f"scale a must be nonzero mod q, got a={a} at q={field.q}")
     n = field.q - 1
     # the (q-1)^2 int64 index matrix and two complex128 temporaries of its shape
     check_bytes(40 * n * n, "naive Kl table", q=field.q)

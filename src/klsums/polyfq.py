@@ -3,12 +3,13 @@
 Polynomials are numpy int64 arrays of coefficients in ascending degree,
 normalized so the last entry is nonzero; the zero polynomial is the empty
 array.  Only what the stratification needs: product, value at a point,
-division with remainder, gcd, and squarefree part.
+and squarefree part, which divides by gcd(f, f') through the private
+``_divmod`` and ``_gcd``.
 
-The product runs in numpy.  Value, division, gcd and squarefree part run
-their inner loops on Python-int lists: the polynomials the stratification
-feeds them have a few dozen coefficients, where a loop over Python ints
-beats a numpy call per step, and Python ints make them exact for every q.
+The product runs in numpy.  Value and the squarefree part run their inner
+loops on Python-int lists: the polynomials the stratification feeds them
+have a few dozen coefficients, where a loop over Python ints beats a numpy
+call per step, and Python ints make them exact for every q.
 """
 
 from __future__ import annotations
@@ -100,21 +101,6 @@ def _gcd(a: list[int], b: list[int], q: int) -> list[int]:
         return a
     inv = pow(a[-1], -1, q)
     return [c * inv % q for c in a]
-
-
-def divmod_poly(f: np.ndarray, g: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient and remainder of f by g over F_q, on Python ints: exact for
-    every q."""
-    g = _ints(g, q)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo, rem = _divmod(_ints(f, q), g, q)
-    return _array(quo), _array(rem)
-
-
-def gcd(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
-    """Monic gcd over F_q (empty when f = g = 0), on Python ints."""
-    return _array(_gcd(_ints(f, q), _ints(g, q), q))
 
 
 def squarefree_part(f: np.ndarray, q: int) -> np.ndarray:

@@ -117,7 +117,7 @@ def _chunks(b: np.ndarray, k: int, l: int):
 def _check_preconditions(field: PrimeField, k: int, b) -> tuple[np.ndarray, int]:
     b, l = check_b(field, b)
     if k < 2:
-        raise PreconditionError("need k >= 2")
+        raise PreconditionError(f"need k >= 2, got k={k}")
     if (field.q - 1) % k != 0:
         raise PreconditionError(f"q = {field.q} is not 1 mod k = {k}: mu_k not in F_q")
     # the largest chunk, which every chunk's bytes stay within
@@ -218,7 +218,6 @@ def singular_polynomial(field: PrimeField, k: int, b) -> np.ndarray | list[np.nd
 @dataclass
 class StratumReport:
     b: tuple[int, ...]
-    on_diagonal: bool
     deg_P: int  # -1 when P_b = 0
     z_count: int
     generic: bool | None = None  # filled once a scan establishes the generic maximum
@@ -233,13 +232,13 @@ def _report(field: PrimeField, l: int, b: np.ndarray, p: np.ndarray) -> StratumR
     q = field.q
     bt = tuple(int(x) for x in b)
     if len(p) == 0:
-        return StratumReport(b=bt, on_diagonal=is_diagonal(bt), deg_P=-1, z_count=-1)
+        return StratumReport(b=bt, deg_P=-1, z_count=-1)
     hyper = {-bi % q for bi in bt}
     # the roots of P_b, plus the hyperplane roots -b_i that P_b misses
     z = polyfq.deg(polyfq.squarefree_part(p, q)) + sum(polyfq.value(p, r, q) != 0 for r in hyper)
     if not len(hyper) <= z <= polyfq.deg(p) + 2 * l:
         raise InternalConsistencyError(f"z_count {z} outside [{len(hyper)}, {polyfq.deg(p) + 2 * l}]")
-    return StratumReport(b=bt, on_diagonal=is_diagonal(bt), deg_P=polyfq.deg(p), z_count=z)
+    return StratumReport(b=bt, deg_P=polyfq.deg(p), z_count=z)
 
 
 def z_fiber_count(field: PrimeField, k: int, b) -> StratumReport | list[StratumReport]:
@@ -260,7 +259,7 @@ def z_fiber_count(field: PrimeField, k: int, b) -> StratumReport | list[StratumR
     if rep.z_count < 0:
         raise DegenerateFiberError(
             f"P_b vanishes identically at b = {rep.b}"
-            + (" (b is diagonal)" if rep.on_diagonal else "")
+            + (" (b is diagonal)" if is_diagonal(rep.b) else "")
         )
     return rep
 
@@ -285,7 +284,8 @@ def stratum_scan(
     exhaustive: bool = False,
     threads: int = 1,
 ) -> ScanResult:
-    """Histogram of z_count over b, exhaustive or seeded-random (PCG64(seed)).
+    """Histogram of z_count over b, exhaustive (no ``samples``) or
+    seeded-random (``samples`` >= 1 draws from PCG64(seed)).
 
     Degenerate fibers (P_b = 0) land in the -1 bucket and never define the
     generic value.  All b go to ``z_fiber_count`` as one (B, 2l) array, so
@@ -299,13 +299,15 @@ def stratum_scan(
         raise PreconditionError(f"need l >= 1, got {l}")
     q, n = field.q, 2 * l
     if exhaustive:
+        if samples is not None:
+            raise PreconditionError(f"an exhaustive scan takes no samples, got samples={samples}")
         # the q^(2l) x 2l b array and one report per b: 220-275 bytes per b
         # measured at l = 1, 2
         check_bytes(400 * q**n, "exhaustive stratum scan", q=q, l=l)
         bs = np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
     else:
         if not samples or samples < 1:
-            raise PreconditionError("random scan needs samples >= 1")
+            raise PreconditionError(f"random scan needs samples >= 1, got samples={samples}")
         rng = np.random.Generator(np.random.PCG64(seed))
         bs = rng.integers(0, q, size=(samples, n), dtype=np.int64)
     reports = z_fiber_count(field, k, bs)
@@ -347,5 +349,7 @@ def box_count_variety(field: PrimeField, B: int, l: int) -> int:
     if l < 1:
         raise PreconditionError(f"box count needs l >= 1, got l={l}")
     if not 0 <= B < field.q / 2:
-        raise PreconditionError("need 0 <= B < q/2 so the box injects into F_q")
+        raise PreconditionError(
+            f"need 0 <= B < q/2 so the box injects into F_q, got B={B} at q={field.q}"
+        )
     return diagonal_box_count(B, l)

@@ -38,8 +38,7 @@ def tab101():
 
 
 def test_indicator_recovers_K(tab101):
-    alpha = CoeffSeq.indicator([1])
-    beta = CoeffSeq.indicator([1])
+    alpha = beta = CoeffSeq(np.array([1]), np.ones(1))
     assert bilinear_form(tab101, alpha, beta) == pytest.approx(tab101.value(1), abs=1e-12)
 
 
@@ -62,10 +61,13 @@ def test_brute_force_oracle(tab101):
 
 
 def test_support_bounds(tab101):
+    def at(m):
+        return CoeffSeq(np.array([m]), np.ones(1))
+
     with pytest.raises(PreconditionError):
-        bilinear_form(tab101, CoeffSeq.indicator([0]), CoeffSeq.indicator([1]))
+        bilinear_form(tab101, at(0), at(1))
     with pytest.raises(PreconditionError):
-        bilinear_form(tab101, CoeffSeq.indicator([1]), CoeffSeq.indicator([101]))
+        bilinear_form(tab101, at(1), at(101))
 
 
 def test_empty_sequence_refused(tab101):

@@ -1,8 +1,10 @@
 """Classification tests, cross-checked against a literal brute-force
 classifier that enumerates divisors and dualizing characters straight from
-the definition."""
+the definition, and the coset test for Kummer induction against a greedy
+search that peels off one fiber of a -> d*a at a time."""
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 
 from klsums.chartuples import (
     CharTuple,
+    KummerWitness,
     cgm_twist_from_nio,
-    check_kummer_witness,
     classify_tuple,
     dualizing_characters,
     is_kummer_induced,
@@ -42,6 +44,52 @@ def oracle_kummer(indices, n):
             if acc == target:
                 return True
     return False
+
+
+def fiber(d, xi_index, n):
+    """Indices a with d*a = xi_index mod n, i.e. the d-th power fiber over xi."""
+    g = math.gcd(d, n)
+    if xi_index % g != 0:
+        return None
+    # one solution of d*a = xi (mod n), then translate by the kernel n/g * t
+    a0 = (xi_index // g) * pow(d // g, -1, n // g) % (n // g)
+    return sorted((a0 + (n // g) * t) % n for t in range(g))
+
+
+def peel_kummer(indices, n):
+    """(flag, witness) by greedy peeling: for each d | k with d | n, remove
+    the fiber through the smallest remaining index until the multiset is
+    empty (distinct fibers are disjoint, so greedy peeling is exact) or a
+    fiber is missing."""
+    k = len(indices)
+    for d in range(2, k + 1):
+        if k % d != 0 or n % d != 0:
+            continue
+        remaining = Counter(indices)
+        xi_list = []
+        while remaining:
+            a = min(remaining)
+            fib = fiber(d, d * a % n, n)
+            if any(remaining[b] < 1 for b in fib):
+                break
+            remaining.subtract(fib)
+            remaining = +remaining
+            xi_list.append(d * a % n)
+        else:
+            return True, KummerWitness(d=d, xi_indices=tuple(sorted(xi_list)))
+    return False, None
+
+
+def check_kummer_witness(t, w):
+    """The multiset of the witness fibers reproduces the tuple exactly."""
+    n = t.field.q - 1
+    acc = Counter()
+    for e in w.xi_indices:
+        fib = fiber(w.d, e, n)
+        if fib is None:
+            return False
+        acc.update(fib)
+    return acc == Counter(t.indices)
 
 
 def oracle_dualizing(indices, n):
@@ -93,6 +141,55 @@ def test_exhaustive_cross_check(q, k):
         assert rep.cgm == oracle_cgm(idx, n), idx
         if rep.kummer_induced:
             assert check_kummer_witness(t, rep.kummer_witness)
+
+
+def kummer_cases():
+    """(q, indices, d) for primes q < 200 and k <= 6: random multisets, which
+    are almost never induced, and unions of k/d random fibers of a -> d*a
+    (then d is set and the tuple is induced), shuffled."""
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def case(q):
+        n = q - 1
+
+        def fibers(k, d):
+            base = st.lists(st.integers(0, n - 1), min_size=k // d, max_size=k // d)
+            union = base.map(lambda b: [(a + j * (n // d)) % n for a in b for j in range(d)])
+            return st.tuples(st.just(q), union.flatmap(st.permutations), st.just(d))
+
+        def tuples(k):
+            rand = st.tuples(st.just(q), st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+                             st.none())
+            ds = [d for d in range(2, k + 1) if k % d == 0 and n % d == 0]
+            if not ds:
+                return rand
+            return st.one_of(rand, st.sampled_from(ds).flatmap(lambda d: fibers(k, d)))
+
+        return st.integers(1, 6).flatmap(tuples)
+
+    return st.sampled_from(primes_up_to(200)[1:]).flatmap(case)
+
+
+def test_kummer_coset_test_matches_peeling():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True)
+    @hyp.given(kummer_cases())
+    @hyp.example((3, [0, 1], 2))  # q = 3: the Salie pair
+    @hyp.example((197, [0, 49, 98, 147], 4))  # also a union of two fibers of d = 2
+    @hyp.example((7, [0, 2, 4, 0, 2, 4], 3))
+    @hyp.example((13, [1, 7, 1, 7, 1, 5], None))
+    def check(case):
+        q, idx, d = case
+        t = CharTuple(build_field(q), tuple(idx))
+        flag, witness = is_kummer_induced(t)
+        assert (flag, witness) == peel_kummer(idx, q - 1)
+        if d is not None:
+            assert flag and witness.d <= d
+        if flag:
+            assert check_kummer_witness(t, witness)
+
+    check()
 
 
 # --- pinned examples ---------------------------------------------------------

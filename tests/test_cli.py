@@ -108,6 +108,7 @@ def test_complex_serialization():
     assert code == 0
     si = env["payload"]["sigma_I"]
     assert set(si) == {"re", "im"}
+    assert "scale" not in env["config"] and "scale" not in env["payload"]
 
 
 def test_strata_scan_csv_deterministic():
@@ -129,6 +130,45 @@ def test_strata_scan_json_payload():
     assert code == 0
     assert env["payload"]["generic"] == 5
     assert sum(env["payload"]["histogram"].values()) == 25
+
+
+@pytest.mark.parametrize("name,lines", [
+    ("kl-table", ["chars=0,0", "method=fast", "q=7", "scale=1", "subcommand=kl-table"]),
+    ("strata-scan", ["exhaustive=False", "k=2", "l=1", "q=7", "samples=3", "seed=0",
+                     "subcommand=strata-scan"]),
+])
+def test_csv_config_lines_pinned(name, lines):
+    """The # lines echo every option, defaults included: adding, dropping or
+    renaming an option of a CSV subcommand changes its CSV bytes."""
+    code, text = run_cli([name] + MINIMAL_ARGS[name])
+    assert code == 0
+    assert [ln for ln in text.splitlines() if ln.startswith("#")] == [f"# {ln}" for ln in lines]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["strata-scan", "--q", "13", "--k", "2", "--l", "1", "--samples", "0"], "samples=0"),
+    (["strata-scan", "--q", "13", "--k", "2", "--l", "1", "--exhaustive", "--samples", "5"],
+     "samples=5"),
+    (["strata-scan", "--q", "13", "--k", "1", "--l", "1", "--samples", "3"], "k=1"),
+    (["avg-compare", "--q", "13", "--family", "full-sample", "--count", "-2"], "count=-2"),
+    (["avg-compare", "--q", "13", "--family", "power-sum", "--n", "0", "--m", "0"], "n=0"),
+    (["avg-compare", "--q", "13", "--family", "power-sum", "--n", "2", "--m", "-1"], "m=-1"),
+    (["avg-compare", "--q", "13", "--family", "power-sum", "--n", "5"], "n=5"),
+    (["avg-compare", "--q", "37", "--family", "power-sum"], "q=37"),
+    (["kl-table", "--q", "13", "--chars", "0,0", "--scale", "26"], "a=26"),
+    (["kl-table", "--q", "13", "--chars", "0,0", "--scale", "0", "--method", "naive"], "a=0"),
+    (["box-count", "--q", "13", "--l", "1", "--box", "7"], "B=7"),
+    (["bilinear-bench", "--q", "101", "--chars", "0,0", "--M", "2", "--N", "2", "--l", "0"],
+     "l=0"),
+    (["moment-check", "--q", "13", "--xi", "3"], "xi=3"),
+    (["moment-check", "--q", "13", "--n", "26"], "n=26"),
+    (["bound-check", "--primes", "13"], "primes=[13]"),
+    (["bound-check", "--primes", "17,13"], "primes=[17, 13]"),
+])
+def test_precondition_error_names_value(argv, named):
+    code, env = run_json(argv)
+    assert code == 2 and env["status"] == "precondition-failed"
+    assert named in env["payload"]["error"]
 
 
 def test_box_count_cli():
@@ -243,7 +283,8 @@ def test_option_surface():
         assert ("--seed" in opts) == (name in SEEDED_SUBCOMMANDS), name
         assert "--threads" not in opts, name
         assert ("--k" in opts) == (name == "strata-scan"), name
-    assert sum(len(_options(p)) for p in subs.values()) == 66
+    assert "--scale" not in _options(subs["complete-sum"])
+    assert sum(len(_options(p)) for p in subs.values()) == 65
 
 
 @pytest.mark.parametrize("name", sorted(MINIMAL_ARGS))
@@ -258,6 +299,8 @@ UNREAD_OPTIONS = (
     + [(name, ["--seed", "1"]) for name in sorted(set(MINIMAL_ARGS) - SEEDED_SUBCOMMANDS)]
     + [(name, ["--k", "2"]) for name in sorted(CHARS_SUBCOMMANDS)]
     + [("complete-sum", ["--l", "1"])]
+    # Sigma_I and Sigma_II do not depend on the table scale
+    + [("complete-sum", ["--scale", "2"])]
 )
 
 

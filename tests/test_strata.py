@@ -127,7 +127,7 @@ def test_zcount_l1_is_two(f97):
         rep = z_fiber_count(f97, 2, b)
         assert rep.z_count == 2
         assert rep.deg_P == 0
-        assert not rep.on_diagonal
+        assert not is_diagonal(rep.b)
 
 
 def test_zcount_l1_exhaustive_q13(f13):
@@ -170,7 +170,7 @@ def test_diagonal_k3_not_degenerate():
     # -1 is not a cube root of unity, so same-side pairings cannot kill a form
     f37 = build_field(37)
     rep = z_fiber_count(f37, 3, (5, 5, 9, 9))
-    assert rep.on_diagonal
+    assert is_diagonal(rep.b)
     assert rep.deg_P == 12
     assert rep.z_count == 4
 
@@ -283,8 +283,7 @@ def single_report(f, k, b):
     try:
         return z_fiber_count(f, k, b)
     except DegenerateFiberError:
-        return strata.StratumReport(b=tuple(int(x) for x in b), on_diagonal=is_diagonal(b),
-                                    deg_P=-1, z_count=-1)
+        return strata.StratumReport(b=tuple(int(x) for x in b), deg_P=-1, z_count=-1)
 
 
 @pytest.mark.parametrize("k,l,q,diagonal,degenerate", BATCH_SHAPES)
@@ -527,6 +526,11 @@ def test_scan_exhaustive_small():
     # l = 1: every b1 != b2 gives z = 2; the 13 diagonal points degenerate
     assert res.histogram == {2: 13 * 12, -1: 13}
     assert res.generic == 2
+
+
+def test_scan_exhaustive_refuses_samples(f13):
+    with pytest.raises(PreconditionError, match="samples=5"):
+        stratum_scan(f13, 2, 1, samples=5, exhaustive=True)
 
 
 def test_scan_resource_bound(f101):

@@ -163,6 +163,27 @@ def test_scale_invariance(l):
                 assert getattr(got, name) == pytest.approx(want, abs=1e-6 * max(1.0, abs(want)))
 
 
+@pytest.mark.parametrize("chars", [(0, 0), (3, 17), (1, 5, 9)])
+def test_scale_invariance_within_budget(chars):
+    """Sigma_I and Sigma_II of the scale-a table equal those of a = 1 within
+    the module's 1e3 q^2 eps budget: the sum over s absorbs a."""
+    q = 101
+    f = build_field(q)
+    t = CharTuple(f, chars)
+    budget = 1e3 * q**2 * np.finfo(float).eps
+    ref = kl_table_fast(f, t)
+    tabs = [kl_table_fast(f, t, a) for a in (2, 5, 77, q - 1)]
+    rng = np.random.Generator(np.random.PCG64(list(chars)))
+    for l in (1, 2):
+        for _ in range(4):
+            b = rng.integers(0, q, size=2 * l)
+            want = sigma_II(ref, b)
+            for tab in tabs:
+                got = sigma_II(tab, b)
+                assert abs(got.sigma_I - want.sigma_I) <= budget, (tab.scale, b)
+                assert abs(got.sigma_II - want.sigma_II) <= budget, (tab.scale, b)
+
+
 def test_trivial_envelopes(tab13):
     # |Sigma_I| <= k^(2l) q^2 and |Sigma_II| <= k^(4l) q^3 at k = l = 2
     env_i, env_ii = 2**4 * 13**2, 2**8 * 13**3
