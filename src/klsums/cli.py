@@ -12,13 +12,15 @@ is the length of --chars, and complete-sum's l is half the length of --b.
 --out is on all subcommands.  --format {csv,json} is on kl-table and strata-scan, the two
 subcommands with a CSV schema (CSV is their default); the others emit JSON.
 --seed (numpy PCG64, default 0) is on the seeded subcommands: kl-verify,
-strata-scan, bound-check, bilinear-bench and avg-compare.  Every output is
-deterministic for a fixed seed, and CSV outputs are byte-identical across
-reruns (JSON envelopes differ only in the wall_time_s field).  Payloads go
-through klsums.serialize.jsonify; complex numbers serialize as
-{"re": ..., "im": ...}.  The KLSUMS_OUT_DIR environment variable, when
-set, is prepended to relative --out paths; there is no other environment
-dependence.
+strata-scan, bound-check, bilinear-bench and avg-compare.  An option that
+the run's mode never reads (a nonzero --seed where nothing is drawn, the
+other avg-compare family's options) is a precondition failure that names
+its value.  Every output is deterministic for a fixed seed, and CSV
+outputs are byte-identical across reruns (JSON envelopes differ only in
+the wall_time_s field).  Payloads go through klsums.serialize.jsonify;
+complex numbers serialize as {"re": ..., "im": ...}.  The KLSUMS_OUT_DIR
+environment variable, when set, is prepended to relative --out paths;
+there is no other environment dependence.
 """
 
 from __future__ import annotations
@@ -120,26 +122,26 @@ def _cmd_kl_table(args) -> dict:
 def _cmd_kl_verify(args) -> dict:
     if args.n_lambda < 0:
         raise PreconditionError(f"--n-lambda must be >= 0, got {args.n_lambda}")
+    if args.n_lambda == 0 and args.seed:
+        raise PreconditionError(f"--n-lambda 0 reads no --seed, got seed={args.seed}")
     f = build_field(args.q)
     t = _chars_arg(f, args.chars)
-    naive = kl_table_naive(f, t, args.scale)  # first: its byte budget is the binding one
-    fast = kl_table_fast(f, t, args.scale)
+    naive = kl_table_naive(f, t)  # first: its byte budget is the binding one
+    fast = kl_table_fast(f, t)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     fourier_max = 0.0
-    if args.scale % f.q == 1:
-        for _ in range(args.n_lambda):
-            lam = MultChar(f, int(rng.integers(0, f.q - 1)))
-            _, _, diff = fourier_identity_check(fast, lam)
-            fourier_max = max(fourier_max, diff)
+    for _ in range(args.n_lambda):
+        lam = MultChar(f, int(rng.integers(0, f.q - 1)))
+        _, _, diff = fourier_identity_check(fast, lam)
+        fourier_max = max(fourier_max, diff)
     return {
         "q": f.q,
         "k": t.k,
         "chars": list(t.indices),
-        "scale": args.scale,
         "max_rel_diff": table_agreement(fast, naive),
         "deligne_max": fast.max_abs(),
         "deligne_bound": t.k,
-        "fourier_checks": args.n_lambda if args.scale % f.q == 1 else 0,
+        "fourier_checks": args.n_lambda,
         "fourier_max_diff": fourier_max,
     }
 
@@ -218,6 +220,8 @@ def _cmd_bound_check(args):
 
 
 def _cmd_bilinear_bench(args) -> dict:
+    if not args.random_coeffs and args.seed:
+        raise PreconditionError(f"--seed is read only with --random-coeffs, got seed={args.seed}")
     f = build_field(args.q)
     t = _chars_arg(f, args.chars)
     table = kl_table_fast(f, t, args.scale)
@@ -262,6 +266,17 @@ def _cmd_moment_check(args) -> dict:
 
 
 def _cmd_avg_compare(args):
+    # each family's options, with their defaults; the other family's stay unset
+    reads = {"power-sum": {"n": 4, "m": 1}, "full-sample": {"l": 2, "count": 50}}
+    unread = [f"{name}={getattr(args, name)}" for family, opts in reads.items()
+              if family != args.family for name in opts if getattr(args, name) is not None]
+    if args.family == "power-sum" and args.seed:  # it draws no b
+        unread.append(f"seed={args.seed}")
+    if unread:
+        raise PreconditionError(f"--family {args.family} does not read {', '.join(unread)}")
+    for name, default in reads[args.family].items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     f = build_field(args.q)
     t = _chars_arg(f, args.chars)
     table = kl_table_fast(f, t)
@@ -355,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--chars", required=True)
-    p.add_argument("--scale", type=int, default=1)
     p.add_argument("--n-lambda", type=int, default=20)
 
     p = add("complete-sum", help="Sigma_I / Sigma_II for one b")
@@ -405,10 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=29)
     p.add_argument("--chars", default="0,0")
     p.add_argument("--family", choices=("power-sum", "full-sample"), required=True)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--l", type=int, default=2)
-    p.add_argument("--count", type=int, default=50)
+    # unset here: _cmd_avg_compare gives defaults to the family's own options only
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--l", type=int, default=None)
+    p.add_argument("--count", type=int, default=None)
 
     return parser
 
@@ -417,7 +432,6 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = {k: v for k, v in vars(args).items() if k not in ("out", "format")}
     fmt = getattr(args, "format", "json")
     t0 = time.perf_counter()
     try:
@@ -428,6 +442,8 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
     except ResourceLimitError as exc:
         payload, status, code = {"error": str(exc)}, "resource-limit", EXIT_RESOURCE
     wall = time.perf_counter() - t0
+    # echoed after the run, which fills in the defaults avg-compare's family reads
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "format")}
     if status != "ok":
         fmt = "json"
     buf = io.StringIO()

@@ -55,9 +55,10 @@ keep the chunk's counted bytes, 24 n k^n (k^(n-2) + 1) per b with n = 2l,
 within RESOLVENT_CHUNK_BYTES (4 MiB), and at least one b: 53 b at
 (k,l) = (3,2), 26 at (2,3), 10 at (4,2), 2 at (5,2) and one at (2,4).
 Each chunk pays the same numpy calls per form whatever its size, so a scan
-of up to 53 b at (3,2) or 26 at (2,3) pays them once.  The polyfq finish
-stays per b: M^k, the squarefree part of P_b (on Python ints), and P_b
-evaluated at each -b_i by Horner's rule.
+of up to 53 b at (3,2) or 26 at (2,3) pays them once.  Each M leaves the
+chunk once, as a list of Python ints, and the polyfq finish stays per b on
+those lists: M^k, the squarefree part of P_b, and P_b evaluated at each
+-b_i by Horner's rule.
 
 Against the package's byte budget (``errors.MAX_BYTES``) the resolvent
 counts one chunk before it allocates, which grows as k^(4l) per b, so
@@ -157,8 +158,9 @@ def _form_terms(const: np.ndarray, lin: np.ndarray, g: np.ndarray) -> np.ndarray
     return out
 
 
-def _resolvent(field: PrimeField, k: int, b: np.ndarray) -> list[np.ndarray]:
-    """P_b = M^k for each row of a (B, 2l) chunk of reduced b."""
+def _resolvent(field: PrimeField, k: int, b: np.ndarray) -> list[list[int]]:
+    """P_b = M^k for each row of a (B, 2l) chunk of reduced b, as polyfq
+    lists."""
     q = field.q
     n = b.shape[1]
     zeta = pow(field.g, (q - 1) // k, q)
@@ -169,7 +171,7 @@ def _resolvent(field: PrimeField, k: int, b: np.ndarray) -> list[np.ndarray]:
     forms = np.array([(0, *ts) for ts in itertools.product(range(k), repeat=n - 1)])
     coeffs = sign * zpow[forms] % q
     # a coefficient sums at most 2n products below q^2; when that can pass
-    # 2^63 the state is split into 16-bit halves, as in polyfq.mul
+    # 2^63 the state is split into 16-bit halves
     split = 2 * n * (q - 1) ** 2 >= 2**63
     state = np.zeros((len(b), k**n, 1), dtype=np.int64)
     state[:, 0, 0] = 1
@@ -189,7 +191,7 @@ def _resolvent(field: PrimeField, k: int, b: np.ndarray) -> list[np.ndarray]:
             "residual x-dependence after reduction: Galois cancellation failed"
         )
     polys = []
-    for row in state[:, 0]:
+    for row in state[:, 0].tolist():
         m = p = polyfq.trim(row)
         for _ in range(k - 1):
             p = polyfq.mul(p, m, q)
@@ -197,8 +199,9 @@ def _resolvent(field: PrimeField, k: int, b: np.ndarray) -> list[np.ndarray]:
     return polys
 
 
-def singular_polynomial(field: PrimeField, k: int, b) -> np.ndarray | list[np.ndarray]:
-    """P_b over F_q, ascending coefficients, trimmed (empty if P_b = 0).
+def singular_polynomial(field: PrimeField, k: int, b) -> list[int] | list[list[int]]:
+    """P_b over F_q as a polyfq list: ascending Python-int residues, trimmed
+    (empty if P_b = 0).
 
     For one b, its P_b; for a (B, 2l) array (``field.check_b``), the list of
     P_b of its rows in order.  Computes M over the k^(2l-1) forms with
@@ -226,12 +229,12 @@ class StratumReport:
         return [*self.b, self.deg_P, self.z_count, self.generic]
 
 
-def _report(field: PrimeField, l: int, b: np.ndarray, p: np.ndarray) -> StratumReport:
+def _report(field: PrimeField, l: int, b: np.ndarray, p: list[int]) -> StratumReport:
     """The report for one reduced b from its P_b; deg_P = z_count = -1 when
     P_b = 0."""
     q = field.q
     bt = tuple(int(x) for x in b)
-    if len(p) == 0:
+    if not p:
         return StratumReport(b=bt, deg_P=-1, z_count=-1)
     hyper = {-bi % q for bi in bt}
     # the roots of P_b, plus the hyperplane roots -b_i that P_b misses
@@ -284,7 +287,7 @@ def stratum_scan(
     exhaustive: bool = False,
     threads: int = 1,
 ) -> ScanResult:
-    """Histogram of z_count over b, exhaustive (no ``samples``) or
+    """Histogram of z_count over b, exhaustive (no ``samples``, seed 0) or
     seeded-random (``samples`` >= 1 draws from PCG64(seed)).
 
     Degenerate fibers (P_b = 0) land in the -1 bucket and never define the
@@ -301,6 +304,8 @@ def stratum_scan(
     if exhaustive:
         if samples is not None:
             raise PreconditionError(f"an exhaustive scan takes no samples, got samples={samples}")
+        if seed:
+            raise PreconditionError(f"an exhaustive scan takes no seed, got seed={seed}")
         # the q^(2l) x 2l b array and one report per b: 220-275 bytes per b
         # measured at l = 1, 2
         check_bytes(400 * q**n, "exhaustive stratum scan", q=q, l=l)

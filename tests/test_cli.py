@@ -56,8 +56,10 @@ def test_kl_verify_ok():
     code, env = run_json(["kl-verify", "--q", "101", "--chars", "0,0"])
     assert code == 0 and env["status"] == "ok"
     assert env["payload"]["max_rel_diff"] <= 1e-9
+    assert env["payload"]["fourier_checks"] == 20
     assert env["payload"]["fourier_max_diff"] <= 1e-9
     assert env["payload"]["deligne_max"] <= 2 + 1e-9
+    assert "scale" not in env["config"] and "scale" not in env["payload"]
 
 
 def test_nonprime_exit_code():
@@ -164,11 +166,31 @@ def test_csv_config_lines_pinned(name, lines):
     (["moment-check", "--q", "13", "--n", "26"], "n=26"),
     (["bound-check", "--primes", "13"], "primes=[13]"),
     (["bound-check", "--primes", "17,13"], "primes=[17, 13]"),
+    # options that the run's mode never reads
+    (["strata-scan", "--q", "13", "--k", "2", "--l", "1", "--exhaustive", "--seed", "5"],
+     "seed=5"),
+    (["avg-compare", "--q", "13", "--family", "power-sum", "--n", "2", "--m", "0", "--count", "7",
+      "--seed", "3", "--l", "5"], "l=5, count=7, seed=3"),
+    (["avg-compare", "--q", "13", "--family", "power-sum", "--count", "7"], "count=7"),
+    (["avg-compare", "--q", "13", "--family", "full-sample", "--n", "9", "--m", "7"], "n=9, m=7"),
+    (["bilinear-bench", "--q", "101", "--chars", "0,0", "--M", "10", "--N", "10", "--seed", "9"],
+     "seed=9"),
+    (["kl-verify", "--q", "101", "--chars", "0,0", "--n-lambda", "0", "--seed", "4"], "seed=4"),
 ])
 def test_precondition_error_names_value(argv, named):
     code, env = run_json(argv)
     assert code == 2 and env["status"] == "precondition-failed"
     assert named in env["payload"]["error"]
+
+
+@pytest.mark.parametrize("family,echo", [
+    ("power-sum", {"n": 4, "m": 1, "l": None, "count": None}),
+    ("full-sample", {"n": None, "m": None, "l": 2, "count": 50}),
+])
+def test_avg_compare_echoes_only_the_family_options(family, echo):
+    code, env = run_json(["avg-compare", "--q", "7", "--family", family])
+    assert code == 0
+    assert {key: env["config"][key] for key in echo} == echo
 
 
 def test_box_count_cli():
@@ -284,7 +306,8 @@ def test_option_surface():
         assert "--threads" not in opts, name
         assert ("--k" in opts) == (name == "strata-scan"), name
     assert "--scale" not in _options(subs["complete-sum"])
-    assert sum(len(_options(p)) for p in subs.values()) == 65
+    assert "--scale" not in _options(subs["kl-verify"])
+    assert sum(len(_options(p)) for p in subs.values()) == 64
 
 
 @pytest.mark.parametrize("name", sorted(MINIMAL_ARGS))
@@ -301,6 +324,8 @@ UNREAD_OPTIONS = (
     + [("complete-sum", ["--l", "1"])]
     # Sigma_I and Sigma_II do not depend on the table scale
     + [("complete-sum", ["--scale", "2"])]
+    # the fast and naive tables at scale a permute their scale-1 entries alike
+    + [("kl-verify", ["--scale", "2"])]
 )
 
 

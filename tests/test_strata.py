@@ -55,15 +55,15 @@ def oracle_poly_k2(b, q):
         prod = {e: c for e, c in new.items() if c != 0}
     assert all(all(ei % 2 == 0 for ei in e) for e in prod)
     # substitute x_i^2 = r + b_i: each monomial becomes prod_i (r+b_i)^{e_i/2}
-    out = np.zeros(1, dtype=np.int64)
+    out = []
     for e, c in prod.items():
-        term = np.array([c % q], dtype=np.int64)
+        term = polyfq.trim([c % q])
         for i, ei in enumerate(e):
             for _ in range(ei // 2):
-                term = polyfq.mul(term, np.array([b[i] % q, 1], dtype=np.int64), q)
-        width = max(len(out), len(term))
-        out = np.pad(out, (0, width - len(out)))
-        out[: len(term)] = (out[: len(term)] + term) % q
+                term = polyfq.mul(term, [b[i] % q, 1], q)
+        out += [0] * (len(term) - len(out))
+        for j, t in enumerate(term):
+            out[j] = (out[j] + t) % q
     return polyfq.trim(out)
 
 
@@ -71,8 +71,7 @@ def test_independent_expansion_oracle_l1(f97):
     for b in [(3, 7), (10, 96), (0, 5)]:
         got = singular_polynomial(f97, 2, b)
         want = oracle_poly_k2(b, 97)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got, np.array([(b[0] - b[1]) ** 2 % 97]))
+        assert got == want == [(b[0] - b[1]) ** 2 % 97]
 
 
 def test_independent_expansion_oracle_l2(f97):
@@ -81,19 +80,19 @@ def test_independent_expansion_oracle_l2(f97):
         b = tuple(int(v) for v in rng.integers(0, 97, size=4))
         got = singular_polynomial(f97, 2, b)
         want = oracle_poly_k2(b, 97)
-        assert np.array_equal(got, want), b
+        assert got == want, b
 
 
 def test_singular_poly_diagonal_vanishes(f97):
-    assert len(singular_polynomial(f97, 2, (5, 5))) == 0
-    assert len(singular_polynomial(f97, 2, (3, 8, 3, 8))) == 0
+    assert singular_polynomial(f97, 2, (5, 5)) == []
+    assert singular_polynomial(f97, 2, (3, 8, 3, 8)) == []
 
 
 def test_singular_poly_symmetry(f97):
     # invariance under permuting 1..l and l+1..2l separately
     base = singular_polynomial(f97, 2, (3, 7, 11, 2))
-    assert np.array_equal(base, singular_polynomial(f97, 2, (7, 3, 11, 2)))
-    assert np.array_equal(base, singular_polynomial(f97, 2, (3, 7, 2, 11)))
+    assert base == singular_polynomial(f97, 2, (7, 3, 11, 2))
+    assert base == singular_polynomial(f97, 2, (3, 7, 2, 11))
 
 
 def test_preconditions():
@@ -119,7 +118,7 @@ def test_b_must_be_integral():
                 call(f, 2, bad)
     b = (1.0, 2.0, 3.0, 4.0)
     assert z_fiber_count(f, 2, b) == z_fiber_count(f, 2, (1, 2, 3, 4))
-    assert np.array_equal(singular_polynomial(f, 2, b), singular_polynomial(f, 2, (1, 2, 3, 4)))
+    assert singular_polynomial(f, 2, b) == singular_polynomial(f, 2, (1, 2, 3, 4))
 
 
 def test_zcount_l1_is_two(f97):
@@ -146,10 +145,10 @@ def test_root_set_sanity(f97):
     hyper_roots = {(-bi) % 97 for bi in b}
     full = p
     for bi in b:
-        full = polyfq.mul(full, np.array([bi, 1], dtype=np.int64), 97)
+        full = polyfq.mul(full, [bi, 1], 97)
     for r in hyper_roots:
         val = 0
-        for j, c in enumerate(full.tolist()):
+        for j, c in enumerate(full):
             val = (val + c * pow(r, j, 97)) % 97
         assert val == 0
 
@@ -224,8 +223,7 @@ def resultant_poly(b, k, q):
     full = p
     for bi in b:
         full = full * sympy.Poly(r + bi, r, modulus=q)
-    coeffs = np.array([int(c) % q for c in reversed(p.all_coeffs())], dtype=np.int64)
-    return full.sqf_part().degree(), polyfq.trim(coeffs)
+    return full.sqf_part().degree(), polyfq.trim([int(c) % q for c in reversed(p.all_coeffs())])
 
 
 def test_resultant_oracle_zcount():
@@ -248,7 +246,7 @@ def test_resultant_oracle_zcount():
         for b in [*bs, merged]:
             z, res = resultant_poly(b, k, q)
             got = singular_polynomial(f, k, b)
-            matched = {s for s in (1, -1) if np.array_equal(got, s * res % q)}
+            matched = {s for s in (1, -1) if got == [s * c % q for c in res]}
             signs |= matched
             assert matched and len(signs) == 1, (k, l, b, matched, signs)
             rep = z_fiber_count(f, k, b)
@@ -293,9 +291,11 @@ def test_batched_singular_polynomial_rows_match_single(k, l, q, diagonal, degene
     got = singular_polynomial(f, k, bs)
     assert isinstance(got, list) and len(got) == len(bs)
     for p, b in zip(got, bs):
-        assert p.dtype == np.int64 and np.array_equal(p, singular_polynomial(f, k, b)), b
-        assert len(p) == 0 or p[-1] != 0, b  # trimmed
-    assert len(got[2]) == 0  # the degenerate row
+        # a polyfq list: Python-int residues, trimmed
+        assert type(p) is list and all(type(c) is int and 0 <= c < q for c in p), b
+        assert not p or p[-1] != 0, b
+        assert p == singular_polynomial(f, k, b), b
+    assert got[2] == []  # the degenerate row
     assert singular_polynomial(f, k, bs[:0]) == []
 
 
@@ -319,7 +319,7 @@ def z_via_full_product(p, b, q):
     test."""
     full = p
     for bi in b:
-        full = polyfq.mul(full, np.array([bi, 1], dtype=np.int64), q)
+        full = polyfq.mul(full, [bi, 1], q)
     return polyfq.deg(polyfq.squarefree_part(full, q))
 
 
@@ -334,14 +334,14 @@ def check_z_against_full_product(f, k, bs):
     q, cache, hits = f.q, {}, 0
     polys = singular_polynomial(f, k, bs)
     for rep, b, p in zip(z_fiber_count(f, k, bs), bs, polys):
-        if len(p) == 0:
+        if not p:
             assert rep.z_count == -1, b
             continue
-        key = (tuple(p.tolist()), frozenset(b.tolist()))
+        key = (tuple(p), frozenset(b.tolist()))
         if key not in cache:
             cache[key] = z_via_full_product(p, b.tolist(), q)
         assert rep.z_count == cache[key], b
-        hits += hits_hyperplane_root(p.tolist(), b.tolist(), q)
+        hits += hits_hyperplane_root(p, b.tolist(), q)
     return hits
 
 
@@ -415,10 +415,10 @@ def test_resolvent_exact_at_largest_admitted_q():
         assert 2 * 2 * l * (q - 1) ** 2 >= 2**63
         z, res = resultant_poly(b, k, q)
         got = singular_polynomial(f, k, b)
-        assert any(np.array_equal(got, s * res % q) for s in (1, -1)), (k, b)
+        assert any(got == [s * c % q for c in res] for s in (1, -1)), (k, b)
         assert z_fiber_count(f, k, b).z_count == z
         batch = np.array([b, b[::-1]], dtype=np.int64)
-        assert np.array_equal(singular_polynomial(f, k, batch)[0], got)
+        assert singular_polynomial(f, k, batch)[0] == got
         assert z_fiber_count(f, k, batch)[0] == z_fiber_count(f, k, b)
 
 
@@ -456,7 +456,7 @@ def test_batch_matches_single_near_headroom_bound():
         f = build_field(q)
         polys = singular_polynomial(f, k, bs)
         for p, b in zip(polys, bs):
-            assert np.array_equal(p, singular_polynomial(f, k, b)), (q, b)
+            assert p == singular_polynomial(f, k, b), (q, b)
         assert z_fiber_count(f, k, bs) == [single_report(f, k, b) for b in bs], q
 
     check()
@@ -499,7 +499,7 @@ def test_expansion_oracle_k2_property():
         if diagonal:  # every value repeats: (b_1..b_l, a permutation of it)
             b = b[:l] + b[:l][::-1]
         f = build_field(q)
-        assert np.array_equal(singular_polynomial(f, 2, b), oracle_poly_k2(b, q)), (q, b)
+        assert singular_polynomial(f, 2, b) == oracle_poly_k2(b, q), (q, b)
 
     check()
 
@@ -531,6 +531,11 @@ def test_scan_exhaustive_small():
 def test_scan_exhaustive_refuses_samples(f13):
     with pytest.raises(PreconditionError, match="samples=5"):
         stratum_scan(f13, 2, 1, samples=5, exhaustive=True)
+
+
+def test_scan_exhaustive_refuses_seed(f13):
+    with pytest.raises(PreconditionError, match="seed=5"):
+        stratum_scan(f13, 2, 1, seed=5, exhaustive=True)
 
 
 def test_scan_resource_bound(f101):
