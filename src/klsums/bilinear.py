@@ -144,7 +144,7 @@ def theorem_bounds(
     trivial = k * alpha_l2 * beta_l2 * math.sqrt(M * N)
     if kind == "II":
         if l < 2:
-            raise PreconditionError("type II needs l >= 2")
+            raise PreconditionError(f"type II needs l >= 2, got l={l}")
         theorem = (
             alpha_l2
             * beta_l2
@@ -238,12 +238,13 @@ def shift_reduction_trace(
     """
     q = table.field.q
     _check_support(q, alpha=alpha)
+    got = f"got A={A}, B={B}, N={N}, M^+={alpha.m_plus}, q={q}"
     if A < 1 or B < 1 or A * B > N:
-        raise PreconditionError("need A, B >= 1 and A*B <= N")
+        raise PreconditionError(f"need A, B >= 1 and A*B <= N, {got}")
     if not (2 * A * N < q or 2 * A * alpha.m_plus < q):
-        raise PreconditionError("need 2AN < q or 2AM^+ < q for the injectivity step")
+        raise PreconditionError(f"need 2AN < q or 2AM^+ < q for the injectivity step, {got}")
     if N > q - 1:
-        raise PreconditionError("need N <= q - 1")
+        raise PreconditionError(f"need N <= q - 1, {got}")
     M = len(alpha.support)
     check_bytes(24 * M * N + 104 * A * N * M * (M - 1) + 64 * max(B, MAJORANT_ENTRIES),
                 "shift-reduction trace", q=q, M=M, N=N, A=A, B=B)

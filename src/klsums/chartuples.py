@@ -9,7 +9,11 @@ decided here are purely combinatorial:
   multiset is stable under a -> a + (q-1)/d.
 * self-dual with dualizing character xi: the multiset is stable under
   a -> e - a, where e is the index of xi.  A dualizing xi is alternating
-  when k is even and Lambda = xi^(k/2), otherwise symmetric.
+  when k is even and Lambda = xi^(k/2), otherwise symmetric.  For odd k
+  this is a property of the multiset, not a self-duality of the trace
+  function: the dual of Kl_k is its pullback by x -> (-1)^k x.  At
+  q = 100003 and k = 3, |E K(x) K(-x) conj(xi)(x)| is 1 and
+  |E K(x)^2 conj(xi)(x)| is 0 (for k even, the other way round).
 * NIO: not Kummer-induced, and (k odd, or no dualizing character is
   symmetric).  When several dualizing characters of mixed tags exist we take
   the conservative reading: one symmetric dualizing character kills NIO; the

@@ -11,8 +11,9 @@ transform of m -> chi_{a_i}(g^m) e(g^m/q) at j is G[j - a_i].  Three
 evaluation routes are provided:
 
 * ``kl_pointwise``   -- the package's one direct enumeration of the y with
-  y_1...y_k = x, O(q^{k-1}) per point, k <= 3, as numpy gathers over row
-  blocks (``bilinear.kl3_direct`` is a call to it);
+  y_1...y_k = x, O(q^{k-1}) per point, k <= 3, in the same log coordinates:
+  at k = 3 a Hankel matrix of the last factor times the middle one, by BLAS
+  over blocks of rows (``bilinear.kl3_direct`` is a call to it);
 * ``kl_table_naive`` -- direct O(k q^2) circulant convolution;
 * ``kl_table_fast``  -- one inverse FFT of prod_i roll(G, a_i), O(q log q)
   per table on top of the one forward FFT per field that G costs.
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
@@ -44,8 +46,8 @@ DELIGNE_SLACK = 1e-9
 # Rows of s per block when kmat is built: a (rows, q) int64 index block stays
 # small next to kmat itself.
 KMAT_BUILD_ROWS = 32
-# Rows of y_1 per kl_pointwise block at k = 3: its int64 and complex
-# temporaries stay near 64 * q entries each (0.5 MB at q = 1009) instead of q^2.
+# Hankel rows per kl_pointwise block at k = 3: its one complex buffer holds
+# 64 * (q - 1) entries (1 MB at q = 1009) instead of q^2.
 POINTWISE_ROWS = 64
 
 
@@ -151,41 +153,44 @@ def kl_table_naive(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
 def kl_pointwise(field: PrimeField, t: CharTuple, x: int) -> complex:
     """Definitional sum at a single point by direct enumeration; k <= 3 only.
 
-    The free variables y_1..y_{k-1} run over F_q^x and the last one is
-    determined, y_k = x / (y_1...y_{k-1}), read from ``field.inv_table``.
-    For k = 3, y_1 runs in blocks of POINTWISE_ROWS rows against all y_2, so
-    the temporaries stay O(POINTWISE_ROWS * q).  Each nontrivial character's
-    values are gathered by residue (a trivial one costs nothing), and the
-    block partials are combined with math.fsum.  Reads neither the Gauss
-    spectrum nor the naive table's convolution.
+    In log coordinates y_i = g^{m_i}, with h_i[m] = chi_i(g^m) psi(g^m) read
+    from the residue vectors through ``field.exp`` and x = g^nu,
+    Kl_3(x) = q^{-1} sum_a h_1[nu + a] sum_c h_2[c] h_3[-(a + c)], indices
+    mod q - 1.  The inner sums are a Hankel matrix W[a, c] = r[a + c] times
+    h_2, where r[j] = h_3[-j]; row a of W is a contiguous window of r
+    doubled.  The rows go in blocks of POINTWISE_ROWS, each copied into one
+    reused buffer and contracted with h_2 by BLAS, so the temporaries stay
+    O(POINTWISE_ROWS * q); the block partials are combined with math.fsum.
+    k = 2 is the dot of the rotated h_1 with r built from h_2, and k = 1 is
+    h_1[nu].  Still O(q^{k-1}) per point; reads neither the Gauss spectrum
+    nor the naive table's convolution.
     """
     q = field.q
-    x %= q
-    if x == 0:
-        raise PreconditionError("Kl_k(x) is defined for x in F_q^x only")
+    if x % q == 0:
+        raise PreconditionError(f"Kl_k(x) is defined for x in F_q^x only, got x={x} at q={q}")
     k = t.k
     if k > 3:
-        raise PreconditionError("pointwise enumeration supported for k <= 3")
+        raise PreconditionError(f"pointwise enumeration supported for k <= 3, got k={k} at q={q}")
+    n = q - 1
     psi = additive_char_vector(field)
-    chis = [(i, MultChar(field, a).values_by_residue()) for i, a in enumerate(t.indices) if a]
-    y = np.arange(1, q, dtype=np.int64)
-    if k == 3:
-        blocks = [[y[lo:lo + POINTWISE_ROWS, None], y[None, :]]
-                  for lo in range(0, q - 1, POINTWISE_ROWS)]
+    hs = [(MultChar(field, a).values_by_residue() * psi)[field.exp] for a in t.indices]
+    nu = int(field.dlog[x % q])
+    if k == 1:
+        return complex(hs[0][nu])
+    lead = np.roll(hs[0], -nu)  # lead[a] = h_1[nu + a]
+    r = np.roll(hs[-1][::-1], 1)  # r[j] = h_k[-j]
+    if k == 2:
+        total = complex(lead @ r)
     else:
-        blocks = [[y] * (k - 1)]
-    partials = []
-    for free in blocks:
-        prod = 1
-        for yi in free:
-            prod = prod * yi % q
-        ys = [*free, x * field.inv_table[prod] % q]
-        terms = psi[sum(ys) % q]
-        for i, chi in chis:
-            terms *= chi[ys[i]]
-        partials.append(complex(np.sum(terms)))
-    return complex(math.fsum(z.real for z in partials),
-                   math.fsum(z.imag for z in partials)) / q ** ((k - 1) / 2)
+        rows = sliding_window_view(np.concatenate((r, r[:-1])), n)  # rows[a] = r[a:a + n]
+        buf = np.empty((min(POINTWISE_ROWS, n), n), dtype=np.complex128)
+        partials = []
+        for lo in range(0, n, POINTWISE_ROWS):
+            blk = buf[:min(POINTWISE_ROWS, n - lo)]
+            np.copyto(blk, rows[lo:lo + len(blk)])
+            partials.append(complex(lead[lo:lo + len(blk)] @ (blk @ hs[1])))
+        total = complex(math.fsum(z.real for z in partials), math.fsum(z.imag for z in partials))
+    return total / q ** ((k - 1) / 2)
 
 
 def table_agreement(t1: KlTable, t2: KlTable) -> float:

@@ -149,7 +149,7 @@ def test_type_II_bound_decreasing_in_MN():
 def test_theorem_bounds_validation():
     with pytest.raises(PreconditionError):
         theorem_bounds(101, 0, 1, 2, k=2, alpha_l1=1, alpha_l2=1, beta_l2=1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^type II needs l >= 2, got l=1$"):
         theorem_bounds(101, 1, 1, 1, k=2, alpha_l1=1, alpha_l2=1, beta_l2=1, kind="II")
     with pytest.raises(PreconditionError):
         theorem_bounds(101, 1, 1, 2, k=2, alpha_l1=1, alpha_l2=1, beta_l2=1, kind="X")
@@ -193,10 +193,17 @@ def test_shift_trace_A1_B1_degenerates_to_unshifted(tab101):
 
 def test_shift_trace_preconditions(tab101):
     alpha = CoeffSeq.ones(5)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError,
+                       match=r"^need A, B >= 1 and A\*B <= N, got A=3, B=2, N=4, M\^\+=5, q=101$"):
         shift_reduction_trace(tab101, alpha, N=4, A=3, B=2, l=2)  # AB > N
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^need A, B >= 1 .*, got A=0, B=2, N=4, "):
+        shift_reduction_trace(tab101, alpha, N=4, A=0, B=2, l=2)
+    with pytest.raises(PreconditionError, match=r"^need 2AN < q or 2AM\^\+ < q for the injectivity step, "
+                                                r"got A=30, B=2, N=60, M\^\+=5, q=101$"):
         shift_reduction_trace(tab101, alpha, N=60, A=30, B=2, l=2)  # both 2AN, 2AM^+ >= q
+    with pytest.raises(PreconditionError,
+                       match=r"^need N <= q - 1, got A=1, B=1, N=101, M\^\+=5, q=101$"):
+        shift_reduction_trace(tab101, alpha, N=101, A=1, B=1, l=2)  # 2AM^+ < q admits it
 
 
 def test_shift_trace_box_sum():

@@ -65,10 +65,106 @@ def test_kl3_q7_triple_loop_oracle(f7):
 def test_pointwise_rejects():
     f = build_field(13)
     t = CharTuple(f, (0, 0))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"F_q\^x only, got x=0 at q=13$"):
         kl_pointwise(f, t, 0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"F_q\^x only, got x=26 at q=13$"):
+        kl_pointwise(f, t, 26)
+    with pytest.raises(PreconditionError, match=r"k <= 3, got k=4 at q=13$"):
         kl_pointwise(f, CharTuple(f, (0, 0, 0, 0)), 1)
+
+
+def residue_gather(field, t, x):
+    """Kl_k(x) for k <= 3 by enumeration over residues: y_1..y_{k-1} run
+    over F_q^x (y_1 in blocks of 64 at k = 3), y_k = x / (y_1...y_{k-1})
+    is read from the inverse table, the additive character is gathered at
+    (y_1 + ... + y_k) mod q and each nontrivial character at its y_i.  The
+    oracle of kl_pointwise's log-coordinate Hankel products: it shares only
+    the field's character vectors with them."""
+    q = field.q
+    x %= q
+    k = t.k
+    psi = additive_char_vector(field)
+    chis = [(i, MultChar(field, a).values_by_residue()) for i, a in enumerate(t.indices) if a]
+    y = np.arange(1, q, dtype=np.int64)
+    if k == 3:
+        blocks = [[y[lo:lo + 64, None], y[None, :]] for lo in range(0, q - 1, 64)]
+    else:
+        blocks = [[y] * (k - 1)]
+    partials = []
+    for free in blocks:
+        prod = 1
+        for yi in free:
+            prod = prod * yi % q
+        ys = [*free, x * field.inv_table[prod] % q]
+        terms = psi[sum(ys) % q]
+        for i, chi in chis:
+            terms *= chi[ys[i]]
+        partials.append(complex(np.sum(terms)))
+    return complex(math.fsum(z.real for z in partials),
+                   math.fsum(z.imag for z in partials)) / q ** ((k - 1) / 2)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13, 101, 1009])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pointwise_matches_residue_gather(q, k):
+    """Every slot nontrivial at once, then a nontrivial character on one slot
+    at a time; x in {1, 2, q - 1} and two random points.  At q = 3 the two
+    Hankel rows are fewer than one block."""
+    f = build_field(q)
+    rng = np.random.Generator(np.random.PCG64([q, k]))
+    every = [int(a) for a in rng.integers(1, q - 1, size=k)]
+    tuples = [tuple(every)] + [tuple(a if i == j else 0 for i, a in enumerate(every)) for j in range(k)]
+    xs = [1, 2, q - 1, *(int(v) for v in rng.integers(1, q, size=2))]
+    for idx in tuples:
+        t = CharTuple(f, idx)
+        for x in xs:
+            assert kl_pointwise(f, t, x) == pytest.approx(residue_gather(f, t, x), abs=1e-12), (idx, x)
+
+
+def test_residue_gather_matches_literal_loop():
+    """The oracle itself against a literal double loop at q = 7, a
+    nontrivial character on every slot."""
+    q, g, idx = 7, 3, (1, 2, 5)
+    log = {pow(g, m, q): m for m in range(q - 1)}
+
+    def term(ys):
+        phase = sum(a * log[y] for a, y in zip(idx, ys)) / (q - 1) + sum(ys) / q
+        return cmath.exp(2j * cmath.pi * phase)
+
+    f = build_field(q)
+    assert f.g == g
+    t = CharTuple(f, idx)
+    for x in range(1, q):
+        want = sum(term((y1, y2, x * pow(y1 * y2, -1, q) % q))
+                   for y1 in range(1, q) for y2 in range(1, q)) / q
+        assert residue_gather(f, t, x) == pytest.approx(want, abs=1e-12), x
+
+
+def test_pointwise_matches_residue_gather_property():
+    """kl_pointwise equals the residue-gather oracle over primes below 300,
+    k in {1, 2, 3}, any characters and any x != 0 (reduced mod q or not)."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    primes = [p for p in range(3, 300) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+    def case(q):
+        return st.tuples(
+            st.just(q),
+            st.integers(1, 3).flatmap(lambda k: st.lists(st.integers(0, q - 2), min_size=k, max_size=k)),
+            st.integers(1, 3 * q).filter(lambda x: x % q),
+        )
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(primes).flatmap(case))
+    @hyp.example((3, [1, 1, 1], 2))
+    @hyp.example((293, [1, 291, 146], 292))
+    def check(c):
+        q, chars, x = c
+        f = build_field(q)
+        t = CharTuple(f, tuple(chars))
+        assert kl_pointwise(f, t, x) == pytest.approx(residue_gather(f, t, x), abs=1e-12), c
+
+    check()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
