@@ -47,7 +47,9 @@ buffer, and one chunk: one b counts 16 q (q + 3 KR_ROWS + 2) + 16 KiB and
 admits q <= 8123.  A chunk holds more than one b only for q < 1000, where
 the count stays under 20 MB, so under the 1 GiB budget a batch is admitted
 exactly when one b is.  A full one-b ``kr_matrix`` counts
-32 q^2 + 1024 q, q <= 5749; the direct route counts 64 q^2 bytes, q <= 4093.
+32 q^2 + 1024 q, q <= 5749.  The direct route holds kmat and the whole M
+and forms the Gram matrix GRAM_ROWS (64) rows at a time: 32 q^2 + 3072 q
+bytes, q <= 5743.
 
 Any factor K(0) contributes 0 (vanishing stalk), which the table's
 zero-entry at index 0 implements for free.
@@ -75,6 +77,9 @@ KR_ROWS = 32
 # Counted bytes of one chunk of b in the Sigma sweep: each b holds its
 # KR_ROWS-row output block and its bfR vector, 16 q (KR_ROWS + 1) bytes.
 SIGMA_CHUNK_BYTES = 2**20
+# Rows of s per block of the direct oracle's Gram sum: one conjugated block
+# and its (q - 1, GRAM_ROWS) slab of Gram entries.
+GRAM_ROWS = 64
 
 
 def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
@@ -202,7 +207,7 @@ class SumReport:
     sigma_II: float
     comp_R2: float  # sum_r |bfR(r,b)|^2          (nonnegative)
     comp_K2: float  # sum_s sum_r |bfK(sr,sb)|^2  (nonnegative)
-    sigma_II_imag: float
+    sigma_II_imag: float  # |Im| of the direct sum: rounding in its diagonal Gram blocks
     ratio_I: float  # |sigma_I| / q
     ratio_II: float  # |sigma_II| / q^{3/2}
     sigma_II_direct: float | None = None
@@ -215,10 +220,11 @@ def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport | list[SumRep
     For a (B, 2l) array of b, one report per row in order, from one sweep
     that serves a chunk of b per row block; for one b, its report.  With
     ``direct=True`` (one b only) also evaluates the s1 != s2 double sum
-    through the Gram matrix of M and raises NumericalInstabilityError if the
-    two routes disagree beyond 1e-6 * q^{3/2}.  The direct route runs first,
-    so its larger byte count is checked before any matrix is built, and its
-    M is freed before the difference form sweeps M one row block at a time.
+    through the row-blocked Hermitian Gram sum of ``sigma_II_direct`` and
+    raises NumericalInstabilityError if the two routes disagree beyond
+    1e-6 * q^{3/2}.  The direct route runs first, so its larger byte count
+    is checked before any matrix is built, and its M is freed before the
+    difference form sweeps M one row block at a time.
     """
     bt, l = check_b(table.field, b)
     if direct and bt.ndim == 2:
@@ -265,17 +271,34 @@ def _report(table: KlTable, b: np.ndarray, l: int, r_vec: np.ndarray, comp_K2: f
 
 
 def sigma_II_direct(table: KlTable, b) -> complex:
-    """Direct Sigma_II: explicit off-diagonal sum of the Gram matrix G = M M^H.
+    """Direct Sigma_II: the explicit off-diagonal sum of the Gram matrix
+    G = M M^H, G[s1, s2] = sum_r bfK(s1 r, s1 b) conj(bfK(s2 r, s2 b)).
 
-    G[s1, s2] = sum_r bfK(s1 r, s1 b) conj(bfK(s2 r, s2 b)); the result is
-    the sum of all off-diagonal entries.  Different floating-point route
-    from the difference form, same algebraic value.
+    G is Hermitian by definition, so only its lower block triangle is
+    formed.  For each block a of GRAM_ROWS rows, conj(M[a]) goes into one
+    reused buffer and X = M[a_start:] @ conj(M[a]).T holds G[s2, s1] for s1
+    in a and s2 from a's first row on: its diagonal block adds its sum minus
+    its trace, and the part z below it adds z + conj(z), which stands for
+    the block above the diagonal too.  The pairwise inner products share no
+    code with the difference form; the two agree to rounding.  The
+    imaginary residue comes only from the diagonal blocks.
     """
     q = table.field.q
-    # kmat, M, the copy M.conj().T and the Gram matrix, 16 q^2 bytes each
-    check_bytes(64 * q * q, "sigma_II_direct", q=q)
+    n = q - 1
+    rows = min(GRAM_ROWS, n)
+    # 16 q bytes per row: kmat and M with one more row, kr_matrix's two
+    # KR_ROWS-row buffers, and the conjugated block and X, whose (q - 1) x
+    # GRAM_ROWS entries fit in GRAM_ROWS rows: 32 q^2 + 3072 q
+    check_bytes(16 * q * (2 * q + 2 * KR_ROWS + 2 * GRAM_ROWS), "sigma_II_direct", q=q)
     m = kr_matrix(table, b)
-    gram = m @ m.conj().T
-    total = complex(gram.sum())
-    diag = complex(np.trace(gram))
-    return total - diag
+    conj_buf = np.empty((rows, q), dtype=np.complex128)
+    parts = []
+    for start in range(0, n, GRAM_ROWS):
+        width = min(GRAM_ROWS, n - start)
+        conj = conj_buf[:width]
+        np.conjugate(m[start:start + width], out=conj)
+        x = m[start:] @ conj.T
+        diag, z = x[:width], complex(x[width:].sum())
+        parts += [complex(diag.sum()) - complex(np.trace(diag)), z, z.conjugate()]
+        del x, diag  # freed before the next block's X is formed
+    return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))

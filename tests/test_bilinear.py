@@ -411,7 +411,6 @@ def test_kl3_direct_row_blocks_small_peak():
     q = 1009
     f = build_field(q)
     xi = MultChar(f, 4)
-    f.inv_table  # built once outside the measurement
     tracemalloc.start()
     try:
         kl3_direct(f, xi, 3)

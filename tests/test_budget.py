@@ -46,6 +46,12 @@ def kr_matrix_bytes(q, B=1):
     return 16 * q * (q + B * q + 2 * 32)
 
 
+def direct_bytes(q):
+    # kmat, M and one more row, kr_matrix's two 32-row buffers, and the
+    # 64-row conjugated block and (q - 1) x 64 Gram slab of the direct route
+    return 16 * q * (2 * q + 2 * 32 + 2 * 64)
+
+
 def sweep_bytes(q, chunk=1):
     # kmat, the 32-row conjugated block and factor buffer, per b of a chunk a
     # 32-row block and its bfR vector, one column-sum temporary, 16 KiB
@@ -71,9 +77,10 @@ SITES = {
     "kr_matrix": (lambda t: kr_matrix(t, B), kr_matrix_bytes(Q), f"kr_matrix at q={Q}"),
     "kr_matrix(batch)": (lambda t: kr_matrix(t, [B] * 3), kr_matrix_bytes(Q, 3),
                          f"kr_matrix at q={Q}, B=3"),
-    "sigma_II(direct=True)": (lambda t: sigma_II(t, B, direct=True), 64 * Q**2,
+    "sigma_II(direct=True)": (lambda t: sigma_II(t, B, direct=True), direct_bytes(Q),
                               f"sigma_II_direct at q={Q}"),
-    "sigma_II_direct": (lambda t: sigma_II_direct(t, B), 64 * Q**2, f"sigma_II_direct at q={Q}"),
+    "sigma_II_direct": (lambda t: sigma_II_direct(t, B), direct_bytes(Q),
+                        f"sigma_II_direct at q={Q}"),
     "sigma_II": (lambda t: sigma_II(t, B), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
     # a batch of one counts and is named as one b
     "sigma_II(batch of one)": (lambda t: sigma_II(t, [B]), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
@@ -160,6 +167,21 @@ def test_kr_matrix_count_covers_measured_peak(q):
     finally:
         tracemalloc.stop()
     assert peak <= kr_matrix_bytes(q)
+
+
+def test_direct_count_covers_measured_peak():
+    # a fresh table, so the peak includes building kmat; q = 523 runs nine
+    # Gram blocks, the last of them ten rows
+    q = 523
+    f = build_field(q)
+    t = kl_table_fast(f, CharTuple(f, (1, 5)))
+    tracemalloc.start()
+    try:
+        sigma_II_direct(t, (1, 2, 3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= direct_bytes(q)
 
 
 @pytest.mark.parametrize("q", [211, 997])

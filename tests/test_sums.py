@@ -8,7 +8,7 @@ import pytest
 from klsums import sums
 from klsums.chartuples import CharTuple
 from klsums.errors import MAX_BYTES, PreconditionError, ResourceLimitError
-from klsums.field import build_field
+from klsums.field import build_field, is_prime
 from klsums.kloosterman import kl_table_fast
 from klsums.sums import (
     _bfk_product,
@@ -223,18 +223,98 @@ def test_kr_matrix_shape_and_zero_column(tab13):
 
 
 def test_sigma_II_direct_byte_budget():
-    # 4093 is the last prime the direct route admits, 4099 the first past it;
-    # the difference form alone would still admit q = 4099
-    assert 64 * 4093**2 <= MAX_BYTES < 64 * 4099**2
-    assert 32 * 4099**2 <= MAX_BYTES
-    f = build_field(4099)
+    # kmat, M and one more row, kr_matrix's two 32-row buffers, and the
+    # direct route's 64-row conjugated block and (q - 1) x 64 Gram slab
+    def direct_bytes(q):
+        return 16 * q * (2 * q + 192)
+
+    # 5743 is the last prime the direct route admits, 5749 the first past it;
+    # the difference form and a lone kr_matrix would still admit q = 5749
+    assert direct_bytes(5743) <= MAX_BYTES < direct_bytes(5749)
+    assert 16 * 5749 * (2 * 5749 + 64) <= MAX_BYTES
+    f = build_field(5749)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
-    need = 64 * 4099**2
+    need = direct_bytes(5749)
     for call in (lambda: sigma_II(table, (1, 2, 3, 4), direct=True),
                  lambda: sigma_II_direct(table, (1, 2, 3, 4))):
-        with pytest.raises(ResourceLimitError, match=f"q=4099 needs {need} bytes"):
+        with pytest.raises(ResourceLimitError, match=f"q=5749 needs {need} bytes"):
             call()
     assert "kmat" not in vars(table)
+
+
+def full_gram_direct(table, b):
+    """The direct sum as sigma_II_direct formed it before the row blocks,
+    kept verbatim as their oracle: the whole Gram matrix M M^H, its sum
+    minus its trace."""
+    m = kr_matrix(table, b)
+    gram = m @ m.conj().T
+    total = complex(gram.sum())
+    diag = complex(np.trace(gram))
+    return total - diag
+
+
+def assert_direct_matches_full_gram(table, b):
+    q = table.field.q
+    got = sigma_II_direct(table, b)
+    assert abs(got - full_gram_direct(table, b)) <= 1e-9 * q**1.5, (q, b)
+
+
+@pytest.mark.parametrize("q", [3, 53, 131, 193])
+def test_sigma_II_direct_matches_full_gram_at_block_edges(q):
+    """One partial block (q = 3, 53), whole blocks only (192 = 3 * 64 rows at
+    q = 193), and a last block of two rows (130 = 2 * 64 + 2 at q = 131);
+    k = 2 and 3, l = 1 and 2, with paired and zero entries among the b."""
+    assert sums.GRAM_ROWS == 64
+    f = build_field(q)
+    rng = np.random.Generator(np.random.PCG64(q))
+    for chars in ((0, 0), (1, q - 2), (0, 1, 2)):
+        table = kl_table_fast(f, CharTuple(f, tuple(c % (q - 1) for c in chars)))
+        bs = [rng.integers(0, q, size=2 * l) for l in (1, 2, 2)] + [(0, q - 1), (1, 2, 1, 2)]
+        for b in bs:
+            assert_direct_matches_full_gram(table, b)
+
+
+def test_sigma_II_direct_matches_full_gram_property():
+    """Primes below 600 (up to ten Gram blocks), random characters and b,
+    l in {1, 2}."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    primes = [q for q in range(3, 600) if is_prime(q)]
+
+    def case(q):
+        return st.tuples(
+            st.just(q),
+            st.lists(st.integers(0, q - 2), min_size=2, max_size=3),
+            st.sampled_from((1, 2)).flatmap(
+                lambda l: st.lists(st.integers(0, q - 1), min_size=2 * l, max_size=2 * l)),
+        )
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(primes).flatmap(case))
+    @hyp.example((5, [0, 0], [1, 4]))
+    @hyp.example((257, [0, 0], [3, 7, 11, 2]))
+    @hyp.example((599, [1, 5], [0, 598, 1, 1]))
+    def check(c):
+        q, chars, b = c
+        f = build_field(q)
+        assert_direct_matches_full_gram(kl_table_fast(f, CharTuple(f, tuple(chars))), b)
+
+    check()
+
+
+def test_sigma_II_direct_builds_M_once(monkeypatch):
+    q = 131
+    f = build_field(q)
+    table = kl_table_fast(f, CharTuple(f, (0, 0)))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args[2:], kwargs))
+        return kr_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(sums, "kr_matrix", counted)
+    sigma_II_direct(table, (1, 2, 3, 4))
+    assert calls == [((), {})]  # one call, over the full row range
 
 
 def test_b_must_be_integral(tab13):
