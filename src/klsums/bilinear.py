@@ -13,6 +13,11 @@ characters (the trivial one included) and normalized by their number
 for xi even and n != 0.  This holds to machine precision; restricting to
 primitive (nontrivial) characters or dropping the 1/2 breaks exactness.
 eps of the trivial character is tau(1)/sqrt(q) = -1/sqrt(q).
+
+The power-sum comparison over b in (F_q^x)^n (sum b_i = 0 when m = 1) is
+lhs = (q-1)/q^m sum_{u,t} D(u, t)^n against rhs = (q-1)/q^m sum_u D(u, 1)^n,
+D(u, t) = sum_{b != 0} psi(u b) K(b) conj K(b t) with u over F_q (m = 1) or
+u = 0 (m = 0): one product with the table's kmat, and no b enumerated.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ import numpy as np
 
 from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
-from .field import MultChar, PrimeField, gauss_sum
-from .kloosterman import KlTable, kl_pointwise
+from .field import MultChar, PrimeField, additive_char_vector, gauss_sum
+from .kloosterman import KMAT_BUILD_ROWS, KlTable, kl_pointwise
 from .sums import _sweep, sigma_II
 from .strata import generic_z_value, is_diagonal, z_fiber_count
 
@@ -258,7 +263,7 @@ def shift_reduction_trace(
     a = np.arange(A, 2 * A, dtype=np.int64)
     i1, i2 = np.nonzero(~np.eye(M, dtype=bool))
     s = a[:, None] * alpha.support % q
-    r = ns * table.field.inv_table[a][:, None] % q
+    r = ns * np.array([pow(int(x), -1, q) for x in a], dtype=np.int64)[:, None] % q
     keys = np.stack(np.broadcast_arrays(r[:, :, None], s[:, None, i1], s[:, None, i2])).reshape(3, -1)
     order = np.lexsort(keys[::-1])
     keys = keys[:, order]
@@ -382,61 +387,45 @@ class ComparisonReport:
     gap: float
     normalized_gap: float
     normalizer_exponent: float  # gap is divided by q**normalizer_exponent (times count for samples)
-    lhs_imag: float
-    rhs_imag: float
+    lhs_imag: float = 0.0  # |Im lhs|, |Im rhs|: rounding residues of the power-sum's
+    rhs_imag: float = 0.0  # sums over u and t, 0 for the full sample
 
 
-def averaged_comparison_power_sum(
-    table: KlTable, n: int, m: int
-) -> ComparisonReport:
+def averaged_comparison_power_sum(table: KlTable, n: int, m: int) -> ComparisonReport:
     """Power-sum family comparison: b in (F_q^x)^n with sum b_i^t = 0 for t <= m.
 
     lhs = sum_b |sum_s prod_i K(b_i s)|^2,  rhs with |.|^2 inside the s-sum;
-    the gap is normalized by q^{n-m+1/2}.
+    the gap is normalized by q^{n-m+1/2}; m is 0 or 1.  No b is enumerated:
+    expand |.|^2 over (s1, s2), write sum b_i = 0 as (1/q) sum_u prod_i
+    psi(u b_i), put t = s2/s1 and b_i -> b_i/s1: each b_i sums alone to the
+    D(u, t) of the module docstring.  conj(W) @ kmat[1:] for W[u, b] =
+    psi(u b) K(b) is conj D, whose power sums conjugate lhs and rhs.  Counts
+    kmat, a build block and 40 bytes per entry of the (q^m, q) index, W and D.
+
+    Rounding: |D| <= (q-1) k^2, a D entry is off by about eps q^(3/2) k^2 (q^2
+    at worst) and its n-th power by n |D|^(n-1) times that; lhs ~ q^(n-m+1)
+    E|K|^(2n) adds q^(m+1) powers: relative error <= n eps k^(2n) q^(m+3/2).
+    Only D(0, 1) nears |D|'s bound, the rest cancel to about sqrt(q) k^2, and
+    the tests gate at 1e-12.  n is refused once q^2 ((q-1) k^2)^n leaves float64.
     """
-    q = table.field.q
-    if n > 4 or m > 1 or q > 31:
-        raise PreconditionError(
-            f"power-sum family limited to n <= 4, m <= 1, q <= 31, got n={n}, m={m}, q={q}"
-        )
-    if n < 1 or m < 0:
-        raise PreconditionError(f"need n >= 1, m >= 0, got n={n}, m={m}")
-    s = np.arange(1, q, dtype=np.int64)
-    lhs_terms: list[complex] = []
-    rhs_terms: list[float] = []
-    count = 0
-    free = n - m
-    for bfree in itertools.product(range(1, q), repeat=free):
-        if m == 1:
-            last = -sum(bfree) % q
-            if last == 0:
-                continue
-            b = bfree + (last,)
-        else:
-            b = bfree
-        count += 1
-        prod = np.ones(q - 1, dtype=np.complex128)
-        for bi in b:
-            prod = prod * table.values[(bi * s) % q]
-        t = complex(np.sum(prod))
-        lhs_terms.append(t * np.conj(t))
-        rhs_terms.append(float(np.sum(np.abs(prod) ** 2)))
-    lhs_c = math.fsum(z.real for z in lhs_terms) + 1j * math.fsum(z.imag for z in lhs_terms)
-    rhs = math.fsum(rhs_terms)
-    gap = abs(lhs_c.real - rhs)
-    expo = n - m + 0.5
-    return ComparisonReport(
-        family=f"power-sum(n={n},m={m})",
-        q=q,
-        count=count,
-        lhs=lhs_c.real,
-        rhs=rhs,
-        gap=gap,
-        normalized_gap=gap / q**expo,
-        normalizer_exponent=expo,
-        lhs_imag=abs(lhs_c.imag),
-        rhs_imag=0.0,
-    )
+    q, k = table.field.q, table.k
+    if n < 1 or m not in (0, 1):
+        raise PreconditionError(f"power-sum needs n >= 1 and m in {{0, 1}}, got n={n}, m={m}")
+    if n * math.log((q - 1) * k * k) + 2 * math.log(q) >= math.log(np.finfo(np.float64).max):
+        raise PreconditionError(f"power-sum sums leave float64 at q={q}, k={k}, n={n}")
+    check_bytes(16 * q * (q + 2 * KMAT_BUILD_ROWS) + 40 * q ** (m + 1), "power-sum comparison",
+                q=q, n=n, m=m)
+    w = additive_char_vector(table.field)[np.outer(np.arange(q**m), np.arange(1, q)) % q]
+    w *= table.values[1:]
+    d = np.conj(w, out=w) @ table.kmat[1:]  # contiguous: kmat[1:, 1:] would be copied
+    np.power(d, n, out=d)  # d[u, t] = conj D(u, t)^n
+    lhs, rhs = (complex(z.sum()) * (q - 1) / q**m for z in (d, d[:, 1]))
+    gap, expo = abs(lhs.real - rhs.real), n - m + 0.5
+    count = (q - 1) ** n if m == 0 else ((q - 1) ** n + (-1) ** n * (q - 1)) // q
+    return ComparisonReport(family=f"power-sum(n={n},m={m})", q=q, count=count, lhs=lhs.real,
+                            rhs=rhs.real, gap=gap, normalized_gap=gap / q**expo,
+                            normalizer_exponent=expo, lhs_imag=abs(lhs.imag),
+                            rhs_imag=abs(rhs.imag))
 
 
 def averaged_comparison_full_sample(
@@ -474,7 +463,5 @@ def averaged_comparison_full_sample(
         gap=gap,
         normalized_gap=gap / (count * q**1.5) if count else 0.0,
         normalizer_exponent=1.5,
-        lhs_imag=0.0,
-        rhs_imag=0.0,
     )
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 
 from klsums.bilinear import (
     CoeffSeq,
+    ComparisonReport,
     averaged_comparison_full_sample,
     averaged_comparison_power_sum,
     bilinear_form,
@@ -457,15 +459,87 @@ def test_avg_power_sum_q29():
     assert rep.normalized_gap <= 10
 
 
-def test_avg_power_sum_resource_limits():
-    f = build_field(37)
-    tab = kl_table_fast(f, CharTuple(f, (0, 0)))
-    with pytest.raises(PreconditionError):
-        averaged_comparison_power_sum(tab, 4, 1)  # q > 31
-    f29 = build_field(29)
-    tab29 = kl_table_fast(f29, CharTuple(f29, (0, 0)))
-    with pytest.raises(PreconditionError):
-        averaged_comparison_power_sum(tab29, 5, 1)  # n > 4
+def enumerated_power_sum(table, n, m):
+    """averaged_comparison_power_sum by enumerating every b, n gathers each,
+    as it computed the report before the closed form (kept verbatim but for
+    its q <= 31, n <= 4 caps): the closed form's oracle."""
+    q = table.field.q
+    s = np.arange(1, q, dtype=np.int64)
+    lhs_terms: list[complex] = []
+    rhs_terms: list[float] = []
+    count = 0
+    free = n - m
+    for bfree in itertools.product(range(1, q), repeat=free):
+        if m == 1:
+            last = -sum(bfree) % q
+            if last == 0:
+                continue
+            b = bfree + (last,)
+        else:
+            b = bfree
+        count += 1
+        prod = np.ones(q - 1, dtype=np.complex128)
+        for bi in b:
+            prod = prod * table.values[(bi * s) % q]
+        t = complex(np.sum(prod))
+        lhs_terms.append(t * np.conj(t))
+        rhs_terms.append(float(np.sum(np.abs(prod) ** 2)))
+    lhs_c = math.fsum(z.real for z in lhs_terms) + 1j * math.fsum(z.imag for z in lhs_terms)
+    rhs = math.fsum(rhs_terms)
+    gap = abs(lhs_c.real - rhs)
+    expo = n - m + 0.5
+    return ComparisonReport(
+        family=f"power-sum(n={n},m={m})",
+        q=q,
+        count=count,
+        lhs=lhs_c.real,
+        rhs=rhs,
+        gap=gap,
+        normalized_gap=gap / q**expo,
+        normalizer_exponent=expo,
+        lhs_imag=abs(lhs_c.imag),
+        rhs_imag=0.0,
+    )
+
+
+def power_sum_cases():
+    """Every (q, n, m) whose family the enumeration walks in at most 3e4 b,
+    with the trivial tuple and a nontrivial one.  Past 3e3 b one tuple runs,
+    the trivial at m = 1 and the nontrivial at m = 0, which keeps the
+    oracle's walk near 1.4e5 b."""
+    for q, n, m in itertools.product((3, 5, 7, 13, 29, 31), range(1, 5), (0, 1)):
+        size = (q - 1) ** (n - m)
+        for chars in ((0, 0), (1, 3, 4)):
+            if size <= 3000 or (size <= 3 * 10**4 and (chars == (0, 0)) == (m == 1)):
+                yield q, n, m, chars
+
+
+POWER_SUM_CASES = list(power_sum_cases())
+
+
+@pytest.mark.parametrize("q,n,m,chars", POWER_SUM_CASES,
+                         ids=[f"q{q}-n{n}-m{m}-chars{','.join(map(str, c))}"
+                              for q, n, m, c in POWER_SUM_CASES])
+def test_power_sum_matches_enumeration(q, n, m, chars):
+    """The closed form against the enumeration: equal counts, lhs and rhs to
+    1e-12 relative.  The empty family n = 1, m = 1 reads about 1e-16 in
+    place of 0, hence the absolute 1e-9."""
+    f = build_field(q)
+    tab = kl_table_fast(f, CharTuple(f, chars))
+    rep = averaged_comparison_power_sum(tab, n, m)
+    want = enumerated_power_sum(tab, n, m)
+    assert rep.count == want.count
+    assert rep.lhs == pytest.approx(want.lhs, rel=1e-12, abs=1e-9)
+    assert rep.rhs == pytest.approx(want.rhs, rel=1e-12, abs=1e-9)
+    assert rep.lhs_imag <= 1e-12 * max(1.0, rep.lhs) and rep.rhs_imag <= 1e-12 * max(1.0, rep.rhs)
+
+
+def test_power_sum_refuses_n_past_float64(f13):
+    # q^2 (12 * 4)^n passes float64's largest value between n = 182 and 183
+    tab = kl_table_fast(f13, CharTuple(f13, (0, 0)))
+    assert math.isfinite(averaged_comparison_power_sum(tab, 182, 0).lhs)
+    with pytest.raises(PreconditionError, match="at q=13, k=2, n=183"):
+        averaged_comparison_power_sum(tab, 183, 0)
 
 
 def test_avg_full_sample_nonnegative_real(f13):

@@ -16,6 +16,7 @@ from klsums import errors, strata, sums
 from klsums.bilinear import (
     CoeffSeq,
     averaged_comparison_full_sample,
+    averaged_comparison_power_sum,
     bilinear_form,
     shift_reduction_trace,
 )
@@ -58,6 +59,13 @@ def sweep_bytes(q, chunk=1):
     return 16 * q * (q + 2 * 32 + 1) + chunk * 16 * q * (32 + 1) + 2**14
 
 
+def power_sum_bytes(q, m):
+    # kmat with one 32-row build block at its peak (two int64 index blocks
+    # and np.take's complex buffer), then the (q^m, q - 1) int64 index, W and
+    # D at 40 bytes per entry
+    return 16 * q * (q + 2 * 32) + 40 * q ** (m + 1)
+
+
 def shift_trace_bytes(M, N, A, B):
     # the M x N gather, 104 bytes per nu key, one majorant block of 2^14 entries
     return 24 * M * N + 104 * A * N * M * (M - 1) + 64 * max(B, 2**14)
@@ -91,6 +99,9 @@ SITES = {
                                      f"Sigma sweep at q={Q}, B=20"),
     "averaged_comparison_full_sample": (lambda t: averaged_comparison_full_sample(t, 2, 4),
                                         sweep_bytes(Q, 4), f"Sigma sweep at q={Q}, B=4"),
+    "averaged_comparison_power_sum": (lambda t: averaged_comparison_power_sum(t, 4, 1),
+                                      power_sum_bytes(Q, 1),
+                                      f"power-sum comparison at q={Q}, n=4, m=1"),
     "singular_polynomial": (lambda t: singular_polynomial(F131, 5, B), resolvent_bytes(5, 2),
                             "resolvent at q=131, k=5, l=2"),
     "singular_polynomial(batch)": (lambda t: singular_polynomial(F13, 2, [B] * 5),
@@ -222,13 +233,26 @@ def test_batch_counts_cover_measured_peak(q):
     assert kr_peak <= kr_matrix_bytes(q, 3)
 
 
+@pytest.mark.parametrize("q,m", [(211, 0), (211, 1), (1009, 0), (1009, 1)])
+def test_power_sum_count_covers_measured_peak(q, m):
+    # a fresh table, so the peak includes building kmat
+    f = build_field(q)
+    t = kl_table_fast(f, CharTuple(f, (1, 5)))
+    tracemalloc.start()
+    try:
+        averaged_comparison_power_sum(t, 4, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= power_sum_bytes(q, m)
+
+
 @pytest.mark.parametrize("q,M,N,A,B", [(1009, 20, 60, 2, 2), (1009, 2, 500, 1, 500),
                                         (10007, 10, 200, 2, 60)])
 def test_shift_trace_count_covers_measured_peak(q, M, N, A, B):
     # key-bound, block-bound and mixed shapes
     f = build_field(q)
     t = kl_table_fast(f, CharTuple(f, (0, 0)))
-    f.inv_table  # the field's own count covers its cached tables
     tracemalloc.start()
     try:
         shift_reduction_trace(t, CoeffSeq.ones(M), N=N, A=A, B=B, l=2)
@@ -239,13 +263,11 @@ def test_shift_trace_count_covers_measured_peak(q, M, N, A, B):
 
 
 def test_field_count_covers_measured_peak():
-    # the count includes the cached inv_table and gauss_spectrum
+    # the count includes the cached gauss_spectrum
     q = 100003
     tracemalloc.start()
     try:
-        f = build_field(q)
-        f.inv_table
-        f.gauss_spectrum
+        build_field(q).gauss_spectrum
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -155,8 +155,8 @@ def test_csv_config_lines_pinned(name, lines):
     (["avg-compare", "--q", "13", "--family", "full-sample", "--count", "-2"], "count=-2"),
     (["avg-compare", "--q", "13", "--family", "power-sum", "--n", "0", "--m", "0"], "n=0"),
     (["avg-compare", "--q", "13", "--family", "power-sum", "--n", "2", "--m", "-1"], "m=-1"),
-    (["avg-compare", "--q", "13", "--family", "power-sum", "--n", "5"], "n=5"),
-    (["avg-compare", "--q", "37", "--family", "power-sum"], "q=37"),
+    (["avg-compare", "--q", "13", "--family", "power-sum", "--m", "2"], "m=2"),
+    (["avg-compare", "--q", "13", "--family", "power-sum", "--n", "183", "--m", "0"], "n=183"),
     (["kl-table", "--q", "13", "--chars", "0,0", "--scale", "26"], "a=26"),
     (["kl-table", "--q", "13", "--chars", "0,0", "--scale", "0", "--method", "naive"], "a=0"),
     (["box-count", "--q", "13", "--l", "1", "--box", "7"], "B=7"),
@@ -398,6 +398,22 @@ def test_complete_sum_direct_budget_exit_3():
     assert code == 3 and env["status"] == "resource-limit"
     assert "q=5749" in env["payload"]["error"]
     assert f"{16 * 5749 * (2 * 5749 + 192)} bytes" in env["payload"]["error"]
+    assert peak < 64 * 2**20
+
+
+def test_avg_compare_power_sum_budget_exit_3():
+    # at m = 1 the closed form counts kmat and its build block, 16 q (q + 64)
+    # bytes, and 40 q^2 for the index, W and D: q = 4363 fits, q = 4373 does
+    # not, and is refused before kmat is built
+    tracemalloc.start()
+    try:
+        code, env = run_json(["avg-compare", "--q", "4373", "--family", "power-sum"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and env["status"] == "resource-limit"
+    need = 16 * 4373 * (4373 + 64) + 40 * 4373**2
+    assert f"q=4373, n=4, m=1 needs {need} bytes" in env["payload"]["error"]
     assert peak < 64 * 2**20
 
 

@@ -76,12 +76,6 @@ def test_dlog_roundtrip(f101):
     assert (f101.exp[f101.dlog[1:]] == np.arange(1, 101)).all()
 
 
-def test_inv_table(f101):
-    for x in range(1, 101):
-        assert f101.inv_table[x] * x % 101 == 1
-    assert f101.inv_table[0] == 0
-
-
 def test_eval_char_trivial(f5):
     chi = MultChar(f5, 0)
     assert all(eval_char(chi, x) == 1 for x in range(1, 5))

@@ -76,7 +76,7 @@ def test_pointwise_rejects():
 def residue_gather(field, t, x):
     """Kl_k(x) for k <= 3 by enumeration over residues: y_1..y_{k-1} run
     over F_q^x (y_1 in blocks of 64 at k = 3), y_k = x / (y_1...y_{k-1})
-    is read from the inverse table, the additive character is gathered at
+    is read from a table of pow(y, -1, q), the additive character is gathered at
     (y_1 + ... + y_k) mod q and each nontrivial character at its y_i.  The
     oracle of kl_pointwise's log-coordinate Hankel products: it shares only
     the field's character vectors with them."""
@@ -86,6 +86,7 @@ def residue_gather(field, t, x):
     psi = additive_char_vector(field)
     chis = [(i, MultChar(field, a).values_by_residue()) for i, a in enumerate(t.indices) if a]
     y = np.arange(1, q, dtype=np.int64)
+    inv = np.array([0] + [pow(v, -1, q) for v in range(1, q)], dtype=np.int64)
     if k == 3:
         blocks = [[y[lo:lo + 64, None], y[None, :]] for lo in range(0, q - 1, 64)]
     else:
@@ -95,7 +96,7 @@ def residue_gather(field, t, x):
         prod = 1
         for yi in free:
             prod = prod * yi % q
-        ys = [*free, x * field.inv_table[prod] % q]
+        ys = [*free, x * inv[prod] % q]
         terms = psi[sum(ys) % q]
         for i, chi in chis:
             terms *= chi[ys[i]]
