@@ -17,13 +17,16 @@ eps of the trivial character is tau(1)/sqrt(q) = -1/sqrt(q).
 The power-sum comparison over b in (F_q^x)^n (sum b_i = 0 when m = 1) is
 lhs = (q-1)/q^m sum_{u,t} D(u, t)^n against rhs = (q-1)/q^m sum_u D(u, 1)^n,
 D(u, t) = sum_{b != 0} psi(u b) K(b) conj K(b t) with u over F_q (m = 1) or
-u = 0 (m = 0): one product with the table's kmat, and no b enumerated.
+u = 0 (m = 0): one product with the table's kmat (real for a real or purely
+imaginary table, where K(b) conj K(bt) = kappa(b) kappa(bt)), and no b
+enumerated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -53,9 +56,13 @@ class CoeffSeq:
         self.support = np.asarray(self.support, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.support.shape != self.values.shape or self.support.ndim != 1:
-            raise PreconditionError("support and values must be flat arrays of equal length")
-        if len(set(self.support.tolist())) != len(self.support):
-            raise PreconditionError("support indices must be distinct")
+            raise PreconditionError(f"support and values must be flat arrays of equal length, "
+                                    f"got shapes {self.support.shape} and {self.values.shape}")
+        seen = Counter(self.support.tolist())
+        if len(seen) != len(self.support):
+            dup = min(i for i, c in seen.items() if c > 1)
+            raise PreconditionError(f"support indices must be distinct, got index {dup} "
+                                    f"{seen[dup]} times")
         absv = np.abs(self.values)
         self.l1 = float(np.sum(absv))
         self.l2 = float(math.sqrt(np.sum(absv**2)))
@@ -399,8 +406,13 @@ def averaged_comparison_power_sum(table: KlTable, n: int, m: int) -> ComparisonR
     expand |.|^2 over (s1, s2), write sum b_i = 0 as (1/q) sum_u prod_i
     psi(u b_i), put t = s2/s1 and b_i -> b_i/s1: each b_i sums alone to the
     D(u, t) of the module docstring.  conj(W) @ kmat[1:] for W[u, b] =
-    psi(u b) K(b) is conj D, whose power sums conjugate lhs and rhs.  Counts
-    kmat, a build block and 40 bytes per entry of the (q^m, q) index, W and D.
+    psi(u b) K(b) is conj D, whose power sums conjugate lhs and rhs.  For a
+    real or purely imaginary table K = c kappa with |c| = 1, so D reads the
+    kernel kappa alone: W takes kappa, and with a float64 kmat the product
+    is kmat[1:].T times conj(W).T viewed as floats, two real GEMMs over its
+    interleaved real and imaginary columns, with no complex copy of kmat.
+    Counts kmat, a build block and 40 bytes per entry of the (q^m, q) index,
+    W and D.
 
     Rounding: |D| <= (q-1) k^2, a D entry is off by about eps q^(3/2) k^2 (q^2
     at worst) and its n-th power by n |D|^(n-1) times that; lhs ~ q^(n-m+1)
@@ -415,9 +427,14 @@ def averaged_comparison_power_sum(table: KlTable, n: int, m: int) -> ComparisonR
         raise PreconditionError(f"power-sum sums leave float64 at q={q}, k={k}, n={n}")
     check_bytes(16 * q * (q + 2 * KMAT_BUILD_ROWS) + 40 * q ** (m + 1), "power-sum comparison",
                 q=q, n=n, m=m)
-    w = additive_char_vector(table.field)[np.outer(np.arange(q**m), np.arange(1, q)) % q]
-    w *= table.values[1:]
-    d = np.conj(w, out=w) @ table.kmat[1:]  # contiguous: kmat[1:, 1:] would be copied
+    wt = additive_char_vector(table.field)[np.outer(np.arange(1, q), np.arange(q**m)) % q]
+    wt *= table.kernel[1:, None]
+    np.conj(wt, out=wt)  # wt[b - 1, u] = conj W[u, b]
+    kmat = table.kmat[1:]  # contiguous: kmat[1:, 1:] would be copied
+    if np.iscomplexobj(kmat):
+        d = wt.T @ kmat
+    else:
+        d = (kmat.T @ wt.view(np.float64)).view(np.complex128).T
     np.power(d, n, out=d)  # d[u, t] = conj D(u, t)^n
     lhs, rhs = (complex(z.sum()) * (q - 1) / q**m for z in (d, d[:, 1]))
     gap, expo = abs(lhs.real - rhs.real), n - m + 0.5

@@ -20,6 +20,16 @@ decided here are purely combinatorial:
   report carries a ``mixed_duality`` flag so the ambiguity stays visible.
 * CGM: not Kummer-induced, Lambda trivial, and (k odd, or not self-dual, or
   the trivial character is a dualizing character with the alternating tag).
+* value kind: every value of Kl_k(x; chi) is real, purely imaginary, or
+  neither.  For k even, y -> -y in the defining sum gives
+  conj Kl(x; chi) = eps Kl(x; conj chi) with eps = prod chi_i(-1) =
+  (-1)^(sum a_i), so a multiset closed under a -> -a has real values when
+  eps = 1 and purely imaginary ones when eps = -1.  Nothing else has: the
+  Mellin transform of Kl at lambda is q^(-(k-1)/2) prod tau(chi_i lambda),
+  whose modulus counts the i with chi_i lambda trivial, so conj Kl = +-Kl
+  forces the multiset closed under negation; for k odd the same step gives
+  conj Kl(x) = eps Kl(-x; chi), so conj Kl = +-Kl would make the transform
+  vanish at every lambda with lambda(-1) = -+eps, and no Gauss sum vanishes.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ class CharTuple:
 
     def __post_init__(self):
         if len(self.indices) < 1:
-            raise PreconditionError("need k >= 1 characters")
+            raise PreconditionError(f"need k >= 1 characters, got k=0 at q={self.field.q}")
         n = self.field.q - 1
         object.__setattr__(self, "indices", tuple(a % n for a in self.indices))
 
@@ -141,6 +151,16 @@ def classify_tuple(t: CharTuple) -> ClassificationReport:
     )
 
 
+def kl_value_kind(t: CharTuple) -> str:
+    """"real", "imaginary" or "complex": what the values of Kl_k(x; chi) are,
+    decided from the tuple alone (module docstring): k even and the index
+    multiset closed under a -> -a, with (-1)^(sum a_i) = 1 for "real"."""
+    n = t.field.q - 1
+    if t.k % 2 or Counter(-a % n for a in t.indices) != Counter(t.indices):
+        return "complex"
+    return "real" if sum(t.indices) % 2 == 0 else "imaginary"
+
+
 def cgm_twist_from_nio(t: CharTuple) -> CharTuple | None:
     """Twist an NIO tuple into a CGM tuple over F_q itself, when possible.
 
@@ -152,7 +172,7 @@ def cgm_twist_from_nio(t: CharTuple) -> CharTuple | None:
     """
     rep = classify_tuple(t)
     if not rep.nio:
-        raise PreconditionError("tuple does not have NIO")
+        raise PreconditionError(f"tuple does not have NIO: chars={t.indices} at q={t.field.q}")
     n = t.field.q - 1
     if t.k % 2 == 0 and rep.dualizing:
         # all dualizing tags are alternating here (NIO excludes symmetric ones)

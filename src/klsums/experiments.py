@@ -175,7 +175,8 @@ def bound_ladder(
         raise PreconditionError(f"primes must be increasing, got primes={list(primes)}")
     chars = tuple(chars) if chars is not None else (0,) * k
     if k < 1 or len(chars) != k:
-        raise PreconditionError("need exactly k >= 1 character indices")
+        raise PreconditionError(f"need exactly k >= 1 character indices, got k={k}, "
+                                f"chars={list(chars)}")
     report = LadderReport(k=k, l=l, chars=chars, seed=seed)
     for q in primes:
         field = build_field(q)

@@ -171,8 +171,8 @@ def check_b(field: PrimeField, b) -> tuple[np.ndarray, int]:
     reduced = raw.astype(np.int64) % field.q
     n = reduced.shape[-1] if reduced.ndim else 0
     if reduced.ndim not in (1, 2) or n < 2 or n % 2 != 0:
-        raise PreconditionError("b must be a flat tuple of even length 2l >= 2, "
-                                "or a (B, 2l) array of them")
+        raise PreconditionError(f"b must be a flat tuple of even length 2l >= 2, "
+                                f"or a (B, 2l) array of them, got shape {raw.shape}")
     return reduced, n // 2
 
 

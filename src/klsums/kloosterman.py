@@ -27,6 +27,13 @@ two conventions and is never applied silently.
 The table index runs over residues 0..q-1 with the value at 0 fixed to 0
 (the stalk at 0 vanishes), which is the convention every downstream complete
 sum relies on when an argument s*(r+b_i) hits 0.
+
+``values`` is always complex128.  The Sigma kernel reads the table through
+two lazily cached arrays built from it, so ``kl_table_fast`` pays for
+neither: ``kernel``, which is values.real or values.imag as float64 when
+``chartuples.kl_value_kind`` says K is real or purely imaginary (K = kappa
+or i kappa), and values itself otherwise; and ``kmat[s, x] = kernel[s*x]``,
+q x q in the kernel's dtype.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .chartuples import CharTuple
+from .chartuples import CharTuple, kl_value_kind
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
 from .field import PrimeField, additive_char_vector, gauss_sum, MultChar
 
@@ -75,19 +82,46 @@ class KlTable:
         return float(np.max(np.abs(self.values)))
 
     @cached_property
+    def kernel(self) -> np.ndarray:
+        """The values the Sigma kernel reads, built on first use: by the
+        tuple's ``kl_value_kind``, values.real (K = kappa) or values.imag
+        (K = i kappa) as a read-only float64 copy, or values itself.
+
+        A real kappa serves both kinds, with no conjugation: bfK has l plain
+        and l conjugated factors, and i^l (-i)^l = 1.
+        """
+        kind = kl_value_kind(self.tuple)
+        if kind == "complex":
+            return self.values
+        out = np.ascontiguousarray(self.values.real if kind == "real" else self.values.imag)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def kmat(self) -> np.ndarray:
-        """Read-only q x q matrix kmat[s, x] = values[(s*x) % q], built on first use.
+        """Read-only q x q matrix kmat[s, x] = kernel[(s*x) % q], built on
+        first use, of the kernel's dtype.
 
         Row s holds x -> K(s*x), so K(s*(r + b)) for all r is row s rotated
-        left by b: the shift kernel of ``sums.kr_matrix``.  16 q^2 bytes; the
-        caller counts them against the byte budget before touching it.
+        left by b: the shift kernel of ``sums.kr_matrix``.  16 q^2 bytes
+        (8 q^2 for a float64 kernel); the caller counts 16 q^2 against the
+        byte budget before touching it.  Each block of rows is gathered
+        through one reused (KMAT_BUILD_ROWS, q) int64 index, filled a row at
+        a time (a broadcast product would take numpy's 128 KiB iterator
+        buffers) and reduced mod q in place, so ``np.take`` in wrap mode
+        writes straight into kmat with no buffer of its own.
         """
         q = self.field.q
-        out = np.empty((q, q), dtype=np.complex128)
+        src = self.kernel
+        out = np.empty((q, q), dtype=src.dtype)
         x = np.arange(q, dtype=np.int64)
+        idx = np.empty((min(KMAT_BUILD_ROWS, q), q), dtype=np.int64)
         for lo in range(0, q, KMAT_BUILD_ROWS):
-            s = np.arange(lo, min(lo + KMAT_BUILD_ROWS, q), dtype=np.int64)[:, None]
-            np.take(self.values, (s * x) % q, out=out[lo:lo + len(s)])
+            block = idx[:min(KMAT_BUILD_ROWS, q - lo)]
+            for s, row in enumerate(block, start=lo):
+                np.multiply(x, s, out=row)
+            np.remainder(block, q, out=block)
+            np.take(src, block, out=out[lo:lo + len(block)], mode="wrap")
         out.flags.writeable = False
         return out
 
@@ -206,7 +240,8 @@ def fourier_identity_check(table: KlTable, lam: MultChar) -> tuple[complex, comp
     Returns (lhs, rhs, |lhs - rhs|).
     """
     if table.scale % table.field.q != 1:
-        raise PreconditionError("fourier_identity_check needs a table with scale 1")
+        raise PreconditionError(f"fourier_identity_check needs a table with scale 1, "
+                                f"got scale={table.scale} at q={table.field.q}")
     f = table.field
     lhs = complex(np.sum(table.values * lam.values_by_residue()))
     rhs = 1 + 0j

@@ -25,23 +25,32 @@ in cache to the column sums bfR(r, b) and sum |bfK|^2, so M is never held
 whole.
 
 ``kr_matrix``, the sweep and ``sigma_II`` take b by the rule of
-``field.check_b``.  ``kr_matrix`` reads
-kmat[s, x] = K(s*x): factor i of row s is row s of kmat rotated left by
-b_i.  Per block it conjugates the kmat rows once and shares them across
-every b of the call; per b it copies factor 0's rotation into the output
-and multiplies in factors 1..2l-1, each rotated from the plain or the
-conjugated block into one reused factor buffer, so a b costs 2l - 1
-multiplies per block, with no per-b integer arithmetic and no q x q
+``field.check_b``.  They are one kernel whose dtype follows the table's
+``kernel`` (``kloosterman.KlTable``): float64 kappa when the tuple makes K
+real or purely imaginary (``chartuples.kl_value_kind``), since bfK then
+equals the product of its 2l kappa factors with no conjugation
+(i^l (-i)^l = 1); complex128 values otherwise.  Only the imaginary
+rounding residue of a real table's values is dropped, so Sigma moves by
+rounding only (at most 2.2e-14 q^{3/2} measured at q = 101..1009).
+``kr_matrix`` reads kmat[s, x] = kernel[s*x]: factor i of row s is row s
+of kmat rotated left by b_i.  Per block it conjugates complex kmat rows
+once and shares them across every b of the call (a float64 block is its
+own conjugate and needs no buffer); per b it copies factor 0's rotation
+into the output and multiplies in factors 1..2l-1, each rotated from the
+plain or the conjugated block into one reused factor buffer, so a b costs
+2l - 1 multiplies per block, with no per-b integer arithmetic and no q x q
 temporaries.  The sweep hands ``kr_matrix`` chunks of as many b as keep
 their output blocks and bfR vectors, 16 q (KR_ROWS + 1) bytes per b, within
 SIGMA_CHUNK_BYTES (1 MiB), and at least one: 19 b at q = 101, 6 at
 q = 307, 3 at q = 499, one from q = 997 up.  Per b it reduces the same
 blocks in the same order whatever the chunk, so every value is
 bit-identical to the one-b call.  ``_bfk_product`` evaluates the same
-product pointwise from the table; it is the oracle the kernel is tested
-against, bit for bit.
+product pointwise from the table's kernel; it is the oracle the kernel is
+tested against, bit for bit.  The direct oracle's Gram blocks are real
+GEMMs on a float64 M, a quarter of the complex flops.
 
-Against the byte budget (``errors.MAX_BYTES``) the sweep counts the
+Against the byte budget (``errors.MAX_BYTES``) every count is the complex
+one, an upper bound for a float64 kernel.  The sweep counts the
 table's cached kmat, 16 q^2 bytes, the conjugated block and the factor
 buffer, and one chunk: one b counts 16 q (q + 3 KR_ROWS + 2) + 16 KiB and
 admits q <= 8123.  A chunk holds more than one b only for q < 1000, where
@@ -84,13 +93,14 @@ GRAM_ROWS = 64
 
 def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
     """bfK(s*r, s*b) = prod_i K(s*(r + b_i)), conjugated for i > l, with s
-    and r broadcast against each other.  The pointwise oracle for
-    ``kr_matrix``: it indexes the table directly and shares no code with
-    the kernel."""
+    and r broadcast against each other, in the dtype of ``table.kernel``.
+    The pointwise oracle for ``kr_matrix``: it indexes the table's kernel
+    directly and shares no code with the kernel's kmat."""
     q = table.field.q
-    out = np.ones(np.broadcast_shapes(np.shape(s), np.shape(r)), dtype=np.complex128)
+    src = table.kernel
+    out = np.ones(np.broadcast_shapes(np.shape(s), np.shape(r)), dtype=src.dtype)
     for i in range(2 * l):
-        factor = table.values[(s * ((r + b[i]) % q)) % q]
+        factor = src[(s * ((r + b[i]) % q)) % q]
         out *= factor if i < l else np.conj(factor)
     return out
 
@@ -100,13 +110,14 @@ def kr_matrix(table: KlTable, b, lo: int = 1, hi: int | None = None) -> np.ndarr
     by default all of them, s = 1..q-1.  For a (B, 2l) array of b, a
     (B, hi - lo, q) array whose slab j is the matrix of row j.
 
-    Row s of factor i is row s of ``table.kmat`` rotated left by b_i.  The
-    rows go in blocks of KR_ROWS; each block of kmat is conjugated once and
-    serves every b.  Per b, factor 0 is copied into the output, and factors
-    1..2l-1 are rotated, from the plain block for i < l and the conjugated
-    one after, into one reused factor buffer and multiplied in, in order, so
-    a row range or a slab gives the matching rows of the one-b full matrix
-    bit for bit.
+    Row s of factor i is row s of ``table.kmat`` rotated left by b_i, and
+    the output has kmat's dtype.  The rows go in blocks of KR_ROWS; a
+    complex block of kmat is conjugated once and serves every b (a float64
+    block is its own conjugate).  Per b, factor 0 is copied into the output,
+    and factors 1..2l-1 are rotated, from the plain block for i < l and the
+    conjugated one after, into one reused factor buffer and multiplied in,
+    in order, so a row range or a slab gives the matching rows of the one-b
+    full matrix bit for bit.
     """
     bt, l = check_b(table.field, b)
     batch = np.atleast_2d(bt)
@@ -121,13 +132,14 @@ def kr_matrix(table: KlTable, b, lo: int = 1, hi: int | None = None) -> np.ndarr
     check_bytes(16 * q * (q + len(batch) * (hi - lo + 1) + 2 * rows), "kr_matrix",
                 **_named(q, batch))
     kmat = table.kmat
-    out = np.empty((len(batch), hi - lo, q), dtype=np.complex128)
-    conj_buf = np.empty((rows, q), dtype=np.complex128)
-    factor_buf = np.empty((rows, q), dtype=np.complex128)
+    real = not np.iscomplexobj(kmat)
+    out = np.empty((len(batch), hi - lo, q), dtype=kmat.dtype)
+    conj_buf = None if real else np.empty((rows, q), dtype=kmat.dtype)
+    factor_buf = np.empty((rows, q), dtype=kmat.dtype)
     for start in range(lo, hi, KR_ROWS):
         stop = min(start + KR_ROWS, hi)
-        plain, conj, factor = kmat[start:stop], conj_buf[:stop - start], factor_buf[:stop - start]
-        np.conjugate(plain, out=conj)
+        plain, factor = kmat[start:stop], factor_buf[:stop - start]
+        conj = plain if real else np.conjugate(plain, out=conj_buf[:stop - start])
         for row, block in zip(batch.tolist(), out[:, start - lo:stop - lo]):
             _rotate(block, plain, row[0])
             for i in range(1, 2 * l):
@@ -182,7 +194,7 @@ def _sweep_chunks(table: KlTable, bt: np.ndarray, chunk: int, col0: bool):
     q = table.field.q
     for c0 in range(0, len(bt), chunk):
         rows_b = bt[c0:c0 + chunk]
-        r_vec = [np.zeros(q, dtype=np.complex128) for _ in rows_b]
+        r_vec = [np.zeros(q, dtype=table.kernel.dtype) for _ in rows_b]
         k2 = [[] for _ in rows_b]
         k2_col0 = [[] for _ in rows_b]
         for lo in range(1, q, KR_ROWS):
@@ -281,7 +293,9 @@ def sigma_II_direct(table: KlTable, b) -> complex:
     its trace, and the part z below it adds z + conj(z), which stands for
     the block above the diagonal too.  The pairwise inner products share no
     code with the difference form; the two agree to rounding.  The
-    imaginary residue comes only from the diagonal blocks.
+    imaginary residue comes only from the diagonal blocks.  M has kmat's
+    dtype, so a float64 M is its own conjugate and each block is a real
+    GEMM with no residue.
     """
     q = table.field.q
     n = q - 1
@@ -291,12 +305,13 @@ def sigma_II_direct(table: KlTable, b) -> complex:
     # GRAM_ROWS entries fit in GRAM_ROWS rows: 32 q^2 + 3072 q
     check_bytes(16 * q * (2 * q + 2 * KR_ROWS + 2 * GRAM_ROWS), "sigma_II_direct", q=q)
     m = kr_matrix(table, b)
-    conj_buf = np.empty((rows, q), dtype=np.complex128)
+    real = not np.iscomplexobj(m)
+    conj_buf = None if real else np.empty((rows, q), dtype=m.dtype)
     parts = []
     for start in range(0, n, GRAM_ROWS):
         width = min(GRAM_ROWS, n - start)
-        conj = conj_buf[:width]
-        np.conjugate(m[start:start + width], out=conj)
+        block = m[start:start + width]
+        conj = block if real else np.conjugate(block, out=conj_buf[:width])
         x = m[start:] @ conj.T
         diag, z = x[:width], complex(x[width:].sum())
         parts += [complex(diag.sum()) - complex(np.trace(diag)), z, z.conjugate()]

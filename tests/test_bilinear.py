@@ -82,6 +82,15 @@ def test_empty_sequence_refused(tab101):
         shift_reduction_trace(tab101, empty, N=5, A=1, B=1, l=2)
 
 
+def test_coeffseq_refusals_name_their_values():
+    with pytest.raises(PreconditionError, match=r"^support and values must be flat arrays of "
+                                                r"equal length, got shapes \(3,\) and \(2,\)$"):
+        CoeffSeq(np.array([1, 2, 3]), np.ones(2))
+    with pytest.raises(PreconditionError, match=r"^support indices must be distinct, "
+                                                r"got index 2 3 times$"):
+        CoeffSeq(np.array([5, 2, 7, 2, 5, 2]), np.ones(6))
+
+
 def test_coeffseq_norms():
     c = CoeffSeq(np.array([1, 2, 3]), np.array([3.0, -4.0, 0.0]))
     assert c.l1 == pytest.approx(7.0)
@@ -504,9 +513,10 @@ def enumerated_power_sum(table, n, m):
 
 def power_sum_cases():
     """Every (q, n, m) whose family the enumeration walks in at most 3e4 b,
-    with the trivial tuple and a nontrivial one.  Past 3e3 b one tuple runs,
-    the trivial at m = 1 and the nontrivial at m = 0, which keeps the
-    oracle's walk near 1.4e5 b."""
+    with the trivial tuple (a real table, so a float64 kmat) and a
+    nontrivial one (complex).  Past 3e3 b one tuple runs, the trivial at
+    m = 1 and the nontrivial at m = 0, which keeps the oracle's walk near
+    1.4e5 b."""
     for q, n, m in itertools.product((3, 5, 7, 13, 29, 31), range(1, 5), (0, 1)):
         size = (q - 1) ** (n - m)
         for chars in ((0, 0), (1, 3, 4)):
@@ -534,6 +544,30 @@ def test_power_sum_matches_enumeration(q, n, m, chars):
     assert rep.lhs_imag <= 1e-12 * max(1.0, rep.lhs) and rep.rhs_imag <= 1e-12 * max(1.0, rep.rhs)
 
 
+@pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 31])
+def test_power_sum_imaginary_table_matches_enumeration(q):
+    """The Salie tuple (0, (q - 1)/2) at q = 3 mod 4 has a purely imaginary
+    table, so the closed form reads its float64 kernel and kmat.  Every
+    family of at most 3e3 b against the enumeration: equal counts, lhs and
+    rhs to 1e-12 of q^(n - m + 1), the size of lhs, and so are the
+    imaginary residues.  That scale, not lhs, because at n = 2, m = 1 the
+    family is b_2 = -b_1 and K(x) K(-x) = 0 when -1 is not a square: lhs
+    and rhs are 0, and the complex kernel leaves the same 1e-12 residue."""
+    f = build_field(q)
+    tab = kl_table_fast(f, CharTuple(f, (0, (q - 1) // 2)))
+    assert tab.kmat.dtype == np.float64
+    for n, m in itertools.product(range(1, 5), (0, 1)):
+        if (q - 1) ** (n - m) > 3000:
+            continue
+        rep = averaged_comparison_power_sum(tab, n, m)
+        want = enumerated_power_sum(tab, n, m)
+        scale = float(q) ** (n - m + 1)
+        assert rep.count == want.count
+        for got, ref in ((rep.lhs, want.lhs), (rep.rhs, want.rhs), (rep.lhs_imag, 0.0),
+                         (rep.rhs_imag, 0.0)):
+            assert abs(got - ref) <= 1e-12 * scale, (n, m, got, ref)
+
+
 def test_power_sum_refuses_n_past_float64(f13):
     # q^2 (12 * 4)^n passes float64's largest value between n = 182 and 183
     tab = kl_table_fast(f13, CharTuple(f13, (0, 0)))
@@ -551,10 +585,12 @@ def test_avg_full_sample_nonnegative_real(f13):
 
 def test_avg_full_sample_pinned(f13):
     """The full-sample report as sorted-key JSON, pinned by sha256 taken while
-    each b was drawn and swept on its own: the batch keeps the draws and floats."""
+    each b was drawn and swept on its own: the batch keeps the draws and floats.
+    Re-taken when the real (0, 0) table moved to the float64 sweep: lhs and
+    gap moved by 1.1e-13 from the complex sweep's."""
     tab = kl_table_fast(f13, CharTuple(f13, (0, 0)))
     rep = averaged_comparison_full_sample(tab, 2, 10, seed=3)
-    assert json_sha256(rep) == "16fd2755e3a5903ce1a9ca17b465027e2bbe0c2d0f776307f423b932457b85b0"
+    assert json_sha256(rep) == "b8f16c1b91485746b3358c244f7d5f9dd41a152f31f105ab01b524f5fffd4d0c"
 
 
 def test_avg_full_sample_paired_cauchy_schwarz(f13):

@@ -247,6 +247,24 @@ def test_power_sum_count_covers_measured_peak(q, m):
     assert peak <= power_sum_bytes(q, m)
 
 
+@pytest.mark.parametrize("q,m", [(1009, 0), (1009, 1)])
+@pytest.mark.parametrize("chars", [(0, 0), (0, 504)], ids=["real", "real-salie"])
+def test_power_sum_real_table_casts_no_kmat(q, m, chars):
+    # a fresh real table: kmat is float64, 8 q^2 bytes with its build block,
+    # and the product reads it as two real GEMMs; numpy casting it to complex
+    # would add a 16 q^2 temporary, which this peak leaves no room for
+    f = build_field(q)
+    t = kl_table_fast(f, CharTuple(f, chars))
+    tracemalloc.start()
+    try:
+        averaged_comparison_power_sum(t, 4, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.kmat.dtype == np.float64
+    assert peak <= 8 * q * (q + 32 + 2) + 40 * q ** (m + 1)
+
+
 @pytest.mark.parametrize("q,M,N,A,B", [(1009, 20, 60, 2, 2), (1009, 2, 500, 1, 500),
                                         (10007, 10, 200, 2, 60)])
 def test_shift_trace_count_covers_measured_peak(q, M, N, A, B):

@@ -17,9 +17,11 @@ from klsums.chartuples import (
     classify_tuple,
     dualizing_characters,
     is_kummer_induced,
+    kl_value_kind,
 )
 from klsums.errors import PreconditionError
 from klsums.field import build_field
+from klsums.kloosterman import kl_table_fast
 from klsums.serialize import jsonify
 
 from conftest import primes_up_to
@@ -274,8 +276,13 @@ def test_lemma_how_to_twist(q, k):
 
 
 def test_cgm_twist_requires_nio(f5):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^tuple does not have NIO: chars=\(0, 2\) at q=5$"):
         cgm_twist_from_nio(CharTuple(f5, (0, 2)))  # Salie: not NIO
+
+
+def test_empty_tuple_refused(f13):
+    with pytest.raises(PreconditionError, match="^need k >= 1 characters, got k=0 at q=13$"):
+        CharTuple(f13, ())
 
 
 def test_report_json_fields(f5):
@@ -332,3 +339,67 @@ def test_dualizing_at_large_q():
     f = build_field(1000003)
     assert dualizing_characters(CharTuple(f, (1, 5))) == [(6, "alternating")]
     assert dualizing_characters(CharTuple(f, (1, 2, 3))) == [(4, "symmetric")]
+
+
+# --- value kind: the rule from the tuple against the tables ------------------
+
+
+def value_kind_cases(q):
+    """Named tuples at k = 2, 3, 4 (h = (q - 1)/2), seeded tuples closed
+    under negation, self-dual under a -> e - a for e != 0 and not closed
+    under negation, and seeded tuples with no structure."""
+    n = q - 1
+    h = n // 2
+    rng = np.random.Generator(np.random.PCG64(q))
+    named = [(0, 0), (h, h), (3, -3), (0, h), (1, -1), (3, 7), (1, 3), (0, 0, 0), (0, 1, -1),
+             (0, h, h), (1, 5, 9), (0, 0, 0, 0), (1, -1, h, h), (1, -1, 0, h), (3, -3, 7, -7),
+             (3, 7, -7, -3), (1, 2, 3, 4), (1, 5, 2, 4)]
+    cases = [tuple(a % n for a in idx) for idx in named]
+    for k in (2, 4):
+        for _ in range(6):
+            half = [int(a) for a in rng.integers(0, n, size=k // 2)]
+            cases.append(tuple(half + [-a % n for a in half]))
+            e = int(rng.integers(1, n))
+            cases.append(tuple(half + [(e - a) % n for a in half]))
+    for k in (2, 3, 4):
+        cases += [tuple(int(a) for a in rng.integers(0, n, size=k)) for _ in range(4)]
+    return cases
+
+
+@pytest.mark.parametrize("q", [101, 103])
+def test_value_kind_matches_tables(q):
+    """kl_value_kind, read from the tuple alone, against max |Im K| and
+    max |Re K| of the fast table: the part the rule says vanishes is within
+    1e-12, and a complex table has both parts of size.  The table's kernel
+    reproduces its values: kappa for a real table, i kappa for an imaginary
+    one, the values themselves for a complex one."""
+    f = build_field(q)
+    seen = Counter()
+    for idx in value_kind_cases(q):
+        t = CharTuple(f, idx)
+        kind = kl_value_kind(t)
+        seen[kind] += 1
+        table = kl_table_fast(f, t, 3)
+        re, im = (float(np.max(np.abs(part))) for part in (table.values.real, table.values.imag))
+        assert (im <= 1e-12, re <= 1e-12) == (kind == "real", kind == "imaginary"), (idx, kind, re, im)
+        assert kind != "complex" or min(re, im) > 0.1, (idx, re, im)
+        unit = {"real": 1, "imaginary": 1j}.get(kind)
+        if unit is None:
+            assert table.kernel is table.values
+        else:
+            assert table.kernel.dtype == np.float64 and not table.kernel.flags.writeable
+            assert float(np.max(np.abs(unit * table.kernel - table.values))) <= 1e-12, idx
+    # Salie (0, h) and (1, -1, 0, h) are imaginary exactly when q = 3 mod 4
+    assert seen["imaginary"] >= (2 if q % 4 == 3 else 0) and seen["real"] >= 10 and seen["complex"] >= 20
+
+
+def test_value_kind_pinned(f7, f13):
+    """A pair (a, -a) adds q - 1 to the index sum, so only an odd count of
+    h = (q - 1)/2 makes the sign odd: no tuple is imaginary at q = 1 mod 4."""
+    def kinds(f, tuples):
+        return [kl_value_kind(CharTuple(f, idx)) for idx in tuples]
+
+    assert kinds(f13, [(0, 0), (6, 6), (3, 9), (0, 6), (1, 11, 0, 6), (3, 7), (1, 3), (0, 1, 11),
+                       (2,)]) == ["real"] * 5 + ["complex"] * 4
+    assert kinds(f7, [(0, 3), (1, 5, 0, 3), (3, 3), (2, 4), (0, 0, 0)]) == [
+        "imaginary", "imaginary", "real", "real", "complex"]

@@ -1,6 +1,7 @@
 """Argument checks of the prime-ladder experiment."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -38,6 +39,14 @@ def test_ladder_refuses_empty_sample_sets_before_any_field(samples, subgeneric, 
         bound_ladder([101, 151], samples=samples, subgeneric_samples=subgeneric)
 
 
+@pytest.mark.parametrize("k,chars,named", [(2, (0, 0, 0), "k=2, chars=[0, 0, 0]"),
+                                           (0, (), "k=0, chars=[]")])
+def test_ladder_refuses_chars_of_wrong_length_by_value(k, chars, named):
+    with pytest.raises(PreconditionError,
+                       match=rf"^need exactly k >= 1 character indices, got {re.escape(named)}$"):
+        bound_ladder([101, 151], k=k, chars=chars)
+
+
 # perfbench/run.py sets these before numpy loads.  np.vdot in the Sigma sweep
 # splits a block of about 10^4 entries or more across BLAS threads, which
 # moves the last bits of Sigma with the thread count.
@@ -56,14 +65,17 @@ def test_bound_ladder_json_pinned():
     sha256 in a fresh process with one BLAS thread, so the pin does not
     depend on the machine's core count.  The per-b code gave the same JSON:
     the batched scans, the samplers' batched rounds and the batched Sigma
-    sweep reproduce every draw, count and float."""
+    sweep reproduce every draw, count and float.  The (0, 0) table is real,
+    so the sweep runs in float64; the pin was re-taken there, and the
+    complex sweep's JSON differed from it by rounding only (at most
+    2.3e-16 in a ratio)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, **ONE_BLAS_THREAD,
            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", LADDER_SHA256], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == (
-        "46c4a7518d940c4bb3b3f57174964865bd04b1d14d0aecb305920395dcec3022")
+        "c0ac03877aee0ba2316c7cc11c9aa12a95ca3202a9a27f74bd125dbd5494bd69")
 
 
 # --- the samplers against a one-draw-at-a-time loop ----------------------------

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from klsums.field import (
     gauss_sum,
 )
 from klsums.kloosterman import (
+    KMAT_BUILD_ROWS,
     fourier_identity_check,
     kl_pointwise,
     kl_table_fast,
@@ -346,8 +348,32 @@ def test_fourier_identity_k3_random_lambdas(f13):
 
 def test_fourier_identity_requires_scale_one(f13):
     tab = kl_table_fast(f13, CharTuple(f13, (0, 0)), 2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^fourier_identity_check needs a table with "
+                                                "scale 1, got scale=2 at q=13$"):
         fourier_identity_check(tab, MultChar(f13, 0))
+
+
+@pytest.mark.parametrize("chars", [(0, 0), (1, 5)])
+def test_kmat_build_holds_one_index_block(chars):
+    """Building a fresh kmat at q = 1009, real and complex, costs its own
+    bytes plus the int64 index temporaries of one block: the arange of x
+    and the (KMAT_BUILD_ROWS, q) index, with 4 KiB for small arrays.  No
+    gather buffer (np.take's default mode buffered 512 q bytes per block)
+    and no broadcast iterator buffer (128 KiB)."""
+    q = 1009
+    f = build_field(q)
+    table = kl_table_fast(f, CharTuple(f, chars))
+    kernel = table.kernel  # a float64 copy for the real table, built outside the measurement
+    tracemalloc.start()
+    try:
+        kmat = table.kmat
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kmat.dtype == (np.float64 if chars == (0, 0) else np.complex128)
+    assert peak <= kmat.nbytes + 8 * q * (KMAT_BUILD_ROWS + 1) + 2**12
+    s = np.arange(q, dtype=np.int64)[:, None]
+    assert np.array_equal(kmat, kernel[(s * np.arange(q)) % q])
 
 
 def test_values_immutable(f13):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,74 @@ def test_trivial_envelopes(tab13):
         assert abs(rep.sigma_II) <= env_ii
 
 
+def affine_case(q):
+    """(l, b, lam, c) at q: l in {2, 3}, any b, lam != 0 and any c."""
+    st = pytest.importorskip("hypothesis.strategies")
+    return st.tuples(
+        st.sampled_from((2, 3)).flatmap(
+            lambda l: st.tuples(st.just(l), st.lists(st.integers(0, q - 1), min_size=2 * l,
+                                                     max_size=2 * l))),
+        st.integers(1, q - 1),
+        st.integers(0, q - 1),
+    )
+
+
+@pytest.mark.parametrize("chars", [(0, 0), (0, 51), (3, 7)], ids=["real", "imaginary", "complex"])
+def test_affine_invariance_property(chars):
+    """Sigma(lam b + c) = Sigma(b) for lam != 0 at l >= 2 (r -> lam r - c and
+    s -> s / lam), on a real, an imaginary and a complex table at q = 103,
+    so the float64 and the complex kernel are both held to it."""
+    hyp = pytest.importorskip("hypothesis")
+    q = 103
+    f = build_field(q)
+    table = kl_table_fast(f, CharTuple(f, chars))
+    assert table.kmat.dtype == (np.complex128 if chars == (3, 7) else np.float64)
+
+    @hyp.settings(max_examples=25, deadline=None, derandomize=True)
+    @hyp.given(affine_case(q))
+    @hyp.example(((2, [0, 1, 2, 3]), q - 1, 5))
+    @hyp.example(((2, [4, 4, 9, 9]), 2, 0))
+    def check(c):
+        (l, b), lam, shift = c
+        b = np.array(b, dtype=np.int64)
+        want = sigma_II(table, b)
+        got = sigma_II(table, (lam * b + shift) % q)
+        assert abs(got.sigma_I - want.sigma_I) <= 1e-12 * q**2, c
+        assert abs(got.sigma_II - want.sigma_II) <= 1e-12 * q**2, c
+        assert got.comp_K2 == pytest.approx(want.comp_K2, rel=1e-12), c
+
+    check()
+
+
+@pytest.mark.parametrize("q,chars", [(101, (0, 0)), (103, (0, 51)), (103, (1, 101, 0, 51))])
+def test_float64_kernel_matches_complex_path(q, chars, monkeypatch):
+    """A real or imaginary table runs kr_matrix, the sweep and the direct
+    Gram in float64; the same table forced through the complex kernel gives
+    the same reports to 1e-12 q^{3/2} (Sigma_I to 1e-12 q), with Sigma_I's
+    imaginary part and the direct residue exactly 0 on the float64 path."""
+    f = build_field(q)
+    t = CharTuple(f, chars)
+    real = kl_table_fast(f, t)
+    monkeypatch.setattr("klsums.kloosterman.kl_value_kind", lambda _t: "complex")
+    cplx = kl_table_fast(f, t)
+    assert cplx.kernel is cplx.values and cplx.kmat.dtype == np.complex128
+    monkeypatch.undo()
+    assert real.kmat.dtype == np.float64
+    rng = np.random.Generator(np.random.PCG64(q))
+    for l in (1, 2, 3):
+        bs = rng.integers(0, q, size=(4, 2 * l))
+        assert kr_matrix(real, bs[0]).dtype == np.float64
+        assert _bfk_product(real, 2, 5, bs[0], l).dtype == np.float64
+        for got, want in zip(sigma_II(real, bs), sigma_II(cplx, bs)):
+            assert got.sigma_I.imag == 0.0
+            assert abs(got.sigma_I - want.sigma_I) <= 1e-12 * q
+            for name in ("sigma_II", "comp_R2", "comp_K2"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * q**1.5, name
+        got, want = sigma_II(real, bs[1], direct=True), sigma_II(cplx, bs[1], direct=True)
+        assert got.sigma_II_imag == 0.0
+        assert abs(got.sigma_II_direct - want.sigma_II_direct) <= 1e-12 * q**1.5
+
+
 def test_translation_covariance_exact(tab13):
     # bfK(r, b + c*1) = bfK(r + c, b): identical index arithmetic, exact equality
     b = np.array([1, 4, 6, 11])
@@ -211,7 +280,8 @@ def test_b_validation(tab13):
     # a (B, 2l) array is a batch of b; any other shape is refused
     for bad in (np.zeros((2, 2, 2), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)):
         for call in (kr_matrix, sigma_II):
-            with pytest.raises(PreconditionError, match="or a \\(B, 2l\\) array of them"):
+            with pytest.raises(PreconditionError,
+                               match=re.escape(f"or a (B, 2l) array of them, got shape {bad.shape}")):
                 call(tab13, bad)
 
 
@@ -381,7 +451,7 @@ def test_kmat_cached_and_read_only(tab13):
     with pytest.raises(ValueError):
         kmat[1, 1] = 0
     s, x = np.meshgrid(np.arange(13), np.arange(13), indexing="ij")
-    assert np.array_equal(kmat, tab13.values[(s * x) % 13])
+    assert np.array_equal(kmat, tab13.kernel[(s * x) % 13])
 
 
 def test_kr_matrix_no_q2_temporaries():
