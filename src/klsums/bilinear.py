@@ -453,7 +453,8 @@ def averaged_comparison_full_sample(
     lhs = sum_b sum_{r != 0} |sum_s bfK(sr, sb)|^2, rhs with |.|^2 inside.
     The per-b error density of the underlying estimate is O(q^{3/2}), so the
     gap is normalized by count * q^{3/2}.  The count b are drawn first, one
-    ``rng.integers`` call each, and swept as one (count, 2l) batch.
+    ``rng.integers`` call each, and swept as one (count, 2l) batch; rhs
+    subtracts the sweep's sum over row r = 0 of N from each b's total.
     """
     q = table.field.q
     if count < 0:
@@ -465,9 +466,9 @@ def averaged_comparison_full_sample(
                   dtype=np.int64).reshape(count, 2 * l)
     lhs_terms: list[float] = []
     rhs_terms: list[float] = []
-    for r_vec, k2, k2_col0 in _sweep(table, bs, col0=True):
+    for r_vec, k2, k2_row0 in _sweep(table, bs, row0=True):
         lhs_terms.append(float(np.vdot(r_vec[1:], r_vec[1:]).real))  # drop r = 0
-        rhs_terms.append(k2 - k2_col0)
+        rhs_terms.append(k2 - k2_row0)
     lhs = math.fsum(lhs_terms)
     rhs = math.fsum(rhs_terms)
     gap = abs(lhs - rhs)

@@ -32,8 +32,10 @@ sum relies on when an argument s*(r+b_i) hits 0.
 two lazily cached arrays built from it, so ``kl_table_fast`` pays for
 neither: ``kernel``, which is values.real or values.imag as float64 when
 ``chartuples.kl_value_kind`` says K is real or purely imaginary (K = kappa
-or i kappa), and values itself otherwise; and ``kmat[s, x] = kernel[s*x]``,
-q x q in the kernel's dtype.
+or i kappa), and values itself otherwise; and the symmetric
+``kmat[s, x] = kernel[s*x]``, q x q in the kernel's dtype, gathered in log
+coordinates (kernel[g^(dlog s + dlog x)]) with no modular arithmetic, whose
+contiguous row slices are the factors of every Sigma block.
 """
 
 from __future__ import annotations
@@ -102,26 +104,35 @@ class KlTable:
         """Read-only q x q matrix kmat[s, x] = kernel[(s*x) % q], built on
         first use, of the kernel's dtype.
 
-        Row s holds x -> K(s*x), so K(s*(r + b)) for all r is row s rotated
-        left by b: the shift kernel of ``sums.kr_matrix``.  16 q^2 bytes
-        (8 q^2 for a float64 kernel); the caller counts 16 q^2 against the
-        byte budget before touching it.  Each block of rows is gathered
-        through one reused (KMAT_BUILD_ROWS, q) int64 index, filled a row at
-        a time (a broadcast product would take numpy's 128 KiB iterator
-        buffers) and reduced mod q in place, so ``np.take`` in wrap mode
-        writes straight into kmat with no buffer of its own.
+        kmat is symmetric, and row x holds s -> K(s*x), so K(s*(r + b)) for
+        a block of rows r and all s is the slice of kmat rows r + b onward:
+        the shift kernel of ``sums.kr_matrix``.  16 q^2 bytes (8 q^2 for a
+        float64 kernel); the caller counts 16 q^2 against the byte budget
+        before touching it.  Built in log coordinates: with
+        logs[m] = kernel[g^m] for m < 2(q - 1) (the log table doubled),
+        kmat[s, x] = logs[dlog(s) + dlog(x)] for s >= 2 and x != 0, one int64
+        add and one ``np.take`` per entry, with no multiply and no remainder,
+        so every entry is the kernel's value bit for bit.  logs lives in rows
+        0 and 1 of kmat until the other rows are done; then column 0
+        (where dlog(0) = -1 read a wrong entry) and row 0 are zeroed and row
+        1 is the kernel.  Past kmat the build holds one reused
+        (KMAT_BUILD_ROWS, q) int64 index, and the clip mode of ``np.take``
+        (never reached: every index is in range) writes straight into kmat
+        with no buffer of its own.
         """
-        q = self.field.q
-        src = self.kernel
-        out = np.empty((q, q), dtype=src.dtype)
-        x = np.arange(q, dtype=np.int64)
+        q, n, dlog = self.field.q, self.field.q - 1, self.field.dlog
+        out = np.empty((q, q), dtype=self.kernel.dtype)
+        logs = out[:2].reshape(-1)[:2 * n]  # logs[m] = kernel[g^m], doubled
+        np.take(self.kernel, self.field.exp, out=logs[:n], mode="clip")
+        logs[n:] = logs[:n]
         idx = np.empty((min(KMAT_BUILD_ROWS, q), q), dtype=np.int64)
-        for lo in range(0, q, KMAT_BUILD_ROWS):
+        for lo in range(2, q, KMAT_BUILD_ROWS):
             block = idx[:min(KMAT_BUILD_ROWS, q - lo)]
             for s, row in enumerate(block, start=lo):
-                np.multiply(x, s, out=row)
-            np.remainder(block, q, out=block)
-            np.take(src, block, out=out[lo:lo + len(block)], mode="wrap")
+                np.add(dlog, dlog[s], out=row)
+            np.take(logs, block, out=out[lo:lo + len(block)], mode="clip")
+        out[0] = out[:, 0] = 0
+        out[1] = self.kernel
         out.flags.writeable = False
         return out
 

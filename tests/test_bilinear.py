@@ -597,9 +597,9 @@ def test_avg_full_sample_paired_cauchy_schwarz(f13):
     # paired b: bfK(sr, sb) >= 0, so (sum_s)^2 >= sum_s of squares per (b, r)
     tab = kl_table_fast(f13, CharTuple(f13, (0, 0)))
     b = np.array([2, 7, 2, 7])
-    m = kr_matrix(tab, b)[:, 1:]
-    lhs_per_r = np.abs(m.sum(axis=0)) ** 2
-    rhs_per_r = np.sum(np.abs(m) ** 2, axis=0)
+    n = kr_matrix(tab, b)[1:]
+    lhs_per_r = np.abs(n.sum(axis=1)) ** 2
+    rhs_per_r = np.sum(np.abs(n) ** 2, axis=1)
     assert (lhs_per_r >= rhs_per_r - 1e-9).all()
 
 
@@ -618,17 +618,17 @@ def test_avg_full_sample_refuses_l_below_1(f13):
 
 def parent_full_sample(table, l, count, seed=0):
     """averaged_comparison_full_sample's lhs and rhs over the whole kr_matrix,
-    as it computed them before the row-block sweep (kept verbatim)."""
+    as it computed them before the row-block sweep."""
     q = table.field.q
     rng = np.random.Generator(np.random.PCG64(seed))
     lhs_terms: list[float] = []
     rhs_terms: list[float] = []
     for _ in range(count):
         b = rng.integers(0, q, size=2 * l, dtype=np.int64)
-        m = kr_matrix(table, b)[:, 1:]  # drop r = 0
-        r_vec = m.sum(axis=0)
+        n = kr_matrix(table, b)[1:]  # drop r = 0
+        r_vec = n.sum(axis=1)
         lhs_terms.append(float(np.sum(np.abs(r_vec) ** 2)))
-        rhs_terms.append(float(np.sum(np.abs(m) ** 2)))
+        rhs_terms.append(float(np.sum(np.abs(n) ** 2)))
     return math.fsum(lhs_terms), math.fsum(rhs_terms)
 
 

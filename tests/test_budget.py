@@ -35,28 +35,39 @@ Q = 211
 B = (1, 2, 3, 4)
 F13 = build_field(13)
 F131 = build_field(131)
+F101 = build_field(101)
+T101 = kl_table_fast(F101, CharTuple(F101, (0, 0)))
 
 
 def resolvent_bytes(k, l):
     return 3 * 8 * 2 * l * k ** (2 * l) * (k ** (2 * l - 2) + 1)
 
 
+def block_rows(q):
+    # rows r per block of N: 2^15 entries, at most q rows
+    return min(max(1, 2**15 // q), q)
+
+
 def kr_matrix_bytes(q, B=1):
-    # kmat, per b the (q - 1)-row output and one more row, and the 32-row
-    # conjugated block and factor buffer
-    return 16 * q * (q + B * q + 2 * 32)
+    # kmat, per b the q-row output, the conjugated factor of one block, 16 KiB
+    return 16 * q * (q + B * q + block_rows(q)) + 2**14
 
 
 def direct_bytes(q):
-    # kmat, M and one more row, kr_matrix's two 32-row buffers, and the
-    # 64-row conjugated block and (q - 1) x 64 Gram slab of the direct route
-    return 16 * q * (2 * q + 2 * 32 + 2 * 64)
+    # kmat, N, kr_matrix's conjugated factor, the 64-column conjugated block
+    # and (q - 1) x 64 Gram slab of the direct route, 16 KiB
+    return 16 * q * (2 * q + block_rows(q) + 2 * 64) + 2**14
 
 
 def sweep_bytes(q, chunk=1):
-    # kmat, the 32-row conjugated block and factor buffer, per b of a chunk a
-    # 32-row block and its bfR vector, one column-sum temporary, 16 KiB
-    return 16 * q * (q + 2 * 32 + 1) + chunk * 16 * q * (32 + 1) + 2**14
+    # kmat, kr_matrix's conjugated factor, per b of a chunk a block and its
+    # bfR vector, 16 KiB
+    return 16 * q * (q + block_rows(q)) + chunk * 16 * q * (block_rows(q) + 1) + 2**14
+
+
+def sweep_chunk(q):
+    # the b per chunk: as many blocks and bfR vectors as fit in 1 MiB
+    return sums.SIGMA_CHUNK_BYTES // (16 * q * (block_rows(q) + 1))
 
 
 def power_sum_bytes(q, m):
@@ -92,13 +103,16 @@ SITES = {
     "sigma_II": (lambda t: sigma_II(t, B), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
     # a batch of one counts and is named as one b
     "sigma_II(batch of one)": (lambda t: sigma_II(t, [B]), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
-    "sigma_II(batch)": (lambda t: sigma_II(t, [B] * 5), sweep_bytes(Q, 5),
+    # at q = 211 one b's block of 155 rows fills SIGMA_CHUNK_BYTES, so a batch
+    # counts one b; at q = 101 a block is all 101 rows and 6 b fill a chunk
+    "sigma_II(batch)": (lambda t: sigma_II(t, [B] * 5), sweep_bytes(Q, 1),
                         f"Sigma sweep at q={Q}, B=5"),
-    # 9 b of 111408 bytes fill SIGMA_CHUNK_BYTES at q = 211: the count is per chunk
-    "sigma_II(batch past a chunk)": (lambda t: sigma_II(t, [B] * 20), sweep_bytes(Q, 9),
-                                     f"Sigma sweep at q={Q}, B=20"),
+    "sigma_II(batch past a chunk)": (lambda t: sigma_II(T101, [B] * 20), sweep_bytes(101, 6),
+                                     "Sigma sweep at q=101, B=20"),
+    "sigma_II(batch within a chunk)": (lambda t: sigma_II(T101, [B] * 5), sweep_bytes(101, 5),
+                                       "Sigma sweep at q=101, B=5"),
     "averaged_comparison_full_sample": (lambda t: averaged_comparison_full_sample(t, 2, 4),
-                                        sweep_bytes(Q, 4), f"Sigma sweep at q={Q}, B=4"),
+                                        sweep_bytes(Q, 1), f"Sigma sweep at q={Q}, B=4"),
     "averaged_comparison_power_sum": (lambda t: averaged_comparison_power_sum(t, 4, 1),
                                       power_sum_bytes(Q, 1),
                                       f"power-sum comparison at q={Q}, n=4, m=1"),
@@ -197,9 +211,9 @@ def test_direct_count_covers_measured_peak():
 
 @pytest.mark.parametrize("q", [211, 997])
 def test_sweep_count_covers_measured_peak(q):
-    # a fresh table, so the peak includes building kmat (16 q^2 bytes); a
-    # q x q M next to it would take the peak past 32 q^2, while the sweep's
-    # blocks stay under 8 q^2 even at q = 211
+    # a fresh table, so the peak includes building kmat (16 q^2 bytes); past
+    # kmat the sweep holds one block of at most 2^15 entries and kr_matrix's
+    # conjugated factor, so a q x q N (16 q^2 more) is never formed
     f = build_field(q)
     t = kl_table_fast(f, CharTuple(f, (1, 5)))
     tracemalloc.start()
@@ -209,16 +223,16 @@ def test_sweep_count_covers_measured_peak(q):
     finally:
         tracemalloc.stop()
     assert peak <= sweep_bytes(q)
-    assert peak < 24 * q**2
+    assert peak < 16 * q**2 + 2 * 16 * sums.BLOCK_ENTRIES + 2**14
 
 
-@pytest.mark.parametrize("q", [211, 499])
+@pytest.mark.parametrize("q", [101, 211, 499])
 def test_batch_counts_cover_measured_peak(q):
-    # a fresh table; the sweep over one full chunk of b, and kr_matrix over
-    # three b, each against its count
+    # a fresh table; the sweep over one full chunk of b (6 b at q = 101, one
+    # from q = 211 on), and kr_matrix over three b, each against its count
     f = build_field(q)
     t = kl_table_fast(f, CharTuple(f, (1, 5)))
-    chunk = sums.SIGMA_CHUNK_BYTES // (16 * q * 33)
+    chunk = max(1, sweep_chunk(q))
     bs = np.random.Generator(np.random.PCG64(q)).integers(0, q, size=(chunk, 4))
     tracemalloc.start()
     try:

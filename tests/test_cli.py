@@ -381,23 +381,24 @@ def test_complete_sum_kr_budget_exit_3():
         tracemalloc.stop()
     assert code == 3 and env["status"] == "resource-limit"
     assert "q=100003" in env["payload"]["error"]
-    assert "160166421232 bytes" in env["payload"]["error"]
+    assert "160014416672 bytes" in env["payload"]["error"]
     assert peak < 64 * 2**20  # kmat (~160 GB) was never allocated
 
 
 def test_complete_sum_direct_budget_exit_3():
-    # the difference form alone fits at q = 5749; the direct oracle's
-    # 16 q (2 q + 192) bytes do not, and are refused before kmat or M is built
+    # the difference form alone fits at q = 5779; the direct oracle's
+    # 16 q (2 q + 5 + 128) + 16 KiB bytes do not, and are refused before kmat
+    # or N is built
     tracemalloc.start()
     try:
-        code, env = run_json(["complete-sum", "--q", "5749", "--chars", "0,0", "--b", "1,2,3,4",
+        code, env = run_json(["complete-sum", "--q", "5779", "--chars", "0,0", "--b", "1,2,3,4",
                               "--direct"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 3 and env["status"] == "resource-limit"
-    assert "q=5749" in env["payload"]["error"]
-    assert f"{16 * 5749 * (2 * 5749 + 192)} bytes" in env["payload"]["error"]
+    assert "q=5779" in env["payload"]["error"]
+    assert f"{16 * 5779 * (2 * 5779 + 5 + 128) + 2**14} bytes" in env["payload"]["error"]
     assert peak < 64 * 2**20
 
 

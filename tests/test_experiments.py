@@ -68,14 +68,16 @@ def test_bound_ladder_json_pinned():
     sweep reproduce every draw, count and float.  The (0, 0) table is real,
     so the sweep runs in float64; the pin was re-taken there, and the
     complex sweep's JSON differed from it by rounding only (at most
-    2.3e-16 in a ratio)."""
+    2.3e-16 in a ratio).  Re-taken again when bfR became a sum along each
+    row of N: r_I, sub_max_I, sub_max_II and trend_ratio_I moved in their
+    last digits (at most 8.5e-15 relative, in r_I at q = 307)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, **ONE_BLAS_THREAD,
            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", LADDER_SHA256], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == (
-        "c0ac03877aee0ba2316c7cc11c9aa12a95ca3202a9a27f74bd125dbd5494bd69")
+        "7a828f4995d49b08711e5d43c4956ee2f785d774c65c7f11a85e2d74d36df3ab")
 
 
 # --- the samplers against a one-draw-at-a-time loop ----------------------------

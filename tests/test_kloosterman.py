@@ -356,10 +356,11 @@ def test_fourier_identity_requires_scale_one(f13):
 @pytest.mark.parametrize("chars", [(0, 0), (1, 5)])
 def test_kmat_build_holds_one_index_block(chars):
     """Building a fresh kmat at q = 1009, real and complex, costs its own
-    bytes plus the int64 index temporaries of one block: the arange of x
-    and the (KMAT_BUILD_ROWS, q) index, with 4 KiB for small arrays.  No
-    gather buffer (np.take's default mode buffered 512 q bytes per block)
-    and no broadcast iterator buffer (128 KiB)."""
+    bytes plus the int64 index of one block, (KMAT_BUILD_ROWS, q), with one
+    more row and 4 KiB for small arrays: the log-coordinate kernel lives in
+    kmat's first two rows, and the field's dlog is the index source.  No gather
+    buffer (np.take's default mode buffered 512 q bytes per block) and no
+    broadcast iterator buffer (128 KiB)."""
     q = 1009
     f = build_field(q)
     table = kl_table_fast(f, CharTuple(f, chars))

@@ -72,7 +72,7 @@ def test_quadruple_loop_oracle_q7():
     f = build_field(q)
     tab = kl_table_fast(f, CharTuple(f, (0, 0)))
 
-    bfr = kr_matrix(tab, b).sum(axis=0)
+    bfr = kr_matrix(tab, b).sum(axis=1)
     for r in (0, 2, 5):
         want_k = bfK(r, b)
         want_r = sum(bfK(s * r % q, tuple(s * bi % q for bi in b)) for s in range(1, q))
@@ -286,38 +286,42 @@ def test_b_validation(tab13):
 
 
 def test_kr_matrix_shape_and_zero_column(tab13):
-    m = kr_matrix(tab13, (1, 2, 3, 4))
-    assert m.shape == (12, 13)
-    # column r with some s(r+b_i) = 0 contains zeros where the stalk vanishes
-    assert m[:, (13 - 1) % 13].shape == (12,)
+    n = kr_matrix(tab13, (1, 2, 3, 4))
+    assert n.shape == (13, 13)
+    # column s = 0 and every row r with some r + b_i = 0 vanish (K(0) = 0)
+    assert not n[:, 0].any()
+    for r in (12, 11, 10, 9):
+        assert not n[r].any()
+    assert n[:9, 1:].all()
 
 
 def test_sigma_II_direct_byte_budget():
-    # kmat, M and one more row, kr_matrix's two 32-row buffers, and the
-    # direct route's 64-row conjugated block and (q - 1) x 64 Gram slab
+    # kmat and N, kr_matrix's conjugated factor (2^15 // q rows: 5 at these
+    # q), the direct route's 64-column conjugated block and (q - 1) x 64 Gram
+    # slab, and 16 KiB for the small arrays
     def direct_bytes(q):
-        return 16 * q * (2 * q + 192)
+        return 16 * q * (2 * q + 5 + 128) + 2**14
 
-    # 5743 is the last prime the direct route admits, 5749 the first past it;
-    # the difference form and a lone kr_matrix would still admit q = 5749
-    assert direct_bytes(5743) <= MAX_BYTES < direct_bytes(5749)
-    assert 16 * 5749 * (2 * 5749 + 64) <= MAX_BYTES
-    f = build_field(5749)
+    # 5749 is the last prime the direct route admits, 5779 the first past it;
+    # the difference form and a lone kr_matrix would still admit q = 5779
+    assert direct_bytes(5749) <= MAX_BYTES < direct_bytes(5779)
+    assert 16 * 5779 * (2 * 5779 + 5) + 2**14 <= MAX_BYTES
+    f = build_field(5779)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
-    need = direct_bytes(5749)
+    need = direct_bytes(5779)
     for call in (lambda: sigma_II(table, (1, 2, 3, 4), direct=True),
                  lambda: sigma_II_direct(table, (1, 2, 3, 4))):
-        with pytest.raises(ResourceLimitError, match=f"q=5749 needs {need} bytes"):
+        with pytest.raises(ResourceLimitError, match=f"q=5779 needs {need} bytes"):
             call()
     assert "kmat" not in vars(table)
 
 
 def full_gram_direct(table, b):
-    """The direct sum as sigma_II_direct formed it before the row blocks,
-    kept verbatim as their oracle: the whole Gram matrix M M^H, its sum
-    minus its trace."""
-    m = kr_matrix(table, b)
-    gram = m @ m.conj().T
+    """The direct sum as sigma_II_direct formed it before the blocks, kept
+    as their oracle: the whole Gram matrix over the columns s of N,
+    N^T conj(N), its sum minus its trace."""
+    n = kr_matrix(table, b)
+    gram = n.T @ n.conj()
     total = complex(gram.sum())
     diag = complex(np.trace(gram))
     return total - diag
@@ -331,15 +335,17 @@ def assert_direct_matches_full_gram(table, b):
 
 @pytest.mark.parametrize("q", [3, 53, 131, 193])
 def test_sigma_II_direct_matches_full_gram_at_block_edges(q):
-    """One partial block (q = 3, 53), whole blocks only (192 = 3 * 64 rows at
-    q = 193), and a last block of two rows (130 = 2 * 64 + 2 at q = 131);
-    k = 2 and 3, l = 1 and 2, with paired and zero entries among the b."""
+    """One partial block (q = 3, 53), whole blocks only (192 = 3 * 64
+    columns at q = 193), and a last block of two columns (130 = 2 * 64 + 2
+    at q = 131); k = 2 and 3, l = 1 and 2, with paired and zero entries among
+    the b, and a complex l = 3 b with 0, q - 1 and a repeated entry."""
     assert sums.GRAM_ROWS == 64
     f = build_field(q)
     rng = np.random.Generator(np.random.PCG64(q))
     for chars in ((0, 0), (1, q - 2), (0, 1, 2)):
         table = kl_table_fast(f, CharTuple(f, tuple(c % (q - 1) for c in chars)))
-        bs = [rng.integers(0, q, size=2 * l) for l in (1, 2, 2)] + [(0, q - 1), (1, 2, 1, 2)]
+        bs = [rng.integers(0, q, size=2 * l) for l in (1, 2, 2)] + [(0, q - 1), (1, 2, 1, 2),
+                                                                    (0, q - 1, 2, 2, 1, q - 2)]
         for b in bs:
             assert_direct_matches_full_gram(table, b)
 
@@ -396,19 +402,19 @@ def test_b_must_be_integral(tab13):
 
 
 def broadcast_oracle(table, b):
-    """kr_matrix through the pointwise product with s a column and r a row."""
+    """kr_matrix through the pointwise product with r a column and s a row."""
     q = table.field.q
-    s = np.arange(1, q, dtype=np.int64)[:, None]
-    r = np.arange(q, dtype=np.int64)[None, :]
+    r = np.arange(q, dtype=np.int64)[:, None]
+    s = np.arange(q, dtype=np.int64)[None, :]
     b = np.asarray(b, dtype=np.int64) % q
     return _bfk_product(table, s, r, b, len(b) // 2)
 
 
 def test_kr_matrix_matches_oracle_property():
-    """The shifted-slice kernel equals the broadcast oracle bit for bit, over
+    """The kmat-slice kernel equals the broadcast oracle bit for bit, over
     q in {3, 5, 13, 101}, k in {2, 3}, l in {1, 2, 3}, any characters and
-    scale, with b drawn to hit 0, q - 1 and repeated entries; so does each
-    slab of a batched call."""
+    scale, with b drawn to hit 0, q - 1 (wrap points at the first and the
+    last row) and repeated entries; so does each slab of a batched call."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -427,6 +433,7 @@ def test_kr_matrix_matches_oracle_property():
     @hyp.example((5, [1, 2, 3], 3, [4, 4, 0, 0]))
     @hyp.example((13, [5, 7], 6, [0, 12, 12, 3, 0, 12]))
     @hyp.example((101, [3, 50, 99], 2, [100, 0, 7, 7]))
+    @hyp.example((101, [1, 5, 9], 1, [0, 100, 50, 1, 1, 7]))
     def check(c):
         q, chars, a, b = c
         f = build_field(q)
@@ -436,7 +443,7 @@ def test_kr_matrix_matches_oracle_property():
         # call to the bit and equals the oracle
         batch = np.array([b, b[::-1], b[1:] + b[:1]])
         slabs = kr_matrix(table, batch)
-        assert slabs.shape == (3, q - 1, q)
+        assert slabs.shape == (3, q, q)
         for row, slab in zip(batch, slabs):
             assert np.array_equal(slab.view(np.uint64), kr_matrix(table, row).view(np.uint64)), c
             assert np.array_equal(slab, broadcast_oracle(table, row)), c
@@ -456,7 +463,7 @@ def test_kmat_cached_and_read_only(tab13):
 
 def test_kr_matrix_no_q2_temporaries():
     """One kr_matrix call on a fresh table, kmat build included, holds kmat
-    and its output (32 q^2 bytes) plus row-block buffers, nothing q x q more."""
+    and its output (32 q^2 bytes) plus one bounded block, nothing q x q more."""
     q = 499
     f = build_field(q)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
@@ -470,29 +477,28 @@ def test_kr_matrix_no_q2_temporaries():
 
 
 def test_kr_matrix_byte_budget():
-    # kmat, the output, one more row, the 32-row conjugated block and factor
-    # buffer: 5779 is the first prime past the bound; the largest q the tests
-    # and the benchmark use (1999) stays far inside it
+    # kmat, the output, the conjugated factor of 2^15 // q rows and 16 KiB:
+    # 5801 is the first prime past the bound; the largest q the tests and the
+    # benchmark use (1999) stays far inside it
     def need(q):
-        return 16 * q * (2 * q + 64)
+        return 16 * q * (2 * q + max(1, 2**15 // q)) + 2**14
 
-    assert need(1999) <= need(5749) <= MAX_BYTES < need(5779)
-    f = build_field(5779)
+    assert need(1999) <= need(5791) <= MAX_BYTES < need(5801)
+    f = build_field(5801)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
-    with pytest.raises(ResourceLimitError, match=f"q=5779 needs {need(5779)} bytes"):
+    with pytest.raises(ResourceLimitError, match=f"q=5801 needs {need(5801)} bytes"):
         kr_matrix(table, (1, 2, 3, 4))
     assert "kmat" not in vars(table)
 
 
 def full_matrix_reductions(table, b):
     """The reductions sigma_II made over the whole matrix before the row-block
-    sweep, kept verbatim as the sweep's oracle: (Sigma_I, Sigma_II, comp_R2,
-    comp_K2)."""
-    m = kr_matrix(table, b)
-    r_vec = m.sum(axis=0)
+    sweep, kept as the sweep's oracle: (Sigma_I, Sigma_II, comp_R2, comp_K2)."""
+    n = kr_matrix(table, b)
+    r_vec = n.sum(axis=1)
     comp_R2 = float(np.sum(np.abs(r_vec) ** 2))
-    comp_K2 = float(np.sum(np.abs(m) ** 2))
-    return complex(m.sum()), comp_R2 - comp_K2, comp_R2, comp_K2
+    comp_K2 = float(np.sum(np.abs(n) ** 2))
+    return complex(n.sum()), comp_R2 - comp_K2, comp_R2, comp_K2
 
 
 def assert_sweep_matches_full_matrix(table, b):
@@ -509,12 +515,16 @@ def assert_sweep_matches_full_matrix(table, b):
 
 def sweep_cases(q):
     """k = 2 and 3 tables with trivial and complex characters, and seeded b
-    at l = 1, 2, 3 with a repeated and a zero entry among them."""
+    at l = 1, 2, 3 with a repeated and a zero entry among them; and an l = 3
+    b whose wrap points r = -b_i fall on the first and the last row and on
+    the block boundaries of one-, five- and 32-row blocks, with a repeated
+    entry."""
     f = build_field(q)
     rng = np.random.Generator(np.random.PCG64(q))
+    wraps = (0, q - 1, (q - 5) % q, (q - 32) % q, 1, 1)
     for chars in ((0, 0), (1, 5), (0, 0, 0), (2, 7, 3)):
         table = kl_table_fast(f, CharTuple(f, tuple(c % (q - 1) for c in chars)))
-        bs = [rng.integers(0, q, size=2 * l) for l in (1, 2, 3)] + [(0, 3, 3, q - 1)]
+        bs = [rng.integers(0, q, size=2 * l) for l in (1, 2, 3)] + [(0, 3, 3, q - 1), wraps]
         for b in bs:
             yield table, b
 
@@ -525,21 +535,21 @@ def test_kr_matrix_row_range_is_bit_identical():
         table = kl_table_fast(f, CharTuple(f, (1, q - 2)))
         for b in ((0, 2), (1, 2, 0, q - 1)):
             full = kr_matrix(table, b)
-            for lo, hi in ((1, q), (1, 2), (q - 1, q), (2, min(q, 40)), (q // 2, q)):
+            for lo, hi in ((0, q), (0, 1), (q - 1, q), (1, min(q, 40)), (q // 2, q)):
                 part = kr_matrix(table, b, lo, hi)
                 assert part.shape == (hi - lo, q)
-                assert np.array_equal(part.view(np.uint64), full[lo - 1:hi - 1].view(np.uint64))
+                assert np.array_equal(part.view(np.uint64), full[lo:hi].view(np.uint64))
 
 
 def test_kr_matrix_bad_row_range(tab13):
-    for lo, hi in ((0, 5), (-1, 5), (1, 14), (5, 5), (7, 5)):
+    for lo, hi in ((-1, 5), (0, 14), (1, 14), (5, 5), (7, 5)):
         with pytest.raises(PreconditionError, match=f"q=13, lo={lo}, hi={hi}"):
             kr_matrix(tab13, (1, 2, 3, 4), lo, hi)
 
 
 def sweep_bytes_per_b(q):
     """The chunk bytes one b holds in the sweep: its row block and bfR."""
-    return 16 * q * (min(sums.KR_ROWS, q - 1) + 1)
+    return 16 * q * (min(max(1, sums.BLOCK_ENTRIES // q), q) + 1)
 
 
 def assert_batch_matches_one_b(table, bs):
@@ -549,23 +559,23 @@ def assert_batch_matches_one_b(table, bs):
     reps = sigma_II(table, bs)
     assert reps == [sigma_II(table, b) for b in bs]
     assert reps == [rep for b in bs for rep in sigma_II(table, b[None])]
-    for b, (r_vec, k2, k2_col0) in zip(bs, sums._sweep(table, bs, col0=True)):
-        one = sums._sweep(table, b, col0=True)
+    for b, (r_vec, k2, k2_row0) in zip(bs, sums._sweep(table, bs, row0=True)):
+        one = sums._sweep(table, b, row0=True)
         assert r_vec.view(np.uint64).tolist() == one[0].view(np.uint64).tolist()
-        assert (k2, k2_col0) == one[1:]
-        assert sums._sweep(table, b)[2] is None  # the r = 0 column only on request
+        assert (k2, k2_row0) == one[1:]
+        assert sums._sweep(table, b)[2] is None  # the r = 0 row only on request
     return reps
 
 
 @pytest.mark.parametrize("q", [13, 31, 97, 101])
 @pytest.mark.parametrize("rows", [1, 5, 32, 10**6])
 def test_sweep_block_size_invariance(q, rows, monkeypatch):
-    """Any KR_ROWS, from one row to more than q - 1 (one block), with a last
-    block that is not full: kr_matrix stays bit-identical to the pointwise
-    oracle and the sweep agrees with the full-matrix reductions.  Batches of
-    1 and 2 b, and of 5 b in chunks of 2 (a short last chunk) and of 1, give
-    the one-b reports field for field."""
-    monkeypatch.setattr(sums, "KR_ROWS", rows)
+    """Blocks of any number of rows, from one to more than q (one block),
+    with a last block that is not full: kr_matrix stays bit-identical to the
+    pointwise oracle and the sweep agrees with the full-matrix reductions.
+    Batches of 1 and 2 b, and of 5 b in chunks of 2 (a short last chunk) and
+    of 1, give the one-b reports field for field."""
+    monkeypatch.setattr(sums, "BLOCK_ENTRIES", rows * q)
     for table, b in sweep_cases(q):
         assert np.array_equal(kr_matrix(table, b), broadcast_oracle(table, b))
         assert_sweep_matches_full_matrix(table, b)
@@ -579,7 +589,7 @@ def test_sweep_block_size_invariance(q, rows, monkeypatch):
             monkeypatch.setattr(sums, "SIGMA_CHUNK_BYTES", chunk_b * sweep_bytes_per_b(q))
             assert_batch_matches_one_b(table, five)
         monkeypatch.undo()
-        monkeypatch.setattr(sums, "KR_ROWS", rows)
+        monkeypatch.setattr(sums, "BLOCK_ENTRIES", rows * q)
 
 
 def test_sweep_batch_order():
@@ -588,8 +598,8 @@ def test_sweep_batch_order():
     f = build_field(q)
     table = kl_table_fast(f, CharTuple(f, (3, 17)))
     rng = np.random.Generator(np.random.PCG64(5))
-    bs = rng.integers(0, q, size=(45, 4))  # three chunks of 19 b at q = 101
-    assert sums.SIGMA_CHUNK_BYTES // sweep_bytes_per_b(q) == 19
+    bs = rng.integers(0, q, size=(45, 4))  # eight chunks of 6 b at q = 101
+    assert sums.SIGMA_CHUNK_BYTES // sweep_bytes_per_b(q) == 6
     reps = sigma_II(table, bs)
     perm = rng.permutation(len(bs))
     assert sigma_II(table, bs[perm]) == [reps[i] for i in perm]
@@ -610,3 +620,38 @@ def test_sweep_matches_full_matrix_at_larger_q():
     for q in (211, 499):
         for table, b in sweep_cases(q):
             assert_sweep_matches_full_matrix(table, b)
+
+
+def closed_form_l1(table):
+    """Sigma_I, comp_R2 and comp_K2 at l = 1 for any b with b_1 != b_2, from
+    table.values alone.  For r != -b_1 put u = s (r + b_1) and
+    t = (r + b_2) / (r + b_1): as r runs over F_q minus -b_1, t runs over F_q
+    minus 1, and bfK(s r, s b) = K(u) conj K(u t).  So bfR(r) = c(t) with
+    c(t) = sum_s K(s) conj K(s t), and |bfK|^2 sums over s to
+    e(t) = sum_s |K(s)|^2 |K(s t)|^2; c(0) = e(0) = 0, as K(0) = 0.  In log
+    coordinates s = g^m, t = g^j both are circular correlations of
+    a[m] = K(g^m), one FFT each; j = 0 is t = 1."""
+    field = table.field
+    q, g = field.q, field.g
+    a = table.values[[pow(g, m, q) for m in range(q - 1)]]
+    c = np.conj(np.fft.ifft(np.abs(np.fft.fft(a)) ** 2))  # c[j] = c(g^j)
+    e = np.fft.ifft(np.abs(np.fft.fft(np.abs(a) ** 2)) ** 2).real  # e[j] = e(g^j)
+    return complex(c[1:].sum()), float(np.sum(np.abs(c[1:]) ** 2)), float(e[1:].sum())
+
+
+@pytest.mark.parametrize("chars", [(0, 0), (3, 17), (1, 5, 9), (0, 0, 0)])
+@pytest.mark.parametrize("q", [101, 211, 997, 2003])
+def test_sweep_matches_closed_form_at_l1(q, chars):
+    """The sweep's oracle at every q at l = 1: Sigma_I, comp_R2 and comp_K2
+    are the same for every b with b_1 != b_2 (one affine orbit), and equal
+    the closed form, which shares no code with kr_matrix or kmat."""
+    f = build_field(q)
+    table = kl_table_fast(f, CharTuple(f, chars))
+    want_i, want_r2, want_k2 = closed_form_l1(table)
+    rng = np.random.Generator(np.random.PCG64([q, len(chars)]))
+    bs = [(0, q - 1)] + [b for b in rng.integers(0, q, size=(8, 2)) if b[0] != b[1]][:3]
+    for b, rep in zip(bs, sigma_II(table, np.array(bs))):
+        assert abs(rep.sigma_I - want_i) <= 1e-13 * q, b
+        assert abs(rep.comp_R2 - want_r2) <= 1e-13 * q**2, b
+        assert abs(rep.comp_K2 - want_k2) <= 1e-13 * q**2, b
+        assert abs(rep.sigma_II - (want_r2 - want_k2)) <= 1e-13 * q**2, b
