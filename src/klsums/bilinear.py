@@ -35,7 +35,7 @@ from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
 from .field import MultChar, PrimeField, additive_char_vector, gauss_sum
 from .kloosterman import KMAT_BUILD_ROWS, KlTable, kl_pointwise
-from .sums import _sweep, sigma_II
+from .sums import _sweep, kr_matrix, sigma_II
 from .strata import generic_z_value, is_diagonal, z_fiber_count
 
 # Entries (keys times shifts b) per majorant block of shift_reduction_trace:
@@ -452,9 +452,9 @@ def averaged_comparison_full_sample(
 
     lhs = sum_b sum_{r != 0} |sum_s bfK(sr, sb)|^2, rhs with |.|^2 inside.
     The per-b error density of the underlying estimate is O(q^{3/2}), so the
-    gap is normalized by count * q^{3/2}.  The count b are drawn first, one
-    ``rng.integers`` call each, and swept as one (count, 2l) batch; rhs
-    subtracts the sweep's sum over row r = 0 of N from each b's total.
+    gap is normalized by count * q^{3/2}.  Each b is one ``rng.integers``
+    call, swept before the next is drawn; rhs subtracts the sum over row
+    r = 0 of N, read by ``kr_matrix``, from each b's total.
     """
     q = table.field.q
     if count < 0:
@@ -462,13 +462,14 @@ def averaged_comparison_full_sample(
     if l < 1:
         raise PreconditionError(f"need l >= 1, got l={l}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    bs = np.array([rng.integers(0, q, size=2 * l, dtype=np.int64) for _ in range(count)],
-                  dtype=np.int64).reshape(count, 2 * l)
     lhs_terms: list[float] = []
     rhs_terms: list[float] = []
-    for r_vec, k2, k2_row0 in _sweep(table, bs, row0=True):
+    for _ in range(count):
+        b = rng.integers(0, q, size=2 * l, dtype=np.int64)
+        r_vec, k2 = _sweep(table, b)
+        first_row = kr_matrix(table, b, 0, 1)[0]
         lhs_terms.append(float(np.vdot(r_vec[1:], r_vec[1:]).real))  # drop r = 0
-        rhs_terms.append(k2 - k2_row0)
+        rhs_terms.append(k2 - np.vdot(first_row, first_row).real)
     lhs = math.fsum(lhs_terms)
     rhs = math.fsum(rhs_terms)
     gap = abs(lhs - rhs)

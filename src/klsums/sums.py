@@ -20,16 +20,17 @@ is kept as an oracle behind a flag; the two must agree to 1e-6 * q^{3/2}.
 Every quantity is a sum over the matrix N[r, s] = bfK(s*r, s*b) for
 r, s = 0..q-1, whose column s = 0 is zero (K(0) = 0): bfR(r, b) is the sum
 of row r.  The ``sigma_II`` report (Sigma_I and Sigma_II) and
-``bilinear.averaged_comparison_full_sample`` take it in one sweep of row
-blocks from ``kr_matrix(table, b, lo, hi)``, each reduced while in cache to
-its row sums and sum |bfK|^2, so N is never held whole.
+``bilinear.averaged_comparison_full_sample`` take it, one b at a time, in
+one sweep of row blocks from ``kr_matrix(table, b, lo, hi)``, each reduced
+while in cache to its row sums and sum |bfK|^2, so N is never held whole.
 
-``kr_matrix``, the sweep and ``sigma_II`` take b by the rule of
-``field.check_b``.  They are one kernel whose dtype follows the table's
-``kernel`` (``kloosterman.KlTable``): float64 kappa when the tuple makes K
-real or purely imaginary (``chartuples.kl_value_kind``), since bfK then
-equals the product of its 2l kappa factors with no conjugation
-(i^l (-i)^l = 1); complex128 values otherwise.  Only the imaginary
+``sigma_II`` takes b by the rule of ``field.check_b``, one b or a batch;
+``kr_matrix``, the sweep and the direct oracle take one b.  They are one
+kernel whose dtype follows the table's ``kernel`` (``kloosterman.KlTable``):
+float64 kappa when the tuple makes K real or purely imaginary
+(``chartuples.kl_value_kind``), since bfK then equals the product of its
+2l kappa factors with no conjugation (i^l (-i)^l = 1); complex128 values
+otherwise.  Only the imaginary
 rounding residue of a real table's values is dropped, so Sigma moves by
 rounding only (at most 2.2e-14 q^{3/2} measured at q = 101..1009).
 
@@ -37,34 +38,29 @@ The kernel reads the table's cached kmat[s, x] = kernel[s*x], which is
 symmetric: factor i of rows r = a..c-1, K(s (r + b_i)) for all s, is the
 slice of kmat rows (a + b_i) % q onward.  Those rows are contiguous, so
 the slice is read with no copy, unless the range crosses the wrap point
-r = (q - b_i) % q, where r + b_i returns to 0.  ``kr_matrix`` cuts its
-rows into blocks of BLOCK_ENTRIES // q rows (2^15 entries: all of N up to
-q = 181, 65 rows at q = 499, 32 at q = 997), cuts each block again at
-the at most 2l wrap points inside it, and writes each piece as 2l - 1
-multiplies of kmat slices in factor order.  So every entry is
+r = (q - b_i) % q, where r + b_i returns to 0.  ``kr_matrix`` takes one b.
+It cuts its rows into blocks of BLOCK_ENTRIES // q rows (2^15 entries: all
+of N up to q = 181, 65 rows at q = 499, 32 at q = 997), cuts each block
+again at the at most 2l wrap points inside it, and writes each piece as
+2l - 1 multiplies of kmat slices in factor order.  So every entry is
 bit-identical to the pointwise product ``_bfk_product``, the oracle it is
-tested against, whatever the rows, the block size or the batch.  A
-complex factor i >= l is conjugated into one reused (rows, q) buffer
-before it is multiplied in; a float64 kmat needs no conjugation.  The
-sweep hands ``kr_matrix`` one block of rows for a chunk of as many b as
-keep their blocks and bfR vectors, 16 q (rows + 1) bytes per b, within
-SIGMA_CHUNK_BYTES (1 MiB), and at least one: 6 b at q = 101, one from
-q = 181 up.  Each bfR(r) is one pairwise sum along row r, and each
-block's sum |bfK|^2 one ``vdot``, whatever the chunk, so every value is
-bit-identical to the one-b call.  The direct oracle's Gram blocks are real
-GEMMs on a float64 N, a quarter of the complex flops.
+tested against, whatever the rows or the block size.  A complex factor
+i >= l is conjugated into one reused (rows, q) buffer before it is
+multiplied in; a float64 kmat needs no conjugation.  The sweep takes one
+b and asks ``kr_matrix`` for one block of rows at a time; each bfR(r) is
+one pairwise sum along row r, and each block's sum |bfK|^2 one ``vdot``.
+The direct oracle's Gram blocks are real GEMMs on a float64 N, a quarter
+of the complex flops.
 
 Against the byte budget (``errors.MAX_BYTES``) every count is the complex
 one, an upper bound for a float64 kernel, and includes 16 KiB for the
 small arrays.  The sweep counts the table's cached kmat, 16 q^2 bytes,
-``kr_matrix``'s conjugated factor, and one chunk: one b counts
-16 q (q + 2 rows + 1) + 16 KiB, at most 16 q^2 + 16 q + 1 MiB + 16 KiB,
-and admits q <= 8179.  A chunk holds more than one b only for q < 181,
-where the count stays under 3 MB, so under the 1 GiB budget a batch is
-admitted exactly when one b is.  A full one-b ``kr_matrix`` counts
-16 q (2 q + rows) + 16 KiB, q <= 5791.  The direct route holds kmat and
-the whole N and forms the Gram matrix GRAM_ROWS (64) columns at a time:
-16 q (2 q + rows + 128) + 16 KiB bytes, q <= 5749.
+``kr_matrix``'s conjugated factor, one row block and the bfR vector:
+16 q (q + 2 rows + 1) + 16 KiB, which admits q <= 8179.  The count does
+not depend on the batch, since one b is swept at a time.  A full
+``kr_matrix`` counts 16 q (2 q + rows) + 16 KiB, q <= 5791.  The direct
+route holds kmat and the whole N and forms the Gram matrix GRAM_ROWS (64)
+columns at a time: 16 q (2 q + rows + 128) + 16 KiB bytes, q <= 5749.
 
 Any factor K(0) contributes 0 (vanishing stalk), which the table's
 zero-entry at index 0 implements for free.
@@ -89,9 +85,6 @@ SIGMA_II_AGREE_RTOL = 1e-6
 # Entries of N per row block: a float64 block and its factor slices stay in
 # L2 (256 KiB each), and call overhead is paid once per 2^15 entries.
 BLOCK_ENTRIES = 2**15
-# Counted bytes of one chunk of b in the Sigma sweep: each b holds its row
-# block and its bfR vector, 16 q (rows + 1) bytes.
-SIGMA_CHUNK_BYTES = 2**20
 # Columns of s per block of the direct oracle's Gram sum: one conjugated
 # block and its (GRAM_ROWS, q - 1) slab of Gram entries.
 GRAM_ROWS = 64
@@ -112,100 +105,68 @@ def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
 
 
 def kr_matrix(table: KlTable, b, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Rows r = lo..hi-1 of the matrix N[r, s] = bfK(s*r, s*b), s = 0..q-1;
-    by default all of them, r = 0..q-1.  Column s = 0 is zero.  For a
-    (B, 2l) array of b, a (B, hi - lo, q) array whose slab j is the matrix
-    of row j.
+    """Rows r = lo..hi-1 of the matrix N[r, s] = bfK(s*r, s*b), s = 0..q-1,
+    for one b; by default all of them, r = 0..q-1.  Column s = 0 is zero.
+    A (B, 2l) array of b is refused.
 
     ``table.kmat`` is symmetric, so factor i of rows a..c-1 is the slice of
     kmat rows (a + b_i) % q onward, contiguous unless the rows cross the
-    wrap point r = (q - b_i) % q.  Per b the rows are cut at every multiple
-    of BLOCK_ENTRIES // q rows past lo and at each wrap point inside them, and
+    wrap point r = (q - b_i) % q.  The rows are cut at every multiple of
+    BLOCK_ENTRIES // q rows past lo and at each wrap point inside them, and
     each piece is written as 2l - 1 multiplies of kmat slices, in factor
     order, with no copy of a factor; so every entry is bit-identical to
-    ``_bfk_product``, whatever the row range or the batch.  A complex
-    factor i >= l is conjugated into one reused (rows, q) buffer first; a
-    float64 kmat is its own conjugate.  The output has kmat's dtype.
+    ``_bfk_product``, whatever the row range.  A complex factor i >= l is
+    conjugated into one reused (rows, q) buffer first; a float64 kmat is its
+    own conjugate.  The output has kmat's dtype.
     """
     bt, l = check_b(table.field, b)
-    batch = np.atleast_2d(bt)
+    if bt.ndim == 2:
+        raise PreconditionError(f"kr_matrix and the direct Sigma_II oracle take one b, got a "
+                                f"batch of B={len(bt)} at l={l}")
     q = table.field.q
     hi = q if hi is None else hi
     if not 0 <= lo < hi <= q:
         raise PreconditionError(f"kr_matrix rows need 0 <= lo < hi <= q, got q={q}, lo={lo}, hi={hi}")
     rows = min(max(1, BLOCK_ENTRIES // q), hi - lo)
-    # kmat (q rows of 16 q bytes), the output (hi - lo rows per b), the
-    # conjugated factor (rows) and 16 KiB for the small arrays, so one b over
-    # all rows counts 32 q^2 + 16 q rows + 16 KiB
-    check_bytes(16 * q * (q + len(batch) * (hi - lo) + rows) + 2**14, "kr_matrix",
-                **_named(q, batch))
+    # kmat (q rows of 16 q bytes), the output (hi - lo rows), the conjugated
+    # factor (rows) and 16 KiB for the small arrays, so all rows count
+    # 32 q^2 + 16 q rows + 16 KiB
+    check_bytes(16 * q * (q + (hi - lo) + rows) + 2**14, "kr_matrix", q=q)
     kmat = table.kmat
-    out = np.empty((len(batch), hi - lo, q), dtype=kmat.dtype)
+    out = np.empty((hi - lo, q), dtype=kmat.dtype)
     conj_buf = np.empty((rows, q), dtype=kmat.dtype) if np.iscomplexobj(kmat) else None
-    for row, mat in zip(batch.tolist(), out):
-        cuts = sorted({*range(lo, hi, rows), *(w for w in ((-x) % q for x in row) if lo < w < hi)})
-        for a, c in zip(cuts, cuts[1:] + [hi]):
-            dst = mat[a - lo:c - lo]
-            for i, x in enumerate(row):
-                factor = kmat[(a + x) % q:(a + x) % q + c - a]
-                if i >= l and conj_buf is not None:
-                    factor = np.conjugate(factor, out=conj_buf[:c - a])
-                if i == 0:
-                    first = factor
-                else:
-                    np.multiply(first if i == 1 else dst, factor, out=dst)
-    return out if bt.ndim == 2 else out[0]
+    row = bt.tolist()
+    cuts = sorted({*range(lo, hi, rows), *(w for w in ((-x) % q for x in row) if lo < w < hi)})
+    for a, c in zip(cuts, cuts[1:] + [hi]):
+        dst = out[a - lo:c - lo]
+        for i, x in enumerate(row):
+            factor = kmat[(a + x) % q:(a + x) % q + c - a]
+            if i >= l and conj_buf is not None:
+                factor = np.conjugate(factor, out=conj_buf[:c - a])
+            if i == 0:
+                first = factor
+            else:
+                np.multiply(first if i == 1 else dst, factor, out=dst)
+    return out
 
 
-def _named(q: int, batch: np.ndarray) -> dict:
-    """The parameters a byte-budget refusal names: q, and B for a batch of
-    other than one b."""
-    return {"q": q} if len(batch) == 1 else {"q": q, "B": len(batch)}
-
-
-def _sweep(table: KlTable, b, row0: bool = False):
-    """One pass over N in row blocks from ``kr_matrix``: the row sums
-    bfR(r, b) for r = 0..q-1, sum |bfK|^2 over all of N, and, with
-    ``row0``, the same over its row r = 0 (None without).
-
-    For a (B, 2l) array, an iterator of the triples of its rows in order;
-    for one b, its triple.  The rows go in chunks of as many b as keep their
-    row blocks and bfR vectors within SIGMA_CHUNK_BYTES, at least one, so
-    each kr_matrix call serves a chunk; the byte budget is checked before
-    the first triple.
-    """
-    bt, _ = check_b(table.field, b)
-    batch = np.atleast_2d(bt)
+def _sweep(table: KlTable, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """One pass over N for one b in row blocks from ``kr_matrix``: the row
+    sums bfR(r, b) for r = 0..q-1, and sum |bfK|^2 over all of N.  The byte
+    budget is checked before the first block."""
     q = table.field.q
     rows = min(max(1, BLOCK_ENTRIES // q), q)
-    per_b = 16 * q * (rows + 1)
-    chunk = max(1, min(len(batch), SIGMA_CHUNK_BYTES // per_b))
-    # kmat (q rows of 16 q bytes), kr_matrix's conjugated factor (rows), one
-    # chunk of row blocks and bfR vectors, and 16 KiB for the small arrays;
-    # one b counts 16 q (q + 2 rows + 1) + 16 KiB
-    check_bytes(16 * q * (q + rows) + chunk * per_b + 2**14, "Sigma sweep", **_named(q, batch))
-    triples = _sweep_chunks(table, batch, chunk, rows, row0)
-    return triples if bt.ndim == 2 else next(triples)
-
-
-def _sweep_chunks(table: KlTable, bt: np.ndarray, chunk: int, rows: int, row0: bool):
-    """The sweep triples of the rows of bt, one kr_matrix call per chunk of
-    b and row block."""
-    q = table.field.q
-    for c0 in range(0, len(bt), chunk):
-        rows_b = bt[c0:c0 + chunk]
-        r_vecs = np.empty((len(rows_b), q), dtype=table.kernel.dtype)
-        k2 = [[] for _ in rows_b]
-        for lo in range(0, q, rows):
-            blocks = kr_matrix(table, rows_b, lo, min(lo + rows, q))
-            blocks.sum(axis=2, out=r_vecs[:, lo:lo + blocks.shape[1]])
-            for parts, block in zip(k2, blocks):
-                parts.append(np.vdot(block, block).real)
-            if row0 and lo == 0:
-                k2_row0 = [np.vdot(block[0], block[0]).real for block in blocks]
-            del blocks, block  # freed before the next blocks are built
-        for j, r_vec in enumerate(r_vecs):
-            yield r_vec, math.fsum(k2[j]), k2_row0[j] if row0 else None
+    # kmat (q rows of 16 q bytes), kr_matrix's conjugated factor and block
+    # (rows each), the bfR vector (one row) and 16 KiB for the small arrays
+    check_bytes(16 * q * (q + 2 * rows + 1) + 2**14, "Sigma sweep", q=q)
+    r_vec = np.empty(q, dtype=table.kernel.dtype)
+    k2 = []
+    for lo in range(0, q, rows):
+        block = kr_matrix(table, b, lo, min(lo + rows, q))
+        block.sum(axis=1, out=r_vec[lo:lo + len(block)])
+        k2.append(np.vdot(block, block).real)
+        del block  # freed before the next block is built
+    return r_vec, math.fsum(k2)
 
 
 @dataclass
@@ -228,9 +189,9 @@ def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport | list[SumRep
     """Sigma_II(K, b) in difference form, with Sigma_I from the same sweep;
     optionally cross-check the direct sum.
 
-    For a (B, 2l) array of b, one report per row in order, from one sweep
-    that serves a chunk of b per row block; for one b, its report.  With
-    ``direct=True`` (one b only) also evaluates the s1 != s2 double sum
+    For a (B, 2l) array of b, one report per row in order, each from its
+    own sweep; for one b, its report.  With ``direct=True`` (one b only:
+    ``kr_matrix`` refuses a batch) also evaluates the s1 != s2 double sum
     through the column-blocked Hermitian Gram sum of ``sigma_II_direct``
     and raises NumericalInstabilityError if the two routes disagree beyond
     1e-6 * q^{3/2}.  The direct route runs first, so its larger byte count
@@ -238,13 +199,8 @@ def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport | list[SumRep
     difference form sweeps N one row block at a time.
     """
     bt, l = check_b(table.field, b)
-    if direct and bt.ndim == 2:
-        raise PreconditionError(f"the direct Sigma_II oracle takes one b, got a batch of "
-                                f"B={len(bt)} at l={l}")
     d = sigma_II_direct(table, bt) if direct else None
-    batch = np.atleast_2d(bt)
-    reps = [_report(table, row, l, r_vec, k2)
-            for row, (r_vec, k2, _) in zip(batch, _sweep(table, batch))]
+    reps = [_report(table, row, l, *_sweep(table, row)) for row in np.atleast_2d(bt)]
     if bt.ndim == 2:
         return reps
     rep = reps[0]

@@ -632,8 +632,10 @@ def parent_full_sample(table, l, count, seed=0):
     return math.fsum(lhs_terms), math.fsum(rhs_terms)
 
 
+# at q = 211 the sweep's first row block is 155 of the 211 rows, so the
+# separate read of row r = 0 is checked where one block is not all of N
 @pytest.mark.parametrize("q,chars,l", [(13, (0, 0), 2), (31, (1, 5), 1), (101, (0, 0, 0), 2),
-                                       (101, (2, 7, 3), 3)])
+                                       (101, (2, 7, 3), 3), (211, (1, 5), 2)])
 def test_avg_full_sample_matches_full_matrix(q, chars, l):
     f = build_field(q)
     tab = kl_table_fast(f, CharTuple(f, chars))

@@ -35,8 +35,6 @@ Q = 211
 B = (1, 2, 3, 4)
 F13 = build_field(13)
 F131 = build_field(131)
-F101 = build_field(101)
-T101 = kl_table_fast(F101, CharTuple(F101, (0, 0)))
 
 
 def resolvent_bytes(k, l):
@@ -48,9 +46,9 @@ def block_rows(q):
     return min(max(1, 2**15 // q), q)
 
 
-def kr_matrix_bytes(q, B=1):
-    # kmat, per b the q-row output, the conjugated factor of one block, 16 KiB
-    return 16 * q * (q + B * q + block_rows(q)) + 2**14
+def kr_matrix_bytes(q):
+    # kmat, the q-row output, the conjugated factor of one block, 16 KiB
+    return 16 * q * (2 * q + block_rows(q)) + 2**14
 
 
 def direct_bytes(q):
@@ -59,15 +57,10 @@ def direct_bytes(q):
     return 16 * q * (2 * q + block_rows(q) + 2 * 64) + 2**14
 
 
-def sweep_bytes(q, chunk=1):
-    # kmat, kr_matrix's conjugated factor, per b of a chunk a block and its
-    # bfR vector, 16 KiB
-    return 16 * q * (q + block_rows(q)) + chunk * 16 * q * (block_rows(q) + 1) + 2**14
-
-
-def sweep_chunk(q):
-    # the b per chunk: as many blocks and bfR vectors as fit in 1 MiB
-    return sums.SIGMA_CHUNK_BYTES // (16 * q * (block_rows(q) + 1))
+def sweep_bytes(q):
+    # kmat, kr_matrix's conjugated factor, one block and the bfR vector of
+    # the one b being swept, 16 KiB
+    return 16 * q * (q + 2 * block_rows(q) + 1) + 2**14
 
 
 def power_sum_bytes(q, m):
@@ -94,8 +87,6 @@ SITES = {
     "kl_table_naive": (lambda t: kl_table_naive(t.field, t.tuple), 40 * (Q - 1) ** 2,
                        f"naive Kl table at q={Q}"),
     "kr_matrix": (lambda t: kr_matrix(t, B), kr_matrix_bytes(Q), f"kr_matrix at q={Q}"),
-    "kr_matrix(batch)": (lambda t: kr_matrix(t, [B] * 3), kr_matrix_bytes(Q, 3),
-                         f"kr_matrix at q={Q}, B=3"),
     "sigma_II(direct=True)": (lambda t: sigma_II(t, B, direct=True), direct_bytes(Q),
                               f"sigma_II_direct at q={Q}"),
     "sigma_II_direct": (lambda t: sigma_II_direct(t, B), direct_bytes(Q),
@@ -103,16 +94,10 @@ SITES = {
     "sigma_II": (lambda t: sigma_II(t, B), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
     # a batch of one counts and is named as one b
     "sigma_II(batch of one)": (lambda t: sigma_II(t, [B]), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
-    # at q = 211 one b's block of 155 rows fills SIGMA_CHUNK_BYTES, so a batch
-    # counts one b; at q = 101 a block is all 101 rows and 6 b fill a chunk
-    "sigma_II(batch)": (lambda t: sigma_II(t, [B] * 5), sweep_bytes(Q, 1),
-                        f"Sigma sweep at q={Q}, B=5"),
-    "sigma_II(batch past a chunk)": (lambda t: sigma_II(T101, [B] * 20), sweep_bytes(101, 6),
-                                     "Sigma sweep at q=101, B=20"),
-    "sigma_II(batch within a chunk)": (lambda t: sigma_II(T101, [B] * 5), sweep_bytes(101, 5),
-                                       "Sigma sweep at q=101, B=5"),
+    # a batch is swept one b at a time, so it counts and is named as one b
+    "sigma_II(batch)": (lambda t: sigma_II(t, [B] * 5), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
     "averaged_comparison_full_sample": (lambda t: averaged_comparison_full_sample(t, 2, 4),
-                                        sweep_bytes(Q, 1), f"Sigma sweep at q={Q}, B=4"),
+                                        sweep_bytes(Q), f"Sigma sweep at q={Q}"),
     "averaged_comparison_power_sum": (lambda t: averaged_comparison_power_sum(t, 4, 1),
                                       power_sum_bytes(Q, 1),
                                       f"power-sum comparison at q={Q}, n=4, m=1"),
@@ -228,23 +213,19 @@ def test_sweep_count_covers_measured_peak(q):
 
 @pytest.mark.parametrize("q", [101, 211, 499])
 def test_batch_counts_cover_measured_peak(q):
-    # a fresh table; the sweep over one full chunk of b (6 b at q = 101, one
-    # from q = 211 on), and kr_matrix over three b, each against its count
+    # a fresh table; a batch (6 b at q = 101, 3 from q = 211 on) is swept one
+    # b at a time, each b's blocks freed before the next b's are built, so it
+    # peaks within the one-b count
     f = build_field(q)
     t = kl_table_fast(f, CharTuple(f, (1, 5)))
-    chunk = max(1, sweep_chunk(q))
-    bs = np.random.Generator(np.random.PCG64(q)).integers(0, q, size=(chunk, 4))
+    bs = np.random.Generator(np.random.PCG64(q)).integers(0, q, size=(6 if q == 101 else 3, 4))
     tracemalloc.start()
     try:
         sigma_II(t, bs)
         peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        kr_matrix(t, bs[:3])
-        kr_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= sweep_bytes(q, chunk)
-    assert kr_peak <= kr_matrix_bytes(q, 3)
+    assert peak <= sweep_bytes(q)
 
 
 @pytest.mark.parametrize("q,m", [(211, 0), (211, 1), (1009, 0), (1009, 1)])

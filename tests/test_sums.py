@@ -414,7 +414,7 @@ def test_kr_matrix_matches_oracle_property():
     """The kmat-slice kernel equals the broadcast oracle bit for bit, over
     q in {3, 5, 13, 101}, k in {2, 3}, l in {1, 2, 3}, any characters and
     scale, with b drawn to hit 0, q - 1 (wrap points at the first and the
-    last row) and repeated entries; so does each slab of a batched call."""
+    last row) and repeated entries; so do its reversal and its rotation."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -438,15 +438,8 @@ def test_kr_matrix_matches_oracle_property():
         q, chars, a, b = c
         f = build_field(q)
         table = kl_table_fast(f, CharTuple(f, tuple(chars)), a)
-        assert np.array_equal(kr_matrix(table, b), broadcast_oracle(table, b)), c
-        # a batch of b, its reversal and its rotation: each slab is the one-b
-        # call to the bit and equals the oracle
-        batch = np.array([b, b[::-1], b[1:] + b[:1]])
-        slabs = kr_matrix(table, batch)
-        assert slabs.shape == (3, q, q)
-        for row, slab in zip(batch, slabs):
-            assert np.array_equal(slab.view(np.uint64), kr_matrix(table, row).view(np.uint64)), c
-            assert np.array_equal(slab, broadcast_oracle(table, row)), c
+        for row in (b, b[::-1], b[1:] + b[:1]):
+            assert np.array_equal(kr_matrix(table, row), broadcast_oracle(table, row)), c
 
     check()
 
@@ -547,23 +540,12 @@ def test_kr_matrix_bad_row_range(tab13):
             kr_matrix(tab13, (1, 2, 3, 4), lo, hi)
 
 
-def sweep_bytes_per_b(q):
-    """The chunk bytes one b holds in the sweep: its row block and bfR."""
-    return 16 * q * (min(max(1, sums.BLOCK_ENTRIES // q), q) + 1)
-
-
 def assert_batch_matches_one_b(table, bs):
-    """sigma_II and the sweep over a (B, 2l) batch give, row by row, the
-    one-b results and those of a batch of one, compared with == (the bfR
-    vectors to the bit)."""
+    """sigma_II over a (B, 2l) batch gives, row by row, the one-b reports
+    and those of a batch of one, compared with ==."""
     reps = sigma_II(table, bs)
     assert reps == [sigma_II(table, b) for b in bs]
     assert reps == [rep for b in bs for rep in sigma_II(table, b[None])]
-    for b, (r_vec, k2, k2_row0) in zip(bs, sums._sweep(table, bs, row0=True)):
-        one = sums._sweep(table, b, row0=True)
-        assert r_vec.view(np.uint64).tolist() == one[0].view(np.uint64).tolist()
-        assert (k2, k2_row0) == one[1:]
-        assert sums._sweep(table, b)[2] is None  # the r = 0 row only on request
     return reps
 
 
@@ -573,8 +555,7 @@ def test_sweep_block_size_invariance(q, rows, monkeypatch):
     """Blocks of any number of rows, from one to more than q (one block),
     with a last block that is not full: kr_matrix stays bit-identical to the
     pointwise oracle and the sweep agrees with the full-matrix reductions.
-    Batches of 1 and 2 b, and of 5 b in chunks of 2 (a short last chunk) and
-    of 1, give the one-b reports field for field."""
+    Batches of 1, 2 and 5 b give the one-b reports field for field."""
     monkeypatch.setattr(sums, "BLOCK_ENTRIES", rows * q)
     for table, b in sweep_cases(q):
         assert np.array_equal(kr_matrix(table, b), broadcast_oracle(table, b))
@@ -584,22 +565,16 @@ def test_sweep_block_size_invariance(q, rows, monkeypatch):
         l = len(b) // 2
         assert_batch_matches_one_b(table, np.array([b]))
         assert_batch_matches_one_b(table, np.array([b, rng.integers(0, q, size=2 * l)]))
-        five = np.vstack([b, rng.integers(0, q, size=(4, 2 * l))])
-        for chunk_b in (2, 1):
-            monkeypatch.setattr(sums, "SIGMA_CHUNK_BYTES", chunk_b * sweep_bytes_per_b(q))
-            assert_batch_matches_one_b(table, five)
-        monkeypatch.undo()
-        monkeypatch.setattr(sums, "BLOCK_ENTRIES", rows * q)
+        assert_batch_matches_one_b(table, np.vstack([b, rng.integers(0, q, size=(4, 2 * l))]))
 
 
 def test_sweep_batch_order():
-    """Permuting a batch permutes its reports, across chunk boundaries."""
+    """Permuting a batch permutes its reports."""
     q = 101
     f = build_field(q)
     table = kl_table_fast(f, CharTuple(f, (3, 17)))
     rng = np.random.Generator(np.random.PCG64(5))
-    bs = rng.integers(0, q, size=(45, 4))  # eight chunks of 6 b at q = 101
-    assert sums.SIGMA_CHUNK_BYTES // sweep_bytes_per_b(q) == 6
+    bs = rng.integers(0, q, size=(45, 4))
     reps = sigma_II(table, bs)
     perm = rng.permutation(len(bs))
     assert sigma_II(table, bs[perm]) == [reps[i] for i in perm]
@@ -608,12 +583,20 @@ def test_sweep_batch_order():
 
 def test_sigma_II_batch_edges(tab13):
     bs = np.array([(1, 2, 3, 4), (5, 5, 0, 12), (7, 1, 1, 7)])
-    with pytest.raises(PreconditionError, match="B=3 at l=2"):
-        sigma_II(tab13, bs, direct=True)
     assert sigma_II(tab13, np.zeros((0, 4), dtype=np.int64)) == []
-    assert kr_matrix(tab13, bs, 3, 7).shape == (3, 4, 13)
+    with pytest.raises(PreconditionError, match="B=3 at l=2"):
+        kr_matrix(tab13, bs, 3, 7)
     with pytest.raises(PreconditionError, match="B, 2l"):
         sigma_II(tab13, np.zeros((2, 2, 4), dtype=np.int64))
+
+
+def test_direct_oracle_refuses_a_batch(tab13):
+    # kr_matrix takes one b, so the direct oracle refuses a batch whichever
+    # way it is reached, with a PreconditionError naming B and l
+    bs = np.array([(1, 2, 3, 4), (5, 5, 0, 12), (7, 1, 1, 7)])
+    for call in (lambda: sigma_II_direct(tab13, bs), lambda: sigma_II(tab13, bs, direct=True)):
+        with pytest.raises(PreconditionError, match="B=3 at l=2"):
+            call()
 
 
 def test_sweep_matches_full_matrix_at_larger_q():
