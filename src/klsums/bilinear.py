@@ -34,7 +34,7 @@ import numpy as np
 from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
 from .field import MultChar, PrimeField, additive_char_vector, gauss_sum
-from .kloosterman import KMAT_BUILD_ROWS, KlTable, kl_pointwise
+from .kloosterman import KlTable, kl_pointwise
 from .sums import _sweep, kr_matrix, sigma_II
 from .strata import generic_z_value, is_diagonal, z_fiber_count
 
@@ -85,7 +85,8 @@ def _check_support(q: int, **seqs: CoeffSeq) -> None:
         if len(seq.support) == 0:
             raise PreconditionError(f"coefficient sequence {name} is empty")
         if seq.support.min() < 1 or seq.support.max() > q - 1:
-            raise PreconditionError(f"coefficient support must lie within [1, q-1] at q={q}")
+            raise PreconditionError(f"coefficient support must lie within [1, q-1] at q={q}: "
+                                    f"{name} has indices {seq.support.min()}..{seq.support.max()}")
 
 
 def bilinear_form(table: KlTable, alpha: CoeffSeq, beta: CoeffSeq) -> complex:
@@ -321,7 +322,7 @@ def _attach_box_sum(trace: ShiftTrace, table: KlTable, l: int, seed: int) -> Non
     n_sub = 0
     if generic is not None:  # degenerate b report z = -1, which counts as subgeneric
         n_sub = sum(rep.z_count < generic for rep in z_fiber_count(table.field, k, box[~diag]))
-    trace.box_sum = math.fsum(abs(rep.sigma_II) for rep in sigma_II(table, box))
+    trace.box_sum = math.fsum(abs(sigma_II(table, b).sigma_II) for b in box)
     trace.n_diag_box = n_diag
     trace.n_subgeneric_box = None if generic is None else n_sub
     trace.generic_z = generic
@@ -411,8 +412,8 @@ def averaged_comparison_power_sum(table: KlTable, n: int, m: int) -> ComparisonR
     kernel kappa alone: W takes kappa, and with a float64 kmat the product
     is kmat[1:].T times conj(W).T viewed as floats, two real GEMMs over its
     interleaved real and imaginary columns, with no complex copy of kmat.
-    Counts kmat, a build block and 40 bytes per entry of the (q^m, q) index,
-    W and D.
+    Counts kmat, one block of ``table.block_rows`` rows for its build and
+    40 bytes per entry of the (q^m, q) index, W and D.
 
     Rounding: |D| <= (q-1) k^2, a D entry is off by about eps q^(3/2) k^2 (q^2
     at worst) and its n-th power by n |D|^(n-1) times that; lhs ~ q^(n-m+1)
@@ -425,7 +426,7 @@ def averaged_comparison_power_sum(table: KlTable, n: int, m: int) -> ComparisonR
         raise PreconditionError(f"power-sum needs n >= 1 and m in {{0, 1}}, got n={n}, m={m}")
     if n * math.log((q - 1) * k * k) + 2 * math.log(q) >= math.log(np.finfo(np.float64).max):
         raise PreconditionError(f"power-sum sums leave float64 at q={q}, k={k}, n={n}")
-    check_bytes(16 * q * (q + 2 * KMAT_BUILD_ROWS) + 40 * q ** (m + 1), "power-sum comparison",
+    check_bytes(16 * q * (q + table.block_rows) + 40 * q ** (m + 1), "power-sum comparison",
                 q=q, n=n, m=m)
     wt = additive_char_vector(table.field)[np.outer(np.arange(1, q), np.arange(q**m)) % q]
     wt *= table.kernel[1:, None]

@@ -16,7 +16,7 @@ Sampling is deterministic: each prime uses PCG64 seeded with
 (seed, q, k, l).  The samplers draw in rounds and read z for each round's
 admitted b from one batched ``z_fiber_count`` call; they keep the b, the
 order and the generator state of a one-draw-at-a-time rejection loop.
-Each sample set reaches ``sigma_II`` as one (B, 2l) array.
+Each sampled b then gets its own ``sigma_II`` report.
 """
 
 from __future__ import annotations
@@ -148,11 +148,6 @@ class LadderReport:
         return jsonify(self)
 
 
-def _stack(bs: list[np.ndarray], l: int) -> np.ndarray:
-    """A sample set as one (B, 2l) array, B = 0 included."""
-    return np.array(bs, dtype=np.int64).reshape(-1, 2 * l)
-
-
 def bound_ladder(
     primes: list[int],
     k: int = 2,
@@ -185,16 +180,14 @@ def bound_ladder(
         table = kl_table_fast(field, CharTuple(field, chars))
         rng = _rng_for(seed, q, k, l)
         generic = generic_z_value(field, k, l, seed)
-        max_i = max_ii = 0.0
         gen_bs = sample_generic_b(field, k, l, samples, rng, generic)
-        for rep in sigma_II(table, _stack(gen_bs, l)):
-            max_i = max(max_i, rep.ratio_I)
-            max_ii = max(max_ii, rep.ratio_II)
-        sub_i = sub_ii = 0.0
+        gen = [sigma_II(table, b) for b in gen_bs]
+        max_i = max(rep.ratio_I for rep in gen)
+        max_ii = max(rep.ratio_II for rep in gen)
         sub_bs = sample_subgeneric_b(field, k, l, subgeneric_samples, rng, generic)
-        for rep in sigma_II(table, _stack(sub_bs, l)):
-            sub_i = max(sub_i, abs(rep.sigma_I) / q**1.5)
-            sub_ii = max(sub_ii, abs(rep.sigma_II) / q**2)
+        sub = [sigma_II(table, b) for b in sub_bs]
+        sub_i = max(abs(rep.sigma_I) / q**1.5 for rep in sub)
+        sub_ii = max(abs(rep.sigma_II) / q**2 for rep in sub)
         report.points.append(
             PrimePoint(
                 q=q,

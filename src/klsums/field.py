@@ -158,9 +158,9 @@ def check_b(field: PrimeField, b) -> tuple[np.ndarray, int]:
     The one rule for b, shared by the complete sums and the strata: b is one
     2l-tuple or a (B, 2l) array holding one per row.  Entries are integers
     within int64 (integral floats such as 4.0 count; 1.7, NaN and 2**70 do
-    not), and 2l is even and at least 2.  ``sums.sigma_II`` and the strata
-    take either and return one result per row of a batch; ``sums.kr_matrix``
-    and the direct Sigma_II oracle take one b and refuse a batch.
+    not), and 2l is even and at least 2.  Only the strata take a batch, and
+    return one result per row; the complete sums of ``sums`` take one b and
+    refuse a batch.
     """
     raw = np.asarray(b)
     if raw.dtype.kind == "f":

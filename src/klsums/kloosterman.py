@@ -52,9 +52,9 @@ from .errors import InternalConsistencyError, PreconditionError, check_bytes
 from .field import PrimeField, additive_char_vector, gauss_sum, MultChar
 
 DELIGNE_SLACK = 1e-9
-# Rows of s per block when kmat is built: a (rows, q) int64 index block stays
-# small next to kmat itself.
-KMAT_BUILD_ROWS = 32
+# Entries per row block of kmat's build and of the Sigma kernel (block_rows):
+# a float64 block stays in L2 (256 KiB), and call overhead is paid per 2^15.
+BLOCK_ENTRIES = 2**15
 # Hankel rows per kl_pointwise block at k = 3: its one complex buffer holds
 # 64 * (q - 1) entries (1 MB at q = 1009) instead of q^2.
 POINTWISE_ROWS = 64
@@ -99,6 +99,14 @@ class KlTable:
         out.flags.writeable = False
         return out
 
+    @property
+    def block_rows(self) -> int:
+        """Rows per block of kmat's build and of every Sigma pass over it:
+        BLOCK_ENTRIES // q, at least 1 and at most q (all of N up to q = 181,
+        65 rows at q = 499, 32 at q = 997, 7 at q = 4099)."""
+        q = self.field.q
+        return min(max(1, BLOCK_ENTRIES // q), q)
+
     @cached_property
     def kmat(self) -> np.ndarray:
         """Read-only q x q matrix kmat[s, x] = kernel[(s*x) % q], built on
@@ -115,19 +123,21 @@ class KlTable:
         so every entry is the kernel's value bit for bit.  logs lives in rows
         0 and 1 of kmat until the other rows are done; then column 0
         (where dlog(0) = -1 read a wrong entry) and row 0 are zeroed and row
-        1 is the kernel.  Past kmat the build holds one reused
-        (KMAT_BUILD_ROWS, q) int64 index, and the clip mode of ``np.take``
-        (never reached: every index is in range) writes straight into kmat
-        with no buffer of its own.
+        1 is the kernel.  Past kmat the build holds one reused int64 index of
+        ``block_rows`` rows, the Sigma kernel's row block, which every Sigma
+        byte count already holds; the clip mode of ``np.take`` (never
+        reached: every index is in range) writes straight into kmat with no
+        buffer of its own.
         """
         q, n, dlog = self.field.q, self.field.q - 1, self.field.dlog
         out = np.empty((q, q), dtype=self.kernel.dtype)
         logs = out[:2].reshape(-1)[:2 * n]  # logs[m] = kernel[g^m], doubled
         np.take(self.kernel, self.field.exp, out=logs[:n], mode="clip")
         logs[n:] = logs[:n]
-        idx = np.empty((min(KMAT_BUILD_ROWS, q), q), dtype=np.int64)
-        for lo in range(2, q, KMAT_BUILD_ROWS):
-            block = idx[:min(KMAT_BUILD_ROWS, q - lo)]
+        rows = self.block_rows
+        idx = np.empty((rows, q), dtype=np.int64)
+        for lo in range(2, q, rows):
+            block = idx[:min(rows, q - lo)]
             for s, row in enumerate(block, start=lo):
                 np.add(dlog, dlog[s], out=row)
             np.take(logs, block, out=out[lo:lo + len(block)], mode="clip")

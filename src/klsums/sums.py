@@ -24,13 +24,13 @@ of row r.  The ``sigma_II`` report (Sigma_I and Sigma_II) and
 one sweep of row blocks from ``kr_matrix(table, b, lo, hi)``, each reduced
 while in cache to its row sums and sum |bfK|^2, so N is never held whole.
 
-``sigma_II`` takes b by the rule of ``field.check_b``, one b or a batch;
-``kr_matrix``, the sweep and the direct oracle take one b.  They are one
-kernel whose dtype follows the table's ``kernel`` (``kloosterman.KlTable``):
-float64 kappa when the tuple makes K real or purely imaginary
-(``chartuples.kl_value_kind``), since bfK then equals the product of its
-2l kappa factors with no conjugation (i^l (-i)^l = 1); complex128 values
-otherwise.  Only the imaginary
+``sigma_II``, ``kr_matrix``, the sweep and the direct oracle take one b
+(``field.check_b``'s batch form is the strata's), and ``kr_matrix`` refuses
+a batch for all of them.  They are one kernel whose dtype follows the
+table's ``kernel`` (``kloosterman.KlTable``): float64 kappa when the tuple
+makes K real or purely imaginary (``chartuples.kl_value_kind``), since bfK
+then equals the product of its 2l kappa factors with no conjugation
+(i^l (-i)^l = 1); complex128 values otherwise.  Only the imaginary
 rounding residue of a real table's values is dropped, so Sigma moves by
 rounding only (at most 2.2e-14 q^{3/2} measured at q = 101..1009).
 
@@ -38,29 +38,32 @@ The kernel reads the table's cached kmat[s, x] = kernel[s*x], which is
 symmetric: factor i of rows r = a..c-1, K(s (r + b_i)) for all s, is the
 slice of kmat rows (a + b_i) % q onward.  Those rows are contiguous, so
 the slice is read with no copy, unless the range crosses the wrap point
-r = (q - b_i) % q, where r + b_i returns to 0.  ``kr_matrix`` takes one b.
-It cuts its rows into blocks of BLOCK_ENTRIES // q rows (2^15 entries: all
-of N up to q = 181, 65 rows at q = 499, 32 at q = 997), cuts each block
-again at the at most 2l wrap points inside it, and writes each piece as
-2l - 1 multiplies of kmat slices in factor order.  So every entry is
+r = (q - b_i) % q, where r + b_i returns to 0.  ``kr_matrix`` cuts its
+rows into blocks of ``KlTable.block_rows`` rows, the one block rule, which
+lives next to kmat and also sizes kmat's build: BLOCK_ENTRIES // q rows
+(2^15 entries: all of N up to q = 181, 32 rows at q = 997).  It cuts each
+block again at the at most 2l wrap points inside it, and writes each piece
+as 2l - 1 multiplies of kmat slices in factor order.  So every entry is
 bit-identical to the pointwise product ``_bfk_product``, the oracle it is
 tested against, whatever the rows or the block size.  A complex factor
 i >= l is conjugated into one reused (rows, q) buffer before it is
-multiplied in; a float64 kmat needs no conjugation.  The sweep takes one
-b and asks ``kr_matrix`` for one block of rows at a time; each bfR(r) is
-one pairwise sum along row r, and each block's sum |bfK|^2 one ``vdot``.
+multiplied in; a float64 kmat needs no conjugation.  The sweep asks
+``kr_matrix`` for one block of rows at a time; each bfR(r) is one
+pairwise sum along row r, and each block's sum |bfK|^2 one ``vdot``.
 The direct oracle's Gram blocks are real GEMMs on a float64 N, a quarter
 of the complex flops.
 
 Against the byte budget (``errors.MAX_BYTES``) every count is the complex
 one, an upper bound for a float64 kernel, and includes 16 KiB for the
 small arrays.  The sweep counts the table's cached kmat, 16 q^2 bytes,
-``kr_matrix``'s conjugated factor, one row block and the bfR vector:
-16 q (q + 2 rows + 1) + 16 KiB, which admits q <= 8179.  The count does
-not depend on the batch, since one b is swept at a time.  A full
-``kr_matrix`` counts 16 q (2 q + rows) + 16 KiB, q <= 5791.  The direct
-route holds kmat and the whole N and forms the Gram matrix GRAM_ROWS (64)
-columns at a time: 16 q (2 q + rows + 128) + 16 KiB bytes, q <= 5749.
+one row block and ``kr_matrix``'s conjugated factor (or kmat's build
+index), the bfR vector and 8 bytes per block for its partial sums: 16 q (q + 2 rows + 1) + 8 ceil(q / rows) +
+16 KiB, which admits q <= 8179.  ``kr_matrix`` counts kmat, its output and
+one block, which holds kmat's build index or its conjugated factor:
+16 q (q + (hi - lo) + rows) + 16 KiB, so all rows admit q <= 5791.  The
+direct route holds kmat and the whole N and forms the Gram matrix
+GRAM_ROWS (64) columns at a time: 16 q (2 q + rows + 128) + 16 KiB bytes,
+q <= 5749.
 
 Any factor K(0) contributes 0 (vanishing stalk), which the table's
 zero-entry at index 0 implements for free.
@@ -82,9 +85,6 @@ from .field import check_b
 from .kloosterman import KlTable
 
 SIGMA_II_AGREE_RTOL = 1e-6
-# Entries of N per row block: a float64 block and its factor slices stay in
-# L2 (256 KiB each), and call overhead is paid once per 2^15 entries.
-BLOCK_ENTRIES = 2**15
 # Columns of s per block of the direct oracle's Gram sum: one conjugated
 # block and its (GRAM_ROWS, q - 1) slab of Gram entries.
 GRAM_ROWS = 64
@@ -111,60 +111,66 @@ def kr_matrix(table: KlTable, b, lo: int = 0, hi: int | None = None) -> np.ndarr
 
     ``table.kmat`` is symmetric, so factor i of rows a..c-1 is the slice of
     kmat rows (a + b_i) % q onward, contiguous unless the rows cross the
-    wrap point r = (q - b_i) % q.  The rows are cut at every multiple of
-    BLOCK_ENTRIES // q rows past lo and at each wrap point inside them, and
-    each piece is written as 2l - 1 multiplies of kmat slices, in factor
-    order, with no copy of a factor; so every entry is bit-identical to
+    wrap point r = (q - b_i) % q.  The rows are cut into blocks of
+    ``table.block_rows`` rows from lo, each block again at the wrap points
+    inside it, so a block's cut list holds at most 2l + 2 edges.  Each
+    piece is written as 2l - 1 multiplies of kmat slices, in factor order,
+    with no copy of a factor; so every entry is bit-identical to
     ``_bfk_product``, whatever the row range.  A complex factor i >= l is
     conjugated into one reused (rows, q) buffer first; a float64 kmat is its
     own conjugate.  The output has kmat's dtype.
     """
     bt, l = check_b(table.field, b)
     if bt.ndim == 2:
-        raise PreconditionError(f"kr_matrix and the direct Sigma_II oracle take one b, got a "
-                                f"batch of B={len(bt)} at l={l}")
+        raise PreconditionError(f"the Sigma layer (sigma_II, kr_matrix, the direct oracle) takes "
+                                f"one b, got a batch of B={len(bt)} at l={l}")
     q = table.field.q
     hi = q if hi is None else hi
     if not 0 <= lo < hi <= q:
         raise PreconditionError(f"kr_matrix rows need 0 <= lo < hi <= q, got q={q}, lo={lo}, hi={hi}")
-    rows = min(max(1, BLOCK_ENTRIES // q), hi - lo)
-    # kmat (q rows of 16 q bytes), the output (hi - lo rows), the conjugated
-    # factor (rows) and 16 KiB for the small arrays, so all rows count
-    # 32 q^2 + 16 q rows + 16 KiB
-    check_bytes(16 * q * (q + (hi - lo) + rows) + 2**14, "kr_matrix", q=q)
+    rows = min(table.block_rows, hi - lo)
+    # kmat (q rows of 16 q bytes), the output (hi - lo rows), one block of
+    # block_rows rows for kmat's build index or the conjugated factor, and
+    # 16 KiB for the small arrays, so all rows count 32 q^2 + 16 q rows + 16 KiB
+    check_bytes(16 * q * (q + (hi - lo) + table.block_rows) + 2**14, "kr_matrix", q=q)
     kmat = table.kmat
     out = np.empty((hi - lo, q), dtype=kmat.dtype)
     conj_buf = np.empty((rows, q), dtype=kmat.dtype) if np.iscomplexobj(kmat) else None
     row = bt.tolist()
-    cuts = sorted({*range(lo, hi, rows), *(w for w in ((-x) % q for x in row) if lo < w < hi)})
-    for a, c in zip(cuts, cuts[1:] + [hi]):
-        dst = out[a - lo:c - lo]
-        for i, x in enumerate(row):
-            factor = kmat[(a + x) % q:(a + x) % q + c - a]
-            if i >= l and conj_buf is not None:
-                factor = np.conjugate(factor, out=conj_buf[:c - a])
-            if i == 0:
-                first = factor
-            else:
-                np.multiply(first if i == 1 else dst, factor, out=dst)
+    wraps = sorted({(-x) % q for x in row})
+    for start in range(lo, hi, rows):
+        stop = min(start + rows, hi)
+        edges = [start, *(w for w in wraps if start < w < stop), stop]
+        for a, c in zip(edges, edges[1:]):
+            dst = out[a - lo:c - lo]
+            for i, x in enumerate(row):
+                factor = kmat[(a + x) % q:(a + x) % q + c - a]
+                if i >= l and conj_buf is not None:
+                    factor = np.conjugate(factor, out=conj_buf[:c - a])
+                if i == 0:
+                    first = factor
+                else:
+                    np.multiply(first if i == 1 else dst, factor, out=dst)
     return out
 
 
 def _sweep(table: KlTable, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """One pass over N for one b in row blocks from ``kr_matrix``: the row
-    sums bfR(r, b) for r = 0..q-1, and sum |bfK|^2 over all of N.  The byte
+    """One pass over N for one b in blocks of ``table.block_rows`` rows from
+    ``kr_matrix``: the row sums bfR(r, b) for r = 0..q-1, and sum |bfK|^2
+    over all of N, the fsum of one float64 partial per block.  The byte
     budget is checked before the first block."""
-    q = table.field.q
-    rows = min(max(1, BLOCK_ENTRIES // q), q)
-    # kmat (q rows of 16 q bytes), kr_matrix's conjugated factor and block
-    # (rows each), the bfR vector (one row) and 16 KiB for the small arrays
-    check_bytes(16 * q * (q + 2 * rows + 1) + 2**14, "Sigma sweep", q=q)
+    q, rows = table.field.q, table.block_rows
+    starts = range(0, q, rows)
+    # kmat (q rows of 16 q bytes), kr_matrix's block and its conjugated
+    # factor or kmat's build index (rows each), the bfR vector (one row),
+    # 8 bytes per block partial and 16 KiB for the small arrays
+    check_bytes(16 * q * (q + 2 * rows + 1) + 8 * len(starts) + 2**14, "Sigma sweep", q=q)
     r_vec = np.empty(q, dtype=table.kernel.dtype)
-    k2 = []
-    for lo in range(0, q, rows):
+    k2 = np.empty(len(starts))
+    for j, lo in enumerate(starts):
         block = kr_matrix(table, b, lo, min(lo + rows, q))
         block.sum(axis=1, out=r_vec[lo:lo + len(block)])
-        k2.append(np.vdot(block, block).real)
+        k2[j] = np.vdot(block, block).real
         del block  # freed before the next block is built
     return r_vec, math.fsum(k2)
 
@@ -185,27 +191,28 @@ class SumReport:
     sigma_II_direct: float | None = None
 
 
-def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport | list[SumReport]:
-    """Sigma_II(K, b) in difference form, with Sigma_I from the same sweep;
-    optionally cross-check the direct sum.
+def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport:
+    """The report of one b: Sigma_II(K, b) in difference form, with Sigma_I
+    from the same sweep; optionally cross-check the direct sum.  A (B, 2l)
+    array of b is refused (``kr_matrix``).
 
-    For a (B, 2l) array of b, one report per row in order, each from its
-    own sweep; for one b, its report.  With ``direct=True`` (one b only:
-    ``kr_matrix`` refuses a batch) also evaluates the s1 != s2 double sum
-    through the column-blocked Hermitian Gram sum of ``sigma_II_direct``
-    and raises NumericalInstabilityError if the two routes disagree beyond
+    With ``direct=True`` also evaluates the s1 != s2 double sum through the
+    column-blocked Hermitian Gram sum of ``sigma_II_direct`` and raises
+    NumericalInstabilityError if the two routes disagree beyond
     1e-6 * q^{3/2}.  The direct route runs first, so its larger byte count
     is checked before any matrix is built, and its N is freed before the
     difference form sweeps N one row block at a time.
     """
     bt, l = check_b(table.field, b)
+    q = table.field.q
     d = sigma_II_direct(table, bt) if direct else None
-    reps = [_report(table, row, l, *_sweep(table, row)) for row in np.atleast_2d(bt)]
-    if bt.ndim == 2:
-        return reps
-    rep = reps[0]
+    r_vec, comp_K2 = _sweep(table, bt)
+    comp_R2 = float(np.vdot(r_vec, r_vec).real)
+    si, s2 = complex(r_vec.sum()), comp_R2 - comp_K2
+    rep = SumReport(b=tuple(bt.tolist()), l=l, sigma_I=si, sigma_II=s2, comp_R2=comp_R2,
+                    comp_K2=comp_K2, sigma_II_imag=0.0, ratio_I=abs(si) / q,
+                    ratio_II=abs(s2) / q**1.5)
     if d is not None:
-        q = table.field.q
         rep.sigma_II_direct = d.real
         rep.sigma_II_imag = abs(d.imag)
         if abs(d.real - rep.sigma_II) > SIGMA_II_AGREE_RTOL * q**1.5:
@@ -216,25 +223,6 @@ def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport | list[SumRep
                 rep.sigma_II,
             )
     return rep
-
-
-def _report(table: KlTable, b: np.ndarray, l: int, r_vec: np.ndarray, comp_K2: float) -> SumReport:
-    """The difference-form report of one b from its sweep."""
-    q = table.field.q
-    comp_R2 = float(np.vdot(r_vec, r_vec).real)
-    s2 = comp_R2 - comp_K2
-    si = complex(r_vec.sum())
-    return SumReport(
-        b=tuple(int(x) for x in b),
-        l=l,
-        sigma_I=si,
-        sigma_II=s2,
-        comp_R2=comp_R2,
-        comp_K2=comp_K2,
-        sigma_II_imag=0.0,
-        ratio_I=abs(si) / q,
-        ratio_II=abs(s2) / q**1.5,
-    )
 
 
 def sigma_II_direct(table: KlTable, b) -> complex:
@@ -260,8 +248,7 @@ def sigma_II_direct(table: KlTable, b) -> complex:
     # 16 q bytes per row: kmat and N, kr_matrix's conjugated factor, and the
     # conjugated block and X, whose (q - 1) x GRAM_ROWS entries fit in
     # GRAM_ROWS rows; and 16 KiB: 32 q^2 + 16 q (rows + 128) + 16 KiB
-    kr_rows = min(max(1, BLOCK_ENTRIES // q), q)
-    check_bytes(16 * q * (2 * q + kr_rows + 2 * GRAM_ROWS) + 2**14, "sigma_II_direct", q=q)
+    check_bytes(16 * q * (2 * q + table.block_rows + 2 * GRAM_ROWS) + 2**14, "sigma_II_direct", q=q)
     m = kr_matrix(table, b)
     real = not np.iscomplexobj(m)
     conj_buf = None if real else np.empty((q, rows), dtype=m.dtype)

@@ -72,6 +72,15 @@ def test_support_bounds(tab101):
         bilinear_form(tab101, at(1), at(101))
 
 
+def test_support_refusal_names_sequence_and_indices(tab101):
+    # the message names the offending sequence and its index range
+    with pytest.raises(PreconditionError, match=r"^coefficient support must lie within "
+                                                r"\[1, q-1\] at q=101: beta has indices 1\.\.101$"):
+        bilinear_form(tab101, CoeffSeq.ones(100), CoeffSeq.ones(101))
+    with pytest.raises(PreconditionError, match=r": alpha has indices -3\.\.2$"):
+        shift_reduction_trace(tab101, CoeffSeq(np.array([0, -3, 2]), np.ones(3)), N=5, A=1, B=1, l=2)
+
+
 def test_empty_sequence_refused(tab101):
     empty = CoeffSeq(np.zeros(0, dtype=np.int64), np.zeros(0))
     for alpha, beta, name in ((empty, CoeffSeq.ones(3), "alpha"), (CoeffSeq.ones(3), empty, "beta"),

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from klsums import errors, strata, sums
+from klsums import errors, kloosterman, strata
 from klsums.bilinear import (
     CoeffSeq,
     averaged_comparison_full_sample,
@@ -42,13 +42,15 @@ def resolvent_bytes(k, l):
 
 
 def block_rows(q):
-    # rows r per block of N: 2^15 entries, at most q rows
-    return min(max(1, 2**15 // q), q)
+    # rows r per block of N and of kmat's build: BLOCK_ENTRIES entries, at
+    # least 1 and at most q rows
+    return min(max(1, kloosterman.BLOCK_ENTRIES // q), q)
 
 
-def kr_matrix_bytes(q):
-    # kmat, the q-row output, the conjugated factor of one block, 16 KiB
-    return 16 * q * (2 * q + block_rows(q)) + 2**14
+def kr_matrix_bytes(q, n=None):
+    # kmat, the n-row output (all q rows by default), one block for kmat's
+    # build index or the conjugated factor, 16 KiB
+    return 16 * q * (q + (q if n is None else n) + block_rows(q)) + 2**14
 
 
 def direct_bytes(q):
@@ -58,16 +60,16 @@ def direct_bytes(q):
 
 
 def sweep_bytes(q):
-    # kmat, kr_matrix's conjugated factor, one block and the bfR vector of
-    # the one b being swept, 16 KiB
-    return 16 * q * (q + 2 * block_rows(q) + 1) + 2**14
+    # kmat, kr_matrix's block and its conjugated factor or kmat's build
+    # index, the bfR vector, 8 bytes per block partial, 16 KiB
+    rows = block_rows(q)
+    return 16 * q * (q + 2 * rows + 1) + 8 * -(-q // rows) + 2**14
 
 
 def power_sum_bytes(q, m):
-    # kmat with one 32-row build block at its peak (two int64 index blocks
-    # and np.take's complex buffer), then the (q^m, q - 1) int64 index, W and
-    # D at 40 bytes per entry
-    return 16 * q * (q + 2 * 32) + 40 * q ** (m + 1)
+    # kmat with one build block, then the (q^m, q - 1) int64 index, W and D
+    # at 40 bytes per entry
+    return 16 * q * (q + block_rows(q)) + 40 * q ** (m + 1)
 
 
 def shift_trace_bytes(M, N, A, B):
@@ -92,10 +94,6 @@ SITES = {
     "sigma_II_direct": (lambda t: sigma_II_direct(t, B), direct_bytes(Q),
                         f"sigma_II_direct at q={Q}"),
     "sigma_II": (lambda t: sigma_II(t, B), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
-    # a batch of one counts and is named as one b
-    "sigma_II(batch of one)": (lambda t: sigma_II(t, [B]), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
-    # a batch is swept one b at a time, so it counts and is named as one b
-    "sigma_II(batch)": (lambda t: sigma_II(t, [B] * 5), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
     "averaged_comparison_full_sample": (lambda t: averaged_comparison_full_sample(t, 2, 4),
                                         sweep_bytes(Q), f"Sigma sweep at q={Q}"),
     "averaged_comparison_power_sum": (lambda t: averaged_comparison_power_sum(t, 4, 1),
@@ -165,18 +163,21 @@ def test_resolvent_chunk_count_covers_measured_peak(k, l, q):
     assert peak <= rows * resolvent_bytes(k, l)
 
 
-@pytest.mark.parametrize("q", [211, 499])
-def test_kr_matrix_count_covers_measured_peak(q):
-    # a fresh table, so the peak includes building kmat
+@pytest.mark.parametrize("q,hi", [(211, None), (499, None), (4099, None), (4099, 1)],
+                         ids=["211", "499", "4099", "4099-row0"])
+def test_kr_matrix_count_covers_measured_peak(q, hi):
+    # a fresh table, so the peak includes building kmat; a block is 7 rows
+    # at q = 4099, and row 0 alone, as the full-sample comparison reads it,
+    # peaks at kmat and its 7-row build index, which the count's block holds
     f = build_field(q)
     t = kl_table_fast(f, CharTuple(f, (1, 5)))
     tracemalloc.start()
     try:
-        kr_matrix(t, (1, 2, 3, 4))
+        kr_matrix(t, (1, 2, 3, 4), 0, hi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= kr_matrix_bytes(q)
+    assert peak <= kr_matrix_bytes(q, hi)
 
 
 def test_direct_count_covers_measured_peak():
@@ -194,7 +195,7 @@ def test_direct_count_covers_measured_peak():
     assert peak <= direct_bytes(q)
 
 
-@pytest.mark.parametrize("q", [211, 997])
+@pytest.mark.parametrize("q", [211, 997, 4099])
 def test_sweep_count_covers_measured_peak(q):
     # a fresh table, so the peak includes building kmat (16 q^2 bytes); past
     # kmat the sweep holds one block of at most 2^15 entries and kr_matrix's
@@ -208,24 +209,7 @@ def test_sweep_count_covers_measured_peak(q):
     finally:
         tracemalloc.stop()
     assert peak <= sweep_bytes(q)
-    assert peak < 16 * q**2 + 2 * 16 * sums.BLOCK_ENTRIES + 2**14
-
-
-@pytest.mark.parametrize("q", [101, 211, 499])
-def test_batch_counts_cover_measured_peak(q):
-    # a fresh table; a batch (6 b at q = 101, 3 from q = 211 on) is swept one
-    # b at a time, each b's blocks freed before the next b's are built, so it
-    # peaks within the one-b count
-    f = build_field(q)
-    t = kl_table_fast(f, CharTuple(f, (1, 5)))
-    bs = np.random.Generator(np.random.PCG64(q)).integers(0, q, size=(6 if q == 101 else 3, 4))
-    tracemalloc.start()
-    try:
-        sigma_II(t, bs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= sweep_bytes(q)
+    assert peak < 16 * q**2 + 2 * 16 * kloosterman.BLOCK_ENTRIES + 2**14
 
 
 @pytest.mark.parametrize("q,m", [(211, 0), (211, 1), (1009, 0), (1009, 1)])
@@ -257,7 +241,7 @@ def test_power_sum_real_table_casts_no_kmat(q, m, chars):
     finally:
         tracemalloc.stop()
     assert t.kmat.dtype == np.float64
-    assert peak <= 8 * q * (q + 32 + 2) + 40 * q ** (m + 1)
+    assert peak <= 8 * q * (q + block_rows(q) + 2) + 40 * q ** (m + 1)
 
 
 @pytest.mark.parametrize("q,M,N,A,B", [(1009, 20, 60, 2, 2), (1009, 2, 500, 1, 500),

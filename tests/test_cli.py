@@ -176,6 +176,9 @@ def test_csv_config_lines_pinned(name, lines):
     (["bilinear-bench", "--q", "101", "--chars", "0,0", "--M", "10", "--N", "10", "--seed", "9"],
      "seed=9"),
     (["kl-verify", "--q", "101", "--chars", "0,0", "--n-lambda", "0", "--seed", "4"], "seed=4"),
+    # coefficient support past q - 1: the sequence and its index range
+    (["bilinear-bench", "--q", "13", "--chars", "0,0", "--M", "20", "--N", "3"],
+     "at q=13: alpha has indices 1..20"),
 ])
 def test_precondition_error_names_value(argv, named):
     code, env = run_json(argv)
@@ -381,7 +384,9 @@ def test_complete_sum_kr_budget_exit_3():
         tracemalloc.stop()
     assert code == 3 and env["status"] == "resource-limit"
     assert "q=100003" in env["payload"]["error"]
-    assert "160014416672 bytes" in env["payload"]["error"]
+    # the sweep's count at one row per block: kmat, two one-row blocks, the
+    # bfR vector, 8 bytes for each of the q block partials and 16 KiB
+    assert f"{16 * 100003 * (100003 + 3) + 8 * 100003 + 2**14} bytes" in env["payload"]["error"]
     assert peak < 64 * 2**20  # kmat (~160 GB) was never allocated
 
 
@@ -403,18 +408,19 @@ def test_complete_sum_direct_budget_exit_3():
 
 
 def test_avg_compare_power_sum_budget_exit_3():
-    # at m = 1 the closed form counts kmat and its build block, 16 q (q + 64)
-    # bytes, and 40 q^2 for the index, W and D: q = 4363 fits, q = 4373 does
-    # not, and is refused before kmat is built
+    # at m = 1 the closed form counts kmat and its build block of
+    # 2^15 // q rows, 16 q (q + rows) bytes, and 40 q^2 for the index, W and
+    # D: q = 4373 fits, q = 4391 (rows = 7) does not, and is refused before
+    # kmat is built
     tracemalloc.start()
     try:
-        code, env = run_json(["avg-compare", "--q", "4373", "--family", "power-sum"])
+        code, env = run_json(["avg-compare", "--q", "4391", "--family", "power-sum"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 3 and env["status"] == "resource-limit"
-    need = 16 * 4373 * (4373 + 64) + 40 * 4373**2
-    assert f"q=4373, n=4, m=1 needs {need} bytes" in env["payload"]["error"]
+    need = 16 * 4391 * (4391 + 7) + 40 * 4391**2
+    assert f"q=4391, n=4, m=1 needs {need} bytes" in env["payload"]["error"]
     assert peak < 64 * 2**20
 
 

@@ -17,7 +17,6 @@ from klsums.field import (
     gauss_sum,
 )
 from klsums.kloosterman import (
-    KMAT_BUILD_ROWS,
     fourier_identity_check,
     kl_pointwise,
     kl_table_fast,
@@ -353,15 +352,16 @@ def test_fourier_identity_requires_scale_one(f13):
         fourier_identity_check(tab, MultChar(f13, 0))
 
 
-@pytest.mark.parametrize("chars", [(0, 0), (1, 5)])
-def test_kmat_build_holds_one_index_block(chars):
-    """Building a fresh kmat at q = 1009, real and complex, costs its own
-    bytes plus the int64 index of one block, (KMAT_BUILD_ROWS, q), with one
-    more row and 4 KiB for small arrays: the log-coordinate kernel lives in
-    kmat's first two rows, and the field's dlog is the index source.  No gather
-    buffer (np.take's default mode buffered 512 q bytes per block) and no
-    broadcast iterator buffer (128 KiB)."""
-    q = 1009
+@pytest.mark.parametrize("chars,q", [((0, 0), 1009), ((1, 5), 1009), ((0, 0), 4099), ((1, 5), 4099)],
+                         ids=["chars0", "chars1", "chars0-4099", "chars1-4099"])
+def test_kmat_build_holds_one_index_block(chars, q):
+    """Building a fresh kmat, real and complex, costs its own bytes plus the
+    int64 index of one block, (table.block_rows, q): 32 rows at q = 1009 and
+    7 at q = 4099, with one more row and 4 KiB for small arrays.  The
+    log-coordinate kernel lives in kmat's first two rows, and the field's
+    dlog is the index source.  No gather buffer (np.take's default mode
+    buffered 512 q bytes per block) and no broadcast iterator buffer
+    (128 KiB)."""
     f = build_field(q)
     table = kl_table_fast(f, CharTuple(f, chars))
     kernel = table.kernel  # a float64 copy for the real table, built outside the measurement
@@ -372,9 +372,10 @@ def test_kmat_build_holds_one_index_block(chars):
     finally:
         tracemalloc.stop()
     assert kmat.dtype == (np.float64 if chars == (0, 0) else np.complex128)
-    assert peak <= kmat.nbytes + 8 * q * (KMAT_BUILD_ROWS + 1) + 2**12
-    s = np.arange(q, dtype=np.int64)[:, None]
-    assert np.array_equal(kmat, kernel[(s * np.arange(q)) % q])
+    assert peak <= kmat.nbytes + 8 * q * (table.block_rows + 1) + 2**12
+    x = np.arange(q, dtype=np.int64)
+    for lo in range(0, q, 256):  # the oracle in row blocks, with no q x q index
+        assert np.array_equal(kmat[lo:lo + 256], kernel[x[lo:lo + 256, None] * x % q])
 
 
 def test_values_immutable(f13):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from klsums import sums
+from klsums import kloosterman, sums
 from klsums.chartuples import CharTuple
 from klsums.errors import MAX_BYTES, PreconditionError, ResourceLimitError
 from klsums.field import build_field, is_prime
@@ -254,7 +254,7 @@ def test_float64_kernel_matches_complex_path(q, chars, monkeypatch):
         bs = rng.integers(0, q, size=(4, 2 * l))
         assert kr_matrix(real, bs[0]).dtype == np.float64
         assert _bfk_product(real, 2, 5, bs[0], l).dtype == np.float64
-        for got, want in zip(sigma_II(real, bs), sigma_II(cplx, bs)):
+        for got, want in ((sigma_II(real, b), sigma_II(cplx, b)) for b in bs):
             assert got.sigma_I.imag == 0.0
             assert abs(got.sigma_I - want.sigma_I) <= 1e-12 * q
             for name in ("sigma_II", "comp_R2", "comp_K2"):
@@ -540,52 +540,30 @@ def test_kr_matrix_bad_row_range(tab13):
             kr_matrix(tab13, (1, 2, 3, 4), lo, hi)
 
 
-def assert_batch_matches_one_b(table, bs):
-    """sigma_II over a (B, 2l) batch gives, row by row, the one-b reports
-    and those of a batch of one, compared with ==."""
-    reps = sigma_II(table, bs)
-    assert reps == [sigma_II(table, b) for b in bs]
-    assert reps == [rep for b in bs for rep in sigma_II(table, b[None])]
-    return reps
-
-
 @pytest.mark.parametrize("q", [13, 31, 97, 101])
 @pytest.mark.parametrize("rows", [1, 5, 32, 10**6])
 def test_sweep_block_size_invariance(q, rows, monkeypatch):
     """Blocks of any number of rows, from one to more than q (one block),
     with a last block that is not full: kr_matrix stays bit-identical to the
     pointwise oracle and the sweep agrees with the full-matrix reductions.
-    Batches of 1, 2 and 5 b give the one-b reports field for field."""
-    monkeypatch.setattr(sums, "BLOCK_ENTRIES", rows * q)
+    The table's block_rows follows kloosterman.BLOCK_ENTRIES, so the
+    tables, built here, build kmat in the same blocks."""
+    monkeypatch.setattr(kloosterman, "BLOCK_ENTRIES", rows * q)
     for table, b in sweep_cases(q):
+        assert table.block_rows == min(rows, q)
         assert np.array_equal(kr_matrix(table, b), broadcast_oracle(table, b))
         assert_sweep_matches_full_matrix(table, b)
-    rng = np.random.Generator(np.random.PCG64(q + rows))
-    for table, b in list(sweep_cases(q))[::4]:
-        l = len(b) // 2
-        assert_batch_matches_one_b(table, np.array([b]))
-        assert_batch_matches_one_b(table, np.array([b, rng.integers(0, q, size=2 * l)]))
-        assert_batch_matches_one_b(table, np.vstack([b, rng.integers(0, q, size=(4, 2 * l))]))
-
-
-def test_sweep_batch_order():
-    """Permuting a batch permutes its reports."""
-    q = 101
-    f = build_field(q)
-    table = kl_table_fast(f, CharTuple(f, (3, 17)))
-    rng = np.random.Generator(np.random.PCG64(5))
-    bs = rng.integers(0, q, size=(45, 4))
-    reps = sigma_II(table, bs)
-    perm = rng.permutation(len(bs))
-    assert sigma_II(table, bs[perm]) == [reps[i] for i in perm]
-    assert [rep.b for rep in reps] == [tuple(b) for b in bs.tolist()]
 
 
 def test_sigma_II_batch_edges(tab13):
+    # the Sigma layer takes one b: a (B, 2l) array is refused naming B and
+    # l, the empty batch too; any other shape is refused by check_b
     bs = np.array([(1, 2, 3, 4), (5, 5, 0, 12), (7, 1, 1, 7)])
-    assert sigma_II(tab13, np.zeros((0, 4), dtype=np.int64)) == []
-    with pytest.raises(PreconditionError, match="B=3 at l=2"):
-        kr_matrix(tab13, bs, 3, 7)
+    for call in (lambda b: sigma_II(tab13, b), lambda b: kr_matrix(tab13, b, 3, 7)):
+        with pytest.raises(PreconditionError, match="B=3 at l=2"):
+            call(bs)
+        with pytest.raises(PreconditionError, match="B=0 at l=2"):
+            call(np.zeros((0, 4), dtype=np.int64))
     with pytest.raises(PreconditionError, match="B, 2l"):
         sigma_II(tab13, np.zeros((2, 2, 4), dtype=np.int64))
 
@@ -633,7 +611,8 @@ def test_sweep_matches_closed_form_at_l1(q, chars):
     want_i, want_r2, want_k2 = closed_form_l1(table)
     rng = np.random.Generator(np.random.PCG64([q, len(chars)]))
     bs = [(0, q - 1)] + [b for b in rng.integers(0, q, size=(8, 2)) if b[0] != b[1]][:3]
-    for b, rep in zip(bs, sigma_II(table, np.array(bs))):
+    for b in bs:
+        rep = sigma_II(table, b)
         assert abs(rep.sigma_I - want_i) <= 1e-13 * q, b
         assert abs(rep.comp_R2 - want_r2) <= 1e-13 * q**2, b
         assert abs(rep.comp_K2 - want_k2) <= 1e-13 * q**2, b
