@@ -9,10 +9,17 @@ chi_a(g^m) = exp(2*pi*i*a*m / (q-1)) and chi(0) = 0 (all sums here range
 over F_q^x, so the middle-extension value at 0 is never used).
 
 Gauss sums come two ways.  ``gauss_sum`` sums one character directly in
-O(q); it is the oracle.  ``PrimeField.gauss_spectrum`` is one FFT of
+O(q); it is the oracle.  ``PrimeField.gauss_spectrum`` is one transform of
 psi(g^m) over m, which holds every Gauss sum of the field at once:
 gauss_spectrum[j] = tau(chi_{-j}).  The Kl tables and the moment identity
 read the spectrum; the checks that validate them call ``gauss_sum``.
+
+``log_dft`` is the package's one length-(q-1) transform: the spectrum and
+every fast Kl table go through it.  When q - 1 = m*p with p a prime above
+sqrt(q - 1) (so gcd(m, p) = 1), numpy would pad the whole length for
+Bluestein's algorithm; past measured floors on q - 1 and p, ``log_dft``
+splits it by the Good-Thomas prime-factor algorithm instead, so only the
+length-p rows are padded.  Every other q - 1 goes to ``np.fft`` unchanged.
 
 ``build_field`` counts its tables against the package's byte budget
 (``errors.MAX_BYTES``), which admits q up to about 1.9e7.  Every admitted q
@@ -93,8 +100,8 @@ class PrimeField:
 
     dlog has length q with dlog[0] = -1 (0 has no logarithm) and
     dlog[g^m mod q] = m for 0 <= m < q-1.  exp has length q-1 with
-    exp[m] = g^m mod q.  The read-only cached property ``gauss_spectrum``
-    is built on first use.
+    exp[m] = g^m mod q.  The cached properties ``factors`` and the
+    read-only ``gauss_spectrum`` are built on first use.
     """
 
     q: int
@@ -103,16 +110,86 @@ class PrimeField:
     exp: np.ndarray = dc_field(repr=False)
 
     @cached_property
+    def factors(self) -> tuple:
+        """The distinct primes dividing q - 1, ascending (``log_dft`` reads
+        the largest)."""
+        return tuple(_factorize(self.q - 1))
+
+    @cached_property
     def gauss_spectrum(self) -> np.ndarray:
-        """Every Gauss sum from one FFT: gauss_spectrum[j] = tau(chi_{-j}).
+        """Every Gauss sum from one transform: gauss_spectrum[j] = tau(chi_{-j}).
 
         The DFT of m -> psi(g^m) at frequency j is the sum over y of
         psi(y) exp(-2 pi i j dlog(y) / (q-1)) = tau(chi_{-j}).  Length q-1,
         complex128, 16 q bytes.
         """
-        spec = np.fft.fft(additive_char_vector(self)[self.exp])
+        spec = log_dft(self, additive_char_vector(self)[self.exp])
         spec.flags.writeable = False
         return spec
+
+
+# log_dft splits q - 1 = m*p only from these lengths and primes on: below
+# them numpy's own transform of the whole length is about as fast or faster
+# (one thread, 2-core Xeon VM, primes q < 6e4): numpy runs a direct radix-p
+# pass rather than Bluestein for p below about 2^7, and below 2^12 entries
+# the split's 4m slice copies cost what it saves.
+SPLIT_MIN_N = 2**12
+SPLIT_MIN_P = 2**8
+
+
+def _split_prime(field: PrimeField) -> int:
+    """The prime p that ``log_dft`` splits q - 1 = m*p by, or 0 if it
+    does not split: p is the largest prime factor of q - 1, and the split
+    needs p^2 > q - 1 (so p divides q - 1 once and gcd(m, p) = 1),
+    q - 1 >= SPLIT_MIN_N and p >= SPLIT_MIN_P."""
+    n = field.q - 1
+    p = field.factors[-1]
+    return p if p * p > n and n >= SPLIT_MIN_N and p >= SPLIT_MIN_P else 0
+
+
+def log_dft(field: PrimeField, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The length-(q-1) DFT of x (``np.fft.fft``, or ``np.fft.ifft`` with
+    its 1/(q-1) when inverse).
+
+    x is a contiguous complex128 vector of length n = q - 1, taken as
+    scratch: the split writes the transform over x and returns x.  When
+    ``_split_prime`` gives p, n = m*p with gcd(m, p) = 1 and the Good-Thomas
+    prime-factor algorithm applies, with no twiddles: with
+    a[j1, j2] = x[(j1*p + j2*m) mod n], the transform of a along p and then
+    along m is C[k1, k2] = X[k] at the k with k = k1 mod m and k = k2 mod p.
+    Both index maps are cyclic slices here.  Row j of a is filled for
+    j1 = j * (p^-1 mod m), so that the transform along m gives
+    D[c] = C[p*c mod m]; read as (p, m), x holds a[j1] as a column rotated
+    by (j1*p) // m, and read as (m, p), X[c*p + d] = D[(c + d*p^-1) mod m, d],
+    a rotation of D's rows per class d mod m.  The index arithmetic is on
+    Python ints, exact for every n, and past x the split holds a alone
+    (16 bytes per entry); only the length-p rows are padded by numpy.
+    Otherwise x goes to ``np.fft`` whole, and its output is returned.
+    """
+    n = field.q - 1
+    if x.shape != (n,) or x.dtype != np.complex128 or not x.flags.c_contiguous:
+        raise PreconditionError(f"log_dft takes a contiguous complex128 vector of length "
+                                f"q-1 = {n}, got {x.dtype} of shape {x.shape}")
+    fft = np.fft.ifft if inverse else np.fft.fft
+    p = _split_prime(field)
+    if not p:
+        return fft(x)
+    m = n // p
+    pinv = pow(p, -1, m)
+    a = np.empty((m, p), dtype=np.complex128)
+    by_col = x.reshape(p, m)  # by_col[u, v] = x[u*m + v]
+    for j in range(m):
+        u, v = divmod(pinv * j % m * p, m)  # j1*p = u*m + v
+        a[j, :p - u] = by_col[u:, v]
+        a[j, p - u:] = by_col[:u, v]
+    fft(a, axis=1, out=a)
+    fft(a, axis=0, out=a)
+    out = x.reshape(m, p)
+    for r in range(m):
+        s = r * pinv % m
+        out[:m - s, r::m] = a[s:, r::m]
+        out[m - s:, r::m] = a[:s, r::m]
+    return x
 
 
 def _powers_mod(g: int, q: int, n: int) -> np.ndarray:
@@ -134,8 +211,9 @@ def build_field(q: int) -> PrimeField:
     """Construct F_q with verified primitive root and complete dlog table."""
     if not isinstance(q, int):
         raise PreconditionError(f"q must be an integer, got {type(q).__name__}")
-    # dlog, exp, the scatter's arange source, then gauss_spectrum and its FFT
-    # input: 49.3 bytes per element at q = 100003, counted as 56, plus 16 KiB
+    # dlog, exp, the scatter's arange source, then gauss_spectrum, its
+    # transform's input and the split's (m, p) array in log_dft: 49.3
+    # bytes per element at q = 100003, counted as 56, plus 16 KiB
     check_bytes(56 * q + 2**14, "field", q=q)
     if q < 3:
         raise PreconditionError(f"q = {q} < 3: need an odd prime")

@@ -15,8 +15,11 @@ evaluation routes are provided:
   at k = 3 a Hankel matrix of the last factor times the middle one, by BLAS
   over blocks of rows (``bilinear.kl3_direct`` is a call to it);
 * ``kl_table_naive`` -- direct O(k q^2) circulant convolution;
-* ``kl_table_fast``  -- one inverse FFT of prod_i roll(G, a_i), O(q log q)
-  per table on top of the one forward FFT per field that G costs.
+* ``kl_table_fast``  -- one inverse transform of prod_i roll(G, a_i),
+  O(q log q) per table on top of the one forward transform per field that
+  G costs.  Both are ``field.log_dft``, which splits a q - 1 with one large
+  prime factor by the prime-factor algorithm rather than let numpy pad the
+  whole length.
 
 The fast route is the production path; the other two are oracles: neither
 reads G, and they share nothing but the field's character vectors.  No sign
@@ -49,7 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .chartuples import CharTuple, kl_value_kind
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
-from .field import PrimeField, additive_char_vector, gauss_sum, MultChar
+from .field import PrimeField, additive_char_vector, gauss_sum, log_dft, MultChar
 
 DELIGNE_SLACK = 1e-9
 # Entries per row block of kmat's build and of the Sigma kernel (block_rows):
@@ -176,7 +179,8 @@ def _assemble(field: PrimeField, t: CharTuple, a: int, conv_log: np.ndarray) -> 
 
 
 def kl_table_fast(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
-    """Full Kl_k table: one inverse FFT of length q-1 of prod_i roll(G, a_i)."""
+    """Full Kl_k table: one inverse transform of length q-1 (``log_dft``)
+    of prod_i roll(G, a_i)."""
     if a % field.q == 0:
         raise PreconditionError(f"scale a must be nonzero mod q, got a={a} at q={field.q}")
     if t.k == 1:
@@ -186,7 +190,7 @@ def kl_table_fast(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
         prod = np.roll(spec, t.indices[0])
         for ai in t.indices[1:]:
             prod *= np.roll(spec, ai)
-        conv = np.fft.ifft(prod)
+        conv = log_dft(field, prod, inverse=True)
     return _assemble(field, t, a, conv)
 
 

@@ -241,8 +241,8 @@ def test_shift_trace_box_sum():
 
 
 def test_shift_trace_box_sum_pinned():
-    """The box-sum trace as sorted-key JSON, pinned by sha256 taken while the
-    box sum made one sigma_II call per b; its batched call gives every float."""
+    """The box-sum trace as sorted-key JSON, pinned by sha256; the box sum
+    calls sigma_II once per b of the box."""
     f = build_field(199)
     tab = kl_table_fast(f, CharTuple(f, (0, 0)))
     tr = shift_reduction_trace(tab, CoeffSeq.ones(4), N=8, A=2, B=2, l=2, box_sum=True, seed=1)

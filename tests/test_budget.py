@@ -271,6 +271,19 @@ def test_field_count_covers_measured_peak():
     assert peak <= 56 * q + 2**14
 
 
+@pytest.mark.parametrize("q", [4099, 39983, 97159])
+def test_split_field_count_covers_measured_peak(q):
+    # log_dft splits q - 1 = 6*683, 2*19991 and 6*16193: the split's (m, p)
+    # array takes the place of numpy's out-of-place output
+    tracemalloc.start()
+    try:
+        build_field(q).gauss_spectrum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * q + 2**14
+
+
 def test_every_admitted_field_is_int64_exact():
     # products of two residues below 2^31 stay below 2^62
     assert errors.MAX_BYTES // 56 < 2**31

@@ -5,13 +5,17 @@ import pytest
 
 from klsums.errors import PreconditionError, ResourceLimitError
 from klsums.field import (
+    SPLIT_MIN_N,
     MultChar,
     _powers_mod,
+    _split_prime,
+    additive_char_vector,
     build_field,
     eval_additive,
     eval_char,
     gauss_sum,
     is_prime,
+    log_dft,
     smallest_primitive_root,
 )
 
@@ -192,7 +196,7 @@ def test_exp_table_matches_pow(q):
     assert f.exp.tolist() == [pow(f.g, m, q) for m in range(q - 1)]
 
 
-@pytest.mark.parametrize("q", [3, 5, 13, 101, 1009])
+@pytest.mark.parametrize("q", [3, 5, 13, 101, 1009, 4099])
 def test_gauss_spectrum_is_every_gauss_sum(q):
     """gauss_spectrum[j] = tau(chi_{-j}) for every j, against direct sums."""
     f = build_field(q)
@@ -225,3 +229,65 @@ def test_gauss_spectrum_cached_and_read_only(f13):
     assert not spec.flags.writeable
     with pytest.raises(ValueError):
         spec[0] = 0
+
+
+# Fields whose q - 1 = m*p log_dft splits: the smallest at the length floor
+# (4098 = 6*683), q = 2p + 1 at the floor and above it (m = 2), and
+# 100002 = 42*2381.
+SPLIT_QS = [4099, 4127, 10007, 39983, 100003]
+
+
+def test_split_rule():
+    first = next(q for q in range(SPLIT_MIN_N + 1, 2 * SPLIT_MIN_N)
+                 if is_prime(q) and _split_prime(build_field(q)))
+    assert first == SPLIT_QS[0]
+    assert [_split_prime(build_field(q)) for q in SPLIT_QS] == [683, 2063, 5003, 19991, 2381]
+    assert build_field(100003).factors == (2, 3, 7, 2381)
+
+
+def test_log_dft_split_matches_numpy_property():
+    """Forward and inverse split transforms against numpy's unsplit FFT of
+    the same vector; the split writes its output over x."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    fields = {q: build_field(q) for q in SPLIT_QS}
+
+    @hyp.settings(max_examples=30, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(SPLIT_QS), st.integers(0, 2**32 - 1), st.booleans())
+    @hyp.example(SPLIT_QS[0], 0, False)
+    @hyp.example(SPLIT_QS[-1], 0, True)
+    def check(q, seed, inverse):
+        n = q - 1
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = (np.fft.ifft if inverse else np.fft.fft)(x)
+        y = x.copy()
+        got = log_dft(fields[q], y, inverse=inverse)
+        assert got is y
+        scale = np.max(np.abs(x)) * (1 / math.sqrt(n) if inverse else math.sqrt(n))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, (q, seed, inverse)
+
+    check()
+
+
+@pytest.mark.parametrize("q", [13, 1009, 1019, 4261, 96001])
+def test_log_dft_unsplit_is_numpy(q):
+    """Below the floors or with smooth q - 1, x goes to np.fft whole: the
+    output is numpy's bit for bit.  1018 = 2*509 is below the length floor,
+    and 4260 = 60*71 has p below the prime floor."""
+    f = build_field(q)
+    assert _split_prime(f) == 0
+    re, im = np.random.Generator(np.random.PCG64(q)).standard_normal((2, q - 1))
+    x = re + 1j * im
+    for inverse, fft in ((False, np.fft.fft), (True, np.fft.ifft)):
+        assert np.array_equal(log_dft(f, x.copy(), inverse=inverse), fft(x))
+
+
+def test_log_dft_rejects():
+    f = build_field(4099)
+    with pytest.raises(PreconditionError, match="length q-1 = 4098, got complex128 of shape"):
+        log_dft(f, np.zeros(4099, dtype=np.complex128))
+    with pytest.raises(PreconditionError, match="got float64 of shape"):
+        log_dft(f, np.zeros(4098))
+    with pytest.raises(PreconditionError, match="contiguous"):
+        log_dft(f, np.zeros(2 * 4098, dtype=np.complex128)[::2])

@@ -10,6 +10,7 @@ from klsums.chartuples import CharTuple
 from klsums.errors import MAX_BYTES, PreconditionError, ResourceLimitError
 from klsums.field import (
     MultChar,
+    _split_prime,
     additive_char_vector,
     build_field,
     eval_additive,
@@ -205,6 +206,20 @@ def test_fast_vs_pointwise_nontrivial_chars(f13):
     tab = kl_table_fast(f13, t)
     for x in (1, 5, 12):
         assert tab.value(x) == pytest.approx(kl_pointwise(f13, t, x), abs=1e-10)
+
+
+@pytest.mark.parametrize("chars", [(0, 0), (5, 17), (0, 0, 0), (1, 5, 9)])
+def test_fast_vs_pointwise_split_field(chars):
+    """At q = 4099 (4098 = 6*683) the spectrum and the table's inverse
+    transform both take log_dft's prime-factor split; the direct
+    enumeration reads neither."""
+    q = 4099
+    f = build_field(q)
+    assert _split_prime(f) == 683
+    t = CharTuple(f, chars)
+    tab = kl_table_fast(f, t)
+    for x in (1, 2, 683, q - 1, 1234):
+        assert tab.value(x) == pytest.approx(kl_pointwise(f, t, x), abs=1e-10), x
 
 
 def test_pointwise_literal_oracle_nontrivial_chars():
