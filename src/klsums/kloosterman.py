@@ -56,8 +56,10 @@ from .field import PrimeField, additive_char_vector, gauss_sum, log_dft, MultCha
 
 DELIGNE_SLACK = 1e-9
 # Entries per row block of kmat's build and of the Sigma kernel (block_rows):
-# a float64 block stays in L2 (256 KiB), and call overhead is paid per 2^15.
-BLOCK_ENTRIES = 2**15
+# the numpy calls of a block are paid once per 2^16 entries (512 KiB as
+# float64).  Sigma per b, one BLAS thread: 1-6% faster than at 2^15 for
+# q = 307..2003, while 2^17 was slower at q = 997 and 2003.
+BLOCK_ENTRIES = 2**16
 # Hankel rows per kl_pointwise block at k = 3: its one complex buffer holds
 # 64 * (q - 1) entries (1 MB at q = 1009) instead of q^2.
 POINTWISE_ROWS = 64
@@ -105,8 +107,8 @@ class KlTable:
     @property
     def block_rows(self) -> int:
         """Rows per block of kmat's build and of every Sigma pass over it:
-        BLOCK_ENTRIES // q, at least 1 and at most q (all of N up to q = 181,
-        65 rows at q = 499, 32 at q = 997, 7 at q = 4099)."""
+        BLOCK_ENTRIES // q, at least 1 and at most q (all of N up to q = 256,
+        131 rows at q = 499, 65 at q = 997, 15 at q = 4099)."""
         q = self.field.q
         return min(max(1, BLOCK_ENTRIES // q), q)
 

@@ -41,7 +41,7 @@ the slice is read with no copy, unless the range crosses the wrap point
 r = (q - b_i) % q, where r + b_i returns to 0.  ``kr_matrix`` cuts its
 rows into blocks of ``KlTable.block_rows`` rows, the one block rule, which
 lives next to kmat and also sizes kmat's build: BLOCK_ENTRIES // q rows
-(2^15 entries: all of N up to q = 181, 32 rows at q = 997).  It cuts each
+(2^16 entries: all of N up to q = 256, 65 rows at q = 997).  It cuts each
 block again at the at most 2l wrap points inside it, and writes each piece
 as 2l - 1 multiplies of kmat slices in factor order.  So every entry is
 bit-identical to the pointwise product ``_bfk_product``, the oracle it is
@@ -60,7 +60,7 @@ one row block and ``kr_matrix``'s conjugated factor (or kmat's build
 index), the bfR vector and 8 bytes per block for its partial sums: 16 q (q + 2 rows + 1) + 8 ceil(q / rows) +
 16 KiB, which admits q <= 8179.  ``kr_matrix`` counts kmat, its output and
 one block, which holds kmat's build index or its conjugated factor:
-16 q (q + (hi - lo) + rows) + 16 KiB, so all rows admit q <= 5791.  The
+16 q (q + (hi - lo) + rows) + 16 KiB, so all rows admit q <= 5783.  The
 direct route holds kmat and the whole N and forms the Gram matrix
 GRAM_ROWS (64) columns at a time: 16 q (2 q + rows + 128) + 16 KiB bytes,
 q <= 5749.

@@ -1,6 +1,3 @@
-import cmath
-import itertools
-
 import numpy as np
 import pytest
 
@@ -14,36 +11,6 @@ def primes_up_to(n):
         if sieve[p]:
             sieve[p * p :: p] = False
     return [int(p) for p in np.nonzero(sieve)[0]]
-
-
-def vanishing_sum_count(k, l):
-    """V(k, l): tuples zeta in mu_k^{2l} with zeta_1 = 1 whose signed sum
-    sum_{i<=l} zeta_i - sum_{i>l} zeta_i vanishes, counted over C.
-
-    A nonzero such sum s is an algebraic integer of degree phi(k) <= k - 1
-    whose conjugates all have modulus <= 2l and whose norm is a nonzero
-    integer, so |s| >= (2l)^(1 - phi(k)) >= (2l)^(2 - k); half that bound
-    separates the zero sums exactly.
-    """
-    n = 2 * l
-    roots = [cmath.exp(2j * cmath.pi * t / k) for t in range(k)]
-    tol = 0.5 * n ** (2 - k)
-    count = 0
-    for rest in itertools.product(roots, repeat=n - 1):
-        zeta = (1, *rest)
-        if abs(sum(zeta[:l]) - sum(zeta[l:])) < tol:
-            count += 1
-    return count
-
-
-def generic_zcount(k, l):
-    """The bound z(b) <= 2l + k^(2l-2) - V(k, l), which generic b attain.
-
-    P_b = +-M^k with M the product over the k^(2l-1) forms with zeta_1 = 1,
-    so deg M <= k^(2l-2); each of the V(k, l) forms whose leading signed sum
-    vanishes loses a full power of r, and Z_b adds the 2l hyperplanes.
-    """
-    return 2 * l + k ** (2 * l - 2) - vanishing_sum_count(k, l)
 
 
 @pytest.fixture(scope="session")

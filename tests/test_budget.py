@@ -198,8 +198,8 @@ def test_direct_count_covers_measured_peak():
 @pytest.mark.parametrize("q", [211, 997, 4099])
 def test_sweep_count_covers_measured_peak(q):
     # a fresh table, so the peak includes building kmat (16 q^2 bytes); past
-    # kmat the sweep holds one block of at most 2^15 entries and kr_matrix's
-    # conjugated factor, so a q x q N (16 q^2 more) is never formed
+    # kmat the sweep holds one block of at most BLOCK_ENTRIES entries and
+    # kr_matrix's conjugated factor, so a q x q N (16 q^2 more) is never formed
     f = build_field(q)
     t = kl_table_fast(f, CharTuple(f, (1, 5)))
     tracemalloc.start()

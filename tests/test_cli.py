@@ -9,7 +9,9 @@ import tracemalloc
 
 import pytest
 
+from klsums import kloosterman
 from klsums.cli import build_parser, run
+from klsums.errors import MAX_BYTES
 
 # minimal valid arguments per subcommand, so that an extra option is the only error
 MINIMAL_ARGS = {
@@ -392,8 +394,9 @@ def test_complete_sum_kr_budget_exit_3():
 
 def test_complete_sum_direct_budget_exit_3():
     # the difference form alone fits at q = 5779; the direct oracle's
-    # 16 q (2 q + 5 + 128) + 16 KiB bytes do not, and are refused before kmat
-    # or N is built
+    # 16 q (2 q + rows + 128) + 16 KiB bytes, with BLOCK_ENTRIES // q rows,
+    # do not, and are refused before kmat or N is built
+    rows = kloosterman.BLOCK_ENTRIES // 5779
     tracemalloc.start()
     try:
         code, env = run_json(["complete-sum", "--q", "5779", "--chars", "0,0", "--b", "1,2,3,4",
@@ -403,15 +406,16 @@ def test_complete_sum_direct_budget_exit_3():
         tracemalloc.stop()
     assert code == 3 and env["status"] == "resource-limit"
     assert "q=5779" in env["payload"]["error"]
-    assert f"{16 * 5779 * (2 * 5779 + 5 + 128) + 2**14} bytes" in env["payload"]["error"]
+    assert f"{16 * 5779 * (2 * 5779 + rows + 128) + 2**14} bytes" in env["payload"]["error"]
     assert peak < 64 * 2**20
 
 
 def test_avg_compare_power_sum_budget_exit_3():
     # at m = 1 the closed form counts kmat and its build block of
-    # 2^15 // q rows, 16 q (q + rows) bytes, and 40 q^2 for the index, W and
-    # D: q = 4373 fits, q = 4391 (rows = 7) does not, and is refused before
+    # BLOCK_ENTRIES // q rows, 16 q (q + rows) bytes, and 40 q^2 for the
+    # index, W and D: q = 4373 fits, q = 4391 does not, and is refused before
     # kmat is built
+    rows = kloosterman.BLOCK_ENTRIES // 4391
     tracemalloc.start()
     try:
         code, env = run_json(["avg-compare", "--q", "4391", "--family", "power-sum"])
@@ -419,7 +423,8 @@ def test_avg_compare_power_sum_budget_exit_3():
     finally:
         tracemalloc.stop()
     assert code == 3 and env["status"] == "resource-limit"
-    need = 16 * 4391 * (4391 + 7) + 40 * 4391**2
+    need = 16 * 4391 * (4391 + rows) + 40 * 4391**2
+    assert 16 * 4373 * (4373 + kloosterman.BLOCK_ENTRIES // 4373) + 40 * 4373**2 <= MAX_BYTES
     assert f"q=4391, n=4, m=1 needs {need} bytes" in env["payload"]["error"]
     assert peak < 64 * 2**20
 

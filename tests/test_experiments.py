@@ -70,14 +70,17 @@ def test_bound_ladder_json_pinned():
     complex sweep's JSON differed from it by rounding only (at most
     2.3e-16 in a ratio).  Re-taken again when bfR became a sum along each
     row of N: r_I, sub_max_I, sub_max_II and trend_ratio_I moved in their
-    last digits (at most 8.5e-15 relative, in r_I at q = 307)."""
+    last digits (at most 8.5e-15 relative, in r_I at q = 307).  Re-taken
+    when the Sigma row blocks grew from 2^15 to 2^16 entries, which regroups
+    the fsum of sum |bfK|^2: sub_max_II moved by 2.1e-16 at q = 307 and
+    4.3e-16 at q = 499, relative."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, **ONE_BLAS_THREAD,
            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", LADDER_SHA256], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == (
-        "7a828f4995d49b08711e5d43c4956ee2f785d774c65c7f11a85e2d74d36df3ab")
+        "d1c754b20bf4f291dd93e59d3ce99882138bb339a152e7177512bded40afc77d")
 
 
 # --- the samplers against a one-draw-at-a-time loop ----------------------------

@@ -371,8 +371,8 @@ def test_fourier_identity_requires_scale_one(f13):
                          ids=["chars0", "chars1", "chars0-4099", "chars1-4099"])
 def test_kmat_build_holds_one_index_block(chars, q):
     """Building a fresh kmat, real and complex, costs its own bytes plus the
-    int64 index of one block, (table.block_rows, q): 32 rows at q = 1009 and
-    7 at q = 4099, with one more row and 4 KiB for small arrays.  The
+    int64 index of one block, (table.block_rows, q): 64 rows at q = 1009 and
+    15 at q = 4099, with one more row and 4 KiB for small arrays.  The
     log-coordinate kernel lives in kmat's first two rows, and the field's
     dlog is the index source.  No gather buffer (np.take's default mode
     buffered 512 q bytes per block) and no broadcast iterator buffer

@@ -20,6 +20,7 @@ import pytest
 from klsums import polyfq, strata
 from klsums.errors import (
     DegenerateFiberError,
+    InternalConsistencyError,
     PreconditionError,
     ResourceLimitError,
 )
@@ -27,13 +28,15 @@ from klsums.field import build_field
 from klsums.strata import (
     box_count_variety,
     diagonal_box_count,
+    generic_z_bound,
+    generic_z_value,
     is_diagonal,
     singular_polynomial,
     stratum_scan,
     z_fiber_count,
 )
 
-from conftest import generic_zcount, primes_up_to
+from conftest import primes_up_to
 
 
 # --- independent k = 2 oracle ------------------------------------------------
@@ -236,9 +239,9 @@ def test_resultant_oracle_zcount():
     pytest.importorskip("sympy")
     q = 499
     f = build_field(q)
-    assert generic_zcount(2, 1) == 2
+    assert generic_z_bound(2, 1) == 2
     for (k, l), true_z in sorted(TRUE_GENERIC.items()):
-        assert generic_zcount(k, l) == true_z
+        assert generic_z_bound(k, l) == true_z
         rng = np.random.Generator(np.random.PCG64([k, l]))
         bs = [tuple(int(v) for v in rng.integers(0, q, size=2 * l)) for _ in range(3)]
         merged = (bs[0][0], bs[0][0], *bs[0][2:])
@@ -470,8 +473,71 @@ def test_generic_zcount_larger_shapes(k, l, q, true_z):
     """Seeded scans at the shapes beyond TRUE_GENERIC attain the closed form
     2l + k^(2l-2) - V(k,l), and no b exceeds it."""
     res = stratum_scan(build_field(q), k, l, samples=30, seed=77)
-    assert res.generic == true_z == generic_zcount(k, l)
+    assert res.generic == true_z == generic_z_bound(k, l)
     assert max(rep.z_count for rep in res.reports) <= true_z
+
+
+# (k, l) -> the separability edge, the least admitted q: q = 1 mod k and
+# q > 2l + k^(2l-1)
+EARLY_STOP_SHAPES = {(2, 1): 5, (3, 1): 7, (2, 2): 13, (3, 2): 37, (2, 3): 41}
+
+
+@pytest.mark.parametrize("k,l", sorted(EARLY_STOP_SHAPES))
+def test_generic_z_value_matches_full_scan(k, l):
+    """generic_z_value, which stops after 20 draws when they reach the
+    bound, against the maximum of the seeded 200-sample scan, at the
+    separability edge, q = 97 and q = 307; the 20 draws are the head of the
+    200."""
+    for q in (EARLY_STOP_SHAPES[(k, l)], 97, 307):
+        f = build_field(q)
+        for seed in range(3):
+            full = stratum_scan(f, k, l, samples=200, seed=seed)
+            head = stratum_scan(f, k, l, samples=20, seed=seed)
+            assert [rep.b for rep in head.reports] == [rep.b for rep in full.reports[:20]]
+            assert generic_z_value(f, k, l, seed) == full.generic, (q, seed)
+
+
+def spy_scans(monkeypatch):
+    """Record the samples of every stratum_scan call."""
+    calls, scan = [], strata.stratum_scan
+
+    def spy(field, k, l, samples=None, seed=0, **kw):
+        calls.append(samples)
+        return scan(field, k, l, samples=samples, seed=seed, **kw)
+
+    monkeypatch.setattr(strata, "stratum_scan", spy)
+    return calls
+
+
+def test_generic_z_value_stops_at_the_bound(monkeypatch):
+    """At q = 499 the 20-draw head reaches the bound 5 of (2, 2), so no
+    200-sample scan runs."""
+    calls = spy_scans(monkeypatch)
+    assert generic_z_value(build_field(499), 2, 2, seed=0) == 5
+    assert calls == [20]
+
+
+@pytest.mark.parametrize("k,l,q", [(2, 2, 13), (2, 2, 307), (3, 2, 37), (2, 3, 41)])
+def test_generic_z_value_falls_back_past_an_unattained_bound(k, l, q, monkeypatch):
+    """The bound with V(k, l) = 0, above the true one, which no b reaches:
+    the head cannot stop the scan, so the 200-sample scan runs and gives
+    its maximum."""
+    f = build_field(q)
+    want = [stratum_scan(f, k, l, samples=200, seed=seed).generic for seed in range(2)]
+    monkeypatch.setattr(strata, "generic_z_bound", lambda k, l: 2 * l + k ** (2 * l - 2))
+    calls = spy_scans(monkeypatch)
+    assert [generic_z_value(f, k, l, seed) for seed in range(2)] == want
+    assert calls == [20, 200] * 2
+
+
+def test_z_above_the_bound_raises(f97, monkeypatch):
+    """Every report checks its z against generic_z_bound, naming k, l, q and
+    b: a bound lowered by one is reached by the generic b (1, 2, 3, 5)."""
+    assert z_fiber_count(f97, 2, (1, 2, 3, 5)).z_count == 5
+    monkeypatch.setattr(strata, "generic_z_bound", lambda k, l: 4)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"z_count 5 above the bound 4 at k=2, l=2, q=97, b=\(1, 2, 3, 5\)"):
+        z_fiber_count(f97, 2, (1, 2, 3, 5))
 
 
 def test_expansion_oracle_k2_property():

@@ -296,16 +296,19 @@ def test_kr_matrix_shape_and_zero_column(tab13):
 
 
 def test_sigma_II_direct_byte_budget():
-    # kmat and N, kr_matrix's conjugated factor (2^15 // q rows: 5 at these
-    # q), the direct route's 64-column conjugated block and (q - 1) x 64 Gram
+    # kmat and N, kr_matrix's conjugated factor (BLOCK_ENTRIES // q rows),
+    # the direct route's 64-column conjugated block and (q - 1) x 64 Gram
     # slab, and 16 KiB for the small arrays
+    def rows(q):
+        return max(1, kloosterman.BLOCK_ENTRIES // q)
+
     def direct_bytes(q):
-        return 16 * q * (2 * q + 5 + 128) + 2**14
+        return 16 * q * (2 * q + rows(q) + 128) + 2**14
 
     # 5749 is the last prime the direct route admits, 5779 the first past it;
     # the difference form and a lone kr_matrix would still admit q = 5779
     assert direct_bytes(5749) <= MAX_BYTES < direct_bytes(5779)
-    assert 16 * 5779 * (2 * 5779 + 5) + 2**14 <= MAX_BYTES
+    assert 16 * 5779 * (2 * 5779 + rows(5779)) + 2**14 <= MAX_BYTES
     f = build_field(5779)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
     need = direct_bytes(5779)
@@ -470,16 +473,17 @@ def test_kr_matrix_no_q2_temporaries():
 
 
 def test_kr_matrix_byte_budget():
-    # kmat, the output, the conjugated factor of 2^15 // q rows and 16 KiB:
-    # 5801 is the first prime past the bound; the largest q the tests and the
-    # benchmark use (1999) stays far inside it
+    # kmat, the output, the conjugated factor of BLOCK_ENTRIES // q rows and
+    # 16 KiB: 5783 is the last prime the bound admits and 5791 the first past
+    # it; the largest q the tests and the benchmark use (1999) stays far
+    # inside it
     def need(q):
-        return 16 * q * (2 * q + max(1, 2**15 // q)) + 2**14
+        return 16 * q * (2 * q + max(1, kloosterman.BLOCK_ENTRIES // q)) + 2**14
 
-    assert need(1999) <= need(5791) <= MAX_BYTES < need(5801)
-    f = build_field(5801)
+    assert need(1999) <= need(5783) <= MAX_BYTES < need(5791)
+    f = build_field(5791)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
-    with pytest.raises(ResourceLimitError, match=f"q=5801 needs {need(5801)} bytes"):
+    with pytest.raises(ResourceLimitError, match=f"q=5791 needs {need(5791)} bytes"):
         kr_matrix(table, (1, 2, 3, 4))
     assert "kmat" not in vars(table)
 
