@@ -17,9 +17,9 @@ eps of the trivial character is tau(1)/sqrt(q) = -1/sqrt(q).
 The power-sum comparison over b in (F_q^x)^n (sum b_i = 0 when m = 1) is
 lhs = (q-1)/q^m sum_{u,t} D(u, t)^n against rhs = (q-1)/q^m sum_u D(u, 1)^n,
 D(u, t) = sum_{b != 0} psi(u b) K(b) conj K(b t) with u over F_q (m = 1) or
-u = 0 (m = 0): one product with the table's kmat (real for a real or purely
-imaginary table, where K(b) conj K(bt) = kappa(b) kappa(bt)), and no b
-enumerated.
+u = 0 (m = 0): one product with the table's kmat, whose columns are
+t = g^sigma in log order (real for a real or purely imaginary table, where
+K(b) conj K(bt) = kappa(b) kappa(bt)), and no b enumerated.
 """
 
 from __future__ import annotations
@@ -407,13 +407,14 @@ def averaged_comparison_power_sum(table: KlTable, n: int, m: int) -> ComparisonR
     expand |.|^2 over (s1, s2), write sum b_i = 0 as (1/q) sum_u prod_i
     psi(u b_i), put t = s2/s1 and b_i -> b_i/s1: each b_i sums alone to the
     D(u, t) of the module docstring.  conj(W) @ kmat[1:] for W[u, b] =
-    psi(u b) K(b) is conj D, whose power sums conjugate lhs and rhs.  For a
-    real or purely imaginary table K = c kappa with |c| = 1, so D reads the
-    kernel kappa alone: W takes kappa, and with a float64 kmat the product
-    is kmat[1:].T times conj(W).T viewed as floats, two real GEMMs over its
+    psi(u b) K(b) is conj D with t = g^sigma in column sigma, so t = 1 is
+    column 0; its power sums conjugate lhs and rhs.  For a real or purely
+    imaginary table K = c kappa with |c| = 1, so D reads the kernel kappa
+    alone: W takes kappa, and with a float64 kmat the product is
+    kmat[1:].T times conj(W).T viewed as floats, two real GEMMs over its
     interleaved real and imaginary columns, with no complex copy of kmat.
-    Counts kmat, one block of ``table.block_rows`` rows for its build and
-    40 bytes per entry of the (q^m, q) index, W and D.
+    Counts kmat, built first, 40 bytes per entry of the (q^m, q) index, W
+    and D, and 16 KiB for the small arrays.
 
     Rounding: |D| <= (q-1) k^2, a D entry is off by about eps q^(3/2) k^2 (q^2
     at worst) and its n-th power by n |D|^(n-1) times that; lhs ~ q^(n-m+1)
@@ -426,18 +427,17 @@ def averaged_comparison_power_sum(table: KlTable, n: int, m: int) -> ComparisonR
         raise PreconditionError(f"power-sum needs n >= 1 and m in {{0, 1}}, got n={n}, m={m}")
     if n * math.log((q - 1) * k * k) + 2 * math.log(q) >= math.log(np.finfo(np.float64).max):
         raise PreconditionError(f"power-sum sums leave float64 at q={q}, k={k}, n={n}")
-    check_bytes(16 * q * (q + table.block_rows) + 40 * q ** (m + 1), "power-sum comparison",
-                q=q, n=n, m=m)
+    check_bytes(16 * q * q + 40 * q ** (m + 1) + 2**14, "power-sum comparison", q=q, n=n, m=m)
+    kmat = table.kmat[1:]  # kmat[b, sigma] = K(b g^sigma) for b = 1..q-1
     wt = additive_char_vector(table.field)[np.outer(np.arange(1, q), np.arange(q**m)) % q]
     wt *= table.kernel[1:, None]
     np.conj(wt, out=wt)  # wt[b - 1, u] = conj W[u, b]
-    kmat = table.kmat[1:]  # contiguous: kmat[1:, 1:] would be copied
     if np.iscomplexobj(kmat):
         d = wt.T @ kmat
     else:
         d = (kmat.T @ wt.view(np.float64)).view(np.complex128).T
-    np.power(d, n, out=d)  # d[u, t] = conj D(u, t)^n
-    lhs, rhs = (complex(z.sum()) * (q - 1) / q**m for z in (d, d[:, 1]))
+    np.power(d, n, out=d)  # d[u, sigma] = conj D(u, g^sigma)^n
+    lhs, rhs = (complex(z.sum()) * (q - 1) / q**m for z in (d, d[:, 0]))
     gap, expo = abs(lhs.real - rhs.real), n - m + 0.5
     count = (q - 1) ** n if m == 0 else ((q - 1) ** n + (-1) ** n * (q - 1)) // q
     return ComparisonReport(family=f"power-sum(n={n},m={m})", q=q, count=count, lhs=lhs.real,

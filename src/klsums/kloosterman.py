@@ -35,10 +35,12 @@ sum relies on when an argument s*(r+b_i) hits 0.
 two lazily cached arrays built from it, so ``kl_table_fast`` pays for
 neither: ``kernel``, which is values.real or values.imag as float64 when
 ``chartuples.kl_value_kind`` says K is real or purely imaginary (K = kappa
-or i kappa), and values itself otherwise; and the symmetric
-``kmat[s, x] = kernel[s*x]``, q x q in the kernel's dtype, gathered in log
-coordinates (kernel[g^(dlog s + dlog x)]) with no modular arithmetic, whose
-contiguous row slices are the factors of every Sigma block.
+or i kappa), and values itself otherwise; and
+``kmat[x, sigma] = kernel[x*g^sigma]``, q x (q - 1) in the kernel's dtype,
+its columns the nonzero s = g^sigma in log order.  Row x is a window of
+the doubled log table at dlog(x), so kmat is one gather with no modular
+arithmetic, and its contiguous row slices are the factors of every Sigma
+block.
 """
 
 from __future__ import annotations
@@ -48,17 +50,16 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .chartuples import CharTuple, kl_value_kind
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
 from .field import PrimeField, additive_char_vector, gauss_sum, log_dft, MultChar
 
 DELIGNE_SLACK = 1e-9
-# Entries per row block of kmat's build and of the Sigma kernel (block_rows):
-# the numpy calls of a block are paid once per 2^16 entries (512 KiB as
-# float64).  Sigma per b, one BLAS thread: 1-6% faster than at 2^15 for
-# q = 307..2003, while 2^17 was slower at q = 997 and 2003.
+# Entries per row block of the Sigma kernel (block_rows): the numpy calls
+# of a block are paid once per 2^16 entries (512 KiB as float64).  Sigma
+# per b, one BLAS thread: 1-6% faster than at 2^15 for q = 307..2003,
+# while 2^17 was slower at q = 997 and 2003.
 BLOCK_ENTRIES = 2**16
 # Hankel rows per kl_pointwise block at k = 3: its one complex buffer holds
 # 64 * (q - 1) entries (1 MB at q = 1009) instead of q^2.
@@ -106,48 +107,35 @@ class KlTable:
 
     @property
     def block_rows(self) -> int:
-        """Rows per block of kmat's build and of every Sigma pass over it:
-        BLOCK_ENTRIES // q, at least 1 and at most q (all of N up to q = 256,
-        131 rows at q = 499, 65 at q = 997, 15 at q = 4099)."""
+        """Rows per block of every Sigma pass over kmat: BLOCK_ENTRIES // q,
+        at least 1 and at most q (all of N up to q = 256, 131 rows at
+        q = 499, 65 at q = 997, 15 at q = 4099)."""
         q = self.field.q
         return min(max(1, BLOCK_ENTRIES // q), q)
 
     @cached_property
     def kmat(self) -> np.ndarray:
-        """Read-only q x q matrix kmat[s, x] = kernel[(s*x) % q], built on
-        first use, of the kernel's dtype.
+        """Read-only q x (q - 1) matrix kmat[x, sigma] = kernel[x*g^sigma],
+        built on first use, of the kernel's dtype.
 
-        kmat is symmetric, and row x holds s -> K(s*x), so K(s*(r + b)) for
-        a block of rows r and all s is the slice of kmat rows r + b onward:
-        the shift kernel of ``sums.kr_matrix``.  16 q^2 bytes (8 q^2 for a
-        float64 kernel); the caller counts 16 q^2 against the byte budget
-        before touching it.  Built in log coordinates: with
-        logs[m] = kernel[g^m] for m < 2(q - 1) (the log table doubled),
-        kmat[s, x] = logs[dlog(s) + dlog(x)] for s >= 2 and x != 0, one int64
-        add and one ``np.take`` per entry, with no multiply and no remainder,
-        so every entry is the kernel's value bit for bit.  logs lives in rows
-        0 and 1 of kmat until the other rows are done; then column 0
-        (where dlog(0) = -1 read a wrong entry) and row 0 are zeroed and row
-        1 is the kernel.  Past kmat the build holds one reused int64 index of
-        ``block_rows`` rows, the Sigma kernel's row block, which every Sigma
-        byte count already holds; the clip mode of ``np.take`` (never
-        reached: every index is in range) writes straight into kmat with no
-        buffer of its own.
+        Row x holds K(x*s) for the nonzero s = g^sigma in log order, so
+        K(s*(r + b)) for a block of rows r and all s is the slice of kmat
+        rows r + b onward: the shift kernel of ``sums.kr_matrix``.  Every
+        Sigma quantity sums over s, so the column order is free.
+        16 q (q - 1) bytes (8 q (q - 1) for a float64 kernel); the caller
+        counts 16 q^2 against the byte budget before touching it.  Row x
+        is the window at dlog(x) of logs = [L, L, 0...0], L[m] = kernel[g^m]
+        (3 (q - 1) entries), so the build is one gather of the windows of a
+        read-only strided view of logs by ``field.dlog``: dlog(0) = -1 reads
+        the last window, all zero, and every other entry is the kernel's
+        value bit for bit.  It holds kmat and logs, and no index array.
         """
-        q, n, dlog = self.field.q, self.field.q - 1, self.field.dlog
-        out = np.empty((q, q), dtype=self.kernel.dtype)
-        logs = out[:2].reshape(-1)[:2 * n]  # logs[m] = kernel[g^m], doubled
-        np.take(self.kernel, self.field.exp, out=logs[:n], mode="clip")
-        logs[n:] = logs[:n]
-        rows = self.block_rows
-        idx = np.empty((rows, q), dtype=np.int64)
-        for lo in range(2, q, rows):
-            block = idx[:min(rows, q - lo)]
-            for s, row in enumerate(block, start=lo):
-                np.add(dlog, dlog[s], out=row)
-            np.take(logs, block, out=out[lo:lo + len(block)], mode="clip")
-        out[0] = out[:, 0] = 0
-        out[1] = self.kernel
+        n = self.field.q - 1
+        logs = np.zeros(3 * n, dtype=self.kernel.dtype)
+        logs[:n] = logs[n:2 * n] = self.kernel[self.field.exp]
+        logs.flags.writeable = False
+        win = np.ndarray((2 * n + 1, n), logs.dtype, logs, strides=(logs.itemsize,) * 2)
+        out = win[self.field.dlog]
         out.flags.writeable = False
         return out
 
@@ -243,7 +231,8 @@ def kl_pointwise(field: PrimeField, t: CharTuple, x: int) -> complex:
     if k == 2:
         total = complex(lead @ r)
     else:
-        rows = sliding_window_view(np.concatenate((r, r[:-1])), n)  # rows[a] = r[a:a + n]
+        doubled = np.concatenate((r, r[:-1]))
+        rows = np.ndarray((n, n), r.dtype, doubled, strides=(r.itemsize,) * 2)  # rows[a] = r[a:a + n]
         buf = np.empty((min(POINTWISE_ROWS, n), n), dtype=np.complex128)
         partials = []
         for lo in range(0, n, POINTWISE_ROWS):

@@ -18,8 +18,9 @@ which costs O(q^2 l) instead of O(q^3 l).  The direct (s1 != s2) evaluation
 is kept as an oracle behind a flag; the two must agree to 1e-6 * q^{3/2}.
 
 Every quantity is a sum over the matrix N[r, s] = bfK(s*r, s*b) for
-r, s = 0..q-1, whose column s = 0 is zero (K(0) = 0): bfR(r, b) is the sum
-of row r.  The ``sigma_II`` report (Sigma_I and Sigma_II) and
+r in F_q and s in F_q^x, whose columns hold s = g^sigma in log order
+(sigma = 0..q-2, no column for s = 0): bfR(r, b) is the sum of row r.
+The ``sigma_II`` report (Sigma_I and Sigma_II) and
 ``bilinear.averaged_comparison_full_sample`` take it, one b at a time, in
 one sweep of row blocks from ``kr_matrix(table, b, lo, hi)``, each reduced
 while in cache to its row sums and sum |bfK|^2, so N is never held whole.
@@ -34,19 +35,19 @@ then equals the product of its 2l kappa factors with no conjugation
 rounding residue of a real table's values is dropped, so Sigma moves by
 rounding only (at most 2.2e-14 q^{3/2} measured at q = 101..1009).
 
-The kernel reads the table's cached kmat[s, x] = kernel[s*x], which is
-symmetric: factor i of rows r = a..c-1, K(s (r + b_i)) for all s, is the
-slice of kmat rows (a + b_i) % q onward.  Those rows are contiguous, so
-the slice is read with no copy, unless the range crosses the wrap point
-r = (q - b_i) % q, where r + b_i returns to 0.  ``kr_matrix`` cuts its
-rows into blocks of ``KlTable.block_rows`` rows, the one block rule, which
-lives next to kmat and also sizes kmat's build: BLOCK_ENTRIES // q rows
+The kernel reads the table's cached kmat[x, sigma] = kernel[x*g^sigma],
+whose columns are N's: factor i of rows r = a..c-1, K(s (r + b_i)) for
+all s, is the slice of kmat rows (a + b_i) % q onward.  Those rows are
+contiguous, so the slice is read with no copy, unless the range crosses
+the wrap point r = (q - b_i) % q, where r + b_i returns to 0.
+``kr_matrix`` cuts its rows into blocks of ``KlTable.block_rows`` rows,
+the one block rule, which lives next to kmat: BLOCK_ENTRIES // q rows
 (2^16 entries: all of N up to q = 256, 65 rows at q = 997).  It cuts each
 block again at the at most 2l wrap points inside it, and writes each piece
 as 2l - 1 multiplies of kmat slices in factor order.  So every entry is
 bit-identical to the pointwise product ``_bfk_product``, the oracle it is
 tested against, whatever the rows or the block size.  A complex factor
-i >= l is conjugated into one reused (rows, q) buffer before it is
+i >= l is conjugated into one reused (rows, q - 1) buffer before it is
 multiplied in; a float64 kmat needs no conjugation.  The sweep asks
 ``kr_matrix`` for one block of rows at a time; each bfR(r) is one
 pairwise sum along row r, and each block's sum |bfK|^2 one ``vdot``.
@@ -56,14 +57,14 @@ of the complex flops.
 Against the byte budget (``errors.MAX_BYTES``) every count is the complex
 one, an upper bound for a float64 kernel, and includes 16 KiB for the
 small arrays.  The sweep counts the table's cached kmat, 16 q^2 bytes,
-one row block and ``kr_matrix``'s conjugated factor (or kmat's build
-index), the bfR vector and 8 bytes per block for its partial sums: 16 q (q + 2 rows + 1) + 8 ceil(q / rows) +
-16 KiB, which admits q <= 8179.  ``kr_matrix`` counts kmat, its output and
-one block, which holds kmat's build index or its conjugated factor:
-16 q (q + (hi - lo) + rows) + 16 KiB, so all rows admit q <= 5783.  The
-direct route holds kmat and the whole N and forms the Gram matrix
-GRAM_ROWS (64) columns at a time: 16 q (2 q + rows + 128) + 16 KiB bytes,
-q <= 5749.
+one row block and ``kr_matrix``'s conjugated factor, the bfR vector and
+8 bytes per block for its partial sums:
+16 q (q + 2 rows + 1) + 8 ceil(q / rows) + 16 KiB, which admits q <= 8179.
+``kr_matrix`` counts kmat, its output and one block for its conjugated
+factor: 16 q (q + (hi - lo) + rows) + 16 KiB, so all rows admit
+q <= 5783.  The direct route holds kmat and the whole N and forms the
+Gram matrix GRAM_ROWS (64) columns at a time:
+16 q (2 q + rows + 128) + 16 KiB bytes, q <= 5749.
 
 Any factor K(0) contributes 0 (vanishing stalk), which the table's
 zero-entry at index 0 implements for free.
@@ -94,7 +95,8 @@ def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
     """bfK(s*r, s*b) = prod_i K(s*(r + b_i)), conjugated for i > l, with s
     and r broadcast against each other, in the dtype of ``table.kernel``.
     The pointwise oracle for ``kr_matrix``: it indexes the table's kernel
-    directly and shares no code with the kernel's kmat."""
+    directly and shares no code with the kernel's kmat; s = ``field.exp``
+    gives kr_matrix's columns."""
     q = table.field.q
     src = table.kernel
     out = np.ones(np.broadcast_shapes(np.shape(s), np.shape(r)), dtype=src.dtype)
@@ -105,20 +107,21 @@ def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
 
 
 def kr_matrix(table: KlTable, b, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Rows r = lo..hi-1 of the matrix N[r, s] = bfK(s*r, s*b), s = 0..q-1,
-    for one b; by default all of them, r = 0..q-1.  Column s = 0 is zero.
-    A (B, 2l) array of b is refused.
+    """Rows r = lo..hi-1 of the matrix N[r, sigma] = bfK(s*r, s*b) for
+    s = g^sigma, sigma = 0..q-2, for one b; by default all of them,
+    r = 0..q-1.  A (B, 2l) array of b is refused.
 
-    ``table.kmat`` is symmetric, so factor i of rows a..c-1 is the slice of
-    kmat rows (a + b_i) % q onward, contiguous unless the rows cross the
-    wrap point r = (q - b_i) % q.  The rows are cut into blocks of
-    ``table.block_rows`` rows from lo, each block again at the wrap points
-    inside it, so a block's cut list holds at most 2l + 2 edges.  Each
-    piece is written as 2l - 1 multiplies of kmat slices, in factor order,
-    with no copy of a factor; so every entry is bit-identical to
-    ``_bfk_product``, whatever the row range.  A complex factor i >= l is
-    conjugated into one reused (rows, q) buffer first; a float64 kmat is its
-    own conjugate.  The output has kmat's dtype.
+    Row x of ``table.kmat`` holds K(x*s) in N's column order, so factor i
+    of rows a..c-1 is the slice of kmat rows (a + b_i) % q onward,
+    contiguous unless the rows cross the wrap point r = (q - b_i) % q.
+    The rows are cut into blocks of ``table.block_rows`` rows from lo,
+    each block again at the wrap points inside it, so a block's cut list
+    holds at most 2l + 2 edges.  Each piece is written as 2l - 1
+    multiplies of kmat slices, in factor order, with no copy of a factor;
+    so every entry is bit-identical to ``_bfk_product``, whatever the row
+    range.  A complex factor i >= l is conjugated into one reused
+    (rows, q - 1) buffer first; a float64 kmat is its own conjugate.  The
+    output has kmat's dtype.
     """
     bt, l = check_b(table.field, b)
     if bt.ndim == 2:
@@ -130,12 +133,12 @@ def kr_matrix(table: KlTable, b, lo: int = 0, hi: int | None = None) -> np.ndarr
         raise PreconditionError(f"kr_matrix rows need 0 <= lo < hi <= q, got q={q}, lo={lo}, hi={hi}")
     rows = min(table.block_rows, hi - lo)
     # kmat (q rows of 16 q bytes), the output (hi - lo rows), one block of
-    # block_rows rows for kmat's build index or the conjugated factor, and
-    # 16 KiB for the small arrays, so all rows count 32 q^2 + 16 q rows + 16 KiB
+    # block_rows rows for the conjugated factor, and 16 KiB for the small
+    # arrays, so all rows count 32 q^2 + 16 q rows + 16 KiB
     check_bytes(16 * q * (q + (hi - lo) + table.block_rows) + 2**14, "kr_matrix", q=q)
     kmat = table.kmat
-    out = np.empty((hi - lo, q), dtype=kmat.dtype)
-    conj_buf = np.empty((rows, q), dtype=kmat.dtype) if np.iscomplexobj(kmat) else None
+    out = np.empty((hi - lo, q - 1), dtype=kmat.dtype)
+    conj_buf = np.empty((rows, q - 1), dtype=kmat.dtype) if np.iscomplexobj(kmat) else None
     row = bt.tolist()
     wraps = sorted({(-x) % q for x in row})
     for start in range(lo, hi, rows):
@@ -162,8 +165,8 @@ def _sweep(table: KlTable, b: np.ndarray) -> tuple[np.ndarray, float]:
     q, rows = table.field.q, table.block_rows
     starts = range(0, q, rows)
     # kmat (q rows of 16 q bytes), kr_matrix's block and its conjugated
-    # factor or kmat's build index (rows each), the bfR vector (one row),
-    # 8 bytes per block partial and 16 KiB for the small arrays
+    # factor (rows each), the bfR vector (one row), 8 bytes per block
+    # partial and 16 KiB for the small arrays
     check_bytes(16 * q * (q + 2 * rows + 1) + 8 * len(starts) + 2**14, "Sigma sweep", q=q)
     r_vec = np.empty(q, dtype=table.kernel.dtype)
     k2 = np.empty(len(starts))
@@ -227,7 +230,7 @@ def sigma_II(table: KlTable, b, direct: bool = False) -> SumReport:
 
 def sigma_II_direct(table: KlTable, b) -> complex:
     """Direct Sigma_II: the explicit off-diagonal sum of the Gram matrix
-    G = N^T conj(N) over the columns s = 1..q-1 of N,
+    G = N^T conj(N) over the columns of N, one per s in F_q^x,
     G[s1, s2] = sum_r bfK(s1 r, s1 b) conj(bfK(s2 r, s2 b)).
 
     G is Hermitian by definition, so only its lower block triangle is
@@ -253,8 +256,8 @@ def sigma_II_direct(table: KlTable, b) -> complex:
     real = not np.iscomplexobj(m)
     conj_buf = None if real else np.empty((q, rows), dtype=m.dtype)
     parts = []
-    for start in range(1, q, GRAM_ROWS):
-        width = min(GRAM_ROWS, q - start)
+    for start in range(0, n, GRAM_ROWS):
+        width = min(GRAM_ROWS, n - start)
         block = m[:, start:start + width]
         conj = block if real else np.conjugate(block, out=conj_buf[:, :width])
         x = conj.T @ m[:, start:]

@@ -42,14 +42,14 @@ def resolvent_bytes(k, l):
 
 
 def block_rows(q):
-    # rows r per block of N and of kmat's build: BLOCK_ENTRIES entries, at
-    # least 1 and at most q rows
+    # rows r per block of N: BLOCK_ENTRIES entries, at least 1 and at most
+    # q rows
     return min(max(1, kloosterman.BLOCK_ENTRIES // q), q)
 
 
 def kr_matrix_bytes(q, n=None):
-    # kmat, the n-row output (all q rows by default), one block for kmat's
-    # build index or the conjugated factor, 16 KiB
+    # kmat, the n-row output (all q rows by default), one block for the
+    # conjugated factor, 16 KiB
     return 16 * q * (q + (q if n is None else n) + block_rows(q)) + 2**14
 
 
@@ -60,16 +60,16 @@ def direct_bytes(q):
 
 
 def sweep_bytes(q):
-    # kmat, kr_matrix's block and its conjugated factor or kmat's build
-    # index, the bfR vector, 8 bytes per block partial, 16 KiB
+    # kmat, kr_matrix's block and its conjugated factor, the bfR vector,
+    # 8 bytes per block partial, 16 KiB
     rows = block_rows(q)
     return 16 * q * (q + 2 * rows + 1) + 8 * -(-q // rows) + 2**14
 
 
 def power_sum_bytes(q, m):
-    # kmat with one build block, then the (q^m, q - 1) int64 index, W and D
-    # at 40 bytes per entry
-    return 16 * q * (q + block_rows(q)) + 40 * q ** (m + 1)
+    # kmat, then the (q^m, q - 1) int64 index, W and D at 40 bytes per
+    # entry, 16 KiB
+    return 16 * q * q + 40 * q ** (m + 1) + 2**14
 
 
 def shift_trace_bytes(M, N, A, B):
@@ -168,7 +168,7 @@ def test_resolvent_chunk_count_covers_measured_peak(k, l, q):
 def test_kr_matrix_count_covers_measured_peak(q, hi):
     # a fresh table, so the peak includes building kmat; a block is 7 rows
     # at q = 4099, and row 0 alone, as the full-sample comparison reads it,
-    # peaks at kmat and its 7-row build index, which the count's block holds
+    # peaks at kmat and the log table it is gathered from
     f = build_field(q)
     t = kl_table_fast(f, CharTuple(f, (1, 5)))
     tracemalloc.start()
@@ -229,9 +229,9 @@ def test_power_sum_count_covers_measured_peak(q, m):
 @pytest.mark.parametrize("q,m", [(1009, 0), (1009, 1)])
 @pytest.mark.parametrize("chars", [(0, 0), (0, 504)], ids=["real", "real-salie"])
 def test_power_sum_real_table_casts_no_kmat(q, m, chars):
-    # a fresh real table: kmat is float64, 8 q^2 bytes with its build block,
-    # and the product reads it as two real GEMMs; numpy casting it to complex
-    # would add a 16 q^2 temporary, which this peak leaves no room for
+    # a fresh real table: kmat is float64, under 8 q^2 bytes with its log
+    # table, and the product reads it as two real GEMMs; numpy casting it to
+    # complex would add a 16 q^2 temporary, which this peak leaves no room for
     f = build_field(q)
     t = kl_table_fast(f, CharTuple(f, chars))
     tracemalloc.start()
@@ -241,7 +241,7 @@ def test_power_sum_real_table_casts_no_kmat(q, m, chars):
     finally:
         tracemalloc.stop()
     assert t.kmat.dtype == np.float64
-    assert peak <= 8 * q * (q + block_rows(q) + 2) + 40 * q ** (m + 1)
+    assert peak <= 8 * q * (q + 2) + 40 * q ** (m + 1)
 
 
 @pytest.mark.parametrize("q,M,N,A,B", [(1009, 20, 60, 2, 2), (1009, 2, 500, 1, 500),

@@ -411,11 +411,14 @@ def test_complete_sum_direct_budget_exit_3():
 
 
 def test_avg_compare_power_sum_budget_exit_3():
-    # at m = 1 the closed form counts kmat and its build block of
-    # BLOCK_ENTRIES // q rows, 16 q (q + rows) bytes, and 40 q^2 for the
-    # index, W and D: q = 4373 fits, q = 4391 does not, and is refused before
-    # kmat is built
-    rows = kloosterman.BLOCK_ENTRIES // 4391
+    # the closed form counts kmat, 16 q^2 bytes, 40 q^(m + 1) for the index,
+    # W and D, and 16 KiB: at m = 1 q = 4373 fits, q = 4391 does not, and is
+    # refused before kmat is built; at m = 0 q = 8179 fits and 8191 does not
+    def need(q, m):
+        return 16 * q * q + 40 * q ** (m + 1) + 2**14
+
+    assert need(4373, 1) <= MAX_BYTES < need(4391, 1)
+    assert need(8179, 0) <= MAX_BYTES < need(8191, 0)
     tracemalloc.start()
     try:
         code, env = run_json(["avg-compare", "--q", "4391", "--family", "power-sum"])
@@ -423,9 +426,7 @@ def test_avg_compare_power_sum_budget_exit_3():
     finally:
         tracemalloc.stop()
     assert code == 3 and env["status"] == "resource-limit"
-    need = 16 * 4391 * (4391 + rows) + 40 * 4391**2
-    assert 16 * 4373 * (4373 + kloosterman.BLOCK_ENTRIES // 4373) + 40 * 4373**2 <= MAX_BYTES
-    assert f"q=4391, n=4, m=1 needs {need} bytes" in env["payload"]["error"]
+    assert f"q=4391, n=4, m=1 needs {need(4391, 1)} bytes" in env["payload"]["error"]
     assert peak < 64 * 2**20
 
 

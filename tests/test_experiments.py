@@ -73,14 +73,17 @@ def test_bound_ladder_json_pinned():
     last digits (at most 8.5e-15 relative, in r_I at q = 307).  Re-taken
     when the Sigma row blocks grew from 2^15 to 2^16 entries, which regroups
     the fsum of sum |bfK|^2: sub_max_II moved by 2.1e-16 at q = 307 and
-    4.3e-16 at q = 499, relative."""
+    4.3e-16 at q = 499, relative.  Re-taken when N lost its zero column
+    s = 0 and took its columns in log order, which reorders each row sum:
+    twelve floats moved, at most 1.1e-14 relative (trend_ratio_I; r_I at
+    q = 499 by 8.5e-15)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, **ONE_BLAS_THREAD,
            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", LADDER_SHA256], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == (
-        "d1c754b20bf4f291dd93e59d3ce99882138bb339a152e7177512bded40afc77d")
+        "65ff6183f837937e1a9a5b1f85ea7038f1fb4a31a174bd0aaf654e38dc314dcb")
 
 
 # --- the samplers against a one-draw-at-a-time loop ----------------------------

@@ -369,14 +369,11 @@ def test_fourier_identity_requires_scale_one(f13):
 
 @pytest.mark.parametrize("chars,q", [((0, 0), 1009), ((1, 5), 1009), ((0, 0), 4099), ((1, 5), 4099)],
                          ids=["chars0", "chars1", "chars0-4099", "chars1-4099"])
-def test_kmat_build_holds_one_index_block(chars, q):
-    """Building a fresh kmat, real and complex, costs its own bytes plus the
-    int64 index of one block, (table.block_rows, q): 64 rows at q = 1009 and
-    15 at q = 4099, with one more row and 4 KiB for small arrays.  The
-    log-coordinate kernel lives in kmat's first two rows, and the field's
-    dlog is the index source.  No gather buffer (np.take's default mode
-    buffered 512 q bytes per block) and no broadcast iterator buffer
-    (128 KiB)."""
+def test_kmat_build_holds_kmat_and_logs(chars, q):
+    """Building a fresh kmat, real and complex, costs its own bytes plus
+    logs, the log table doubled and a zero window (3 (q - 1) entries), and
+    4 KiB for small arrays: one gather of windows by the field's dlog, with
+    no index array and no row-block buffer.  kmat[x, sigma] = K(x g^sigma)."""
     f = build_field(q)
     table = kl_table_fast(f, CharTuple(f, chars))
     kernel = table.kernel  # a float64 copy for the real table, built outside the measurement
@@ -387,10 +384,11 @@ def test_kmat_build_holds_one_index_block(chars, q):
     finally:
         tracemalloc.stop()
     assert kmat.dtype == (np.float64 if chars == (0, 0) else np.complex128)
-    assert peak <= kmat.nbytes + 8 * q * (table.block_rows + 1) + 2**12
+    assert kmat.shape == (q, q - 1)
+    assert peak <= kmat.nbytes + 3 * (q - 1) * kmat.itemsize + 2**12
     x = np.arange(q, dtype=np.int64)
     for lo in range(0, q, 256):  # the oracle in row blocks, with no q x q index
-        assert np.array_equal(kmat[lo:lo + 256], kernel[x[lo:lo + 256, None] * x % q])
+        assert np.array_equal(kmat[lo:lo + 256], kernel[x[lo:lo + 256, None] * f.exp % q])
 
 
 def test_values_immutable(f13):

@@ -287,12 +287,12 @@ def test_b_validation(tab13):
 
 def test_kr_matrix_shape_and_zero_column(tab13):
     n = kr_matrix(tab13, (1, 2, 3, 4))
-    assert n.shape == (13, 13)
-    # column s = 0 and every row r with some r + b_i = 0 vanish (K(0) = 0)
-    assert not n[:, 0].any()
+    # one column per s = g^sigma in F_q^x, none for s = 0
+    assert n.shape == (13, 12)
+    # every row r with some r + b_i = 0 vanishes (K(0) = 0), and no other entry
     for r in (12, 11, 10, 9):
         assert not n[r].any()
-    assert n[:9, 1:].all()
+    assert n[:9].all()
 
 
 def test_sigma_II_direct_byte_budget():
@@ -405,10 +405,11 @@ def test_b_must_be_integral(tab13):
 
 
 def broadcast_oracle(table, b):
-    """kr_matrix through the pointwise product with r a column and s a row."""
+    """kr_matrix through the pointwise product with r a column and s a row,
+    s = g^sigma in kr_matrix's column order."""
     q = table.field.q
     r = np.arange(q, dtype=np.int64)[:, None]
-    s = np.arange(q, dtype=np.int64)[None, :]
+    s = table.field.exp[None, :]
     b = np.asarray(b, dtype=np.int64) % q
     return _bfk_product(table, s, r, b, len(b) // 2)
 
@@ -453,8 +454,11 @@ def test_kmat_cached_and_read_only(tab13):
     assert not kmat.flags.writeable
     with pytest.raises(ValueError):
         kmat[1, 1] = 0
-    s, x = np.meshgrid(np.arange(13), np.arange(13), indexing="ij")
-    assert np.array_equal(kmat, tab13.kernel[(s * x) % 13])
+    # kmat[x, sigma] = K(x g^sigma): row 0 is zero, row 1 the kernel in log order
+    x, s = np.meshgrid(np.arange(13), tab13.field.exp, indexing="ij")
+    assert np.array_equal(kmat, tab13.kernel[(x * s) % 13])
+    assert not kmat[0].any()
+    assert np.array_equal(kmat[1], tab13.kernel[tab13.field.exp])
 
 
 def test_kr_matrix_no_q2_temporaries():
@@ -534,7 +538,10 @@ def test_kr_matrix_row_range_is_bit_identical():
             full = kr_matrix(table, b)
             for lo, hi in ((0, q), (0, 1), (q - 1, q), (1, min(q, 40)), (q // 2, q)):
                 part = kr_matrix(table, b, lo, hi)
-                assert part.shape == (hi - lo, q)
+                assert part.shape == (hi - lo, q - 1)
+                want = _bfk_product(table, f.exp[None, :], np.arange(lo, hi)[:, None],
+                                    np.asarray(b) % q, len(b) // 2)
+                assert np.array_equal(part, want)
                 assert np.array_equal(part.view(np.uint64), full[lo:hi].view(np.uint64))
 
 
@@ -550,8 +557,7 @@ def test_sweep_block_size_invariance(q, rows, monkeypatch):
     """Blocks of any number of rows, from one to more than q (one block),
     with a last block that is not full: kr_matrix stays bit-identical to the
     pointwise oracle and the sweep agrees with the full-matrix reductions.
-    The table's block_rows follows kloosterman.BLOCK_ENTRIES, so the
-    tables, built here, build kmat in the same blocks."""
+    The table's block_rows follows kloosterman.BLOCK_ENTRIES."""
     monkeypatch.setattr(kloosterman, "BLOCK_ENTRIES", rows * q)
     for table, b in sweep_cases(q):
         assert table.block_rows == min(rows, q)
