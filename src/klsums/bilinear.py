@@ -17,9 +17,8 @@ eps of the trivial character is tau(1)/sqrt(q) = -1/sqrt(q).
 The power-sum comparison over b in (F_q^x)^n (sum b_i = 0 when m = 1) is
 lhs = (q-1)/q^m sum_{u,t} D(u, t)^n against rhs = (q-1)/q^m sum_u D(u, 1)^n,
 D(u, t) = sum_{b != 0} psi(u b) K(b) conj K(b t) with u over F_q (m = 1) or
-u = 0 (m = 0): one product with the table's kmat, whose columns are
-t = g^sigma in log order (real for a real or purely imaginary table, where
-K(b) conj K(bt) = kappa(b) kappa(bt)), and no b enumerated.
+u = 0 (m = 0): for each u one correlation in log coordinates through
+``field.log_dft``, O(q log q) per u, O(q) bytes, and no b enumerated.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
-from .field import MultChar, PrimeField, additive_char_vector, gauss_sum
+from .field import MultChar, PrimeField, additive_char_vector, gauss_sum, log_dft
 from .kloosterman import KlTable, kl_pointwise
 from .sums import _sweep, kr_matrix, sigma_II
 from .strata import generic_z_value, is_diagonal, z_fiber_count
@@ -406,38 +405,39 @@ def averaged_comparison_power_sum(table: KlTable, n: int, m: int) -> ComparisonR
     the gap is normalized by q^{n-m+1/2}; m is 0 or 1.  No b is enumerated:
     expand |.|^2 over (s1, s2), write sum b_i = 0 as (1/q) sum_u prod_i
     psi(u b_i), put t = s2/s1 and b_i -> b_i/s1: each b_i sums alone to the
-    D(u, t) of the module docstring.  conj(W) @ kmat[1:] for W[u, b] =
-    psi(u b) K(b) is conj D with t = g^sigma in column sigma, so t = 1 is
-    column 0; its power sums conjugate lhs and rhs.  For a real or purely
-    imaginary table K = c kappa with |c| = 1, so D reads the kernel kappa
-    alone: W takes kappa, and with a float64 kmat the product is
-    kmat[1:].T times conj(W).T viewed as floats, two real GEMMs over its
-    interleaved real and imaginary columns, with no complex copy of kmat.
-    Counts kmat, built first, 40 bytes per entry of the (q^m, q) index, W
-    and D, and 16 KiB for the small arrays.
+    D(u, t) of the module docstring.  With b = g^beta, t = g^tau and
+    L[beta] = K(g^beta), D(u, g^tau) = sum_beta w_u[beta] conj L[beta + tau]
+    for w_u[beta] = psi(u g^beta) L[beta], so D_u is the inverse log_dft of
+    S = (q - 1) log_dft(conj L) times the inverse log_dft of w_u; tau = 0 is
+    t = 1.  The rows are u = 0 (w = L) and, at m = 1, u = g^mu, with
+    psi(g^(mu + beta)) the window at mu of the doubled psi in log order.
+    math.fsum adds the rows' sum_tau D_u^n into lhs and D_u[0]^n into rhs.
+    ``values`` serves every table kind: K = c kappa with |c| = 1 has
+    K(b) conj K(bt) = kappa(b) kappa(bt).  Counts six length-q vectors (L,
+    S, a row, its transforms and product), the doubled psi and 2 q^m partials.
 
-    Rounding: |D| <= (q-1) k^2, a D entry is off by about eps q^(3/2) k^2 (q^2
-    at worst) and its n-th power by n |D|^(n-1) times that; lhs ~ q^(n-m+1)
-    E|K|^(2n) adds q^(m+1) powers: relative error <= n eps k^(2n) q^(m+3/2).
-    Only D(0, 1) nears |D|'s bound, the rest cancel to about sqrt(q) k^2, and
-    the tests gate at 1e-12.  n is refused once q^2 ((q-1) k^2)^n leaves float64.
+    Rounding: |D| <= (q-1) k^2; an FFT correlation puts a D entry off by
+    about eps log(q) ||w|| ||L|| <= eps log(q) (q-1) k^2, its n-th power by
+    n |D|^(n-1) times that; lhs ~ q^(n-m+1) E|K|^(2n) adds q^(m+1) powers, so
+    relative error <= n eps k^(2n) q^(m+1) log(q), and tests gate at 1e-12.
+    n is refused once q^2 ((q-1) k^2)^n leaves float64.
     """
-    q, k = table.field.q, table.k
+    f, q, k = table.field, table.field.q, table.k
     if n < 1 or m not in (0, 1):
         raise PreconditionError(f"power-sum needs n >= 1 and m in {{0, 1}}, got n={n}, m={m}")
     if n * math.log((q - 1) * k * k) + 2 * math.log(q) >= math.log(np.finfo(np.float64).max):
         raise PreconditionError(f"power-sum sums leave float64 at q={q}, k={k}, n={n}")
-    check_bytes(16 * q * q + 40 * q ** (m + 1) + 2**14, "power-sum comparison", q=q, n=n, m=m)
-    kmat = table.kmat[1:]  # kmat[b, sigma] = K(b g^sigma) for b = 1..q-1
-    wt = additive_char_vector(table.field)[np.outer(np.arange(1, q), np.arange(q**m)) % q]
-    wt *= table.kernel[1:, None]
-    np.conj(wt, out=wt)  # wt[b - 1, u] = conj W[u, b]
-    if np.iscomplexobj(kmat):
-        d = wt.T @ kmat
-    else:
-        d = (kmat.T @ wt.view(np.float64)).view(np.complex128).T
-    np.power(d, n, out=d)  # d[u, sigma] = conj D(u, g^sigma)^n
-    lhs, rhs = (complex(z.sum()) * (q - 1) / q**m for z in (d, d[:, 0]))
+    check_bytes(16 * (6 + 2 * m) * q + 32 * q**m + 2**14, "power-sum comparison", q=q, n=n, m=m)
+    lv = table.values[f.exp]  # L
+    spec = log_dft(f, np.conj(lv)) * (q - 1)
+    psi = np.tile(additive_char_vector(f)[f.exp], 2 * m)  # empty at m = 0
+    rows = itertools.chain((psi[mu:mu + q - 1] * lv for mu in range(m * (q - 1))), [lv])
+    part = np.empty((2, 1 + m * (q - 1)), dtype=np.complex128)
+    for i, w in enumerate(rows):
+        d = log_dft(f, log_dft(f, w, inverse=True) * spec, inverse=True)
+        np.power(d, n, out=d)  # d[tau] = D(u, g^tau)^n
+        part[:, i] = d.sum(), d[0]
+    lhs, rhs = (complex(math.fsum(z.real), math.fsum(z.imag)) * (q - 1) / q**m for z in part)
     gap, expo = abs(lhs.real - rhs.real), n - m + 0.5
     count = (q - 1) ** n if m == 0 else ((q - 1) ** n + (-1) ** n * (q - 1)) // q
     return ComparisonReport(family=f"power-sum(n={n},m={m})", q=q, count=count, lhs=lhs.real,

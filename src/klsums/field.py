@@ -14,10 +14,10 @@ psi(g^m) over m, which holds every Gauss sum of the field at once:
 gauss_spectrum[j] = tau(chi_{-j}).  The Kl tables and the moment identity
 read the spectrum; the checks that validate them call ``gauss_sum``.
 
-``log_dft`` is the package's one length-(q-1) transform: the spectrum and
-every fast Kl table go through it.  When q - 1 = m*p with p a prime above
-sqrt(q - 1) (so gcd(m, p) = 1), numpy would pad the whole length for
-Bluestein's algorithm; past measured floors on q - 1 and p, ``log_dft``
+``log_dft`` is the package's one length-(q-1) transform: the spectrum, the
+fast Kl tables and the power sum go through it.  When q - 1 = m*p with p a
+prime above sqrt(q - 1) (so gcd(m, p) = 1), numpy would pad the whole length
+for Bluestein's algorithm; past measured floors on q - 1 and p, ``log_dft``
 splits it by the Good-Thomas prime-factor algorithm instead, so only the
 length-p rows are padded.  Every other q - 1 goes to ``np.fft`` unchanged.
 

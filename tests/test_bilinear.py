@@ -20,7 +20,7 @@ from klsums.bilinear import (
 )
 from klsums.chartuples import CharTuple
 from klsums.errors import InternalConsistencyError, PreconditionError
-from klsums.field import MultChar, build_field, gauss_sum
+from klsums.field import MultChar, _split_prime, build_field, gauss_sum
 from klsums.kloosterman import kl_table_fast
 from klsums.serialize import jsonify
 from klsums.sums import kr_matrix
@@ -564,7 +564,7 @@ def test_power_sum_matches_enumeration(q, n, m, chars):
 @pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 31])
 def test_power_sum_imaginary_table_matches_enumeration(q):
     """The Salie tuple (0, (q - 1)/2) at q = 3 mod 4 has a purely imaginary
-    table, so the closed form reads its float64 kernel and kmat.  Every
+    table (a float64 kernel), and the closed form reads its values.  Every
     family of at most 3e3 b against the enumeration: equal counts, lhs and
     rhs to 1e-12 of q^(n - m + 1), the size of lhs, and so are the
     imaginary residues.  That scale, not lhs, because at n = 2, m = 1 the
@@ -572,7 +572,7 @@ def test_power_sum_imaginary_table_matches_enumeration(q):
     and rhs are 0, and the complex kernel leaves the same 1e-12 residue."""
     f = build_field(q)
     tab = kl_table_fast(f, CharTuple(f, (0, (q - 1) // 2)))
-    assert tab.kmat.dtype == np.float64
+    assert tab.kernel.dtype == np.float64
     for n, m in itertools.product(range(1, 5), (0, 1)):
         if (q - 1) ** (n - m) > 3000:
             continue
@@ -591,6 +591,51 @@ def test_power_sum_refuses_n_past_float64(f13):
     assert math.isfinite(averaged_comparison_power_sum(tab, 182, 0).lhs)
     with pytest.raises(PreconditionError, match="at q=13, k=2, n=183"):
         averaged_comparison_power_sum(tab, 183, 0)
+
+
+def dense_power_sum(table, n, m):
+    """lhs and rhs of the power-sum comparison as one dense product: D = W
+    conj(K) for W[u, b] = psi(u b) K(b) and K[b, t] = K(b t), both gathered
+    from ``values`` by modular index over b, t = 1..q-1 (t = 1 is column
+    0), with psi from np.exp.  No kmat and no log_dft: the closed form's
+    oracle where the enumeration cannot go."""
+    q = table.field.q
+    x = np.arange(1, q, dtype=np.int64)
+    w = np.exp(2j * np.pi * (np.outer(np.arange(q**m), x) % q) / q) * table.values[x]
+    d = (w @ np.conj(table.values[np.outer(x, x) % q])) ** n
+    return complex(d.sum()) * (q - 1) / q**m, complex(d[:, 0].sum()) * (q - 1) / q**m
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("chars", [(0, 0), (1, 5, 9)])
+def test_power_sum_matches_dense_product(chars, m):
+    """The closed form against the dense product at q = 1009, n = 4, where
+    the family has 10^12 b: lhs and rhs to 1e-12 relative."""
+    f = build_field(1009)
+    tab = kl_table_fast(f, CharTuple(f, chars))
+    rep = averaged_comparison_power_sum(tab, 4, m)
+    lhs, rhs = dense_power_sum(tab, 4, m)
+    assert rep.lhs == pytest.approx(lhs.real, rel=1e-12)
+    assert rep.rhs == pytest.approx(rhs.real, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [10007, 100003])
+@pytest.mark.parametrize("chars", [(0, 0), (1, 5, 9)])
+def test_power_sum_n1_m0_closed_form(q, chars):
+    """At n = 1, m = 0 the family is b in F_q^x, and the comparison has a
+    closed form: lhs = (q-1) |sum_x K(x)|^2, rhs = (q-1) sum_x |K(x)|^2,
+    read from ``values`` by math.fsum.  Both q - 1 take log_dft's
+    prime-factor split, past the enumeration's and the dense product's
+    reach.  Gated at 1e-12 of rhs, the size of lhs's terms."""
+    f = build_field(q)
+    assert _split_prime(f)
+    tab = kl_table_fast(f, CharTuple(f, chars))
+    v = tab.values[1:]
+    lhs = (q - 1) * abs(complex(math.fsum(v.real), math.fsum(v.imag))) ** 2
+    rhs = (q - 1) * math.fsum(np.abs(v) ** 2)
+    rep = averaged_comparison_power_sum(tab, 1, 0)
+    for got, want in ((rep.lhs, lhs), (rep.rhs, rhs), (rep.lhs_imag, 0.0), (rep.rhs_imag, 0.0)):
+        assert abs(got - want) <= 1e-12 * rhs, (got, want)
 
 
 def test_avg_full_sample_nonnegative_real(f13):

@@ -67,9 +67,10 @@ def sweep_bytes(q):
 
 
 def power_sum_bytes(q, m):
-    # kmat, then the (q^m, q - 1) int64 index, W and D at 40 bytes per
-    # entry, 16 KiB
-    return 16 * q * q + 40 * q ** (m + 1) + 2**14
+    # six length-q complex vectors (L, S, a row, its transforms and their
+    # product), the doubled psi at m = 1, two complex partials per row
+    # (q^m rows), 16 KiB
+    return 16 * (6 + 2 * m) * q + 32 * q**m + 2**14
 
 
 def shift_trace_bytes(M, N, A, B):
@@ -214,34 +215,19 @@ def test_sweep_count_covers_measured_peak(q):
 
 @pytest.mark.parametrize("q,m", [(211, 0), (211, 1), (1009, 0), (1009, 1)])
 def test_power_sum_count_covers_measured_peak(q, m):
-    # a fresh table, so the peak includes building kmat
+    # fresh real and complex tables: the comparison reads values alone, so
+    # its peak is O(q) and it builds no kmat (nor the kernel kmat reads)
     f = build_field(q)
-    t = kl_table_fast(f, CharTuple(f, (1, 5)))
-    tracemalloc.start()
-    try:
-        averaged_comparison_power_sum(t, 4, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= power_sum_bytes(q, m)
-
-
-@pytest.mark.parametrize("q,m", [(1009, 0), (1009, 1)])
-@pytest.mark.parametrize("chars", [(0, 0), (0, 504)], ids=["real", "real-salie"])
-def test_power_sum_real_table_casts_no_kmat(q, m, chars):
-    # a fresh real table: kmat is float64, under 8 q^2 bytes with its log
-    # table, and the product reads it as two real GEMMs; numpy casting it to
-    # complex would add a 16 q^2 temporary, which this peak leaves no room for
-    f = build_field(q)
-    t = kl_table_fast(f, CharTuple(f, chars))
-    tracemalloc.start()
-    try:
-        averaged_comparison_power_sum(t, 4, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert t.kmat.dtype == np.float64
-    assert peak <= 8 * q * (q + 2) + 40 * q ** (m + 1)
+    for chars in ((0, 0), (1, 5)):
+        t = kl_table_fast(f, CharTuple(f, chars))
+        tracemalloc.start()
+        try:
+            averaged_comparison_power_sum(t, 4, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= power_sum_bytes(q, m), chars
+        assert "kmat" not in t.__dict__ and "kernel" not in t.__dict__, chars
 
 
 @pytest.mark.parametrize("q,M,N,A,B", [(1009, 20, 60, 2, 2), (1009, 2, 500, 1, 500),
