@@ -215,19 +215,37 @@ def test_sweep_count_covers_measured_peak(q):
 
 @pytest.mark.parametrize("q,m", [(211, 0), (211, 1), (1009, 0), (1009, 1)])
 def test_power_sum_count_covers_measured_peak(q, m):
-    # fresh real and complex tables: the comparison reads values alone, so
-    # its peak is O(q) and it builds no kmat (nor the kernel kmat reads)
+    # a fresh table: the comparison reads values alone, so its peak is O(q)
+    # and it builds no kmat (nor the kernel kmat reads)
     f = build_field(q)
-    for chars in ((0, 0), (1, 5)):
-        t = kl_table_fast(f, CharTuple(f, chars))
-        tracemalloc.start()
-        try:
-            averaged_comparison_power_sum(t, 4, m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= power_sum_bytes(q, m), chars
-        assert "kmat" not in t.__dict__ and "kernel" not in t.__dict__, chars
+    t = kl_table_fast(f, CharTuple(f, (1, 5)))
+    tracemalloc.start()
+    try:
+        averaged_comparison_power_sum(t, 4, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= power_sum_bytes(q, m)
+    assert "kmat" not in t.__dict__ and "kernel" not in t.__dict__
+
+
+@pytest.mark.parametrize("q,m", [(1009, 0), (1009, 1)])
+@pytest.mark.parametrize("chars", [(0, 0), (0, 504)], ids=["real", "real-salie"])
+def test_power_sum_real_table_casts_no_kmat(q, m, chars):
+    # a fresh real table: the comparison builds no kmat at all, so neither
+    # kmat nor a complex cast of it shows in the O(q) peak; kmat, built
+    # afterwards, stays float64
+    f = build_field(q)
+    t = kl_table_fast(f, CharTuple(f, chars))
+    tracemalloc.start()
+    try:
+        averaged_comparison_power_sum(t, 4, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "kmat" not in t.__dict__ and "kernel" not in t.__dict__
+    assert peak <= power_sum_bytes(q, m)
+    assert t.kmat.dtype == np.float64
 
 
 @pytest.mark.parametrize("q,M,N,A,B", [(1009, 20, 60, 2, 2), (1009, 2, 500, 1, 500),
