@@ -33,7 +33,7 @@ import numpy as np
 from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
 from .field import MultChar, PrimeField, additive_char_vector, gauss_sum, log_dft
-from .kloosterman import KlTable, kl_pointwise
+from .kloosterman import BLOCK_ENTRIES, KlTable, kl_pointwise
 from .sums import _sweep, kr_matrix, sigma_II
 from .strata import generic_z_value, is_diagonal, z_fiber_count
 
@@ -89,15 +89,22 @@ def _check_support(q: int, **seqs: CoeffSeq) -> None:
 
 
 def bilinear_form(table: KlTable, alpha: CoeffSeq, beta: CoeffSeq) -> complex:
-    """B(K, alpha, beta) = sum_{m,n} alpha_m beta_n K(m n mod q)."""
+    """B(K, alpha, beta) = sum_{m,n} alpha_m beta_n K(m n mod q), over blocks
+    of BLOCK_ENTRIES // N rows m (at least one): each block's
+    alpha_blk K[blk] beta is one partial, and math.fsum adds them."""
     q = table.field.q
     _check_support(q, alpha=alpha, beta=beta)
     M, N = len(alpha.support), len(beta.support)
-    # the M x N int64 index and the complex128 gather of K at it
-    check_bytes(24 * M * N, "bilinear form", q=q, M=M, N=N)
-    prod_idx = (alpha.support[:, None] * beta.support[None, :]) % q
-    kvals = table.values[prod_idx]
-    return complex(np.einsum("m,n,mn->", alpha.values, beta.values, kvals))
+    rows = min(M, max(1, BLOCK_ENTRIES // N))
+    blocks = -(-M // rows)
+    # one block's int64 index and complex128 gather, the row alpha_blk K[blk],
+    # 16 bytes per block partial and 16 KiB for the small arrays
+    check_bytes((24 * rows + 16) * N + 16 * blocks + 2**14, "bilinear form", q=q, M=M, N=N)
+    parts = np.empty(blocks, dtype=np.complex128)
+    for j, a in enumerate(range(0, M, rows)):
+        idx = alpha.support[a:a + rows, None] * beta.support % q
+        parts[j] = alpha.values[a:a + rows] @ table.values[idx] @ beta.values
+    return complex(math.fsum(parts.real), math.fsum(parts.imag))
 
 
 @dataclass

@@ -36,11 +36,11 @@ two lazily cached arrays built from it, so ``kl_table_fast`` pays for
 neither: ``kernel``, which is values.real or values.imag as float64 when
 ``chartuples.kl_value_kind`` says K is real or purely imaginary (K = kappa
 or i kappa), and values itself otherwise; and
-``kmat[x, sigma] = kernel[x*g^sigma]``, q x (q - 1) in the kernel's dtype,
-its columns the nonzero s = g^sigma in log order.  Row x is a window of
-the doubled log table at dlog(x), so kmat is one gather with no modular
-arithmetic, and its contiguous row slices are the factors of every Sigma
-block.
+``kmat[x, sigma] = kernel[x*g^sigma]``, x read mod q, in the kernel's
+dtype: its columns the nonzero s = g^sigma in log order, its rows q onward
+a repeat of the first block_rows - 1.  Row x is a window of the doubled
+log table at dlog(x), so kmat is one gather with no modular arithmetic,
+and every factor of a Sigma block is one contiguous slice of it.
 """
 
 from __future__ import annotations
@@ -107,35 +107,36 @@ class KlTable:
 
     @property
     def block_rows(self) -> int:
-        """Rows per block of every Sigma pass over kmat: BLOCK_ENTRIES // q,
-        at least 1 and at most q (all of N up to q = 256, 131 rows at
-        q = 499, 65 at q = 997, 15 at q = 4099)."""
+        """Rows per block of every Sigma pass over kmat, one more than
+        kmat's repeated rows: BLOCK_ENTRIES // q, at least 1 and at most q
+        (all of N up to q = 256, 65 rows at q = 997, 15 at q = 4099)."""
         q = self.field.q
         return min(max(1, BLOCK_ENTRIES // q), q)
 
     @cached_property
     def kmat(self) -> np.ndarray:
-        """Read-only q x (q - 1) matrix kmat[x, sigma] = kernel[x*g^sigma],
-        built on first use, of the kernel's dtype.
+        """Read-only (q + block_rows - 1) x (q - 1) matrix
+        kmat[x, sigma] = kernel[x*g^sigma], x read mod q, built on first use.
 
         Row x holds K(x*s) for the nonzero s = g^sigma in log order, so
-        K(s*(r + b)) for a block of rows r and all s is the slice of kmat
-        rows r + b onward: the shift kernel of ``sums.kr_matrix``.  Every
-        Sigma quantity sums over s, so the column order is free.
-        16 q (q - 1) bytes (8 q (q - 1) for a float64 kernel); the caller
-        counts 16 q^2 against the byte budget before touching it.  Row x
-        is the window at dlog(x) of logs = [L, L, 0...0], L[m] = kernel[g^m]
+        K(s*(r + b)) for a block of at most block_rows rows from r = a and
+        all s is the contiguous slice of kmat rows (a + b) % q onward: the
+        shift kernel of ``sums.kr_matrix``.  Every Sigma quantity sums over
+        s, so the column order is free.  16 (q + block_rows - 1) (q - 1)
+        bytes (half for a float64 kernel), counted by the caller.  Row x is
+        the window at dlog(x % q) of logs = [L, L, 0...0], L[m] = kernel[g^m]
         (3 (q - 1) entries), so the build is one gather of the windows of a
-        read-only strided view of logs by ``field.dlog``: dlog(0) = -1 reads
-        the last window, all zero, and every other entry is the kernel's
-        value bit for bit.  It holds kmat and logs, and no index array.
+        read-only strided view of logs by ``field.dlog`` and its first
+        block_rows - 1 entries: dlog(0) = -1 reads the last window, all
+        zero, and every other entry is the kernel's value bit for bit.  It
+        holds kmat, logs and that index.
         """
         n = self.field.q - 1
         logs = np.zeros(3 * n, dtype=self.kernel.dtype)
         logs[:n] = logs[n:2 * n] = self.kernel[self.field.exp]
         logs.flags.writeable = False
         win = np.ndarray((2 * n + 1, n), logs.dtype, logs, strides=(logs.itemsize,) * 2)
-        out = win[self.field.dlog]
+        out = win[np.concatenate((self.field.dlog, self.field.dlog[:self.block_rows - 1]))]
         out.flags.writeable = False
         return out
 

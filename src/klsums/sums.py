@@ -35,36 +35,35 @@ then equals the product of its 2l kappa factors with no conjugation
 rounding residue of a real table's values is dropped, so Sigma moves by
 rounding only (at most 2.2e-14 q^{3/2} measured at q = 101..1009).
 
-The kernel reads the table's cached kmat[x, sigma] = kernel[x*g^sigma],
-whose columns are N's: factor i of rows r = a..c-1, K(s (r + b_i)) for
-all s, is the slice of kmat rows (a + b_i) % q onward.  Those rows are
-contiguous, so the slice is read with no copy, unless the range crosses
-the wrap point r = (q - b_i) % q, where r + b_i returns to 0.
-``kr_matrix`` cuts its rows into blocks of ``KlTable.block_rows`` rows,
-the one block rule, which lives next to kmat: BLOCK_ENTRIES // q rows
-(2^16 entries: all of N up to q = 256, 65 rows at q = 997).  It cuts each
-block again at the at most 2l wrap points inside it, and writes each piece
-as 2l - 1 multiplies of kmat slices in factor order.  So every entry is
-bit-identical to the pointwise product ``_bfk_product``, the oracle it is
-tested against, whatever the rows or the block size.  A complex factor
-i >= l is conjugated into one reused (rows, q - 1) buffer before it is
-multiplied in; a float64 kmat needs no conjugation.  The sweep asks
-``kr_matrix`` for one block of rows at a time; each bfR(r) is one
-pairwise sum along row r, and each block's sum |bfK|^2 one ``vdot``.
-The direct oracle's Gram blocks are real GEMMs on a float64 N, a quarter
-of the complex flops.
+The kernel reads the table's cached kmat[x, sigma] = kernel[(x % q) g^sigma],
+whose columns are N's and whose rows q onward repeat its first
+``KlTable.block_rows`` - 1: factor i of a block of at most block_rows rows
+from r = a, K(s (r + b_i)) for all s, is the contiguous slice of kmat rows
+(a + b_i) % q onward, read with no copy.  ``kr_matrix`` cuts its rows into
+blocks of block_rows rows, the one block rule, which lives next to kmat:
+BLOCK_ENTRIES // q rows (2^16 entries: all of N up to q = 256, 65 rows at
+q = 997), and writes each block as 2l - 1 multiplies of kmat slices in
+factor order.  A complex block is conjugated in place before factor l and
+at the end, which rounds exactly as conjugating factors l..2l-1 (a sign
+flip), so every entry equals the pointwise product ``_bfk_product``, the
+oracle it is tested against, whatever the rows or the block size; a
+float64 kmat needs no conjugation.  The sweep asks ``kr_matrix`` for one
+block of rows at a time; each bfR(r) is one pairwise sum along row r, and
+each block's sum |bfK|^2 one ``vdot``.  The direct oracle's Gram blocks are
+real GEMMs on a float64 N, a quarter of the complex flops.
 
 Against the byte budget (``errors.MAX_BYTES``) every count is the complex
 one, an upper bound for a float64 kernel, and includes 16 KiB for the
-small arrays.  The sweep counts the table's cached kmat, 16 q^2 bytes,
-one row block and ``kr_matrix``'s conjugated factor, the bfR vector and
-8 bytes per block for its partial sums:
+small arrays.  The table's cached kmat is counted as 16 q (q + rows)
+bytes.  The sweep counts kmat, one row block, the bfR vector and 8 bytes
+per block for its partial sums (kmat's build, 24 q bytes past kmat's
+count, comes before the first block):
 16 q (q + 2 rows + 1) + 8 ceil(q / rows) + 16 KiB, which admits q <= 8179.
-``kr_matrix`` counts kmat, its output and one block for its conjugated
-factor: 16 q (q + (hi - lo) + rows) + 16 KiB, so all rows admit
-q <= 5783.  The direct route holds kmat and the whole N and forms the
-Gram matrix GRAM_ROWS (64) columns at a time:
-16 q (2 q + rows + 128) + 16 KiB bytes, q <= 5749.
+``kr_matrix`` counts kmat, its output and one row more for kmat's build:
+16 q (q + (hi - lo) + rows + 1) + 16 KiB, so all rows admit q <= 5783.
+The direct route holds kmat and the whole N and forms the Gram matrix
+GRAM_ROWS (64) columns at a time, and numpy buffers 128 KiB for a strided
+block: 16 q (2 q + rows + 128) + 144 KiB bytes, q <= 5749.
 
 Any factor K(0) contributes 0 (vanishing stalk), which the table's
 zero-entry at index 0 implements for free.
@@ -112,16 +111,12 @@ def kr_matrix(table: KlTable, b, lo: int = 0, hi: int | None = None) -> np.ndarr
     r = 0..q-1.  A (B, 2l) array of b is refused.
 
     Row x of ``table.kmat`` holds K(x*s) in N's column order, so factor i
-    of rows a..c-1 is the slice of kmat rows (a + b_i) % q onward,
-    contiguous unless the rows cross the wrap point r = (q - b_i) % q.
-    The rows are cut into blocks of ``table.block_rows`` rows from lo,
-    each block again at the wrap points inside it, so a block's cut list
-    holds at most 2l + 2 edges.  Each piece is written as 2l - 1
-    multiplies of kmat slices, in factor order, with no copy of a factor;
-    so every entry is bit-identical to ``_bfk_product``, whatever the row
-    range.  A complex factor i >= l is conjugated into one reused
-    (rows, q - 1) buffer first; a float64 kmat is its own conjugate.  The
-    output has kmat's dtype.
+    of a block of at most ``table.block_rows`` rows from a is the slice of
+    kmat rows (a + b_i) % q onward.  Each block of ``table.block_rows`` rows
+    from lo is 2l - 1 multiplies of such slices in factor order.  A complex
+    block is conjugated in place before factor l and at the end, which
+    rounds as conjugating factors l..2l-1, so every entry equals
+    ``_bfk_product`` whatever the row range.  The output has kmat's dtype.
     """
     bt, l = check_b(table.field, b)
     if bt.ndim == 2:
@@ -131,29 +126,24 @@ def kr_matrix(table: KlTable, b, lo: int = 0, hi: int | None = None) -> np.ndarr
     hi = q if hi is None else hi
     if not 0 <= lo < hi <= q:
         raise PreconditionError(f"kr_matrix rows need 0 <= lo < hi <= q, got q={q}, lo={lo}, hi={hi}")
-    rows = min(table.block_rows, hi - lo)
-    # kmat (q rows of 16 q bytes), the output (hi - lo rows), one block of
-    # block_rows rows for the conjugated factor, and 16 KiB for the small
-    # arrays, so all rows count 32 q^2 + 16 q rows + 16 KiB
-    check_bytes(16 * q * (q + (hi - lo) + table.block_rows) + 2**14, "kr_matrix", q=q)
+    rows = table.block_rows
+    # kmat (q + rows rows of 16 q bytes), the output (hi - lo rows), one row
+    # more for kmat's build (its logs and index, 24 q bytes past kmat's
+    # count, before the output exists) and 16 KiB for the small arrays
+    check_bytes(16 * q * (q + (hi - lo) + rows + 1) + 2**14, "kr_matrix", q=q)
     kmat = table.kmat
     out = np.empty((hi - lo, q - 1), dtype=kmat.dtype)
-    conj_buf = np.empty((rows, q - 1), dtype=kmat.dtype) if np.iscomplexobj(kmat) else None
+    conj = np.iscomplexobj(kmat)
     row = bt.tolist()
-    wraps = sorted({(-x) % q for x in row})
     for start in range(lo, hi, rows):
-        stop = min(start + rows, hi)
-        edges = [start, *(w for w in wraps if start < w < stop), stop]
-        for a, c in zip(edges, edges[1:]):
-            dst = out[a - lo:c - lo]
-            for i, x in enumerate(row):
-                factor = kmat[(a + x) % q:(a + x) % q + c - a]
-                if i >= l and conj_buf is not None:
-                    factor = np.conjugate(factor, out=conj_buf[:c - a])
-                if i == 0:
-                    first = factor
-                else:
-                    np.multiply(first if i == 1 else dst, factor, out=dst)
+        dst = out[start - lo:start - lo + rows]
+        acc = kmat[(start + row[0]) % q:][:len(dst)]
+        for i in range(1, 2 * l):
+            if conj and i == l:
+                acc = np.conjugate(acc, out=dst)
+            acc = np.multiply(acc, kmat[(start + row[i]) % q:][:len(dst)], out=dst)
+        if conj:
+            np.conjugate(dst, out=dst)
     return out
 
 
@@ -164,8 +154,8 @@ def _sweep(table: KlTable, b: np.ndarray) -> tuple[np.ndarray, float]:
     budget is checked before the first block."""
     q, rows = table.field.q, table.block_rows
     starts = range(0, q, rows)
-    # kmat (q rows of 16 q bytes), kr_matrix's block and its conjugated
-    # factor (rows each), the bfR vector (one row), 8 bytes per block
+    # kmat (q + rows rows of 16 q bytes; its build comes before the block),
+    # kr_matrix's block (rows), the bfR vector (one row), 8 bytes per block
     # partial and 16 KiB for the small arrays
     check_bytes(16 * q * (q + 2 * rows + 1) + 8 * len(starts) + 2**14, "Sigma sweep", q=q)
     r_vec = np.empty(q, dtype=table.kernel.dtype)
@@ -248,10 +238,11 @@ def sigma_II_direct(table: KlTable, b) -> complex:
     q = table.field.q
     n = q - 1
     rows = min(GRAM_ROWS, n)
-    # 16 q bytes per row: kmat and N, kr_matrix's conjugated factor, and the
+    # 16 q bytes per row: kmat (q + block_rows rows) and N, and the
     # conjugated block and X, whose (q - 1) x GRAM_ROWS entries fit in
-    # GRAM_ROWS rows; and 16 KiB: 32 q^2 + 16 q (rows + 128) + 16 KiB
-    check_bytes(16 * q * (2 * q + table.block_rows + 2 * GRAM_ROWS) + 2**14, "sigma_II_direct", q=q)
+    # GRAM_ROWS rows; and 144 KiB: numpy's 8192-entry buffer (128 KiB) for a
+    # strided block's conjugate and sum, and 16 KiB for the small arrays
+    check_bytes(16 * q * (2 * q + table.block_rows + 2 * GRAM_ROWS) + 9 * 2**14, "sigma_II_direct", q=q)
     m = kr_matrix(table, b)
     real = not np.iscomplexobj(m)
     conj_buf = None if real else np.empty((q, rows), dtype=m.dtype)

@@ -62,6 +62,19 @@ def test_brute_force_oracle(tab101):
     assert bilinear_form(tab101, alpha, beta) == pytest.approx(want, abs=1e-9)
 
 
+def test_row_blocks_match_dense_product():
+    # M = N = 1008 runs in 16 blocks of BLOCK_ENTRIES // N = 65 rows, the
+    # last one 33; the oracle is the whole M x N product at once
+    q = 1009
+    f = build_field(q)
+    tab = kl_table_fast(f, CharTuple(f, (1, 5)))
+    rng = np.random.Generator(np.random.PCG64(3))
+    alpha = CoeffSeq(np.arange(1, q), rng.standard_normal(q - 1) + 1j * rng.standard_normal(q - 1))
+    beta = CoeffSeq(np.arange(1, q), rng.standard_normal(q - 1))
+    want = alpha.values @ tab.values[np.outer(alpha.support, beta.support) % q] @ beta.values
+    assert bilinear_form(tab, alpha, beta) == pytest.approx(complex(want), abs=1e-9)
+
+
 def test_support_bounds(tab101):
     def at(m):
         return CoeffSeq(np.array([m]), np.ones(1))

@@ -48,20 +48,21 @@ def block_rows(q):
 
 
 def kr_matrix_bytes(q, n=None):
-    # kmat, the n-row output (all q rows by default), one block for the
-    # conjugated factor, 16 KiB
-    return 16 * q * (q + (q if n is None else n) + block_rows(q)) + 2**14
+    # kmat (q + block_rows rows), the n-row output (all q rows by default),
+    # one row more for kmat's build (logs and its index), 16 KiB
+    return 16 * q * (q + (q if n is None else n) + block_rows(q) + 1) + 2**14
 
 
 def direct_bytes(q):
-    # kmat, N, kr_matrix's conjugated factor, the 64-column conjugated block
-    # and (q - 1) x 64 Gram slab of the direct route, 16 KiB
-    return 16 * q * (2 * q + block_rows(q) + 2 * 64) + 2**14
+    # kmat (q + block_rows rows), N, the 64-column conjugated block and
+    # (q - 1) x 64 Gram slab of the direct route, numpy's 128 KiB buffer for
+    # a strided block, 16 KiB
+    return 16 * q * (2 * q + block_rows(q) + 2 * 64) + 2**17 + 2**14
 
 
 def sweep_bytes(q):
-    # kmat, kr_matrix's block and its conjugated factor, the bfR vector,
-    # 8 bytes per block partial, 16 KiB
+    # kmat (q + block_rows rows), kr_matrix's block, the bfR vector, 8 bytes
+    # per block partial, 16 KiB
     rows = block_rows(q)
     return 16 * q * (q + 2 * rows + 1) + 8 * -(-q // rows) + 2**14
 
@@ -71,6 +72,14 @@ def power_sum_bytes(q, m):
     # product), the doubled psi at m = 1, two complex partials per row
     # (q^m rows), 16 KiB
     return 16 * (6 + 2 * m) * q + 32 * q**m + 2**14
+
+
+def bilinear_bytes(M, N):
+    # one block of BLOCK_ENTRIES // N rows of alpha (at least one, at most
+    # M): its int64 index and complex128 gather, the length-N row
+    # alpha_blk K[blk], 16 bytes per block partial, 16 KiB
+    rows = min(M, max(1, kloosterman.BLOCK_ENTRIES // N))
+    return (24 * rows + 16) * N + 16 * -(-M // rows) + 2**14
 
 
 def shift_trace_bytes(M, N, A, B):
@@ -107,7 +116,7 @@ SITES = {
     "stratum_scan": (lambda t: stratum_scan(F13, 2, 1, exhaustive=True), 400 * 13**2,
                      "exhaustive stratum scan at q=13, l=1"),
     "bilinear_form": (lambda t: bilinear_form(t, CoeffSeq.ones(100), CoeffSeq.ones(150)),
-                      24 * 100 * 150, f"bilinear form at q={Q}, M=100, N=150"),
+                      bilinear_bytes(100, 150), f"bilinear form at q={Q}, M=100, N=150"),
     "shift_reduction_trace": (lambda t: shift_reduction_trace(t, CoeffSeq.ones(5), N=20, A=2, B=3, l=2),
                               shift_trace_bytes(5, 20, 2, 3),
                               f"shift-reduction trace at q={Q}, M=5, N=20, A=2, B=3"),
@@ -167,9 +176,9 @@ def test_resolvent_chunk_count_covers_measured_peak(k, l, q):
 @pytest.mark.parametrize("q,hi", [(211, None), (499, None), (4099, None), (4099, 1)],
                          ids=["211", "499", "4099", "4099-row0"])
 def test_kr_matrix_count_covers_measured_peak(q, hi):
-    # a fresh table, so the peak includes building kmat; a block is 7 rows
+    # a fresh table, so the peak includes building kmat; a block is 15 rows
     # at q = 4099, and row 0 alone, as the full-sample comparison reads it,
-    # peaks at kmat and the log table it is gathered from
+    # peaks at kmat and the log table and index it is gathered from
     f = build_field(q)
     t = kl_table_fast(f, CharTuple(f, (1, 5)))
     tracemalloc.start()
@@ -198,9 +207,9 @@ def test_direct_count_covers_measured_peak():
 
 @pytest.mark.parametrize("q", [211, 997, 4099])
 def test_sweep_count_covers_measured_peak(q):
-    # a fresh table, so the peak includes building kmat (16 q^2 bytes); past
-    # kmat the sweep holds one block of at most BLOCK_ENTRIES entries and
-    # kr_matrix's conjugated factor, so a q x q N (16 q^2 more) is never formed
+    # a fresh table, so the peak includes building kmat (16 q^2 bytes and
+    # block_rows - 1 repeated rows); past kmat the sweep holds one block of
+    # at most BLOCK_ENTRIES entries, so a q x q N (16 q^2 more) is never formed
     f = build_field(q)
     t = kl_table_fast(f, CharTuple(f, (1, 5)))
     tracemalloc.start()
@@ -246,6 +255,22 @@ def test_power_sum_real_table_casts_no_kmat(q, m, chars):
     assert "kmat" not in t.__dict__ and "kernel" not in t.__dict__
     assert peak <= power_sum_bytes(q, m)
     assert t.kmat.dtype == np.float64
+
+
+@pytest.mark.parametrize("q,M,N", [(1009, 1000, 30), (10007, 2000, 2000), (100003, 3, 99999)])
+def test_bilinear_count_covers_measured_peak(q, M, N):
+    # one block of all of alpha, 63 blocks of 32 rows, and three blocks of
+    # one row: the peak is one block's, whatever M
+    f = build_field(q)
+    t = kl_table_fast(f, CharTuple(f, (0, 0)))
+    alpha, beta = CoeffSeq.ones(M), CoeffSeq.ones(N)
+    tracemalloc.start()
+    try:
+        bilinear_form(t, alpha, beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bilinear_bytes(M, N)
 
 
 @pytest.mark.parametrize("q,M,N,A,B", [(1009, 20, 60, 2, 2), (1009, 2, 500, 1, 500),

@@ -394,7 +394,7 @@ def test_complete_sum_kr_budget_exit_3():
 
 def test_complete_sum_direct_budget_exit_3():
     # the difference form alone fits at q = 5779; the direct oracle's
-    # 16 q (2 q + rows + 128) + 16 KiB bytes, with BLOCK_ENTRIES // q rows,
+    # 16 q (2 q + rows + 128) + 144 KiB bytes, with BLOCK_ENTRIES // q rows,
     # do not, and are refused before kmat or N is built
     rows = kloosterman.BLOCK_ENTRIES // 5779
     tracemalloc.start()
@@ -406,7 +406,7 @@ def test_complete_sum_direct_budget_exit_3():
         tracemalloc.stop()
     assert code == 3 and env["status"] == "resource-limit"
     assert "q=5779" in env["payload"]["error"]
-    assert f"{16 * 5779 * (2 * 5779 + rows + 128) + 2**14} bytes" in env["payload"]["error"]
+    assert f"{16 * 5779 * (2 * 5779 + rows + 128) + 2**17 + 2**14} bytes" in env["payload"]["error"]
     assert peak < 64 * 2**20
 
 
@@ -426,19 +426,19 @@ def test_avg_compare_power_sum_past_kmat_q_exit_0():
     assert peak < 4 * 2**20
 
 
-def test_bilinear_bench_budget_exit_3():
-    # the M x N index and gather (24 bytes per M*N, ~240 GB) are refused
-    # before they are allocated
+def test_bilinear_bench_row_blocks_exit_0():
+    # B(K, alpha, beta) runs in blocks of BLOCK_ENTRIES // N rows of alpha,
+    # so M = N = 7000 (the whole M x N index and gather would be 1.2 GB, past
+    # the byte budget) runs in a few MiB
     tracemalloc.start()
     try:
-        code, env = run_json(["bilinear-bench", "--q", "100003", "--chars", "0,0",
-                              "--M", "99999", "--N", "99999"])
+        code, env = run_json(["bilinear-bench", "--q", "10007", "--chars", "0,0",
+                              "--M", "7000", "--N", "7000"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 3 and env["status"] == "resource-limit"
-    assert f"q=100003, M=99999, N=99999 needs {24 * 99999**2} bytes" in env["payload"]["error"]
-    assert peak < 64 * 2**20
+    assert code == 0 and env["status"] == "ok"
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize(

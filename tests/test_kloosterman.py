@@ -371,9 +371,10 @@ def test_fourier_identity_requires_scale_one(f13):
                          ids=["chars0", "chars1", "chars0-4099", "chars1-4099"])
 def test_kmat_build_holds_kmat_and_logs(chars, q):
     """Building a fresh kmat, real and complex, costs its own bytes plus
-    logs, the log table doubled and a zero window (3 (q - 1) entries), and
-    4 KiB for small arrays: one gather of windows by the field's dlog, with
-    no index array and no row-block buffer.  kmat[x, sigma] = K(x g^sigma)."""
+    logs, the log table doubled and a zero window (3 (q - 1) entries), the
+    field's dlog with its first block_rows - 1 entries repeated (q + rows
+    int64s), and 4 KiB for small arrays: one gather of windows, with no
+    row-block buffer.  kmat[x, sigma] = K((x % q) g^sigma)."""
     f = build_field(q)
     table = kl_table_fast(f, CharTuple(f, chars))
     kernel = table.kernel  # a float64 copy for the real table, built outside the measurement
@@ -384,10 +385,11 @@ def test_kmat_build_holds_kmat_and_logs(chars, q):
     finally:
         tracemalloc.stop()
     assert kmat.dtype == (np.float64 if chars == (0, 0) else np.complex128)
-    assert kmat.shape == (q, q - 1)
-    assert peak <= kmat.nbytes + 3 * (q - 1) * kmat.itemsize + 2**12
-    x = np.arange(q, dtype=np.int64)
-    for lo in range(0, q, 256):  # the oracle in row blocks, with no q x q index
+    rows = table.block_rows
+    assert kmat.shape == (q + rows - 1, q - 1)
+    assert peak <= kmat.nbytes + 3 * (q - 1) * kmat.itemsize + 8 * (q + rows) + 2**12
+    x = np.arange(q + rows - 1, dtype=np.int64) % q
+    for lo in range(0, q + rows - 1, 256):  # the oracle in row blocks, with no q x q index
         assert np.array_equal(kmat[lo:lo + 256], kernel[x[lo:lo + 256, None] * f.exp % q])
 
 

@@ -296,19 +296,19 @@ def test_kr_matrix_shape_and_zero_column(tab13):
 
 
 def test_sigma_II_direct_byte_budget():
-    # kmat and N, kr_matrix's conjugated factor (BLOCK_ENTRIES // q rows),
-    # the direct route's 64-column conjugated block and (q - 1) x 64 Gram
-    # slab, and 16 KiB for the small arrays
+    # kmat (q + BLOCK_ENTRIES // q rows) and N, the direct route's 64-column
+    # conjugated block and (q - 1) x 64 Gram slab, numpy's 128 KiB buffer
+    # for a strided block, and 16 KiB for the small arrays
     def rows(q):
         return max(1, kloosterman.BLOCK_ENTRIES // q)
 
     def direct_bytes(q):
-        return 16 * q * (2 * q + rows(q) + 128) + 2**14
+        return 16 * q * (2 * q + rows(q) + 128) + 2**17 + 2**14
 
     # 5749 is the last prime the direct route admits, 5779 the first past it;
     # the difference form and a lone kr_matrix would still admit q = 5779
     assert direct_bytes(5749) <= MAX_BYTES < direct_bytes(5779)
-    assert 16 * 5779 * (2 * 5779 + rows(5779)) + 2**14 <= MAX_BYTES
+    assert 16 * 5779 * (2 * 5779 + rows(5779) + 1) + 2**14 <= MAX_BYTES
     f = build_field(5779)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
     need = direct_bytes(5779)
@@ -417,8 +417,8 @@ def broadcast_oracle(table, b):
 def test_kr_matrix_matches_oracle_property():
     """The kmat-slice kernel equals the broadcast oracle bit for bit, over
     q in {3, 5, 13, 101}, k in {2, 3}, l in {1, 2, 3}, any characters and
-    scale, with b drawn to hit 0, q - 1 (wrap points at the first and the
-    last row) and repeated entries; so do its reversal and its rotation."""
+    scale, with b drawn to hit 0, q - 1 (slices that start at kmat rows 0
+    and q - 1) and repeated entries; so do its reversal and its rotation."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -454,11 +454,15 @@ def test_kmat_cached_and_read_only(tab13):
     assert not kmat.flags.writeable
     with pytest.raises(ValueError):
         kmat[1, 1] = 0
-    # kmat[x, sigma] = K(x g^sigma): row 0 is zero, row 1 the kernel in log order
+    # kmat[x, sigma] = K(x g^sigma): row 0 is zero, row 1 the kernel in log
+    # order, and rows q .. q + block_rows - 2 repeat rows 0 .. block_rows - 2
+    rows = tab13.block_rows
+    assert kmat.shape == (13 + rows - 1, 12)
     x, s = np.meshgrid(np.arange(13), tab13.field.exp, indexing="ij")
-    assert np.array_equal(kmat, tab13.kernel[(x * s) % 13])
+    assert np.array_equal(kmat[:13], tab13.kernel[(x * s) % 13])
     assert not kmat[0].any()
     assert np.array_equal(kmat[1], tab13.kernel[tab13.field.exp])
+    assert np.array_equal(kmat[13:], kmat[:rows - 1])
 
 
 def test_kr_matrix_no_q2_temporaries():
@@ -476,13 +480,36 @@ def test_kr_matrix_no_q2_temporaries():
     assert peak < 2.2 * 16 * q**2
 
 
+@pytest.fixture(scope="module")
+def tab997():
+    f = build_field(997)
+    table = kl_table_fast(f, CharTuple(f, (1, 5)))
+    assert table.kmat.dtype == np.complex128  # built here, outside every measurement
+    return table
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["block", "full"])
+@pytest.mark.parametrize("b", [(1, 2), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6)], ids=["l1", "l2", "l3"])
+def test_kr_matrix_holds_only_its_output(tab997, b, full):
+    """With kmat built, a complex kr_matrix call, one block (65 rows) or all
+    of N, holds its output and 16 KiB at most: each block is conjugated in
+    place, with no (rows, q - 1) conjugate buffer (1 MB here)."""
+    tracemalloc.start()
+    try:
+        out = kr_matrix(tab997, b, 0, None if full else tab997.block_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 2**14
+
+
 def test_kr_matrix_byte_budget():
-    # kmat, the output, the conjugated factor of BLOCK_ENTRIES // q rows and
-    # 16 KiB: 5783 is the last prime the bound admits and 5791 the first past
-    # it; the largest q the tests and the benchmark use (1999) stays far
-    # inside it
+    # kmat (q + BLOCK_ENTRIES // q rows), the output, one row for kmat's
+    # build and 16 KiB: 5783 is the last prime the bound admits and 5791 the
+    # first past it; the largest q the tests and the benchmark use (1999)
+    # stays far inside it
     def need(q):
-        return 16 * q * (2 * q + max(1, kloosterman.BLOCK_ENTRIES // q)) + 2**14
+        return 16 * q * (2 * q + max(1, kloosterman.BLOCK_ENTRIES // q) + 1) + 2**14
 
     assert need(1999) <= need(5783) <= MAX_BYTES < need(5791)
     f = build_field(5791)
@@ -517,7 +544,7 @@ def assert_sweep_matches_full_matrix(table, b):
 def sweep_cases(q):
     """k = 2 and 3 tables with trivial and complex characters, and seeded b
     at l = 1, 2, 3 with a repeated and a zero entry among them; and an l = 3
-    b whose wrap points r = -b_i fall on the first and the last row and on
+    b whose zero rows r = -b_i fall on the first and the last row and on
     the block boundaries of one-, five- and 32-row blocks, with a repeated
     entry."""
     f = build_field(q)
@@ -531,7 +558,7 @@ def sweep_cases(q):
 
 
 def test_kr_matrix_row_range_is_bit_identical():
-    for q in (3, 13, 101):
+    for q in (3, 13, 101, 307):
         f = build_field(q)
         table = kl_table_fast(f, CharTuple(f, (1, q - 2)))
         for b in ((0, 2), (1, 2, 0, q - 1)):
