@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .field import PrimeField, MultChar, build_field, eval_char, eval_additive, gauss_sum
 from .chartuples import CharTuple, classify_tuple, is_kummer_induced
-from .kloosterman import KlTable, kl_table_fast, kl_table_naive, kl_pointwise
+from .kloosterman import KlTable, kl_table_fast, kl_table_naive
 from .sums import sigma_II
 from .strata import is_diagonal, singular_polynomial, z_fiber_count, stratum_scan
 
@@ -22,7 +22,6 @@ __all__ = [
     "KlTable",
     "kl_table_fast",
     "kl_table_naive",
-    "kl_pointwise",
     "sigma_II",
     "is_diagonal",
     "singular_polynomial",

@@ -33,7 +33,7 @@ import numpy as np
 from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
 from .field import MultChar, PrimeField, additive_char_vector, gauss_sum, log_dft
-from .kloosterman import BLOCK_ENTRIES, KlTable, kl_pointwise
+from .kloosterman import BLOCK_ENTRIES, KlTable, kl_table_naive
 from .sums import _sweep, kr_matrix, sigma_II
 from .strata import generic_z_value, is_diagonal, z_fiber_count
 
@@ -341,9 +341,9 @@ def _attach_box_sum(trace: ShiftTrace, table: KlTable, l: int, seed: int) -> Non
 
 
 def kl3_direct(field: PrimeField, xi: MultChar, x: int) -> complex:
-    """Kl_3(x; (1,1,xi), q) by direct enumeration (no tables): the
-    package's one pointwise enumeration, with xi on the determined variable."""
-    return kl_pointwise(field, CharTuple(field, (0, 0, xi.a)), x)
+    """Kl_3(x; (1,1,xi), q) read from the naive table, the package's one
+    direct evaluation (no transforms), with xi on the third factor."""
+    return kl_table_naive(field, CharTuple(field, (0, 0, xi.a))).value(x)
 
 
 def moment_identity_check(field: PrimeField, xi: MultChar, n: int) -> tuple[complex, complex, float]:
@@ -352,7 +352,7 @@ def moment_identity_check(field: PrimeField, xi: MultChar, n: int) -> tuple[comp
     lhs averages eps_chi^2 eps_{chi xi} conj(chi)(n) over all even chi
     (trivial included), reading every tau(chi_a) = G[-a] from the field's
     Gauss spectrum G in one vectorised pass; rhs is (Kl_3(n) + Kl_3(-n))/sqrt(q)
-    for the tuple (1, 1, xi), by direct enumeration.  Returns
+    for the tuple (1, 1, xi), read from the naive table.  Returns
     (lhs, rhs, |lhs - rhs|).
 
     Raises InternalConsistencyError if G disagrees with the direct

@@ -126,7 +126,7 @@ def _cmd_kl_verify(args) -> dict:
         raise PreconditionError(f"--n-lambda 0 reads no --seed, got seed={args.seed}")
     f = build_field(args.q)
     t = _chars_arg(f, args.chars)
-    naive = kl_table_naive(f, t)  # first: its byte budget is the binding one
+    naive = kl_table_naive(f, t)  # first: its 16 q (k + 5) bytes bind past build_field's 56 q
     fast = kl_table_fast(f, t)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     fourier_max = 0.0

@@ -7,25 +7,23 @@ This is the (k-1)-fold multiplicative convolution of the k functions
 f_i(y) = chi_i(y) e(y/q), which after discrete-log reindexing becomes a
 cyclic convolution of length q-1.  The DFT of f_i on log coordinates is the
 field's Gauss spectrum G rotated by a_i: with G[j] = tau(chi_{-j}), the
-transform of m -> chi_{a_i}(g^m) e(g^m/q) at j is G[j - a_i].  Three
+transform of m -> chi_{a_i}(g^m) e(g^m/q) at j is G[j - a_i].  Two
 evaluation routes are provided:
 
-* ``kl_pointwise``   -- the package's one direct enumeration of the y with
-  y_1...y_k = x, O(q^{k-1}) per point, k <= 3, in the same log coordinates:
-  at k = 3 a Hankel matrix of the last factor times the middle one, by BLAS
-  over blocks of rows (``bilinear.kl3_direct`` is a call to it);
-* ``kl_table_naive`` -- direct O(k q^2) circulant convolution;
+* ``kl_table_naive`` -- the package's one direct evaluation: the cyclic
+  convolutions of the log factors as direct sums by ``np.convolve``,
+  O(k q^2) time in O(k q) bytes (``bilinear.kl3_direct`` reads it);
 * ``kl_table_fast``  -- one inverse transform of prod_i roll(G, a_i),
   O(q log q) per table on top of the one forward transform per field that
   G costs.  Both are ``field.log_dft``, which splits a q - 1 with one large
   prime factor by the prime-factor algorithm rather than let numpy pad the
   whole length.
 
-The fast route is the production path; the other two are oracles: neither
-reads G, and they share nothing but the field's character vectors.  No sign
-factor is applied: the table holds the unsigned normalization above.  The
-sheaf trace function carries an extra (-1)^{k-1}; that constant relates the
-two conventions and is never applied silently.
+The fast route is the production path and the naive one its oracle: the
+oracle never reads G, and the two share nothing but the field's character
+vectors.  No sign factor is applied: the table holds the unsigned
+normalization above.  The sheaf trace function carries an extra (-1)^{k-1};
+that constant relates the two conventions and is never applied silently.
 
 The table index runs over residues 0..q-1 with the value at 0 fixed to 0
 (the stalk at 0 vanishes), which is the convention every downstream complete
@@ -45,7 +43,6 @@ and every factor of a Sigma block is one contiguous slice of it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -61,9 +58,6 @@ DELIGNE_SLACK = 1e-9
 # per b, one BLAS thread: 1-6% faster than at 2^15 for q = 307..2003,
 # while 2^17 was slower at q = 997 and 2003.
 BLOCK_ENTRIES = 2**16
-# Hankel rows per kl_pointwise block at k = 3: its one complex buffer holds
-# 64 * (q - 1) entries (1 MB at q = 1009) instead of q^2.
-POINTWISE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,8 @@ class KlTable:
 
 
 def _factor_logs(field: PrimeField, t: CharTuple) -> list[np.ndarray]:
-    """Log-reindexed factors h_i[m] = chi_i(g^m) e(g^m/q), the oracle's input."""
+    """Log-reindexed factors h_i[m] = chi_i(g^m) e(g^m/q): Kl_k(g^nu) is
+    q^{-(k-1)/2} times their cyclic convolution at nu (h_1 itself at k = 1)."""
     psi = additive_char_vector(field)[field.exp]
     return [MultChar(field, ai).values_by_log() * psi for ai in t.indices]
 
@@ -185,63 +180,30 @@ def kl_table_fast(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
     return _assemble(field, t, a, conv)
 
 
+def _cyclic_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cyclic convolution of two equal-length vectors: ``np.convolve``'s
+    direct sum (no FFT) with its upper half folded onto the lower."""
+    n = len(a)
+    full = np.convolve(a, b)
+    full[:n - 1] += full[n:]
+    return full[:n]
+
+
 def kl_table_naive(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
-    """Oracle table: direct O(k q^2) cyclic convolution, no transforms."""
+    """Oracle table: the direct O(k q^2) cyclic convolution of the log
+    factors, folded by ``_cyclic_conv``; no transforms, O(k q) bytes."""
     if a % field.q == 0:
         raise PreconditionError(f"scale a must be nonzero mod q, got a={a} at q={field.q}")
-    n = field.q - 1
-    # the (q-1)^2 int64 index matrix and two complex128 temporaries of its shape
-    check_bytes(40 * n * n, "naive Kl table", q=field.q)
+    # the k log factors, then per fold np.convolve's reversed copy of h and
+    # its 2(q-1) - 1 entry output while the last fold's output is still
+    # held: 5 vectors past the factors (assembly, with the table and its
+    # scale permutation, holds at most 4.5), 16 KiB for small arrays
+    check_bytes(16 * field.q * (t.k + 5) + 2**14, "naive Kl table", q=field.q)
     hs = _factor_logs(field, t)
     conv = hs[0]
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     for h in hs[1:]:
-        conv = (h[idx] * conv[None, :]).sum(axis=1)
+        conv = _cyclic_conv(conv, h)
     return _assemble(field, t, a, conv)
-
-
-def kl_pointwise(field: PrimeField, t: CharTuple, x: int) -> complex:
-    """Definitional sum at a single point by direct enumeration; k <= 3 only.
-
-    In log coordinates y_i = g^{m_i}, with h_i[m] = chi_i(g^m) psi(g^m) read
-    from the residue vectors through ``field.exp`` and x = g^nu,
-    Kl_3(x) = q^{-1} sum_a h_1[nu + a] sum_c h_2[c] h_3[-(a + c)], indices
-    mod q - 1.  The inner sums are a Hankel matrix W[a, c] = r[a + c] times
-    h_2, where r[j] = h_3[-j]; row a of W is a contiguous window of r
-    doubled.  The rows go in blocks of POINTWISE_ROWS, each copied into one
-    reused buffer and contracted with h_2 by BLAS, so the temporaries stay
-    O(POINTWISE_ROWS * q); the block partials are combined with math.fsum.
-    k = 2 is the dot of the rotated h_1 with r built from h_2, and k = 1 is
-    h_1[nu].  Still O(q^{k-1}) per point; reads neither the Gauss spectrum
-    nor the naive table's convolution.
-    """
-    q = field.q
-    if x % q == 0:
-        raise PreconditionError(f"Kl_k(x) is defined for x in F_q^x only, got x={x} at q={q}")
-    k = t.k
-    if k > 3:
-        raise PreconditionError(f"pointwise enumeration supported for k <= 3, got k={k} at q={q}")
-    n = q - 1
-    psi = additive_char_vector(field)
-    hs = [(MultChar(field, a).values_by_residue() * psi)[field.exp] for a in t.indices]
-    nu = int(field.dlog[x % q])
-    if k == 1:
-        return complex(hs[0][nu])
-    lead = np.roll(hs[0], -nu)  # lead[a] = h_1[nu + a]
-    r = np.roll(hs[-1][::-1], 1)  # r[j] = h_k[-j]
-    if k == 2:
-        total = complex(lead @ r)
-    else:
-        doubled = np.concatenate((r, r[:-1]))
-        rows = np.ndarray((n, n), r.dtype, doubled, strides=(r.itemsize,) * 2)  # rows[a] = r[a:a + n]
-        buf = np.empty((min(POINTWISE_ROWS, n), n), dtype=np.complex128)
-        partials = []
-        for lo in range(0, n, POINTWISE_ROWS):
-            blk = buf[:min(POINTWISE_ROWS, n - lo)]
-            np.copyto(blk, rows[lo:lo + len(blk)])
-            partials.append(complex(lead[lo:lo + len(blk)] @ (blk @ hs[1])))
-        total = complex(math.fsum(z.real for z in partials), math.fsum(z.imag for z in partials))
-    return total / q ** ((k - 1) / 2)
 
 
 def table_agreement(t1: KlTable, t2: KlTable) -> float:

@@ -47,6 +47,13 @@ def block_rows(q):
     return min(max(1, kloosterman.BLOCK_ENTRIES // q), q)
 
 
+def naive_bytes(q, k):
+    # the k log factors, then per fold np.convolve's reversed input copy and
+    # its 2(q - 1) - 1 entry output while the last fold's output is held;
+    # assembly (the table and its scale permutation) holds less; 16 KiB
+    return 16 * q * (k + 5) + 2**14
+
+
 def kr_matrix_bytes(q, n=None):
     # kmat (q + block_rows rows), the n-row output (all q rows by default),
     # one row more for kmat's build (logs and its index), 16 KiB
@@ -96,7 +103,7 @@ def table():
 # name: (call on the module's q = 211 table, counted bytes, message prefix)
 SITES = {
     "build_field": (lambda t: build_field(100003), 56 * 100003 + 2**14, "field at q=100003"),
-    "kl_table_naive": (lambda t: kl_table_naive(t.field, t.tuple), 40 * (Q - 1) ** 2,
+    "kl_table_naive": (lambda t: kl_table_naive(t.field, t.tuple), naive_bytes(Q, 2),
                        f"naive Kl table at q={Q}"),
     "kr_matrix": (lambda t: kr_matrix(t, B), kr_matrix_bytes(Q), f"kr_matrix at q={Q}"),
     "sigma_II(direct=True)": (lambda t: sigma_II(t, B, direct=True), direct_bytes(Q),
@@ -171,6 +178,23 @@ def test_resolvent_chunk_count_covers_measured_peak(k, l, q):
     finally:
         tracemalloc.stop()
     assert peak <= rows * resolvent_bytes(k, l)
+
+
+@pytest.mark.parametrize("q", [1009, 3659, 10007])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("a", [1, 2])
+def test_naive_count_covers_measured_peak(q, k, a):
+    # O(k q) bytes at every q: k = 4 peaks at its last fold (9.06 * 16 q at
+    # q = 1009), k = 2 at a = 2 in the scale permutation
+    f = build_field(q)
+    t = CharTuple(f, tuple(range(1, k + 1)))
+    tracemalloc.start()
+    try:
+        kl_table_naive(f, t, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= naive_bytes(q, k)
 
 
 @pytest.mark.parametrize("q,hi", [(211, None), (499, None), (4099, None), (4099, 1)],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from klsums.chartuples import CharTuple
-from klsums.errors import MAX_BYTES, PreconditionError, ResourceLimitError
+from klsums.errors import PreconditionError
 from klsums.field import (
     MultChar,
     _split_prime,
@@ -19,7 +19,6 @@ from klsums.field import (
 )
 from klsums.kloosterman import (
     fourier_identity_check,
-    kl_pointwise,
     kl_table_fast,
     kl_table_naive,
     table_agreement,
@@ -33,15 +32,15 @@ def test_kl1_is_twisted_additive(f13):
     for x in range(1, 13):
         expected = eval_char(MultChar(f13, 3), x) * eval_additive(f13, 1, x)
         assert tab.value(x) == pytest.approx(expected, abs=1e-12)
-        assert kl_pointwise(f13, t, x) == pytest.approx(expected, abs=1e-12)
+        assert kl_table_naive(f13, t).value(x) == pytest.approx(expected, abs=1e-12)
 
 
 def test_kl2_q5_frozen_value(f5):
     # direct enumeration over y in F_5^x: pairs y + 1/y land in {2, 0, 0, 3}
     expected = (2 + 2 * math.cos(4 * math.pi / 5)) / math.sqrt(5)
     t = CharTuple(f5, (0, 0))
-    assert kl_pointwise(f5, t, 1).real == pytest.approx(expected, abs=1e-12)
-    assert abs(kl_pointwise(f5, t, 1).imag) < 1e-12
+    assert kl_table_naive(f5, t).value(1).real == pytest.approx(expected, abs=1e-12)
+    assert abs(kl_table_naive(f5, t).value(1).imag) < 1e-12
     assert kl_table_fast(f5, t).value(1) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.1708203932499369, abs=1e-12)
 
@@ -60,19 +59,8 @@ def test_kl3_q7_triple_loop_oracle(f7):
     t = CharTuple(f7, (0, 0, 0))
     tab = kl_table_fast(f7, t)
     for x in range(1, 7):
-        assert kl_pointwise(f7, t, x) == pytest.approx(oracle(x), abs=1e-10)
+        assert kl_table_naive(f7, t).value(x) == pytest.approx(oracle(x), abs=1e-10)
         assert tab.value(x) == pytest.approx(oracle(x), abs=1e-10)
-
-
-def test_pointwise_rejects():
-    f = build_field(13)
-    t = CharTuple(f, (0, 0))
-    with pytest.raises(PreconditionError, match=r"F_q\^x only, got x=0 at q=13$"):
-        kl_pointwise(f, t, 0)
-    with pytest.raises(PreconditionError, match=r"F_q\^x only, got x=26 at q=13$"):
-        kl_pointwise(f, t, 26)
-    with pytest.raises(PreconditionError, match=r"k <= 3, got k=4 at q=13$"):
-        kl_pointwise(f, CharTuple(f, (0, 0, 0, 0)), 1)
 
 
 def residue_gather(field, t, x):
@@ -80,7 +68,7 @@ def residue_gather(field, t, x):
     over F_q^x (y_1 in blocks of 64 at k = 3), y_k = x / (y_1...y_{k-1})
     is read from a table of pow(y, -1, q), the additive character is gathered at
     (y_1 + ... + y_k) mod q and each nontrivial character at its y_i.  The
-    oracle of kl_pointwise's log-coordinate Hankel products: it shares only
+    oracle of the naive table's log-coordinate convolutions: it shares only
     the field's character vectors with them."""
     q = field.q
     x %= q
@@ -110,9 +98,9 @@ def residue_gather(field, t, x):
 @pytest.mark.parametrize("q", [3, 5, 7, 13, 101, 1009])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pointwise_matches_residue_gather(q, k):
-    """Every slot nontrivial at once, then a nontrivial character on one slot
-    at a time; x in {1, 2, q - 1} and two random points.  At q = 3 the two
-    Hankel rows are fewer than one block."""
+    """The naive table at every slot nontrivial at once, then a nontrivial
+    character on one slot at a time; x in {1, 2, q - 1} and two random
+    points."""
     f = build_field(q)
     rng = np.random.Generator(np.random.PCG64([q, k]))
     every = [int(a) for a in rng.integers(1, q - 1, size=k)]
@@ -121,7 +109,7 @@ def test_pointwise_matches_residue_gather(q, k):
     for idx in tuples:
         t = CharTuple(f, idx)
         for x in xs:
-            assert kl_pointwise(f, t, x) == pytest.approx(residue_gather(f, t, x), abs=1e-12), (idx, x)
+            assert kl_table_naive(f, t).value(x) == pytest.approx(residue_gather(f, t, x), abs=1e-12), (idx, x)
 
 
 def test_residue_gather_matches_literal_loop():
@@ -144,7 +132,7 @@ def test_residue_gather_matches_literal_loop():
 
 
 def test_pointwise_matches_residue_gather_property():
-    """kl_pointwise equals the residue-gather oracle over primes below 300,
+    """The naive table equals the residue-gather oracle over primes below 300,
     k in {1, 2, 3}, any characters and any x != 0 (reduced mod q or not)."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -165,7 +153,7 @@ def test_pointwise_matches_residue_gather_property():
         q, chars, x = c
         f = build_field(q)
         t = CharTuple(f, tuple(chars))
-        assert kl_pointwise(f, t, x) == pytest.approx(residue_gather(f, t, x), abs=1e-12), c
+        assert kl_table_naive(f, t).value(x) == pytest.approx(residue_gather(f, t, x), abs=1e-12), c
 
     check()
 
@@ -205,25 +193,25 @@ def test_fast_vs_pointwise_nontrivial_chars(f13):
     t = CharTuple(f13, (1, 6, 4))
     tab = kl_table_fast(f13, t)
     for x in (1, 5, 12):
-        assert tab.value(x) == pytest.approx(kl_pointwise(f13, t, x), abs=1e-10)
+        assert tab.value(x) == pytest.approx(kl_table_naive(f13, t).value(x), abs=1e-10)
 
 
 @pytest.mark.parametrize("chars", [(0, 0), (5, 17), (0, 0, 0), (1, 5, 9)])
 def test_fast_vs_pointwise_split_field(chars):
     """At q = 4099 (4098 = 6*683) the spectrum and the table's inverse
-    transform both take log_dft's prime-factor split; the direct
-    enumeration reads neither."""
+    transform both take log_dft's prime-factor split; the naive table
+    reads neither."""
     q = 4099
     f = build_field(q)
     assert _split_prime(f) == 683
     t = CharTuple(f, chars)
     tab = kl_table_fast(f, t)
     for x in (1, 2, 683, q - 1, 1234):
-        assert tab.value(x) == pytest.approx(kl_pointwise(f, t, x), abs=1e-10), x
+        assert tab.value(x) == pytest.approx(kl_table_naive(f, t).value(x), abs=1e-10), x
 
 
 def test_pointwise_literal_oracle_nontrivial_chars():
-    """kl_pointwise against a literal nested loop over y1*y2*y3 = x whose
+    """The naive table against a literal nested loop over y1*y2*y3 = x whose
     characters come from discrete logs found by pow, no package calls."""
     q, g, idx = 13, 2, (1, 6, 4)
     log = {pow(g, m, q): m for m in range(q - 1)}
@@ -245,33 +233,7 @@ def test_pointwise_literal_oracle_nontrivial_chars():
     assert f.g == g
     t = CharTuple(f, idx)
     for x in range(1, q):
-        assert kl_pointwise(f, t, x) == pytest.approx(oracle(x), abs=1e-12), x
-
-
-def test_pointwise_matches_naive_property():
-    """kl_pointwise equals the naive table at random points, over primes
-    3 <= q <= 31, k in {1, 2, 3} and any characters."""
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-
-    def case(q):
-        return st.tuples(
-            st.just(q),
-            st.integers(1, 3).flatmap(lambda k: st.lists(st.integers(0, q - 2), min_size=k, max_size=k)),
-            st.integers(1, q - 1),
-        )
-
-    @hyp.settings(max_examples=80, deadline=None, derandomize=True)
-    @hyp.given(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31)).flatmap(case))
-    @hyp.example((3, [1, 1, 1], 2))
-    @hyp.example((31, [7, 0, 29], 30))
-    def check(c):
-        q, chars, x = c
-        f = build_field(q)
-        t = CharTuple(f, tuple(chars))
-        assert kl_pointwise(f, t, x) == pytest.approx(kl_table_naive(f, t).value(x), abs=1e-12), c
-
-    check()
+        assert kl_table_naive(f, t).value(x) == pytest.approx(oracle(x), abs=1e-12), x
 
 
 def test_scale_is_index_permutation(f101):
@@ -281,10 +243,10 @@ def test_scale_is_index_permutation(f101):
         ta = kl_table_fast(f101, t, a)
         perm = t1.values[(a * np.arange(101)) % 101]
         assert np.array_equal(ta.values, perm)
-    # scale-a table really holds x -> Kl(a*x): spot-check against pointwise sums
+    # scale-a table really holds x -> Kl(a*x): spot-check against the naive table
     t3 = kl_table_fast(f101, t, 3)
     for x in (1, 7, 50):
-        assert t3.value(x) == pytest.approx(kl_pointwise(f101, t, 3 * x % 101), abs=1e-10)
+        assert t3.value(x) == pytest.approx(kl_table_naive(f101, t).value(3 * x % 101), abs=1e-10)
 
 
 def test_scale_zero_rejected(f13):
@@ -292,17 +254,6 @@ def test_scale_zero_rejected(f13):
         kl_table_fast(f13, CharTuple(f13, (0, 0)), 0)
     with pytest.raises(PreconditionError):
         kl_table_naive(f13, CharTuple(f13, (0, 0)), 13)
-
-
-def test_naive_byte_budget():
-    # 5189 is the first prime past the bound (40 bytes per (q-1)^2 entry);
-    # q = 1009, the largest naive table the tests and the benchmark build,
-    # stays far inside it
-    assert 40 * 1008**2 <= 40 * 5178**2 <= MAX_BYTES < 40 * 5188**2
-    f = build_field(5189)
-    need = 40 * 5188**2
-    with pytest.raises(ResourceLimitError, match=f"q=5189 needs {need} bytes"):
-        kl_table_naive(f, CharTuple(f, (0, 0)))
 
 
 def test_value_at_zero_is_zero(f13):
