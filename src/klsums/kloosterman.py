@@ -182,11 +182,12 @@ def kl_table_fast(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
 
 def _cyclic_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cyclic convolution of two equal-length vectors: ``np.convolve``'s
-    direct sum (no FFT) with its upper half folded onto the lower."""
+    direct sum (no FFT) with its upper half folded onto the lower, copied
+    out so that the 2n - 1 entry output is freed on return."""
     n = len(a)
     full = np.convolve(a, b)
     full[:n - 1] += full[n:]
-    return full[:n]
+    return full[:n].copy()
 
 
 def kl_table_naive(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
@@ -194,10 +195,10 @@ def kl_table_naive(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
     factors, folded by ``_cyclic_conv``; no transforms, O(k q) bytes."""
     if a % field.q == 0:
         raise PreconditionError(f"scale a must be nonzero mod q, got a={a} at q={field.q}")
-    # the k log factors, then per fold np.convolve's reversed copy of h and
-    # its 2(q-1) - 1 entry output while the last fold's output is still
-    # held: 5 vectors past the factors (assembly, with the table and its
-    # scale permutation, holds at most 4.5), 16 KiB for small arrays
+    # the k log factors, then per fold the last fold's output, np.convolve's
+    # reversed copy of h and its 2(q-1) - 1 entry output: 4 vectors past the
+    # factors, counted as 5 (assembly, with the table and its scale
+    # permutation, holds at most 4.5), 16 KiB for small arrays
     check_bytes(16 * field.q * (t.k + 5) + 2**14, "naive Kl table", q=field.q)
     hs = _factor_logs(field, t)
     conv = hs[0]

@@ -16,9 +16,17 @@ P_b = M^k exactly, with
 M is invariant under every substitution x_i -> c x_i (for i >= 2 it
 permutes the representatives; for i = 1 it also scales M by
 c^{k^{2l-1}} = 1), so after full reduction only the monomial with all
-x-exponents 0 mod k survives.  The operation computes M over the k^{2l-1}
-representatives, asserts this collapse, and returns M^k as a polynomial
-in r.
+x-exponents 0 mod k survives.  Grouping the representatives by zeta_2l,
+the norm identity prod_{c in mu_k} (A - c y) = A^k - y^k, with y = x_2l
+(whose sign is -) and y^k = r + b_2l, eliminates x_2l:
+
+    M(r) = prod over zeta_2..zeta_{2l-1} in mu_k of (A_zeta^k - (r + b_2l)),
+    A_zeta = x_1 + sum_{1<i<=l} zeta_i x_i - sum_{l<i<2l} zeta_i x_i,
+
+k^{2l-2} factors in the ring on x_1..x_{2l-1}, which is a subring of the
+one on all 2l variables, so the product is the same element.  The
+operation computes M by these factors, asserts the collapse, and returns
+M^k as a polynomial in r.
 
 The full singular set adds the hyperplanes r = -b_i:
 
@@ -54,23 +62,29 @@ makes z(b) insensitive to the k-th power multiplicity.
 ``singular_polynomial`` and ``z_fiber_count`` take b by the rule of
 ``field.check_b``, and every multi-b caller hands its b over as one
 (B, 2l) array.  The resolvent product carries a leading b axis: its state
-is (B, k^(2l), D), and each of the k^(2l-1) forms costs one gather
-state[:, src] and two contractions over the coordinate axis (the constant
-term and the r term), summed and reduced mod q once, so one numpy call per
-form serves every b of a chunk.  A batch runs in chunks of as many b as
-keep the chunk's counted bytes, 24 n k^n (k^(n-2) + 1) per b with n = 2l,
-within RESOLVENT_CHUNK_BYTES (4 MiB), and at least one b: 53 b at
-(k,l) = (3,2), 26 at (2,3), 10 at (4,2), 2 at (5,2) and one at (2,4).
-Each chunk pays the same numpy calls per form whatever its size, so a scan
-of up to 53 b at (3,2) or 26 at (2,3) pays them once.  Each M leaves the
-chunk once, as a list of Python ints, and the polyfq finish stays per b on
-those lists: M^k, the squarefree part of P_b, and P_b evaluated at each
--b_i by Horner's rule.
+S is (B, k^(2l-1), D), one row per exponent tuple of x_1..x_{2l-1}.  A
+factor multiplies S by its form A k times, each a step of one gather
+S[:, src] and two contractions over the coordinate axis (the constant term
+and the r term), summed and reduced mod q once, then subtracts
+(r + b_2l) S; so one numpy call per step serves every b of a chunk, and
+each of the k^(2l-1) steps gathers k times fewer rows, over one variable
+fewer, than a product of the k^(2l-1) forms on all 2l variables would.  A
+batch runs in chunks of as many b as keep the chunk's counted bytes,
+24 (n-1) k^(n-1) (k^(n-2) + 1) + 512 per b with n = 2l and 8192 more,
+within RESOLVENT_CHUNK_BYTES (4 MiB), and at least one b: 1234 b at
+(k,l) = (2,2), 209 at (3,2), 63 at (2,3), 53 at (4,2), 17 at (5,2), 2 at
+(2,4) and one at (3,3).  Each chunk pays the same numpy calls per step
+whatever its size, so a scan of up to 209 b at (3,2) or 63 at (2,3) pays
+them once.  Each M leaves the chunk once, as a list of Python ints, and
+the polyfq finish stays per b on those lists: M^k, the squarefree part of
+P_b, and P_b evaluated at each -b_i by Horner's rule.
 
 Against the package's byte budget (``errors.MAX_BYTES``) the resolvent
-counts one chunk before it allocates, which grows as k^(4l) per b, so
+counts one chunk before it allocates, which grows as k^(4l-3) per b, so
 under any budget above 4 MiB a batch is admitted exactly when a single b
-is; the exhaustive scan counts 400 bytes per b, q^(2l) of them.
+is: (k,l) = (2,6) counts 554 MB and is admitted under the 1 GiB budget,
+(2,7) counts 10.5 GB and is refused.  The exhaustive scan counts 400 bytes
+per b, q^(2l) of them, and the largest resolvent chunk beside them.
 """
 
 from __future__ import annotations
@@ -93,9 +107,10 @@ from .errors import (
 )
 from .field import PrimeField, check_b
 
-# Counted resolvent bytes per chunk of b: each chunk costs about 11 numpy
-# calls per form, so fewer, larger chunks cut a scan's fixed cost, at the
-# price of a scan's peak memory.
+# Counted resolvent bytes per chunk of b: each chunk costs about 8 numpy
+# calls per multiplication by a form, and as many again per factor, so
+# fewer, larger chunks cut a scan's fixed cost, at the price of a scan's
+# peak memory.
 RESOLVENT_CHUNK_BYTES = 2**22
 
 
@@ -128,17 +143,23 @@ def generic_z_bound(k: int, l: int) -> int:
     return 2 * l + k ** (2 * l - 2) - vanishing_sum_count(k, l)
 
 
-def _resolvent_bytes(k: int, l: int) -> int:
-    # 3x the int64 gather state[src] of one b (2l x k^(2l) rows by up to
-    # k^(2l-2) + 1 r-degrees): the measured peak is 1.6-2.4x the gather for
-    # k^(2l) >= 81
+def _resolvent_bytes(k: int, l: int, rows: int) -> int:
+    """Counted bytes of a chunk of rows b.
+
+    Per b, 3x the int64 gather state[src] ((2l-1) x k^(2l-1) rows by up to
+    k^(2l-2) + 1 r-degrees) and 512 bytes of Python ints; per chunk, 8 KiB of
+    numpy call overhead.  Measured, one b peaks at 1.1-2.7x its gather for
+    k^(2l-1) >= 27 and under 5 KiB at l = 1, where a large batch holds up to
+    360 bytes per b.
+    """
     n = 2 * l
-    return 3 * 8 * n * k**n * (k ** (n - 2) + 1)
+    return rows * (24 * (n - 1) * k ** (n - 1) * (k ** (n - 2) + 1) + 2**9) + 2**13
 
 
 def _chunk_rows(k: int, l: int) -> int:
     """b per chunk: as many as RESOLVENT_CHUNK_BYTES holds, at least one."""
-    return max(1, RESOLVENT_CHUNK_BYTES // _resolvent_bytes(k, l))
+    fixed = _resolvent_bytes(k, l, 0)
+    return max(1, (RESOLVENT_CHUNK_BYTES - fixed) // (_resolvent_bytes(k, l, 1) - fixed))
 
 
 def _chunks(b: np.ndarray, k: int, l: int):
@@ -154,7 +175,7 @@ def _check_preconditions(field: PrimeField, k: int, b) -> tuple[np.ndarray, int]
         raise PreconditionError(f"q = {field.q} is not 1 mod k = {k}: mu_k not in F_q")
     # the largest chunk, which every chunk's bytes stay within
     rows = min(len(np.atleast_2d(b)), _chunk_rows(k, l))
-    check_bytes(rows * _resolvent_bytes(k, l), "resolvent", q=field.q, k=k, l=l)
+    check_bytes(_resolvent_bytes(k, l, rows), "resolvent", q=field.q, k=k, l=l)
     if field.q <= 2 * l + k ** (2 * l - 1):
         raise PreconditionError(
             f"q = {field.q} <= 2l + k^(2l-1) = {2 * l + k ** (2 * l - 1)}: "
@@ -189,34 +210,50 @@ def _form_terms(const: np.ndarray, lin: np.ndarray, g: np.ndarray) -> np.ndarray
     return out
 
 
+def _trim(state: np.ndarray) -> np.ndarray:
+    """The state without the r-degrees that are zero in every row and b."""
+    while state.shape[2] > 1 and not state[:, :, -1].any():
+        state = state[:, :, :-1]
+    return state
+
+
 def _resolvent(field: PrimeField, k: int, b: np.ndarray) -> list[list[int]]:
     """P_b = M^k for each row of a (B, 2l) chunk of reduced b, as polyfq
     lists."""
     q = field.q
     n = b.shape[1]
+    nx = n - 1  # x_2l is eliminated by the norm identity
     zeta = pow(field.g, (q - 1) // k, q)
     zpow = np.array([pow(zeta, t, q) for t in range(k)], dtype=np.int64)
-    src, wrap = _row_maps(k, n)
-    wrap_b = np.where(wrap, b[:, :, None], 1)
-    sign = np.where(np.arange(n) < n // 2, 1, -1)
-    forms = np.array([(0, *ts) for ts in itertools.product(range(k), repeat=n - 1)])
+    src, wrap = _row_maps(k, nx)
+    wrap_b = np.where(wrap, b[:, :nx, None], 1)
+    b_last = b[:, nx, None, None]
+    sign = np.where(np.arange(nx) < n // 2, 1, -1)
+    forms = np.array([(0, *ts) for ts in itertools.product(range(k), repeat=nx - 1)])
     coeffs = sign * zpow[forms] % q
-    # a coefficient sums at most 2n products below q^2; when that can pass
+    # a coefficient sums at most 2 nx products below q^2; when that can pass
     # 2^63 the state is split into 16-bit halves
-    split = 2 * n * (q - 1) ** 2 >= 2**63
-    state = np.zeros((len(b), k**n, 1), dtype=np.int64)
+    split = 2 * nx * (q - 1) ** 2 >= 2**63
+    state = np.zeros((len(b), k**nx, 1), dtype=np.int64)
     state[:, 0, 0] = 1
     for c in coeffs[:, :, None]:
-        g = state.take(src, axis=1)
         const, lin = c * wrap_b % q, c * wrap
-        if split:
-            hi = _form_terms(const, lin, g >> 16) % q
-            out = (hi * 2**16 + _form_terms(const, lin, g & 0xFFFF)) % q
-        else:
-            out = _form_terms(const, lin, g) % q
-        while out.shape[2] > 1 and not out[:, :, -1].any():
-            out = out[:, :, :-1]
-        state = out
+        out = state
+        for _ in range(k):  # A^k S, for the form A and the state S
+            g = out.take(src, axis=1)
+            if split:
+                hi = _form_terms(const, lin, g >> 16) % q
+                out = (hi * 2**16 + _form_terms(const, lin, g & 0xFFFF)) % q
+            else:
+                out = _form_terms(const, lin, g) % q
+            out = _trim(out)
+        # A^k S - (r + b_2l) S, whose r-degrees reach one past S's
+        d = state.shape[2]
+        if out.shape[2] <= d:
+            out = np.pad(out, ((0, 0), (0, 0), (0, d + 1 - out.shape[2])))
+        out[:, :, :d] -= b_last * state
+        out[:, :, 1:d + 1] -= state
+        state = _trim(out % q)
     if state[:, 1:].any():
         raise InternalConsistencyError(
             "residual x-dependence after reduction: Galois cancellation failed"
@@ -235,14 +272,15 @@ def singular_polynomial(field: PrimeField, k: int, b) -> list[int] | list[list[i
     (empty if P_b = 0).
 
     For one b, its P_b; for a (B, 2l) array (``field.check_b``), the list of
-    P_b of its rows in order.  Computes M over the k^(2l-1) forms with
-    zeta_1 = 1 and returns M^k.  Each form costs one gather of the
-    (B, k^(2l), D) state per chunk: the term for x_i is
-    c_i * state[:, src_i], times 1 or, on a wrapped row, (b_i + r).  The 2n
-    products that make up a coefficient are summed, then reduced mod q once;
-    int64 stays exact for every q < 2^31 (16-bit halves past
-    2n (q-1)^2 >= 2^63).  After each form the r-degree axis is trimmed to
-    the chunk's largest degree.
+    P_b of its rows in order.  Computes M as the k^(2l-2) factors
+    A^k - (r + b_2l) on x_1..x_{2l-1} (module docstring) and returns M^k.
+    Each of the k multiplications by A costs one gather of the
+    (B, k^(2l-1), D) state per chunk: the term for x_i is
+    c_i * state[:, src_i], times 1 or, on a wrapped row, (b_i + r).  The
+    2(2l-1) products that make up a coefficient are summed, then reduced
+    mod q once; int64 stays exact for every q < 2^31 (16-bit halves past
+    2(2l-1) (q-1)^2 >= 2^63).  After each multiplication and each factor
+    the r-degree axis is trimmed to the chunk's largest degree.
     """
     bt, l = _check_preconditions(field, k, b)
     polys = [p for chunk in _chunks(np.atleast_2d(bt), k, l) for p in _resolvent(field, k, chunk)]
@@ -340,9 +378,11 @@ def stratum_scan(
             raise PreconditionError(f"an exhaustive scan takes no samples, got samples={samples}")
         if seed:
             raise PreconditionError(f"an exhaustive scan takes no seed, got seed={seed}")
-        # the q^(2l) x 2l b array and one report per b: 220-275 bytes per b
-        # measured at l = 1, 2
-        check_bytes(400 * q**n, "exhaustive stratum scan", q=q, l=l)
+        # the q^(2l) x 2l b array and one report per b (220-275 bytes per b
+        # measured at l = 1, 2), beside the resolvent's largest chunk
+        rows = min(q**n, _chunk_rows(k, l))
+        check_bytes(400 * q**n + _resolvent_bytes(k, l, rows), "exhaustive stratum scan",
+                    q=q, l=l)
         bs = np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
     else:
         if not samples or samples < 1:

@@ -37,8 +37,11 @@ F13 = build_field(13)
 F131 = build_field(131)
 
 
-def resolvent_bytes(k, l):
-    return 3 * 8 * 2 * l * k ** (2 * l) * (k ** (2 * l - 2) + 1)
+def resolvent_bytes(k, l, rows=1):
+    # per b, 3x the gather of the 2l - 1 variables left once x_2l is
+    # eliminated and 512 bytes; per chunk, 8 KiB
+    n = 2 * l
+    return rows * (3 * 8 * (n - 1) * k ** (n - 1) * (k ** (n - 2) + 1) + 2**9) + 2**13
 
 
 def block_rows(q):
@@ -48,9 +51,10 @@ def block_rows(q):
 
 
 def naive_bytes(q, k):
-    # the k log factors, then per fold np.convolve's reversed input copy and
-    # its 2(q - 1) - 1 entry output while the last fold's output is held;
-    # assembly (the table and its scale permutation) holds less; 16 KiB
+    # the k log factors, then per fold the last fold's output, np.convolve's
+    # reversed input copy and its 2(q - 1) - 1 entry output, counted as 5
+    # vectors; assembly (the table and its scale permutation) holds less;
+    # 16 KiB
     return 16 * q * (k + 5) + 2**14
 
 
@@ -119,8 +123,10 @@ SITES = {
     "singular_polynomial": (lambda t: singular_polynomial(F131, 5, B), resolvent_bytes(5, 2),
                             "resolvent at q=131, k=5, l=2"),
     "singular_polynomial(batch)": (lambda t: singular_polynomial(F13, 2, [B] * 5),
-                                   5 * resolvent_bytes(2, 2), "resolvent at q=13, k=2, l=2"),
-    "stratum_scan": (lambda t: stratum_scan(F13, 2, 1, exhaustive=True), 400 * 13**2,
+                                   resolvent_bytes(2, 2, 5), "resolvent at q=13, k=2, l=2"),
+    # the b array and reports, beside the resolvent's one chunk of all 13^2 b
+    "stratum_scan": (lambda t: stratum_scan(F13, 2, 1, exhaustive=True),
+                     400 * 13**2 + resolvent_bytes(2, 1, 13**2),
                      "exhaustive stratum scan at q=13, l=1"),
     "bilinear_form": (lambda t: bilinear_form(t, CoeffSeq.ones(100), CoeffSeq.ones(150)),
                       bilinear_bytes(100, 150), f"bilinear form at q={Q}, M=100, N=150"),
@@ -147,8 +153,10 @@ def test_site_refuses_one_byte_short_and_admits_at_its_count(name, table, monkey
     call(table)
 
 
-@pytest.mark.parametrize("k,l,q", [(2, 4, 137), (3, 3, 271), (5, 2, 131)])
+@pytest.mark.parametrize("k,l,q", [(2, 4, 137), (3, 3, 271), (5, 2, 131), (2, 2, 97),
+                                   (3, 1, 1000003)])
 def test_resolvent_count_covers_measured_peak(k, l, q):
+    # the small shapes peak at numpy's call overhead, which the fixed 8 KiB covers
     f = build_field(q)
     tracemalloc.start()
     try:
@@ -160,15 +168,18 @@ def test_resolvent_count_covers_measured_peak(k, l, q):
 
 
 # b per full RESOLVENT_CHUNK_BYTES (4 MiB) chunk
-CHUNK_ROWS = {(2, 2): 546, (3, 2): 53, (2, 3): 26, (4, 2): 10}
+CHUNK_ROWS = {(2, 1): 6885, (2, 2): 1234, (3, 2): 209, (2, 3): 63, (4, 2): 53}
 
 
-@pytest.mark.parametrize("k,l,q", [(2, 2, 97), (3, 2, 499), (2, 3, 499), (4, 2, 509)])
+@pytest.mark.parametrize("k,l,q", [(2, 1, 1000003), (2, 2, 97), (3, 2, 499), (2, 3, 499),
+                                   (4, 2, 509)])
 def test_resolvent_chunk_count_covers_measured_peak(k, l, q):
-    # one full chunk of b: the count is per chunk, whatever the batch size
+    # one full chunk of b: the count is per chunk, whatever the batch size;
+    # at l = 1 the Python ints of M and M^k, past the small-int cache at
+    # q = 1000003, outweigh the gather
     f = build_field(q)
     rows = CHUNK_ROWS[k, l]
-    assert rows == strata.RESOLVENT_CHUNK_BYTES // resolvent_bytes(k, l)
+    assert resolvent_bytes(k, l, rows) <= strata.RESOLVENT_CHUNK_BYTES < resolvent_bytes(k, l, rows + 1)
     bs = np.random.Generator(np.random.PCG64(1)).integers(0, q, size=(rows, 2 * l))
     singular_polynomial(f, k, bs[:1])  # the cached row maps
     tracemalloc.start()
@@ -177,14 +188,14 @@ def test_resolvent_chunk_count_covers_measured_peak(k, l, q):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= rows * resolvent_bytes(k, l)
+    assert peak <= resolvent_bytes(k, l, rows)
 
 
 @pytest.mark.parametrize("q", [1009, 3659, 10007])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("a", [1, 2])
 def test_naive_count_covers_measured_peak(q, k, a):
-    # O(k q) bytes at every q: k = 4 peaks at its last fold (9.06 * 16 q at
+    # O(k q) bytes at every q: k = 4 peaks at its last fold (8.05 * 16 q at
     # q = 1009), k = 2 at a = 2 in the scale permutation
     f = build_field(q)
     t = CharTuple(f, tuple(range(1, k + 1)))
@@ -195,6 +206,23 @@ def test_naive_count_covers_measured_peak(q, k, a):
     finally:
         tracemalloc.stop()
     assert peak <= naive_bytes(q, k)
+
+
+@pytest.mark.parametrize("q", [3659, 10007])
+def test_naive_fold_frees_its_full_output(q):
+    # each fold copies the lower half out of np.convolve's 2(q - 1) - 1 entry
+    # output, so no fold holds the last fold's full output beside its own:
+    # k = 4 peaks at 8.0 * 16 q, a vector under the count (9.0 while a fold
+    # returned a view of its output)
+    f = build_field(q)
+    t = CharTuple(f, (1, 2, 3, 4))
+    tracemalloc.start()
+    try:
+        kl_table_naive(f, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * q * (4 + 4) + 2**14
 
 
 @pytest.mark.parametrize("q,hi", [(211, None), (499, None), (4099, None), (4099, 1)],

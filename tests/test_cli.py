@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from klsums import kloosterman
+from klsums import kloosterman, strata
 from klsums.cli import build_parser, run
 from klsums.errors import MAX_BYTES
 
@@ -392,6 +392,26 @@ def test_complete_sum_kr_budget_exit_3():
     assert peak < 64 * 2**20  # kmat (~160 GB) was never allocated
 
 
+def test_strata_scan_resolvent_budget_exit_3():
+    # (k, l) = (2, 7) at its least admitted q: 3x the gather over the 13
+    # variables left once x_14 is eliminated (13 x 2^13 rows by 2^12 + 1
+    # r-degrees), 512 bytes per b and 8 KiB, refused before the state exists;
+    # (2, 6) counts 554 MB and fits the budget
+    assert strata._resolvent_bytes(2, 6, 1) <= MAX_BYTES
+    need = 24 * 13 * 2**13 * (2**12 + 1) + 2**9 + 2**13
+    tracemalloc.start()
+    try:
+        code, env = run_json(["strata-scan", "--q", "8209", "--k", "2", "--l", "7",
+                              "--samples", "5", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and env["status"] == "resource-limit"
+    assert env["payload"]["error"] == (f"resolvent at q=8209, k=2, l=7 needs {need} bytes, "
+                                       f"over the {MAX_BYTES}-byte bound")
+    assert peak < 2**20
+
+
 def test_complete_sum_direct_budget_exit_3():
     # the difference form alone fits at q = 5779; the direct oracle's
     # 16 q (2 q + rows + 128) + 144 KiB bytes, with BLOCK_ENTRIES // q rows,
@@ -535,3 +555,17 @@ def test_strata_scan_csv_pinned():
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "46d00b093e63e1eb2d719646628116eb0aaf77b07f835bc1eb08dbb684d26884")
+
+
+@pytest.mark.parametrize("q,k,l,samples,digest", [
+    (499, 2, 3, 200, "0a6b68f9d674ac6a3c39c839185a55fb91b5d6aed071f00f4c440db7ef5229c6"),
+    (509, 4, 2, 30, "3cc2d9f14779405059f8c198545c38f50455086ec09aee7e89997077be5b32ef"),
+], ids=["k2-l3", "k4-l2"])
+def test_strata_scan_csv_pinned_more_shapes(q, k, l, samples, digest):
+    """Seeded scan CSVs at two more shapes, byte for byte as the resolvent
+    over all 2l variables wrote them (sha256 taken before x_2l was
+    eliminated by the norm identity)."""
+    code, text = run_cli(["strata-scan", "--q", str(q), "--k", str(k), "--l", str(l),
+                          "--samples", str(samples)])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -657,3 +657,102 @@ def test_box_preconditions(f97):
     for l in (0, -1):
         with pytest.raises(PreconditionError, match=f"l >= 1, got l={l}"):
             box_count_variety(f97, 4, l)
+
+
+# --- an all-forms oracle on Python ints ----------------------------------------
+
+
+def root_of_unity(k, q):
+    """A primitive k-th root of unity mod q, found by trial (q = 1 mod k)."""
+    primes = [p for p in range(2, k + 1) if k % p == 0 and all(p % d for d in range(2, p))]
+    for a in range(2, q):
+        z = pow(a, (q - 1) // k, q)
+        if all(pow(z, k // p, q) != 1 for p in primes):
+            return z
+    raise AssertionError(f"no primitive {k}-th root of unity mod {q}")
+
+
+def oracle_poly_all_forms(b, k, q):
+    """P_b = M^k over F_q as ascending coefficients, trimmed, with M the
+    product of all k^(2l-1) forms sum_{i<=l} zeta_i x_i - sum_{i>l} zeta_i x_i
+    with zeta_1 = 1, expanded on all 2l variables in
+    F_q[r][x]/(x_i^k - r - b_i).  The state maps exponent tuples to
+    ascending r-coefficient lists, Python ints throughout."""
+    n = len(b)
+    zeta = root_of_unity(k, q)
+    state = {(0,) * n: [1]}
+    for ts in itertools.product(range(k), repeat=n - 1):
+        coeffs = [pow(zeta, t, q) * (1 if i < n // 2 else -1) for i, t in enumerate((0, *ts))]
+        new = {}
+        for e, p in state.items():
+            for i, c in enumerate(coeffs):
+                e2 = list(e)
+                e2[i] += 1
+                term = [c * v for v in p]
+                if e2[i] == k:  # x_i^k = r + b_i
+                    e2[i] = 0
+                    term = [b[i] * v for v in term] + [0]
+                    for j, v in enumerate(p):
+                        term[j + 1] += c * v
+                acc = new.setdefault(tuple(e2), [])
+                acc += [0] * (len(term) - len(acc))
+                for j, v in enumerate(term):
+                    acc[j] = (acc[j] + v) % q
+        state = {e: p for e, p in new.items() if any(p)}
+    assert set(state) <= {(0,) * n}, "x-dependence left in M"
+    m = state.get((0,) * n, [])
+    while m and m[-1] == 0:
+        m.pop()
+    p = [1] if m else []
+    for _ in range(k):
+        p = [sum(p[j] * m[d - j] for j in range(len(p)) if 0 <= d - j < len(m)) % q
+             for d in range(len(p) + len(m) - 1)]
+    return p
+
+
+# (k, l, q): every (k, l) with k in {2, 3, 4} and l in {1, 2}, and (2, 3), at
+# the separability edge, the least prime q = 1 mod k above 2l + k^(2l-1); and
+# q = 2^31 - 1, the largest admitted q, where the state goes through 16-bit
+# halves (k = 4 does not divide q - 1)
+ORACLE_SHAPES = ([(2, 1, 5), (2, 2, 13), (3, 1, 7), (3, 2, 37), (4, 1, 13), (4, 2, 73), (2, 3, 41)]
+                 + [(k, l, 2**31 - 1) for k, l in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3))])
+
+
+def test_resolvent_matches_all_forms_oracle():
+    """singular_polynomial on batches against the product of all k^(2l-1)
+    forms on all 2l variables, at the separability edge and at q = 2^31 - 1
+    (a stub field of q and its primitive root 7), for b with repeated
+    values, zeros, diagonal rows and cross-paired rows."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def case(shape):
+        k, l, q = shape
+        # values from a pool of four, one of them 0, so repeats are common
+        pool = st.lists(st.integers(0, q - 1), min_size=3, max_size=3).map(lambda v: [0, *v])
+        picks = st.lists(st.integers(0, 3), min_size=2 * l, max_size=2 * l)
+        kind = st.sampled_from(("pool", "diagonal", "cross"))
+        rows = st.lists(st.tuples(picks, kind), min_size=1, max_size=3)
+        return st.tuples(st.just(shape), pool, rows)
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(ORACLE_SHAPES).flatmap(case))
+    @hyp.example(((4, 2, 73), [0, 1, 2, 3], [([1, 2, 3, 0], "pool")]))
+    @hyp.example(((2, 3, 2**31 - 1), [0, 2**31 - 2, 5, 2**30], [([1, 0, 3, 2, 1, 1], "pool"),
+                                                                ([1, 3, 2, 0, 0, 0], "cross")]))
+    @hyp.example(((3, 2, 2**31 - 1), [0, 2**31 - 2, 7, 9], [([1, 2, 1, 2], "diagonal")]))
+    def check(c):
+        (k, l, q), pool, rows = c
+        bs = []
+        for picks, kind in rows:
+            b = [pool[i] for i in picks]
+            if kind == "diagonal":  # b_1 = b_2, b_3 = b_4, ...
+                b = [b[i // 2 * 2] for i in range(2 * l)]
+            elif kind == "cross":  # the second half permutes the first
+                b = b[:l] + b[:l][::-1]
+            bs.append(b)
+        f = types.SimpleNamespace(q=q, g=7) if q == 2**31 - 1 else build_field(q)
+        got = singular_polynomial(f, k, np.array(bs, dtype=np.int64))
+        assert got == [oracle_poly_all_forms(b, k, q) for b in bs], (k, l, q, bs)
+
+    check()
