@@ -33,8 +33,8 @@ import numpy as np
 from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
 from .field import MultChar, PrimeField, additive_char_vector, gauss_sum, log_dft
-from .kloosterman import BLOCK_ENTRIES, KlTable, kl_table_naive
-from .sums import _sweep, kr_matrix, sigma_II
+from .kloosterman import KlTable, kl_table_naive
+from .sums import BLOCK_ENTRIES, _sweep, kr_matrix, sigma_II
 from .strata import generic_z_value, is_diagonal, z_fiber_count
 
 # Entries (keys times shifts b) per majorant block of shift_reduction_trace:
@@ -340,10 +340,11 @@ def _attach_box_sum(trace: ShiftTrace, table: KlTable, l: int, seed: int) -> Non
 # moment identity
 
 
-def kl3_direct(field: PrimeField, xi: MultChar, x: int) -> complex:
-    """Kl_3(x; (1,1,xi), q) read from the naive table, the package's one
-    direct evaluation (no transforms), with xi on the third factor."""
-    return kl_table_naive(field, CharTuple(field, (0, 0, xi.a))).value(x)
+def kl3_direct(field: PrimeField, xi: MultChar, x) -> complex | np.ndarray:
+    """Kl_3(x; (1,1,xi), q) at an int x or at each of a sequence of x, all
+    read from one naive table, the package's one direct evaluation (no
+    transforms), with xi on the third factor."""
+    return kl_table_naive(field, CharTuple(field, (0, 0, xi.a))).values[np.asarray(x) % field.q]
 
 
 def moment_identity_check(field: PrimeField, xi: MultChar, n: int) -> tuple[complex, complex, float]:
@@ -383,7 +384,8 @@ def moment_identity_check(field: PrimeField, xi: MultChar, n: int) -> tuple[comp
     conj_chi_n = np.exp(-2j * np.pi * (a * int(field.dlog[n]) % N) / N)
     terms = eps_chi**2 * eps_chixi * conj_chi_n
     lhs = complex(math.fsum(terms.real), math.fsum(terms.imag)) * 2 / N
-    rhs = (kl3_direct(field, xi, n) + kl3_direct(field, xi, q - n)) / sq
+    kn, kmn = kl3_direct(field, xi, (n, q - n))
+    rhs = complex(kn + kmn) / sq
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -28,44 +28,29 @@ that constant relates the two conventions and is never applied silently.
 The table index runs over residues 0..q-1 with the value at 0 fixed to 0
 (the stalk at 0 vanishes), which is the convention every downstream complete
 sum relies on when an argument s*(r+b_i) hits 0.
-
-``values`` is always complex128.  The Sigma kernel reads the table through
-two lazily cached arrays built from it, so ``kl_table_fast`` pays for
-neither: ``kernel``, which is values.real or values.imag as float64 when
-``chartuples.kl_value_kind`` says K is real or purely imaginary (K = kappa
-or i kappa), and values itself otherwise; and
-``kmat[x, sigma] = kernel[x*g^sigma]``, x read mod q, in the kernel's
-dtype: its columns the nonzero s = g^sigma in log order, its rows q onward
-a repeat of the first block_rows - 1.  Row x is a window of the doubled
-log table at dlog(x), so kmat is one gather with no modular arithmetic,
-and every factor of a Sigma block is one contiguous slice of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
-from .chartuples import CharTuple, kl_value_kind
+from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
 from .field import PrimeField, additive_char_vector, gauss_sum, log_dft, MultChar
 
 DELIGNE_SLACK = 1e-9
-# Entries per row block of the Sigma kernel (block_rows): the numpy calls
-# of a block are paid once per 2^16 entries (512 KiB as float64).  Sigma
-# per b, one BLAS thread: 1-6% faster than at 2^15 for q = 307..2003,
-# while 2^17 was slower at q = 997 and 2003.
-BLOCK_ENTRIES = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KlTable:
     """Table of x -> Kl_k(a*x; chi, q) for all x, normalized by q^{-(k-1)/2}.
 
     values has length q; values[0] = 0 by the vanishing-stalk convention and
-    values[x] for x != 0 is the normalized sum.
+    values[x] for x != 0 is the normalized sum, read-only complex128.  A
+    table compares and hashes by identity (eq=False), so ``sums`` can key
+    its per-table cache on it.
     """
 
     field: PrimeField
@@ -82,57 +67,6 @@ class KlTable:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """The values the Sigma kernel reads, built on first use: by the
-        tuple's ``kl_value_kind``, values.real (K = kappa) or values.imag
-        (K = i kappa) as a read-only float64 copy, or values itself.
-
-        A real kappa serves both kinds, with no conjugation: bfK has l plain
-        and l conjugated factors, and i^l (-i)^l = 1.
-        """
-        kind = kl_value_kind(self.tuple)
-        if kind == "complex":
-            return self.values
-        out = np.ascontiguousarray(self.values.real if kind == "real" else self.values.imag)
-        out.flags.writeable = False
-        return out
-
-    @property
-    def block_rows(self) -> int:
-        """Rows per block of every Sigma pass over kmat, one more than
-        kmat's repeated rows: BLOCK_ENTRIES // q, at least 1 and at most q
-        (all of N up to q = 256, 65 rows at q = 997, 15 at q = 4099)."""
-        q = self.field.q
-        return min(max(1, BLOCK_ENTRIES // q), q)
-
-    @cached_property
-    def kmat(self) -> np.ndarray:
-        """Read-only (q + block_rows - 1) x (q - 1) matrix
-        kmat[x, sigma] = kernel[x*g^sigma], x read mod q, built on first use.
-
-        Row x holds K(x*s) for the nonzero s = g^sigma in log order, so
-        K(s*(r + b)) for a block of at most block_rows rows from r = a and
-        all s is the contiguous slice of kmat rows (a + b) % q onward: the
-        shift kernel of ``sums.kr_matrix``.  Every Sigma quantity sums over
-        s, so the column order is free.  16 (q + block_rows - 1) (q - 1)
-        bytes (half for a float64 kernel), counted by the caller.  Row x is
-        the window at dlog(x % q) of logs = [L, L, 0...0], L[m] = kernel[g^m]
-        (3 (q - 1) entries), so the build is one gather of the windows of a
-        read-only strided view of logs by ``field.dlog`` and its first
-        block_rows - 1 entries: dlog(0) = -1 reads the last window, all
-        zero, and every other entry is the kernel's value bit for bit.  It
-        holds kmat, logs and that index.
-        """
-        n = self.field.q - 1
-        logs = np.zeros(3 * n, dtype=self.kernel.dtype)
-        logs[:n] = logs[n:2 * n] = self.kernel[self.field.exp]
-        logs.flags.writeable = False
-        win = np.ndarray((2 * n + 1, n), logs.dtype, logs, strides=(logs.itemsize,) * 2)
-        out = win[np.concatenate((self.field.dlog, self.field.dlog[:self.block_rows - 1]))]
-        out.flags.writeable = False
-        return out
 
 
 def _factor_logs(field: PrimeField, t: CharTuple) -> list[np.ndarray]:

@@ -27,43 +27,52 @@ while in cache to its row sums and sum |bfK|^2, so N is never held whole.
 
 ``sigma_II``, ``kr_matrix``, the sweep and the direct oracle take one b
 (``field.check_b``'s batch form is the strata's), and ``kr_matrix`` refuses
-a batch for all of them.  They are one kernel whose dtype follows the
-table's ``kernel`` (``kloosterman.KlTable``): float64 kappa when the tuple
-makes K real or purely imaginary (``chartuples.kl_value_kind``), since bfK
-then equals the product of its 2l kappa factors with no conjugation
-(i^l (-i)^l = 1); complex128 values otherwise.  Only the imaginary
-rounding residue of a real table's values is dropped, so Sigma moves by
-rounding only (at most 2.2e-14 q^{3/2} measured at q = 101..1009).
+a batch for all of them.  They are one kernel, which reads the table's
+values through ``_kernel``: float64 kappa (values.real for K = kappa,
+values.imag for K = i kappa, a read-only view) when the tuple makes K real
+or purely imaginary (``chartuples.kl_value_kind``), since bfK then equals
+the product of its 2l kappa factors with no conjugation (i^l (-i)^l = 1);
+complex128 values otherwise.  Only the imaginary rounding residue of a real
+table's values is dropped, so Sigma moves by rounding only (at most
+2.2e-14 q^{3/2} measured at q = 101..1009).
 
-The kernel reads the table's cached kmat[x, sigma] = kernel[(x % q) g^sigma],
-whose columns are N's and whose rows q onward repeat its first
-``KlTable.block_rows`` - 1: factor i of a block of at most block_rows rows
+The kernel reads one matrix per table, kmat[x, sigma] = kernel[(x % q) g^sigma]
+in the kernel's dtype, built on first use by ``_kmat`` and cached until the
+table is freed.  Its columns are N's, and its rows q onward repeat its first
+rows - 1 for the one block rule, ``_block_rows``: BLOCK_ENTRIES // q rows,
+at least 1 and at most q (2^16 entries: all of N up to q = 256, 65 rows at
+q = 997, 15 at q = 4099).  So factor i of a block of at most that many rows
 from r = a, K(s (r + b_i)) for all s, is the contiguous slice of kmat rows
-(a + b_i) % q onward, read with no copy.  ``kr_matrix`` cuts its rows into
-blocks of block_rows rows, the one block rule, which lives next to kmat:
-BLOCK_ENTRIES // q rows (2^16 entries: all of N up to q = 256, 65 rows at
-q = 997), and writes each block as 2l - 1 multiplies of kmat slices in
-factor order.  A complex block is conjugated in place before factor l and
-at the end, which rounds exactly as conjugating factors l..2l-1 (a sign
-flip), so every entry equals the pointwise product ``_bfk_product``, the
-oracle it is tested against, whatever the rows or the block size; a
-float64 kmat needs no conjugation.  The sweep asks ``kr_matrix`` for one
-block of rows at a time; each bfR(r) is one pairwise sum along row r, and
-each block's sum |bfK|^2 one ``vdot``.  The direct oracle's Gram blocks are
-real GEMMs on a float64 N, a quarter of the complex flops.
+(a + b_i) % q onward, read with no copy.  Row x is the window at dlog(x % q)
+of logs = [L, L, 0...0], L[m] = kernel[g^m] (3 (q - 1) entries), so the
+build is one gather of the windows of a read-only strided view of logs by
+``field.dlog`` and its first rows - 1 entries, with no modular arithmetic:
+dlog(0) = -1 reads the last window, all zero, and every other entry is the
+kernel's value bit for bit.  The build holds kmat, logs and that index.
+
+``kr_matrix`` cuts its rows into blocks and writes each as 2l - 1
+multiplies of kmat slices in factor order.  A complex block is conjugated
+in place before factor l and at the end, which rounds exactly as
+conjugating factors l..2l-1 (a sign flip), so every entry equals the
+pointwise product ``_bfk_product``, the oracle it is tested against,
+whatever the rows or the block size; a float64 kmat needs no conjugation.
+The sweep asks ``kr_matrix`` for one block of rows at a time; each bfR(r) is
+one pairwise sum along row r, and each block's sum |bfK|^2 one ``vdot``.
+The direct oracle's Gram blocks are real GEMMs on a float64 N, a quarter of
+the complex flops.
 
 Against the byte budget (``errors.MAX_BYTES``) every count is the complex
 one, an upper bound for a float64 kernel, and includes 16 KiB for the
-small arrays.  The table's cached kmat is counted as 16 q (q + rows)
-bytes.  The sweep counts kmat, one row block, the bfR vector and 8 bytes
-per block for its partial sums (kmat's build, 24 q bytes past kmat's
-count, comes before the first block):
+small arrays.  Each starts from kmat's ``_kmat_bytes``, 16 q (q + rows), and
+adds its own.  The sweep adds one row block, the bfR vector and 8 bytes per
+block for its partial sums (kmat's build, 24 q bytes past kmat's count,
+comes before the first block):
 16 q (q + 2 rows + 1) + 8 ceil(q / rows) + 16 KiB, which admits q <= 8179.
-``kr_matrix`` counts kmat, its output and one row more for kmat's build:
+``kr_matrix`` adds its output and one row more for kmat's build:
 16 q (q + (hi - lo) + rows + 1) + 16 KiB, so all rows admit q <= 5783.
-The direct route holds kmat and the whole N and forms the Gram matrix
-GRAM_ROWS (64) columns at a time, and numpy buffers 128 KiB for a strided
-block: 16 q (2 q + rows + 128) + 144 KiB bytes, q <= 5749.
+The direct route adds the whole N and forms the Gram matrix GRAM_ROWS (64)
+columns at a time, and numpy buffers 128 KiB for a strided block:
+16 q (2 q + rows + 128) + 144 KiB bytes, q <= 5749.
 
 Any factor K(0) contributes 0 (vanishing stalk), which the table's
 zero-entry at index 0 implements for free.
@@ -76,28 +85,74 @@ terms); scalar combination steps use math.fsum.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from .chartuples import kl_value_kind
 from .errors import NumericalInstabilityError, PreconditionError, check_bytes
 from .field import check_b
 from .kloosterman import KlTable
 
 SIGMA_II_AGREE_RTOL = 1e-6
+# Entries per row block of the Sigma kernel (_block_rows): the numpy calls
+# of a block are paid once per 2^16 entries (512 KiB as float64).  Sigma
+# per b, one BLAS thread: 1-6% faster than at 2^15 for q = 307..2003,
+# while 2^17 was slower at q = 997 and 2003.
+BLOCK_ENTRIES = 2**16
 # Columns of s per block of the direct oracle's Gram sum: one conjugated
 # block and its (GRAM_ROWS, q - 1) slab of Gram entries.
 GRAM_ROWS = 64
+# kmat per table, dropped when its table is freed
+_KMATS: weakref.WeakKeyDictionary[KlTable, np.ndarray] = weakref.WeakKeyDictionary()
+
+
+def _block_rows(q: int) -> int:
+    """Rows per block of every Sigma pass over kmat, one more than kmat's
+    repeated rows: BLOCK_ENTRIES // q, at least 1 and at most q."""
+    return min(max(1, BLOCK_ENTRIES // q), q)
+
+
+def _kmat_bytes(q: int) -> int:
+    """kmat's count, 16 q bytes per row, to which every Sigma count adds its own."""
+    return 16 * q * (q + _block_rows(q))
+
+
+def _kernel(table: KlTable) -> np.ndarray:
+    """The values the Sigma kernel reads (module docstring): values.real or
+    values.imag as a read-only float64 view, or values itself."""
+    kind = kl_value_kind(table.tuple)
+    if kind == "complex":
+        return table.values
+    return table.values.real if kind == "real" else table.values.imag
+
+
+def _kmat(table: KlTable) -> np.ndarray:
+    """The table's read-only (q + rows - 1) x (q - 1) kmat (module
+    docstring), rows = ``_block_rows(q)``, built on first use and cached in
+    _KMATS.  Counted by the caller."""
+    kmat = _KMATS.get(table)
+    if kmat is None:
+        q, dlog = table.field.q, table.field.dlog
+        n, kernel = q - 1, _kernel(table)
+        logs = np.zeros(3 * n, dtype=kernel.dtype)
+        logs[:n] = logs[n:2 * n] = kernel[table.field.exp]
+        logs.flags.writeable = False
+        win = np.ndarray((2 * n + 1, n), logs.dtype, logs, strides=(logs.itemsize,) * 2)
+        kmat = _KMATS[table] = win[np.concatenate((dlog, dlog[:_block_rows(q) - 1]))]
+        kmat.flags.writeable = False
+    return kmat
 
 
 def _bfk_product(table: KlTable, s, r, b: np.ndarray, l: int) -> np.ndarray:
     """bfK(s*r, s*b) = prod_i K(s*(r + b_i)), conjugated for i > l, with s
-    and r broadcast against each other, in the dtype of ``table.kernel``.
-    The pointwise oracle for ``kr_matrix``: it indexes the table's kernel
-    directly and shares no code with the kernel's kmat; s = ``field.exp``
-    gives kr_matrix's columns."""
+    and r broadcast against each other, in the dtype of ``_kernel``.
+    The pointwise oracle for ``kr_matrix``: it indexes the kernel directly
+    and shares no code with kmat; s = ``field.exp`` gives kr_matrix's
+    columns."""
     q = table.field.q
-    src = table.kernel
+    src = _kernel(table)
     out = np.ones(np.broadcast_shapes(np.shape(s), np.shape(r)), dtype=src.dtype)
     for i in range(2 * l):
         factor = src[(s * ((r + b[i]) % q)) % q]
@@ -110,12 +165,8 @@ def kr_matrix(table: KlTable, b, lo: int = 0, hi: int | None = None) -> np.ndarr
     s = g^sigma, sigma = 0..q-2, for one b; by default all of them,
     r = 0..q-1.  A (B, 2l) array of b is refused.
 
-    Row x of ``table.kmat`` holds K(x*s) in N's column order, so factor i
-    of a block of at most ``table.block_rows`` rows from a is the slice of
-    kmat rows (a + b_i) % q onward.  Each block of ``table.block_rows`` rows
-    from lo is 2l - 1 multiplies of such slices in factor order.  A complex
-    block is conjugated in place before factor l and at the end, which
-    rounds as conjugating factors l..2l-1, so every entry equals
+    Each block of ``_block_rows(q)`` rows from lo is 2l - 1 multiplies of
+    kmat slices in factor order (module docstring), so every entry equals
     ``_bfk_product`` whatever the row range.  The output has kmat's dtype.
     """
     bt, l = check_b(table.field, b)
@@ -126,12 +177,12 @@ def kr_matrix(table: KlTable, b, lo: int = 0, hi: int | None = None) -> np.ndarr
     hi = q if hi is None else hi
     if not 0 <= lo < hi <= q:
         raise PreconditionError(f"kr_matrix rows need 0 <= lo < hi <= q, got q={q}, lo={lo}, hi={hi}")
-    rows = table.block_rows
-    # kmat (q + rows rows of 16 q bytes), the output (hi - lo rows), one row
-    # more for kmat's build (its logs and index, 24 q bytes past kmat's
-    # count, before the output exists) and 16 KiB for the small arrays
-    check_bytes(16 * q * (q + (hi - lo) + rows + 1) + 2**14, "kr_matrix", q=q)
-    kmat = table.kmat
+    rows = _block_rows(q)
+    # the output (hi - lo rows of 16 q bytes), one row more for kmat's build
+    # (its logs and index, 24 q bytes past kmat's count, before the output
+    # exists) and 16 KiB for the small arrays
+    check_bytes(_kmat_bytes(q) + 16 * q * (hi - lo + 1) + 2**14, "kr_matrix", q=q)
+    kmat = _kmat(table)
     out = np.empty((hi - lo, q - 1), dtype=kmat.dtype)
     conj = np.iscomplexobj(kmat)
     row = bt.tolist()
@@ -148,17 +199,17 @@ def kr_matrix(table: KlTable, b, lo: int = 0, hi: int | None = None) -> np.ndarr
 
 
 def _sweep(table: KlTable, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """One pass over N for one b in blocks of ``table.block_rows`` rows from
+    """One pass over N for one b in blocks of ``_block_rows(q)`` rows from
     ``kr_matrix``: the row sums bfR(r, b) for r = 0..q-1, and sum |bfK|^2
     over all of N, the fsum of one float64 partial per block.  The byte
-    budget is checked before the first block."""
-    q, rows = table.field.q, table.block_rows
+    budget is checked before kmat is built."""
+    q = table.field.q
+    rows = _block_rows(q)
     starts = range(0, q, rows)
-    # kmat (q + rows rows of 16 q bytes; its build comes before the block),
-    # kr_matrix's block (rows), the bfR vector (one row), 8 bytes per block
-    # partial and 16 KiB for the small arrays
-    check_bytes(16 * q * (q + 2 * rows + 1) + 8 * len(starts) + 2**14, "Sigma sweep", q=q)
-    r_vec = np.empty(q, dtype=table.kernel.dtype)
+    # past kmat: kr_matrix's block (rows of 16 q bytes), the bfR vector (one
+    # row), 8 bytes per block partial and 16 KiB for the small arrays
+    check_bytes(_kmat_bytes(q) + 16 * q * (rows + 1) + 8 * len(starts) + 2**14, "Sigma sweep", q=q)
+    r_vec = np.empty(q, dtype=_kmat(table).dtype)
     k2 = np.empty(len(starts))
     for j, lo in enumerate(starts):
         block = kr_matrix(table, b, lo, min(lo + rows, q))
@@ -238,11 +289,11 @@ def sigma_II_direct(table: KlTable, b) -> complex:
     q = table.field.q
     n = q - 1
     rows = min(GRAM_ROWS, n)
-    # 16 q bytes per row: kmat (q + block_rows rows) and N, and the
-    # conjugated block and X, whose (q - 1) x GRAM_ROWS entries fit in
-    # GRAM_ROWS rows; and 144 KiB: numpy's 8192-entry buffer (128 KiB) for a
-    # strided block's conjugate and sum, and 16 KiB for the small arrays
-    check_bytes(16 * q * (2 * q + table.block_rows + 2 * GRAM_ROWS) + 9 * 2**14, "sigma_II_direct", q=q)
+    # past kmat, 16 q bytes per row: N, and the conjugated block and X,
+    # whose (q - 1) x GRAM_ROWS entries fit in GRAM_ROWS rows; and 144 KiB:
+    # numpy's 8192-entry buffer (128 KiB) for a strided block's conjugate
+    # and sum, and 16 KiB for the small arrays
+    check_bytes(_kmat_bytes(q) + 16 * q * (q + 2 * GRAM_ROWS) + 9 * 2**14, "sigma_II_direct", q=q)
     m = kr_matrix(table, b)
     real = not np.iscomplexobj(m)
     conj_buf = None if real else np.empty((q, rows), dtype=m.dtype)

@@ -18,10 +18,11 @@ from klsums.bilinear import (
     shift_reduction_trace,
     theorem_bounds,
 )
+from klsums import sums
 from klsums.chartuples import CharTuple
 from klsums.errors import InternalConsistencyError, PreconditionError
 from klsums.field import MultChar, _split_prime, build_field, gauss_sum
-from klsums.kloosterman import kl_table_fast
+from klsums.kloosterman import kl_table_fast, kl_table_naive
 from klsums.serialize import jsonify
 from klsums.sums import kr_matrix
 
@@ -438,6 +439,20 @@ def test_moment_identity_rejects_corrupted_spectrum():
         moment_identity_check(g, MultChar(g, 0), 1)
 
 
+def test_moment_identity_builds_one_naive_table(monkeypatch):
+    """One check reads Kl_3(n) and Kl_3(-n) from a single naive table."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kl_table_naive(*args, **kwargs)
+
+    monkeypatch.setattr("klsums.bilinear.kl_table_naive", counted)
+    f = build_field(101)
+    moment_identity_check(f, MultChar(f, 4), 7)
+    assert len(calls) == 1
+
+
 def test_kl3_direct_row_blocks_small_peak():
     """kl3_direct reads the naive table, whose convolutions hold O(q)
     bytes: its tracemalloc peak stays under 1 MiB at q = 1009, a sixteenth
@@ -586,7 +601,7 @@ def test_power_sum_imaginary_table_matches_enumeration(q):
     and rhs are 0, and the complex kernel leaves the same 1e-12 residue."""
     f = build_field(q)
     tab = kl_table_fast(f, CharTuple(f, (0, (q - 1) // 2)))
-    assert tab.kernel.dtype == np.float64
+    assert sums._kernel(tab).dtype == np.float64
     for n, m in itertools.product(range(1, 5), (0, 1)):
         if (q - 1) ** (n - m) > 3000:
             continue

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from klsums import errors, kloosterman, strata
+from klsums import errors, strata, sums
 from klsums.bilinear import (
     CoeffSeq,
     averaged_comparison_full_sample,
@@ -47,7 +47,7 @@ def resolvent_bytes(k, l, rows=1):
 def block_rows(q):
     # rows r per block of N: BLOCK_ENTRIES entries, at least 1 and at most
     # q rows
-    return min(max(1, kloosterman.BLOCK_ENTRIES // q), q)
+    return min(max(1, sums.BLOCK_ENTRIES // q), q)
 
 
 def naive_bytes(q, k):
@@ -89,7 +89,7 @@ def bilinear_bytes(M, N):
     # one block of BLOCK_ENTRIES // N rows of alpha (at least one, at most
     # M): its int64 index and complex128 gather, the length-N row
     # alpha_blk K[blk], 16 bytes per block partial, 16 KiB
-    rows = min(M, max(1, kloosterman.BLOCK_ENTRIES // N))
+    rows = min(M, max(1, sums.BLOCK_ENTRIES // N))
     return (24 * rows + 16) * N + 16 * -(-M // rows) + 2**14
 
 
@@ -271,7 +271,7 @@ def test_sweep_count_covers_measured_peak(q):
     finally:
         tracemalloc.stop()
     assert peak <= sweep_bytes(q)
-    assert peak < 16 * q**2 + 2 * 16 * kloosterman.BLOCK_ENTRIES + 2**14
+    assert peak < 16 * q**2 + 2 * 16 * sums.BLOCK_ENTRIES + 2**14
 
 
 @pytest.mark.parametrize("q,m", [(211, 0), (211, 1), (1009, 0), (1009, 1)])
@@ -287,7 +287,7 @@ def test_power_sum_count_covers_measured_peak(q, m):
     finally:
         tracemalloc.stop()
     assert peak <= power_sum_bytes(q, m)
-    assert "kmat" not in t.__dict__ and "kernel" not in t.__dict__
+    assert t not in sums._KMATS and set(vars(t)) == {"field", "tuple", "scale", "values"}
 
 
 @pytest.mark.parametrize("q,m", [(1009, 0), (1009, 1)])
@@ -304,9 +304,9 @@ def test_power_sum_real_table_casts_no_kmat(q, m, chars):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "kmat" not in t.__dict__ and "kernel" not in t.__dict__
+    assert t not in sums._KMATS and set(vars(t)) == {"field", "tuple", "scale", "values"}
     assert peak <= power_sum_bytes(q, m)
-    assert t.kmat.dtype == np.float64
+    assert sums._kmat(t).dtype == np.float64
 
 
 @pytest.mark.parametrize("q,M,N", [(1009, 1000, 30), (10007, 2000, 2000), (100003, 3, 99999)])

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from klsums import kloosterman, strata
+from klsums import strata, sums
 from klsums.cli import build_parser, run
 from klsums.errors import MAX_BYTES
 
@@ -416,7 +416,7 @@ def test_complete_sum_direct_budget_exit_3():
     # the difference form alone fits at q = 5779; the direct oracle's
     # 16 q (2 q + rows + 128) + 144 KiB bytes, with BLOCK_ENTRIES // q rows,
     # do not, and are refused before kmat or N is built
-    rows = kloosterman.BLOCK_ENTRIES // 5779
+    rows = sums.BLOCK_ENTRIES // 5779
     tracemalloc.start()
     try:
         code, env = run_json(["complete-sum", "--q", "5779", "--chars", "0,0", "--b", "1,2,3,4",

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from klsums import sums
 from klsums.chartuples import CharTuple
 from klsums.errors import PreconditionError
 from klsums.field import (
@@ -328,20 +329,29 @@ def test_kmat_build_holds_kmat_and_logs(chars, q):
     row-block buffer.  kmat[x, sigma] = K((x % q) g^sigma)."""
     f = build_field(q)
     table = kl_table_fast(f, CharTuple(f, chars))
-    kernel = table.kernel  # a float64 copy for the real table, built outside the measurement
+    kernel = sums._kernel(table)  # a float64 view for the real table
     tracemalloc.start()
     try:
-        kmat = table.kmat
+        kmat = sums._kmat(table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert kmat.dtype == (np.float64 if chars == (0, 0) else np.complex128)
-    rows = table.block_rows
+    rows = sums._block_rows(q)
     assert kmat.shape == (q + rows - 1, q - 1)
     assert peak <= kmat.nbytes + 3 * (q - 1) * kmat.itemsize + 8 * (q + rows) + 2**12
     x = np.arange(q + rows - 1, dtype=np.int64) % q
     for lo in range(0, q + rows - 1, 256):  # the oracle in row blocks, with no q x q index
         assert np.array_equal(kmat[lo:lo + 256], kernel[x[lo:lo + 256, None] * f.exp % q])
+
+
+def test_table_hashes_and_compares_by_identity(f13):
+    """Two tables of the same tuple and scale are distinct keys: == is
+    identity and hash is defined, with no comparison of the arrays."""
+    t, u = (kl_table_fast(f13, CharTuple(f13, (1, 5))) for _ in range(2))
+    assert np.array_equal(t.values, u.values)
+    assert t == t and t != u
+    assert len({t, u, t}) == 2 and hash(t) == hash(t)
 
 
 def test_values_immutable(f13):

@@ -1,12 +1,14 @@
 import cmath
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from klsums import kloosterman, sums
+from klsums import sums
 from klsums.chartuples import CharTuple
 from klsums.errors import MAX_BYTES, PreconditionError, ResourceLimitError
 from klsums.field import build_field, is_prime
@@ -217,7 +219,7 @@ def test_affine_invariance_property(chars):
     q = 103
     f = build_field(q)
     table = kl_table_fast(f, CharTuple(f, chars))
-    assert table.kmat.dtype == (np.complex128 if chars == (3, 7) else np.float64)
+    assert sums._kmat(table).dtype == (np.complex128 if chars == (3, 7) else np.float64)
 
     @hyp.settings(max_examples=25, deadline=None, derandomize=True)
     @hyp.given(affine_case(q))
@@ -244,11 +246,11 @@ def test_float64_kernel_matches_complex_path(q, chars, monkeypatch):
     f = build_field(q)
     t = CharTuple(f, chars)
     real = kl_table_fast(f, t)
-    monkeypatch.setattr("klsums.kloosterman.kl_value_kind", lambda _t: "complex")
+    monkeypatch.setattr("klsums.sums.kl_value_kind", lambda _t: "complex")
     cplx = kl_table_fast(f, t)
-    assert cplx.kernel is cplx.values and cplx.kmat.dtype == np.complex128
+    assert sums._kernel(cplx) is cplx.values and sums._kmat(cplx).dtype == np.complex128
     monkeypatch.undo()
-    assert real.kmat.dtype == np.float64
+    assert sums._kmat(real).dtype == np.float64
     rng = np.random.Generator(np.random.PCG64(q))
     for l in (1, 2, 3):
         bs = rng.integers(0, q, size=(4, 2 * l))
@@ -300,7 +302,7 @@ def test_sigma_II_direct_byte_budget():
     # conjugated block and (q - 1) x 64 Gram slab, numpy's 128 KiB buffer
     # for a strided block, and 16 KiB for the small arrays
     def rows(q):
-        return max(1, kloosterman.BLOCK_ENTRIES // q)
+        return max(1, sums.BLOCK_ENTRIES // q)
 
     def direct_bytes(q):
         return 16 * q * (2 * q + rows(q) + 128) + 2**17 + 2**14
@@ -316,7 +318,7 @@ def test_sigma_II_direct_byte_budget():
                  lambda: sigma_II_direct(table, (1, 2, 3, 4))):
         with pytest.raises(ResourceLimitError, match=f"q=5779 needs {need} bytes"):
             call()
-    assert "kmat" not in vars(table)
+    assert table not in sums._KMATS
 
 
 def full_gram_direct(table, b):
@@ -449,20 +451,40 @@ def test_kr_matrix_matches_oracle_property():
 
 
 def test_kmat_cached_and_read_only(tab13):
-    kmat = tab13.kmat
-    assert kmat is tab13.kmat
+    kmat = sums._kmat(tab13)
+    assert kmat is sums._kmat(tab13)
     assert not kmat.flags.writeable
     with pytest.raises(ValueError):
         kmat[1, 1] = 0
     # kmat[x, sigma] = K(x g^sigma): row 0 is zero, row 1 the kernel in log
     # order, and rows q .. q + block_rows - 2 repeat rows 0 .. block_rows - 2
-    rows = tab13.block_rows
+    rows = sums._block_rows(13)
     assert kmat.shape == (13 + rows - 1, 12)
     x, s = np.meshgrid(np.arange(13), tab13.field.exp, indexing="ij")
-    assert np.array_equal(kmat[:13], tab13.kernel[(x * s) % 13])
+    assert np.array_equal(kmat[:13], sums._kernel(tab13)[(x * s) % 13])
     assert not kmat[0].any()
-    assert np.array_equal(kmat[1], tab13.kernel[tab13.field.exp])
+    assert np.array_equal(kmat[1], sums._kernel(tab13)[tab13.field.exp])
     assert np.array_equal(kmat[13:], kmat[:rows - 1])
+
+
+def test_kmat_cache_reused_and_freed_with_its_table():
+    """A second report on the same table reads the kmat the first one built,
+    and the cache holds no reference to the table, so freeing the table
+    drops its kmat.  (That the power-sum comparison leaves no entry is
+    asserted in test_budget.py.)"""
+    f = build_field(101)
+    table = kl_table_fast(f, CharTuple(f, (1, 5)))
+    assert table not in sums._KMATS
+    sigma_II(table, (1, 2, 3, 4))
+    kmat = sums._KMATS[table]
+    sigma_II(table, (5, 6, 7, 8))
+    assert sums._KMATS[table] is kmat and sums._kmat(table) is kmat
+    gc.collect()  # tables left by earlier tests, so that only this one drops out below
+    held, refs = len(sums._KMATS), (weakref.ref(table), weakref.ref(kmat))
+    del table, kmat
+    gc.collect()
+    assert all(ref() is None for ref in refs) and len(sums._KMATS) == held - 1
+
 
 
 def test_kr_matrix_no_q2_temporaries():
@@ -484,7 +506,7 @@ def test_kr_matrix_no_q2_temporaries():
 def tab997():
     f = build_field(997)
     table = kl_table_fast(f, CharTuple(f, (1, 5)))
-    assert table.kmat.dtype == np.complex128  # built here, outside every measurement
+    assert sums._kmat(table).dtype == np.complex128  # built here, outside every measurement
     return table
 
 
@@ -496,7 +518,7 @@ def test_kr_matrix_holds_only_its_output(tab997, b, full):
     place, with no (rows, q - 1) conjugate buffer (1 MB here)."""
     tracemalloc.start()
     try:
-        out = kr_matrix(tab997, b, 0, None if full else tab997.block_rows)
+        out = kr_matrix(tab997, b, 0, None if full else sums._block_rows(997))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -509,14 +531,14 @@ def test_kr_matrix_byte_budget():
     # first past it; the largest q the tests and the benchmark use (1999)
     # stays far inside it
     def need(q):
-        return 16 * q * (2 * q + max(1, kloosterman.BLOCK_ENTRIES // q) + 1) + 2**14
+        return 16 * q * (2 * q + max(1, sums.BLOCK_ENTRIES // q) + 1) + 2**14
 
     assert need(1999) <= need(5783) <= MAX_BYTES < need(5791)
     f = build_field(5791)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
     with pytest.raises(ResourceLimitError, match=f"q=5791 needs {need(5791)} bytes"):
         kr_matrix(table, (1, 2, 3, 4))
-    assert "kmat" not in vars(table)
+    assert table not in sums._KMATS
 
 
 def full_matrix_reductions(table, b):
@@ -584,10 +606,10 @@ def test_sweep_block_size_invariance(q, rows, monkeypatch):
     """Blocks of any number of rows, from one to more than q (one block),
     with a last block that is not full: kr_matrix stays bit-identical to the
     pointwise oracle and the sweep agrees with the full-matrix reductions.
-    The table's block_rows follows kloosterman.BLOCK_ENTRIES."""
-    monkeypatch.setattr(kloosterman, "BLOCK_ENTRIES", rows * q)
+    sums._block_rows follows sums.BLOCK_ENTRIES."""
+    monkeypatch.setattr(sums, "BLOCK_ENTRIES", rows * q)
     for table, b in sweep_cases(q):
-        assert table.block_rows == min(rows, q)
+        assert sums._block_rows(q) == min(rows, q)
         assert np.array_equal(kr_matrix(table, b), broadcast_oracle(table, b))
         assert_sweep_matches_full_matrix(table, b)
 
