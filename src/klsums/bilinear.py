@@ -34,7 +34,7 @@ from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
 from .field import MultChar, PrimeField, additive_char_vector, gauss_sum, log_dft
 from .kloosterman import KlTable, kl_table_naive
-from .sums import BLOCK_ENTRIES, _sweep, kr_matrix, sigma_II
+from .sums import BLOCK_ENTRIES, _sweep, sigma_II
 from .strata import generic_z_value, is_diagonal, z_fiber_count
 
 # Entries (keys times shifts b) per majorant block of shift_reduction_trace:
@@ -444,8 +444,13 @@ def averaged_comparison_power_sum(table: KlTable, n: int, m: int) -> ComparisonR
     part = np.empty((2, 1 + m * (q - 1)), dtype=np.complex128)
     for i, w in enumerate(rows):
         d = log_dft(f, log_dft(f, w, inverse=True) * spec, inverse=True)
-        np.power(d, n, out=d)  # d[tau] = D(u, g^tau)^n
-        part[:, i] = d.sum(), d[0]
+        p = d.copy()  # p[tau] = D(u, g^tau)^n, by repeated squaring over n's bits
+        for bit in bin(n)[3:]:
+            np.square(p, out=p)
+            if bit == "1":
+                p *= d
+        part[:, i] = p.sum(), p[0]
+        del d, p  # freed before the next row is built
     lhs, rhs = (complex(math.fsum(z.real), math.fsum(z.imag)) * (q - 1) / q**m for z in part)
     gap, expo = abs(lhs.real - rhs.real), n - m + 0.5
     count = (q - 1) ** n if m == 0 else ((q - 1) ** n + (-1) ** n * (q - 1)) // q
@@ -463,8 +468,8 @@ def averaged_comparison_full_sample(
     lhs = sum_b sum_{r != 0} |sum_s bfK(sr, sb)|^2, rhs with |.|^2 inside.
     The per-b error density of the underlying estimate is O(q^{3/2}), so the
     gap is normalized by count * q^{3/2}.  Each b is one ``rng.integers``
-    call, swept before the next is drawn; rhs subtracts the sum over row
-    r = 0 of N, read by ``kr_matrix``, from each b's total.
+    call, swept before the next is drawn; rhs subtracts the sweep's sum
+    over row r = 0 of N from each b's total.
     """
     q = table.field.q
     if count < 0:
@@ -476,10 +481,9 @@ def averaged_comparison_full_sample(
     rhs_terms: list[float] = []
     for _ in range(count):
         b = rng.integers(0, q, size=2 * l, dtype=np.int64)
-        r_vec, k2 = _sweep(table, b)
-        first_row = kr_matrix(table, b, 0, 1)[0]
+        r_vec, k2, k2_first = _sweep(table, b)
         lhs_terms.append(float(np.vdot(r_vec[1:], r_vec[1:]).real))  # drop r = 0
-        rhs_terms.append(k2 - np.vdot(first_row, first_row).real)
+        rhs_terms.append(k2 - k2_first)
     lhs = math.fsum(lhs_terms)
     rhs = math.fsum(rhs_terms)
     gap = abs(lhs - rhs)

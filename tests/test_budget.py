@@ -64,11 +64,18 @@ def kr_matrix_bytes(q, n=None):
     return 16 * q * (q + (q if n is None else n) + block_rows(q) + 1) + 2**14
 
 
+def kr_gather_bytes(q, n=None):
+    # the same with kmat's windows in its place: the log table (3 (q - 1)
+    # entries) and the window index (q + block_rows - 1 int64), 4 rows
+    return 16 * q * (4 + (q if n is None else n) + 1) + 2**14
+
+
 def direct_bytes(q):
-    # kmat (q + block_rows rows), N, the 64-column conjugated block and
-    # (q - 1) x 64 Gram slab of the direct route, numpy's 128 KiB buffer for
-    # a strided block, 16 KiB
-    return 16 * q * (2 * q + block_rows(q) + 2 * 64) + 2**17 + 2**14
+    # kmat (q + block_rows rows), and beside it one block of DIRECT_ROWS
+    # (256, at most q) rows of N, the 64-row Gram slab and the
+    # DIRECT_ROWS x 64 conjugated block, 16 KiB
+    d = min(sums.DIRECT_ROWS, q)
+    return 16 * q * (q + block_rows(q)) + 16 * q * (d + 64) + 16 * d * 64 + 2**14
 
 
 def sweep_bytes(q):
@@ -76,6 +83,12 @@ def sweep_bytes(q):
     # per block partial, 16 KiB
     rows = block_rows(q)
     return 16 * q * (q + 2 * rows + 1) + 8 * -(-q // rows) + 2**14
+
+
+def sweep_gather_bytes(q):
+    # the same with kmat's windows (4 rows) in place of kmat
+    rows = block_rows(q)
+    return 16 * q * (4 + rows + 1) + 8 * -(-q // rows) + 2**14
 
 
 def power_sum_bytes(q, m):
@@ -109,14 +122,17 @@ SITES = {
     "build_field": (lambda t: build_field(100003), 56 * 100003 + 2**14, "field at q=100003"),
     "kl_table_naive": (lambda t: kl_table_naive(t.field, t.tuple), naive_bytes(Q, 2),
                        f"naive Kl table at q={Q}"),
-    "kr_matrix": (lambda t: kr_matrix(t, B), kr_matrix_bytes(Q), f"kr_matrix at q={Q}"),
+    # one byte below kmat's count the Sigma routes gather kmat's rows, and
+    # one byte below the gathered count they are refused; the direct
+    # route requires kmat
+    "kr_matrix": (lambda t: kr_matrix(t, B), kr_gather_bytes(Q), f"kr_matrix at q={Q}"),
     "sigma_II(direct=True)": (lambda t: sigma_II(t, B, direct=True), direct_bytes(Q),
                               f"sigma_II_direct at q={Q}"),
     "sigma_II_direct": (lambda t: sigma_II_direct(t, B), direct_bytes(Q),
                         f"sigma_II_direct at q={Q}"),
-    "sigma_II": (lambda t: sigma_II(t, B), sweep_bytes(Q), f"Sigma sweep at q={Q}"),
+    "sigma_II": (lambda t: sigma_II(t, B), sweep_gather_bytes(Q), f"Sigma sweep at q={Q}"),
     "averaged_comparison_full_sample": (lambda t: averaged_comparison_full_sample(t, 2, 4),
-                                        sweep_bytes(Q), f"Sigma sweep at q={Q}"),
+                                        sweep_gather_bytes(Q), f"Sigma sweep at q={Q}"),
     "averaged_comparison_power_sum": (lambda t: averaged_comparison_power_sum(t, 4, 1),
                                       power_sum_bytes(Q, 1),
                                       f"power-sum comparison at q={Q}, n=4, m=1"),
@@ -243,18 +259,42 @@ def test_kr_matrix_count_covers_measured_peak(q, hi):
 
 
 def test_direct_count_covers_measured_peak():
-    # a fresh table, so the peak includes building kmat; q = 523 runs nine
-    # Gram blocks, the last of them ten rows
-    q = 523
+    # fresh tables, so the peak includes building kmat; q = 211 is one
+    # block of N, q = 523 two full blocks and one of 11 rows, each with
+    # nine Gram blocks, the last of them ten columns; real and complex
+    for q in (211, 523):
+        f = build_field(q)
+        for chars in ((0, 0), (1, 5)):
+            t = kl_table_fast(f, CharTuple(f, chars))
+            tracemalloc.start()
+            try:
+                sigma_II_direct(t, (1, 2, 3, 4))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= direct_bytes(q), (q, chars)
+
+
+@pytest.mark.parametrize("q", [211, 523])
+@pytest.mark.parametrize("chars", [(0, 0), (1, 5)], ids=["real", "complex"])
+def test_direct_holds_one_block_and_slab_beside_kmat(q, chars):
+    # with kmat built, the route holds one block of N, the first Gram
+    # block's diagonal product and slab (64 x (q - 1) entries together)
+    # and, for a complex N, the conjugated block, and under 8 KiB more:
+    # both products are contiguous, so no sum pays numpy's 8192-entry
+    # iterator buffer (64 KiB real, 128 KiB complex)
     f = build_field(q)
-    t = kl_table_fast(f, CharTuple(f, (1, 5)))
+    t = kl_table_fast(f, CharTuple(f, chars))
+    item = sums._kmat(t).itemsize
+    d, n = min(sums.DIRECT_ROWS, q), q - 1
+    held = item * (d + 64) * n + (16 * d * 64 if item == 16 else 0)
     tracemalloc.start()
     try:
         sigma_II_direct(t, (1, 2, 3, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= direct_bytes(q)
+    assert held <= peak < held + 2**13
 
 
 @pytest.mark.parametrize("q", [211, 997, 4099])
@@ -272,6 +312,75 @@ def test_sweep_count_covers_measured_peak(q):
         tracemalloc.stop()
     assert peak <= sweep_bytes(q)
     assert peak < 16 * q**2 + 2 * 16 * sums.BLOCK_ENTRIES + 2**14
+
+
+@pytest.mark.parametrize("q", [211, 997, 4099])
+@pytest.mark.parametrize("chars", [(0, 0), (1, 5)], ids=["real", "complex"])
+def test_sweep_gathered_count_covers_measured_peak(q, chars, monkeypatch):
+    # the budget at the gathered count, below kmat's: the sweep holds kmat's
+    # windows, one block and the bfR vector, and builds no kmat
+    monkeypatch.setattr(errors, "MAX_BYTES", sweep_gather_bytes(q))
+    f = build_field(q)
+    t = kl_table_fast(f, CharTuple(f, chars))
+    tracemalloc.start()
+    try:
+        sigma_II(t, (1, 2, 3, 4, 5, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t not in sums._KMATS
+    assert peak <= sweep_gather_bytes(q)
+
+
+def test_sweep_streams_one_b_at_8191_in_bounded_bytes():
+    # the first prime past kmat's count at the 1 GiB budget: the sweep
+    # multiplies each row's windows of the log table (blocks of 8 rows),
+    # holding under 1 MiB where kmat would be 1.07 GB
+    q = 8191
+    assert sums._kmat_bytes(q) > errors.MAX_BYTES
+    f = build_field(q)
+    t = kl_table_fast(f, CharTuple(f, (0, 0)))
+    tracemalloc.start()
+    try:
+        sigma_II(t, (1, 2, 3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t not in sums._KMATS
+    assert peak <= sweep_gather_bytes(q) and peak < 2**20
+
+
+@pytest.mark.parametrize("q,hi", [(211, None), (499, None), (4099, 1)], ids=["211", "499", "4099-row0"])
+def test_kr_matrix_gathered_count_covers_measured_peak(q, hi, monkeypatch):
+    # the budget at the gathered count: the output, kmat's windows and no kmat
+    monkeypatch.setattr(errors, "MAX_BYTES", kr_gather_bytes(q, hi))
+    f = build_field(q)
+    t = kl_table_fast(f, CharTuple(f, (1, 5)))
+    tracemalloc.start()
+    try:
+        kr_matrix(t, (1, 2, 3, 4), 0, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t not in sums._KMATS
+    assert peak <= kr_gather_bytes(q, hi)
+
+
+@pytest.mark.parametrize("name", ["kr_matrix", "sigma_II", "averaged_comparison_full_sample"])
+def test_sigma_site_streams_one_byte_below_kmat(name, table, monkeypatch):
+    # one byte below the cached count a Sigma site gathers kmat's rows, on
+    # a fresh table, and returns the cached route's output bit for bit
+    call, _, _ = SITES[name]
+    cached = {"kr_matrix": kr_matrix_bytes(Q)}.get(name, sweep_bytes(Q))
+    want = call(table)
+    fresh = kl_table_fast(table.field, table.tuple)
+    monkeypatch.setattr(errors, "MAX_BYTES", cached - 1)
+    got = call(fresh)
+    assert fresh not in sums._KMATS
+    if name == "kr_matrix":
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("q,m", [(211, 0), (211, 1), (1009, 0), (1009, 1)])

@@ -377,19 +377,20 @@ def test_kl_verify_naive_q10007_exit_0():
     assert peak < 4 * 2**20
 
 
-def test_complete_sum_kr_budget_exit_3():
+def test_complete_sum_streams_past_kmat_exit_0():
+    # q = 8191 is the first prime whose kmat (16 q (q + 8) bytes) does not
+    # fit the budget beside the sweep, so the sweep gathers each factor's
+    # rows from the log windows: O(q rows) bytes, no kmat built
     tracemalloc.start()
     try:
-        code, env = run_json(["complete-sum", "--q", "100003", "--chars", "0,0", "--b", "1,2,3,4"])
+        code, env = run_json(["complete-sum", "--q", "8191", "--chars", "0,0", "--b", "1,2,3,4"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 3 and env["status"] == "resource-limit"
-    assert "q=100003" in env["payload"]["error"]
-    # the sweep's count at one row per block: kmat, two one-row blocks, the
-    # bfR vector, 8 bytes for each of the q block partials and 16 KiB
-    assert f"{16 * 100003 * (100003 + 3) + 8 * 100003 + 2**14} bytes" in env["payload"]["error"]
-    assert peak < 64 * 2**20  # kmat (~160 GB) was never allocated
+    assert sums._kmat_bytes(8191) > MAX_BYTES
+    assert code == 0 and env["status"] == "ok"
+    assert abs(env["payload"]["sigma_II"]) <= 10 * 8191**2
+    assert peak < 4 * 2**20
 
 
 def test_strata_scan_resolvent_budget_exit_3():
@@ -413,20 +414,22 @@ def test_strata_scan_resolvent_budget_exit_3():
 
 
 def test_complete_sum_direct_budget_exit_3():
-    # the difference form alone fits at q = 5779; the direct oracle's
-    # 16 q (2 q + rows + 128) + 144 KiB bytes, with BLOCK_ENTRIES // q rows,
-    # do not, and are refused before kmat or N is built
-    rows = sums.BLOCK_ENTRIES // 5779
+    # the difference form alone fits at q = 8039 (kmat is cached there);
+    # the direct oracle's count, kmat and beside it 256 rows of N, the
+    # 64-row Gram slab and the 256 x 64 conjugated block, does not, and is
+    # refused before kmat or a block of N is built
+    rows = sums.BLOCK_ENTRIES // 8039
+    need = 16 * 8039 * (8039 + rows) + 16 * 8039 * (256 + 64) + 16 * 256 * 64 + 2**14
     tracemalloc.start()
     try:
-        code, env = run_json(["complete-sum", "--q", "5779", "--chars", "0,0", "--b", "1,2,3,4",
+        code, env = run_json(["complete-sum", "--q", "8039", "--chars", "0,0", "--b", "1,2,3,4",
                               "--direct"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 3 and env["status"] == "resource-limit"
-    assert "q=5779" in env["payload"]["error"]
-    assert f"{16 * 5779 * (2 * 5779 + rows + 128) + 2**17 + 2**14} bytes" in env["payload"]["error"]
+    assert env["payload"]["error"] == (f"sigma_II_direct at q=8039 needs {need} bytes, "
+                                       f"over the {MAX_BYTES}-byte bound")
     assert peak < 64 * 2**20
 
 

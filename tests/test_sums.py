@@ -298,25 +298,27 @@ def test_kr_matrix_shape_and_zero_column(tab13):
 
 
 def test_sigma_II_direct_byte_budget():
-    # kmat (q + BLOCK_ENTRIES // q rows) and N, the direct route's 64-column
-    # conjugated block and (q - 1) x 64 Gram slab, numpy's 128 KiB buffer
-    # for a strided block, and 16 KiB for the small arrays
+    # kmat (q + BLOCK_ENTRIES // q rows) and beside it one block of
+    # DIRECT_ROWS (256) rows of N, the 64-row Gram slab, the 256 x 64
+    # conjugated block and 16 KiB for the small arrays
     def rows(q):
         return max(1, sums.BLOCK_ENTRIES // q)
 
     def direct_bytes(q):
-        return 16 * q * (2 * q + rows(q) + 128) + 2**17 + 2**14
+        return 16 * q * (q + rows(q)) + 16 * q * (256 + 64) + 16 * 256 * 64 + 2**14
 
-    # 5749 is the last prime the direct route admits, 5779 the first past it;
-    # the difference form and a lone kr_matrix would still admit q = 5779
-    assert direct_bytes(5749) <= MAX_BYTES < direct_bytes(5779)
-    assert 16 * 5779 * (2 * 5779 + rows(5779) + 1) + 2**14 <= MAX_BYTES
-    f = build_field(5779)
+    # 8017 is the last prime the direct route admits, 8039 the first past
+    # it; the difference form still caches kmat at q = 8039 (it does up to
+    # 8179), and past that it streams
+    assert sums.DIRECT_ROWS == 256 and sums.GRAM_ROWS == 64
+    assert direct_bytes(8017) <= MAX_BYTES < direct_bytes(8039)
+    assert 16 * 8039 * (8039 + 2 * rows(8039) + 1) + 8 * -(-8039 // rows(8039)) + 2**14 <= MAX_BYTES
+    f = build_field(8039)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
-    need = direct_bytes(5779)
+    need = direct_bytes(8039)
     for call in (lambda: sigma_II(table, (1, 2, 3, 4), direct=True),
                  lambda: sigma_II_direct(table, (1, 2, 3, 4))):
-        with pytest.raises(ResourceLimitError, match=f"q=5779 needs {need} bytes"):
+        with pytest.raises(ResourceLimitError, match=f"q=8039 needs {need} bytes"):
             call()
     assert table not in sums._KMATS
 
@@ -383,19 +385,22 @@ def test_sigma_II_direct_matches_full_gram_property():
     check()
 
 
-def test_sigma_II_direct_builds_M_once(monkeypatch):
-    q = 131
-    f = build_field(q)
-    table = kl_table_fast(f, CharTuple(f, (0, 0)))
+def test_sigma_II_direct_builds_each_row_once(monkeypatch):
+    """The direct route reads N from kr_matrix in consecutive blocks of
+    DIRECT_ROWS rows, each row once: one block of all 131 rows, and 256,
+    256 and 11 rows at q = 523; N is never built whole (past one block)."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append((args[2:], kwargs))
+        calls.append(args[2:4])
         return kr_matrix(*args, **kwargs)
 
     monkeypatch.setattr(sums, "kr_matrix", counted)
-    sigma_II_direct(table, (1, 2, 3, 4))
-    assert calls == [((), {})]  # one call, over the full row range
+    for q, blocks in ((131, [(0, 131)]), (523, [(0, 256), (256, 512), (512, 523)])):
+        f = build_field(q)
+        sigma_II_direct(kl_table_fast(f, CharTuple(f, (0, 0))), (1, 2, 3, 4))
+        assert calls == blocks
+        calls.clear()
 
 
 def test_b_must_be_integral(tab13):
@@ -527,17 +532,28 @@ def test_kr_matrix_holds_only_its_output(tab997, b, full):
 
 def test_kr_matrix_byte_budget():
     # kmat (q + BLOCK_ENTRIES // q rows), the output, one row for kmat's
-    # build and 16 KiB: 5783 is the last prime the bound admits and 5791 the
-    # first past it; the largest q the tests and the benchmark use (1999)
-    # stays far inside it
-    def need(q):
-        return 16 * q * (2 * q + max(1, sums.BLOCK_ENTRIES // q) + 1) + 2**14
+    # build and 16 KiB: all rows with kmat cached fit up to 5783; past it
+    # the rows are gathered from kmat's windows (4 rows of 16 q bytes in
+    # place of kmat's count), so all rows fit up to 8179 and q = 8191 is
+    # refused before anything is built; one row streams there
+    def rows(q):
+        return max(1, sums.BLOCK_ENTRIES // q)
 
-    assert need(1999) <= need(5783) <= MAX_BYTES < need(5791)
-    f = build_field(5791)
+    def cached(q):
+        return 16 * q * (2 * q + rows(q) + 1) + 2**14
+
+    def gathered(q, n):
+        return 16 * q * (n + 1 + 4) + 2**14
+
+    assert cached(1999) <= cached(5783) <= MAX_BYTES < cached(5791)
+    assert gathered(8179, 8179) <= MAX_BYTES < gathered(8191, 8191)
+    f = build_field(8191)
     table = kl_table_fast(f, CharTuple(f, (0, 0)))
-    with pytest.raises(ResourceLimitError, match=f"q=5791 needs {need(5791)} bytes"):
-        kr_matrix(table, (1, 2, 3, 4))
+    b = (1, 2, 3, 4)
+    with pytest.raises(ResourceLimitError, match=f"q=8191 needs {gathered(8191, 8191)} bytes"):
+        kr_matrix(table, b)
+    row = kr_matrix(table, b, 8190, 8191)
+    assert np.array_equal(row, _bfk_product(table, f.exp[None, :], np.array([[8190]]), np.array(b), 2))
     assert table not in sums._KMATS
 
 
@@ -676,3 +692,81 @@ def test_sweep_matches_closed_form_at_l1(q, chars):
         assert abs(rep.comp_R2 - want_r2) <= 1e-13 * q**2, b
         assert abs(rep.comp_K2 - want_k2) <= 1e-13 * q**2, b
         assert abs(rep.sigma_II - (want_r2 - want_k2)) <= 1e-13 * q**2, b
+
+
+def test_gathered_route_matches_cached_property(monkeypatch):
+    """With the byte budget below kmat's count, kr_matrix and the sweep
+    gather kmat's rows from its windows instead, and every sigma_II report
+    and kr_matrix block equals the cached route's bit for bit: q from 3
+    through the primes below 600, real, imaginary and complex tables,
+    l = 1, 2, 3, and b with 0, q - 1 and repeated entries."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    primes = [q for q in range(3, 600) if is_prime(q)]
+
+    def case(q):
+        entry = st.one_of(st.sampled_from((0, q - 1)), st.integers(0, q - 1))
+        return st.tuples(
+            st.just(q),
+            st.sampled_from(("real", "imaginary", "complex")),
+            st.sampled_from((1, 2, 3)).flatmap(lambda l: st.lists(entry, min_size=2 * l, max_size=2 * l)),
+            st.tuples(st.integers(0, q - 1), st.integers(1, q)).map(sorted),
+        )
+
+    def chars(q, kind):
+        # (0, 0) is real; (0, (q - 1) / 2) is the Salie pair, imaginary at
+        # q = 3 mod 4 and real otherwise; (1, 5) is complex for q > 5
+        return {"real": (0, 0), "imaginary": (0, (q - 1) // 2), "complex": (1, 5 % (q - 1))}[kind]
+
+    def gathered(q, beside):
+        # a route's gathered count, kmat's windows (4 rows) beside the rest,
+        # which is below its cached count, kmat's q + rows rows beside it
+        assert 16 * q * 4 < sums._kmat_bytes(q)
+        return 16 * q * 4 + beside
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(primes).flatmap(case))
+    @hyp.example((3, "real", [0, 2], [0, 3]))
+    @hyp.example((7, "imaginary", [6, 6, 0, 0], [2, 7]))
+    @hyp.example((103, "complex", [0, 102, 51, 1, 1, 7], [0, 103]))
+    @hyp.example((599, "imaginary", [598, 0, 5, 5], [590, 599]))
+    def check(c):
+        q, kind, b, (lo, hi) = c
+        hi = max(hi, lo + 1)
+        f = build_field(q)
+        t = CharTuple(f, chars(q, kind))
+        rows = sums._block_rows(q)
+        fresh = kl_table_fast(f, t)
+        # beside the sweep's rows: its block, the bfR vector, the partials
+        # and 16 KiB; beside kr_matrix's: its output, one row and 16 KiB
+        monkeypatch.setattr(sums.errors, "MAX_BYTES",
+                            gathered(q, 16 * q * (rows + 1) + 8 * -(-q // rows) + 2**14))
+        got_rep = sigma_II(fresh, b)
+        monkeypatch.setattr(sums.errors, "MAX_BYTES", gathered(q, 16 * q * (hi - lo + 1) + 2**14))
+        got_kr = kr_matrix(fresh, b, lo, hi)
+        assert fresh not in sums._KMATS
+        monkeypatch.undo()
+        cached = kl_table_fast(f, t)
+        want_rep, want_kr = sigma_II(cached, b), kr_matrix(cached, b, lo, hi)
+        assert cached in sums._KMATS
+        assert got_rep == want_rep, c
+        assert got_kr.dtype == want_kr.dtype and got_kr.tobytes() == want_kr.tobytes(), c
+
+    check()
+
+
+@pytest.mark.parametrize("chars", [(0, 0), (1, 5)])
+def test_gathered_sweep_matches_closed_form_at_l1_q10007(chars):
+    """At q = 10007 kmat (1.6 GB) does not fit the budget, so the sweep
+    gathers kmat's rows; at l = 1 it still equals the closed form."""
+    q = 10007
+    f = build_field(q)
+    table = kl_table_fast(f, CharTuple(f, chars))
+    want_i, want_r2, want_k2 = closed_form_l1(table)
+    for b in [(0, q - 1), (17, 5003)]:
+        rep = sigma_II(table, b)
+        assert abs(rep.sigma_I - want_i) <= 1e-13 * q, b
+        assert abs(rep.comp_R2 - want_r2) <= 1e-13 * q**2, b
+        assert abs(rep.comp_K2 - want_k2) <= 1e-13 * q**2, b
+        assert abs(rep.sigma_II - (want_r2 - want_k2)) <= 1e-13 * q**2, b
+    assert sums._kmat_bytes(q) > MAX_BYTES and table not in sums._KMATS
