@@ -32,7 +32,7 @@ import numpy as np
 
 from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
-from .field import MultChar, PrimeField, additive_char_vector, gauss_sum, log_dft
+from .field import MultChar, PrimeField, additive_char_by_log, gauss_sum, log_dft
 from .kloosterman import KlTable, kl_table_naive
 from .sums import BLOCK_ENTRIES, _sweep, sigma_II
 from .strata import generic_z_value, is_diagonal, z_fiber_count
@@ -439,7 +439,7 @@ def averaged_comparison_power_sum(table: KlTable, n: int, m: int) -> ComparisonR
     check_bytes(16 * (6 + 2 * m) * q + 32 * q**m + 2**14, "power-sum comparison", q=q, n=n, m=m)
     lv = table.values[f.exp]  # L
     spec = log_dft(f, np.conj(lv)) * (q - 1)
-    psi = np.tile(additive_char_vector(f)[f.exp], 2 * m)  # empty at m = 0
+    psi = np.tile(additive_char_by_log(f), 2 * m)  # empty at m = 0
     rows = itertools.chain((psi[mu:mu + q - 1] * lv for mu in range(m * (q - 1))), [lv])
     part = np.empty((2, 1 + m * (q - 1)), dtype=np.complex128)
     for i, w in enumerate(rows):

@@ -1,25 +1,31 @@
 """Prime-field arithmetic, discrete logarithms, characters, and Gauss sums.
 
 Everything downstream works inside a fixed ``PrimeField``: a prime q, the
-smallest primitive root g, and the full discrete-log table of F_q^x.  The
-additive character is fixed once and for all as psi(x) = exp(2*pi*i*x / q);
-variants psi_a(x) = psi(a*x) are realized through the scale parameter a.
-Multiplicative characters are indices a in Z/(q-1) with
-chi_a(g^m) = exp(2*pi*i*a*m / (q-1)) and chi(0) = 0 (all sums here range
-over F_q^x, so the middle-extension value at 0 is never used).
+smallest primitive root g, its power table exp, and the full discrete-log
+table of F_q^x, built the first time it is read (no Kl table or Gauss
+spectrum reads it; the Sigma kernel, the characters' pointwise values and
+the moment identity do).  The additive character is fixed once and for all
+as psi(x) = exp(2*pi*i*x / q); variants psi_a(x) = psi(a*x) are realized
+through the scale parameter a.  Multiplicative characters are indices a in
+Z/(q-1) with chi_a(g^m) = exp(2*pi*i*a*m / (q-1)) and chi(0) = 0 (all sums
+here range over F_q^x, so the middle-extension value at 0 is never used).
 
 Gauss sums come two ways.  ``gauss_sum`` sums one character directly in
 O(q); it is the oracle.  ``PrimeField.gauss_spectrum`` is one transform of
 psi(g^m) over m, which holds every Gauss sum of the field at once:
 gauss_spectrum[j] = tau(chi_{-j}).  The Kl tables and the moment identity
-read the spectrum; the checks that validate them call ``gauss_sum``.
+read the spectrum; the checks that validate them call ``gauss_sum``.  Both,
+like every other reader of psi in log order, take psi(g^m) from
+``additive_char_by_log``, which evaluates psi straight at exp (the same
+floats as ``additive_char_vector`` gathered by exp, with no length-q vector).
 
 ``log_dft`` is the package's one length-(q-1) transform: the spectrum, the
 fast Kl tables and the power sum go through it.  When q - 1 = m*p with p a
 prime above sqrt(q - 1) (so gcd(m, p) = 1), numpy would pad the whole length
 for Bluestein's algorithm; past measured floors on q - 1 and p, ``log_dft``
 splits it by the Good-Thomas prime-factor algorithm instead, so only the
-length-p rows are padded.  Every other q - 1 goes to ``np.fft`` unchanged.
+length-p rows are padded.  Every other q - 1 goes to ``np.fft`` whole.  On
+both paths the transform is written over its input, which is returned.
 
 ``build_field`` counts its tables against the package's byte budget
 (``errors.MAX_BYTES``), which admits q up to about 1.9e7.  Every admitted q
@@ -96,18 +102,26 @@ def smallest_primitive_root(q: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Prime field F_q with primitive root, discrete-log and power tables.
+    """Prime field F_q with primitive root, power and discrete-log tables.
 
-    dlog has length q with dlog[0] = -1 (0 has no logarithm) and
-    dlog[g^m mod q] = m for 0 <= m < q-1.  exp has length q-1 with
-    exp[m] = g^m mod q.  The cached properties ``factors`` and the
-    read-only ``gauss_spectrum`` are built on first use.
+    exp has length q-1 with exp[m] = g^m mod q.  dlog has length q with
+    dlog[0] = -1 (0 has no logarithm) and dlog[g^m mod q] = m for
+    0 <= m < q-1.  Both are read-only int64.  The cached properties
+    ``dlog``, ``factors`` and ``gauss_spectrum`` are built on first use
+    (``build_field`` counts dlog and the spectrum among its bytes).
     """
 
     q: int
     g: int
-    dlog: np.ndarray = dc_field(repr=False)
     exp: np.ndarray = dc_field(repr=False)
+
+    @cached_property
+    def dlog(self) -> np.ndarray:
+        """The discrete-log table, scattered from exp on first read."""
+        dlog = np.full(self.q, -1, dtype=np.int64)
+        dlog[self.exp] = np.arange(self.q - 1)
+        dlog.flags.writeable = False
+        return dlog
 
     @cached_property
     def factors(self) -> tuple:
@@ -121,9 +135,10 @@ class PrimeField:
 
         The DFT of m -> psi(g^m) at frequency j is the sum over y of
         psi(y) exp(-2 pi i j dlog(y) / (q-1)) = tau(chi_{-j}).  Length q-1,
-        complex128, 16 q bytes.
+        complex128, 16 q bytes: psi(g^m) is evaluated into the one buffer
+        that ``log_dft`` then transforms in place.
         """
-        spec = log_dft(self, additive_char_vector(self)[self.exp])
+        spec = log_dft(self, additive_char_by_log(self))
         spec.flags.writeable = False
         return spec
 
@@ -152,7 +167,7 @@ def log_dft(field: PrimeField, x: np.ndarray, inverse: bool = False) -> np.ndarr
     its 1/(q-1) when inverse).
 
     x is a contiguous complex128 vector of length n = q - 1, taken as
-    scratch: the split writes the transform over x and returns x.  When
+    scratch: both paths write the transform over x and return x.  When
     ``_split_prime`` gives p, n = m*p with gcd(m, p) = 1 and the Good-Thomas
     prime-factor algorithm applies, with no twiddles: with
     a[j1, j2] = x[(j1*p + j2*m) mod n], the transform of a along p and then
@@ -164,7 +179,7 @@ def log_dft(field: PrimeField, x: np.ndarray, inverse: bool = False) -> np.ndarr
     a rotation of D's rows per class d mod m.  The index arithmetic is on
     Python ints, exact for every n, and past x the split holds a alone
     (16 bytes per entry); only the length-p rows are padded by numpy.
-    Otherwise x goes to ``np.fft`` whole, and its output is returned.
+    Otherwise x goes to ``np.fft`` whole, with x as its out.
     """
     n = field.q - 1
     if x.shape != (n,) or x.dtype != np.complex128 or not x.flags.c_contiguous:
@@ -173,7 +188,7 @@ def log_dft(field: PrimeField, x: np.ndarray, inverse: bool = False) -> np.ndarr
     fft = np.fft.ifft if inverse else np.fft.fft
     p = _split_prime(field)
     if not p:
-        return fft(x)
+        return fft(x, out=x)
     m = n // p
     pinv = pow(p, -1, m)
     a = np.empty((m, p), dtype=np.complex128)
@@ -208,12 +223,15 @@ def _powers_mod(g: int, q: int, n: int) -> np.ndarray:
 
 
 def build_field(q: int) -> PrimeField:
-    """Construct F_q with verified primitive root and complete dlog table."""
+    """Construct F_q with a verified primitive root and its power table
+    (dlog is built on first read)."""
     if not isinstance(q, int):
         raise PreconditionError(f"q must be an integer, got {type(q).__name__}")
-    # dlog, exp, the scatter's arange source, then gauss_spectrum, its
-    # transform's input and the split's (m, p) array in log_dft: 49.3
-    # bytes per element at q = 100003, counted as 56, plus 16 KiB
+    # exp, dlog (built on first read) and its scatter's arange source,
+    # then gauss_spectrum, the one buffer log_dft transforms in place, and
+    # the split's (m, p) array: 49.3 bytes per element at q = 100003 with
+    # dlog read first (40.0 with the spectrum alone), counted as 56, plus
+    # 16 KiB
     check_bytes(56 * q + 2**14, "field", q=q)
     if q < 3:
         raise PreconditionError(f"q = {q} < 3: need an odd prime")
@@ -221,13 +239,10 @@ def build_field(q: int) -> PrimeField:
         raise PreconditionError(f"q = {q} is not prime (composite or unit)")
     g = smallest_primitive_root(q)
     exp = _powers_mod(g, q, q - 1)
-    dlog = np.full(q, -1, dtype=np.int64)
-    dlog[exp] = np.arange(q - 1)
-    if dlog[1] != 0 or int(exp[-1]) * g % q != 1:
+    if int(exp[-1]) * g % q != 1:
         raise ArithmeticError("primitive-root table construction failed")  # pragma: no cover
     exp.flags.writeable = False
-    dlog.flags.writeable = False
-    return PrimeField(q=q, g=g, dlog=dlog, exp=exp)
+    return PrimeField(q=q, g=g, exp=exp)
 
 
 def check_b(field: PrimeField, b) -> tuple[np.ndarray, int]:
@@ -315,8 +330,15 @@ def additive_char_vector(field: PrimeField) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(q) / q)
 
 
+def additive_char_by_log(field: PrimeField) -> np.ndarray:
+    """Vector psi(g^m) for m = 0..q-2 in one new complex128 buffer: the
+    expression of ``additive_char_vector`` evaluated at exp in place, so
+    equal bit for bit to ``additive_char_vector(field)[field.exp]``."""
+    psi = field.exp * (2j * np.pi)
+    psi /= field.q
+    return np.exp(psi, out=psi)
+
+
 def gauss_sum(chi: MultChar) -> complex:
     """tau(chi) = sum over y in F_q^x of chi(y) e(y/q), by direct summation."""
-    f = chi.field
-    psi = additive_char_vector(f)
-    return complex(np.sum(chi.values_by_log() * psi[f.exp]))
+    return complex(np.sum(chi.values_by_log() * additive_char_by_log(chi.field)))

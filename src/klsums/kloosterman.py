@@ -17,7 +17,8 @@ evaluation routes are provided:
   O(q log q) per table on top of the one forward transform per field that
   G costs.  Both are ``field.log_dft``, which splits a q - 1 with one large
   prime factor by the prime-factor algorithm rather than let numpy pad the
-  whole length.
+  whole length, and transforms its input in place: a table holds one
+  product buffer, one roll of G at a time and the table it returns.
 
 The fast route is the production path and the naive one its oracle: the
 oracle never reads G, and the two share nothing but the field's character
@@ -38,7 +39,7 @@ import numpy as np
 
 from .chartuples import CharTuple
 from .errors import InternalConsistencyError, PreconditionError, check_bytes
-from .field import PrimeField, additive_char_vector, gauss_sum, log_dft, MultChar
+from .field import PrimeField, additive_char_by_log, gauss_sum, log_dft, MultChar
 
 DELIGNE_SLACK = 1e-9
 
@@ -71,25 +72,30 @@ class KlTable:
 
 def _factor_logs(field: PrimeField, t: CharTuple) -> list[np.ndarray]:
     """Log-reindexed factors h_i[m] = chi_i(g^m) e(g^m/q): Kl_k(g^nu) is
-    q^{-(k-1)/2} times their cyclic convolution at nu (h_1 itself at k = 1)."""
-    psi = additive_char_vector(field)[field.exp]
-    return [MultChar(field, ai).values_by_log() * psi for ai in t.indices]
+    q^{-(k-1)/2} times their cyclic convolution at nu (h_1 itself at k = 1).
+    psi is built after the characters, so that no character's temporaries
+    sit beside it, and multiplied into them in place."""
+    hs = [MultChar(field, ai).values_by_log() for ai in t.indices]
+    psi = additive_char_by_log(field)
+    for h in hs:
+        h *= psi
+    return hs
 
 
 def _assemble(field: PrimeField, t: CharTuple, a: int, conv_log: np.ndarray) -> KlTable:
-    """Normalize, reindex from logs to residues, and apply the scale.
+    """Normalize conv_log in place, then scatter it from logs to residues
+    with the scale applied.
 
     The scale-a table is the exact index permutation x -> a*x of the a = 1
-    table (same float values, no separate transform), so fast(a)[x] equals
-    fast(1)[a*x] bit for bit.
+    table (same float values, no separate transform): value nu lands at
+    g^nu / a, so fast(a)[x] equals fast(1)[a*x] bit for bit.
     """
-    k = t.k
-    vals = np.zeros(field.q, dtype=np.complex128)
-    vals[field.exp] = conv_log / field.q ** ((k - 1) / 2)
-    if a % field.q != 1:
-        vals = vals[(a * np.arange(field.q)) % field.q]
+    k, q, s = t.k, field.q, a % field.q
+    conv_log /= q ** ((k - 1) / 2)
+    vals = np.zeros(q, dtype=np.complex128)
+    vals[field.exp if s == 1 else field.exp * pow(s, -1, q) % q] = conv_log
     vals.flags.writeable = False
-    table = KlTable(field=field, tuple=t, scale=a % field.q, values=vals)
+    table = KlTable(field=field, tuple=t, scale=s, values=vals)
     m = table.max_abs()
     if not np.isfinite(m) or m > k + DELIGNE_SLACK:
         raise InternalConsistencyError(
@@ -100,16 +106,24 @@ def _assemble(field: PrimeField, t: CharTuple, a: int, conv_log: np.ndarray) -> 
 
 def kl_table_fast(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
     """Full Kl_k table: one inverse transform of length q-1 (``log_dft``)
-    of prod_i roll(G, a_i)."""
+    of prod_i roll(G, a_i), computed in place in prod (G itself where
+    a_i = 0)."""
     if a % field.q == 0:
         raise PreconditionError(f"scale a must be nonzero mod q, got a={a} at q={field.q}")
+    # prod, then one roll of G or the split's (m, p) array in log_dft, then
+    # the residue-order table with the scatter's index: 40.0 bytes per
+    # element unscaled and 48.0 scaled at q = 96001 and 97159 (k = 1, 2, 3),
+    # counted as 48, plus 16 KiB (build_field counts G).  This admits q below
+    # 2.24e7 and build_field's 56 below 1.92e7, so no q that build_field
+    # admits is refused here.
+    check_bytes(48 * field.q + 2**14, "fast Kl table", q=field.q)
     if t.k == 1:
         conv = _factor_logs(field, t)[0]
     else:
         spec = field.gauss_spectrum
         prod = np.roll(spec, t.indices[0])
         for ai in t.indices[1:]:
-            prod *= np.roll(spec, ai)
+            prod *= np.roll(spec, ai) if ai else spec
         conv = log_dft(field, prod, inverse=True)
     return _assemble(field, t, a, conv)
 
@@ -131,8 +145,8 @@ def kl_table_naive(field: PrimeField, t: CharTuple, a: int = 1) -> KlTable:
         raise PreconditionError(f"scale a must be nonzero mod q, got a={a} at q={field.q}")
     # the k log factors, then per fold the last fold's output, np.convolve's
     # reversed copy of h and its 2(q-1) - 1 entry output: 4 vectors past the
-    # factors, counted as 5 (assembly, with the table and its scale
-    # permutation, holds at most 4.5), 16 KiB for small arrays
+    # factors, counted as 5 (assembly, with the table and its scatter
+    # index, holds 2.5), 16 KiB for small arrays
     check_bytes(16 * field.q * (t.k + 5) + 2**14, "naive Kl table", q=field.q)
     hs = _factor_logs(field, t)
     conv = hs[0]

@@ -50,10 +50,17 @@ def block_rows(q):
     return min(max(1, sums.BLOCK_ENTRIES // q), q)
 
 
+def fast_bytes(q):
+    # prod, one roll of the spectrum or the split's (m, p) array, the
+    # residue-order table with its scatter index, 16 KiB; the spectrum is
+    # the field's
+    return 48 * q + 2**14
+
+
 def naive_bytes(q, k):
     # the k log factors, then per fold the last fold's output, np.convolve's
     # reversed input copy and its 2(q - 1) - 1 entry output, counted as 5
-    # vectors; assembly (the table and its scale permutation) holds less;
+    # vectors; assembly (the table and its scatter index) holds less;
     # 16 KiB
     return 16 * q * (k + 5) + 2**14
 
@@ -122,6 +129,8 @@ SITES = {
     "build_field": (lambda t: build_field(100003), 56 * 100003 + 2**14, "field at q=100003"),
     "kl_table_naive": (lambda t: kl_table_naive(t.field, t.tuple), naive_bytes(Q, 2),
                        f"naive Kl table at q={Q}"),
+    "kl_table_fast": (lambda t: kl_table_fast(t.field, t.tuple), fast_bytes(Q),
+                      f"fast Kl table at q={Q}"),
     # one byte below kmat's count the Sigma routes gather kmat's rows, and
     # one byte below the gathered count they are refused; the direct
     # route requires kmat
@@ -222,6 +231,34 @@ def test_naive_count_covers_measured_peak(q, k, a):
     finally:
         tracemalloc.stop()
     assert peak <= naive_bytes(q, k)
+
+
+@pytest.mark.parametrize("q", [97159, 96001], ids=["split", "unsplit"])
+@pytest.mark.parametrize("chars", [(5,), (0, 0), (0, 1, 7)])
+@pytest.mark.parametrize("a", [1, 2])
+def test_fast_count_covers_measured_peak(q, chars, a):
+    # 96000 = 2^8 * 3 * 5^3 goes to numpy whole, 97158 = 6 * 16193 splits;
+    # the field's tables (spectrum and dlog) are built outside the
+    # measurement.  The scaled tables peak at 48.0 q in the scatter, the
+    # unscaled ones at 40.0 q
+    f = build_field(q)
+    f.gauss_spectrum, f.dlog
+    t = CharTuple(f, chars)
+    tracemalloc.start()
+    try:
+        kl_table_fast(f, t, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= fast_bytes(q)
+
+
+def test_fast_count_refuses_no_admitted_field(table, monkeypatch):
+    # with the budget at the field's own count (56 q + 16 KiB) the table is
+    # admitted: its count is 48 q + 16 KiB, so it refuses no q past
+    # 2.24e7, and build_field none past 1.92e7
+    monkeypatch.setattr(errors, "MAX_BYTES", 56 * Q + 2**14)
+    kl_table_fast(table.field, table.tuple, 2)
 
 
 @pytest.mark.parametrize("q", [3659, 10007])

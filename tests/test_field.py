@@ -9,6 +9,7 @@ from klsums.field import (
     MultChar,
     _powers_mod,
     _split_prime,
+    additive_char_by_log,
     additive_char_vector,
     build_field,
     eval_additive,
@@ -78,6 +79,35 @@ def test_dlog_roundtrip(f101):
     for x in range(1, 101):
         assert pow(f101.g, int(f101.dlog[x]), 101) == x
     assert (f101.exp[f101.dlog[1:]] == np.arange(1, 101)).all()
+
+
+@pytest.mark.parametrize("q", [3, 13, 1009, 4099])
+def test_dlog_built_on_first_read(q):
+    """build_field builds exp alone and the Gauss spectrum does not read
+    dlog; the first read builds it, cached and read-only, as the inverse of
+    exp."""
+    f = build_field(q)
+    assert "dlog" not in vars(f)
+    f.gauss_spectrum
+    assert "dlog" not in vars(f)
+    dlog = f.dlog
+    assert vars(f)["dlog"] is dlog and f.dlog is dlog
+    assert dlog.dtype == np.int64 and dlog.shape == (q,) and dlog[0] == -1
+    assert not dlog.flags.writeable
+    x = np.arange(1, q)
+    assert np.array_equal(f.exp[dlog[x]], x)
+
+
+@pytest.mark.parametrize("q", [3, 5, 13, 1009, 4099, 10007])
+def test_additive_char_by_log_is_the_residue_gather(q):
+    """psi in log order is the residue-order vector gathered by exp, bit for
+    bit, and so is gauss_sum's sum over it."""
+    f = build_field(q)
+    want = additive_char_vector(f)[f.exp]
+    assert np.array_equal(additive_char_by_log(f), want)
+    for a in {0, 1, q - 2, (q - 1) // 2}:
+        chi = MultChar(f, a)
+        assert gauss_sum(chi) == complex(np.sum(chi.values_by_log() * want)), a
 
 
 def test_eval_char_trivial(f5):
@@ -280,7 +310,10 @@ def test_log_dft_unsplit_is_numpy(q):
     re, im = np.random.Generator(np.random.PCG64(q)).standard_normal((2, q - 1))
     x = re + 1j * im
     for inverse, fft in ((False, np.fft.fft), (True, np.fft.ifft)):
-        assert np.array_equal(log_dft(f, x.copy(), inverse=inverse), fft(x))
+        y = x.copy()
+        got = log_dft(f, y, inverse=inverse)
+        assert got is y
+        assert np.array_equal(got, fft(x))
 
 
 def test_log_dft_rejects():

@@ -17,6 +17,7 @@ from klsums.field import (
     eval_additive,
     eval_char,
     gauss_sum,
+    log_dft,
 )
 from klsums.kloosterman import (
     fourier_identity_check,
@@ -190,6 +191,53 @@ def test_kl1_table_is_exactly_chi_psi(q):
         assert np.array_equal(kl_table_fast(f, CharTuple(f, (a,))).values, expected), a
 
 
+def pre_in_place_log_dft(f, x, inverse=False):
+    """log_dft as it was before it wrote over x on both paths: numpy's
+    out-of-place transform where q - 1 does not split (the split path
+    already wrote over x)."""
+    if _split_prime(f):
+        return log_dft(f, x, inverse=inverse)
+    return (np.fft.ifft if inverse else np.fft.fft)(x)
+
+
+def pre_in_place_table(f, spec, indices, a):
+    """The fast table by its pre-change formula from the pre-change
+    spectrum: the product of np.roll copies of it, transformed and
+    normalized out of place, and the scale applied by gathering the a = 1
+    table at a*x."""
+    prod = np.roll(spec, indices[0])
+    for ai in indices[1:]:
+        prod *= np.roll(spec, ai)
+    vals = np.zeros(f.q, dtype=np.complex128)
+    vals[f.exp] = pre_in_place_log_dft(f, prod, inverse=True) / f.q ** ((len(indices) - 1) / 2)
+    return vals if a % f.q == 1 else vals[(a * np.arange(f.q)) % f.q]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 101, 4099, 10007, 96001, 97159])
+def test_fast_table_is_the_pre_in_place_formula(q):
+    """The in-place spectrum and tables (G itself at shift 0, np.roll
+    elsewhere, the product transformed and normalized in place, the scale
+    applied in the scatter) equal the pre-change formula bit for bit, at
+    shifts 0, 1, q - 2 and random ones, unscaled and scaled.  None of them
+    reads the field's dlog.  The pre-change spectrum is the transform of
+    the residue-order psi gathered by exp."""
+    f = build_field(q)
+    spec = pre_in_place_log_dft(f, additive_char_vector(f)[f.exp])
+    assert np.array_equal(f.gauss_spectrum, spec)
+    n = q - 1
+    rng = np.random.Generator(np.random.PCG64(q))
+    r = [int(v) for v in rng.integers(0, n, 4)]
+    shifts = [0, 1, n - 1, r[0]]
+    tuples = [*itertools.product(shifts, repeat=2), (0, 0, 0), (0, 1, n - 1), (n - 1, 0, r[1]),
+              (1, 0, 0), tuple(r[1:])]
+    for idx in tuples:
+        t = CharTuple(f, idx)
+        for a in (1, int(rng.integers(1, q))):
+            want = pre_in_place_table(f, spec, t.indices, a)
+            assert np.array_equal(kl_table_fast(f, t, a).values, want), (idx, a)
+    assert "dlog" not in vars(f)
+
+
 def test_fast_vs_pointwise_nontrivial_chars(f13):
     t = CharTuple(f13, (1, 6, 4))
     tab = kl_table_fast(f13, t)
@@ -326,10 +374,13 @@ def test_kmat_build_holds_kmat_and_logs(chars, q):
     logs, the log table doubled and a zero window (3 (q - 1) entries), the
     field's dlog with its first block_rows - 1 entries repeated (q + rows
     int64s), and 4 KiB for small arrays: one gather of windows, with no
-    row-block buffer.  kmat[x, sigma] = K((x % q) g^sigma)."""
+    row-block buffer.  kmat[x, sigma] = K((x % q) g^sigma).  dlog is the
+    field's table (``build_field`` counts it), so it is read before the
+    measurement."""
     f = build_field(q)
     table = kl_table_fast(f, CharTuple(f, chars))
     kernel = sums._kernel(table)  # a float64 view for the real table
+    table.field.dlog
     tracemalloc.start()
     try:
         kmat = sums._kmat(table)
